@@ -97,3 +97,68 @@ func TestRunEarlyStopFlag(t *testing.T) {
 		t.Errorf("stderr missing early-stop notice:\n%s", stderr.String())
 	}
 }
+
+// TestRunComposedResumeAcrossK: under compose the checkpoint spacing K cuts
+// the sections the plans are drawn from, so a journal recorded at one K
+// must not resume at another — and resumes exactly at its own.
+func TestRunComposedResumeAcrossK(t *testing.T) {
+	swapStderr(t)
+	path := filepath.Join(t.TempDir(), "composed.ndjson")
+	args := []string{"-bench", "bfs", "-technique", "raw", "-samples", "200", "-compose", "on"}
+	at := func(k string, extra ...string) []string {
+		return append(append(append([]string(nil), args...), "-checkpoint-every", k, "-journal", path), extra...)
+	}
+	var want strings.Builder
+	if err := run(at("100"), &want); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if err := os.WriteFile(path, []byte(strings.Join(lines[:101], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if err := run(at("300", "-resume"), &out); err == nil || !strings.Contains(err.Error(), "checkpoint_every") {
+		t.Errorf("resume at K=300 of a K=100 journal: err = %v, want a checkpoint_every mismatch", err)
+	}
+	if err := run(at("100", "-resume"), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want.String() {
+		t.Errorf("resumed composed table differs:\n%s\n---\n%s", out.String(), want.String())
+	}
+}
+
+// TestRunRejectsBeforeJournal: an invocation with an unknown technique or
+// level fails before the journal is opened, leaving an existing journal's
+// bytes untouched.
+func TestRunRejectsBeforeJournal(t *testing.T) {
+	swapStderr(t)
+	path := filepath.Join(t.TempDir(), "campaign.ndjson")
+	var out strings.Builder
+	if err := run([]string{"-bench", "bfs", "-technique", "raw", "-samples", "60", "-journal", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]string{
+		{"-technique", "bogus"},
+		{"-level", "bogus"},
+		{"-level", "ir", "-technique", "ferrum"},
+		{"-prune", "dead", "-compose", "on"},
+	} {
+		argv := append([]string{"-bench", "bfs", "-samples", "60", "-journal", path}, bad...)
+		if err := run(argv, &out); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
+		if after, _ := os.ReadFile(path); string(after) != string(before) {
+			t.Fatalf("%v changed the existing journal", bad)
+		}
+	}
+}

@@ -21,19 +21,16 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
+	"ferrum/internal/cli"
 	"ferrum/internal/fi"
 	"ferrum/internal/harness"
 	"ferrum/internal/ir"
 	"ferrum/internal/irpass"
 	"ferrum/internal/machine"
-	"ferrum/internal/obs"
 	"ferrum/internal/rodinia"
 )
 
@@ -50,50 +47,19 @@ func main() {
 
 func run(argv []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fidi", flag.ContinueOnError)
+	cf := cli.Register(fs)
 	var (
 		benchName = fs.String("bench", "", "benchmark name (see -list)")
 		inPath    = fs.String("in", "", "IR program file (alternative to -bench)")
 		argsStr   = fs.String("args", "", "comma-separated entry arguments for -in programs")
 		technique = fs.String("technique", "ferrum", "raw, ir-level-eddi, hybrid-assembly-level-eddi, ferrum")
 		level     = fs.String("level", "asm", "injection level: asm or ir (ir implies ir-level techniques)")
-		samples   = fs.Int("samples", 1000, "fault injections")
-		seed      = fs.Int64("seed", harness.DefaultSeed, "RNG seed (any value, including 0, is honoured)")
-		scale     = fs.Int("scale", 1, "benchmark scale factor")
 		bits      = fs.Int("bits", 1, "bits flipped per fault (multi-bit upsets)")
 		list      = fs.Bool("list", false, "list benchmarks and exit")
 		trace     = fs.Int("trace", 0, "replay one sampled fault of each non-benign outcome and print the last N executed instructions")
-		journalP  = fs.String("journal", "", "write a crash-safe campaign journal (NDJSON) to this file; resume with -resume")
-		resume    = fs.Bool("resume", false, "resume from the -journal file of an interrupted campaign instead of starting fresh")
-		ciWidth   = fs.Float64("ci-width", 0, "stop the campaign early once the 95% CI of the SDC rate is no wider than this (0 = off)")
-		pruneStr  = fs.String("prune", "off", "static fault-site pruning (asm level only): off, dead (exact), exact (dead+masked), full (adds class dedup, statistical)")
-		compStr   = fs.String("compose", "off", "compositional campaigns (asm level only): off, on (sectioned at checkpoint boundaries), validate (also run the monolithic campaign and gate the composed rates against it)")
-		noCkpt    = fs.Bool("no-checkpoint", false, "disable checkpointed fast-forwarding (identical results, slower)")
-		ckptEvery = fs.Uint64("checkpoint-every", 0, "snapshot spacing K in dynamic sites (0 = auto-tune)")
-		progress  = fs.Bool("progress", false, "stream throttled injection progress to stderr")
-		dumpFus   = fs.Int("dump-fusion", 0, "print the top N fused superinstruction patterns by dynamic executions to stderr")
-		serveAddr = fs.String("serve", "", "serve live observability over HTTP on this address (host:port; :0 picks a port): /metrics, /progress, /debug/pprof")
-		serveDr   = fs.Duration("serve-drain", 0, "with -serve: after the campaign completes, keep serving until one more /metrics scrape lands or this much time passes (0 = exit immediately)")
-		eventsOut = fs.String("events-out", "", "write NDJSON observability events (spans + final metrics) to this file")
-		traceOut  = fs.String("trace-out", "", "write a Chrome trace_event JSON (Perfetto-loadable timeline) to this file")
-		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return err
-	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
 	}
 	if *list {
 		for _, b := range rodinia.All() {
@@ -113,7 +79,7 @@ func run(argv []string, out io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown benchmark %q (try -list)", *benchName)
 		}
-		inst, err := b.Instantiate(*scale, *seed)
+		inst, err := b.Instantiate(cf.Opts.Scale, cf.Opts.Seed)
 		if err != nil {
 			return err
 		}
@@ -143,193 +109,103 @@ func run(argv []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("one of -bench or -in is required")
 	}
-
-	// One observer for the whole invocation: the single campaign runs on
-	// the main goroutine, so every span lands on lane 0.
-	ob := obs.New()
-
-	// -serve: live observatory, same endpoints as reprod. /metrics snapshots
-	// the registry on demand; /progress streams the NDJSON events through a
-	// broadcast hub.
-	var hub *obs.Hub
-	var server *obs.Server
-	if *serveAddr != "" {
-		hub = obs.NewHub()
-		srv, serr := obs.StartServer(*serveAddr, ob.Reg.Snapshot, hub)
-		if serr != nil {
-			return serr
-		}
-		server = srv
-		defer server.Close()
-		fmt.Fprintf(errw, "serving http://%s (/metrics, /progress, /debug/pprof)\n", server.Addr())
-	}
-	var events *obs.NDJSON
-	var sink io.Writer
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sink = f
-		if hub != nil {
-			sink = io.MultiWriter(f, hub)
-		}
-	} else if hub != nil {
-		sink = hub
-	}
-	if sink != nil {
-		events = obs.NewNDJSON(sink, time.Time{})
-		events.Attach(ob.Trace)
-		events.Meta("fidi", argv)
-	}
 	cellName := *benchName
 	if cellName == "" {
 		cellName = *inPath
 	}
-	cx := ob.Cell(cellName+"/"+*technique, 0)
 
-	prune, perr := fi.ParsePruneMode(*pruneStr)
-	if perr != nil {
-		return perr
+	// The spec names the one campaign; it is checked, and the journal meta
+	// derived from it, before anything is opened.
+	o := cf.Opts
+	spec := harness.CampaignSpec{
+		Bench: cellName, Technique: harness.Technique(*technique), Level: *level,
+		Samples: o.Samples, Seed: o.Seed, Scale: o.Scale, Bits: *bits,
 	}
-	if prune != fi.PruneOff {
-		if *level == "ir" {
-			return fmt.Errorf("-prune requires -level asm (the analysis is assembly-level)")
-		}
-		if *ciWidth > 0 {
-			return fmt.Errorf("-prune is incompatible with -ci-width (pruned campaigns have no uniform plan prefix)")
-		}
-	}
-
-	composeMode, cerr := fi.ParseComposeMode(*compStr)
-	if cerr != nil {
-		return cerr
-	}
-	if composeMode != fi.ComposeOff {
-		if *level == "ir" {
-			return fmt.Errorf("-compose requires -level asm (sections are cut at assembly checkpoint boundaries)")
-		}
-		if prune != fi.PruneOff {
-			return fmt.Errorf("-compose is incompatible with -prune (pruned campaigns have no per-section plan strata)")
-		}
-		if *ciWidth > 0 {
-			return fmt.Errorf("-compose is incompatible with -ci-width (per-section budgets are fixed up front)")
-		}
-		if *noCkpt {
-			return fmt.Errorf("-compose requires checkpointing (sections are cut at checkpoint boundaries); drop -no-checkpoint")
-		}
-	}
-
-	campaign := fi.Campaign{
-		Samples: *samples, Seed: *seed, BitsPerFault: *bits,
-		NoCheckpoint: *noCkpt, CheckpointEvery: *ckptEvery,
-		CIWidth: *ciWidth, Prune: prune, Compose: composeMode,
-		Obs: cx,
-	}
-	if *resume && *journalP == "" {
-		return fmt.Errorf("-resume requires -journal")
-	}
-	if *journalP != "" {
-		key := cellName + "/" + *technique + "/" + *level
-		meta := fi.JournalMeta{
-			Tool: "fidi", Seed: *seed, Samples: *samples, Scale: *scale,
-			Benchmarks: []string{cellName}, Technique: *technique,
-			Level: *level, Bits: *bits, CIWidth: *ciWidth,
-		}
-		if prune != fi.PruneOff {
-			meta.Prune = prune.String()
-		}
-		if composeMode != fi.ComposeOff {
-			meta.Compose = composeMode.String()
-		}
-		var journal *fi.Journal
-		if *resume {
-			st, j, jerr := fi.ResumeJournal(*journalP)
-			if jerr != nil {
-				return jerr
-			}
-			if err := st.Meta.Check(meta); err != nil {
-				j.Close()
-				return err
-			}
-			if st.TornDropped {
-				fmt.Fprintln(errw, "journal: dropped a torn trailing record; its plan will re-run")
-			}
-			campaign.Prior = st.Cell(key)
-			journal = j
-		} else {
-			j, jerr := fi.CreateJournal(*journalP, meta)
-			if jerr != nil {
-				return jerr
-			}
-			journal = j
-		}
-		journal.Observe(ob)
-		campaign.Journal = journal
-		campaign.Key = key
-		defer journal.Close()
-	}
-	if *progress && *samples > 0 {
-		// Throttle to ~10% steps: the hook fires from concurrent campaign
-		// workers, so the high-water mark is advanced with a CAS.
-		step := *samples / 10
-		if step < 1 {
-			step = 1
-		}
-		var next atomic.Int64
-		next.Store(int64(step))
-		campaign.Progress = func(done int) {
-			for {
-				n := next.Load()
-				if int64(done) < n {
-					return
-				}
-				if next.CompareAndSwap(n, n+int64(step)) {
-					fmt.Fprintf(errw, "injected %d/%d\n", done, *samples)
-					return
-				}
-			}
-		}
-	}
-	var res fi.Result
-	var err error
-
-	if *level == "ir" {
-		target := mod
-		if harness.Technique(*technique) == harness.IREDDI {
-			target, err = irpass.EDDI(mod)
-			if err != nil {
-				return err
-			}
-		} else if *technique != string(harness.Raw) {
-			return fmt.Errorf("IR-level injection supports raw and ir-level-eddi")
-		}
-		res, err = fi.RunIRCampaign(fi.IRTarget{
-			Mod: target, MemSize: 1 << 20, Args: args, Setup: load,
-		}, campaign)
-	} else {
-		bsp := cx.Span("build")
-		bsp.SetAttr("tech", *technique)
-		build, berr := harness.BuildTechnique(mod, harness.Technique(*technique))
-		bsp.End()
-		if berr != nil {
-			return berr
-		}
-		res, err = fi.RunAsmCampaign(fi.AsmTarget{
-			Prog: build.Prog, MemSize: 1 << 20, Args: args, Setup: load,
-		}, campaign)
-	}
-	if err != nil {
+	campaign := spec.Campaign(o.Campaign())
+	if err := spec.Check(campaign); err != nil {
 		return err
 	}
-	// The campaign counters are frozen from here on. Scrapes answered before
-	// this point may predate them; the drain window at the end waits for one
-	// that doesn't — a watcher that reacts to the output below always gets
-	// the final counters.
-	scrapesBeforeReport := server.Scrapes()
+	return cf.Run("fidi", argv, errw, spec.Meta("fidi", campaign), func(s *cli.Session) error {
+		// The single campaign runs on the main goroutine, so every span
+		// lands on lane 0.
+		cx := s.Obs.Cell(cellName+"/"+*technique, 0)
+		key := cellName + "/" + *technique + "/" + *level
+		campaign.Journal, campaign.Key, campaign.Prior = s.Journal, key, s.Resume.Cell(key)
+		campaign.Obs = cx
+		if cf.Progress && o.Samples > 0 {
+			campaign.Progress = throttledProgress(o.Samples)
+		}
 
-	harness.RenderCampaign(out, *technique, *level, res)
+		var res fi.Result
+		var tgt fi.AsmTarget
+		var err error
+		if *level == "ir" {
+			target := mod
+			if spec.Technique == harness.IREDDI {
+				if target, err = irpass.EDDI(mod); err != nil {
+					return err
+				}
+			}
+			res, err = fi.RunIRCampaign(fi.IRTarget{
+				Mod: target, MemSize: 1 << 20, Args: args, Setup: load,
+			}, campaign)
+		} else {
+			bsp := cx.Span("build")
+			bsp.SetAttr("tech", *technique)
+			build, berr := harness.BuildTechnique(mod, spec.Technique)
+			bsp.End()
+			if berr != nil {
+				return berr
+			}
+			tgt = fi.AsmTarget{Prog: build.Prog, MemSize: 1 << 20, Args: args, Setup: load}
+			res, err = fi.RunAsmCampaign(tgt, campaign)
+		}
+		if err != nil {
+			return err
+		}
+		// The campaign counters are final from here on: freeze before the
+		// report, so a watcher that reacts to it always scrapes them.
+		if err := s.Freeze(); err != nil {
+			return err
+		}
+		if err := report(out, *technique, *level, res); err != nil {
+			return err
+		}
+		if *trace > 0 && tgt.Prog != nil {
+			tsp := cx.Span("trace.replay")
+			defer tsp.End()
+			return traceExamples(out, tgt, campaign, res, *trace)
+		}
+		return nil
+	}, nil)
+}
+
+// throttledProgress prints injection progress in ~10% steps. The hook
+// fires from concurrent campaign workers, so the high-water mark is
+// advanced with a CAS.
+func throttledProgress(samples int) func(int) {
+	step := max(samples/10, 1)
+	var next atomic.Int64
+	next.Store(int64(step))
+	return func(done int) {
+		for {
+			n := next.Load()
+			if int64(done) < n {
+				return
+			}
+			if next.CompareAndSwap(n, n+int64(step)) {
+				fmt.Fprintf(errw, "injected %d/%d\n", done, samples)
+				return
+			}
+		}
+	}
+}
+
+// report renders the outcome table to out and the mode summaries
+// (early stop, checkpointing, pruning, compose) to stderr. A composed
+// validation outside tolerance is an error.
+func report(out io.Writer, technique, level string, res fi.Result) error {
+	harness.RenderCampaign(out, technique, level, res)
 	lo, hi := res.CI95()
 	if res.EarlyStopped {
 		fmt.Fprintf(errw, "early stop: SDC-rate CI width reached %.4f after %d samples\n",
@@ -347,102 +223,55 @@ func run(argv []string, out io.Writer) error {
 			pr.Mode, pr.Planned-pr.Executed, pr.Planned,
 			pr.Dead, pr.Masked, pr.Deduped, pr.Executed, pr.Classes)
 	}
-	if cs := res.Composed; cs.Enabled {
+	cs := res.Composed
+	if !cs.Enabled {
+		return nil
+	}
+	fmt.Fprintf(errw,
+		"compose (%s): %d sections at K=%d; %d of %d plans classified at their section boundary, %d fell back to end-to-end\n",
+		cs.Mode, len(cs.Rows), cs.Interval, cs.Sections, cs.Composed, cs.Fallbacks)
+	if v := cs.Validation; v != nil {
+		verdict := "within"
+		if !v.OK {
+			verdict = "OUTSIDE"
+		}
 		fmt.Fprintf(errw,
-			"compose (%s): %d sections at K=%d; %d of %d plans classified at their section boundary, %d fell back to end-to-end\n",
-			cs.Mode, len(cs.Rows), cs.Interval, cs.Sections, cs.Composed, cs.Fallbacks)
-		if v := cs.Validation; v != nil {
-			verdict := "within"
-			if !v.OK {
-				verdict = "OUTSIDE"
-			}
-			fmt.Fprintf(errw,
-				"compose validate: SDC %.4f vs monolithic %.4f (tol %.4f), detected %.4f vs %.4f (tol %.4f) — %s tolerance\n",
-				v.SDC, v.MonoSDC, v.SDCTol, v.Detected, v.MonoDetected, v.DetectedTol, verdict)
-			if !v.OK {
-				return fmt.Errorf("compose validation failed: composed rates fall outside the monolithic Wilson tolerance")
-			}
+			"compose validate: SDC %.4f vs monolithic %.4f (tol %.4f), detected %.4f vs %.4f (tol %.4f) — %s tolerance\n",
+			v.SDC, v.MonoSDC, v.SDCTol, v.Detected, v.MonoDetected, v.DetectedTol, verdict)
+		if !v.OK {
+			return fmt.Errorf("compose validation failed: composed rates fall outside the monolithic Wilson tolerance")
 		}
 	}
+	return nil
+}
 
-	if *trace > 0 && *level != "ir" {
-		tsp := cx.Span("trace.replay")
-		build, berr := harness.BuildTechnique(mod, harness.Technique(*technique))
-		if berr != nil {
-			return berr
+// traceExamples replays the first sampled fault of each non-benign outcome
+// the campaign saw, printing its last n executed instructions.
+func traceExamples(out io.Writer, tgt fi.AsmTarget, c fi.Campaign, res fi.Result, n int) error {
+	for _, want := range []fi.Outcome{fi.SDC, fi.Detected, fi.Crash} {
+		if res.Count(want) == 0 {
+			continue
 		}
-		tgt := fi.AsmTarget{Prog: build.Prog, MemSize: 1 << 20, Args: args, Setup: load}
-		for _, want := range []fi.Outcome{fi.SDC, fi.Detected, fi.Crash} {
-			if res.Count(want) == 0 {
-				continue
-			}
-			f, ok, err := fi.FindExample(tgt, campaign, want)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			m, err := machine.New(build.Prog, 1<<20)
-			if err != nil {
-				return err
-			}
-			if err := load(m); err != nil {
-				return err
-			}
-			r := m.Run(machine.RunOpts{Args: args, Fault: &f, Trace: *trace})
-			fmt.Fprintf(out, "\nexample %s fault (site %d, bit %d) — last %d instructions:\n",
-				want, f.Site, f.Bit, len(r.Trace))
-			for _, line := range r.Trace {
-				fmt.Fprintln(out, "  "+line)
-			}
-		}
-		tsp.End()
-	}
-
-	// One snapshot feeds the fusion report and the NDJSON metrics record;
-	// the Perfetto export shares the tracer's span list and epoch.
-	snap := ob.Reg.Snapshot()
-	if *dumpFus > 0 {
-		obs.RenderFusion(errw, snap, *dumpFus)
-	}
-	if events != nil {
-		events.Metrics(snap)
-		if err := events.Err(); err != nil {
-			return err
-		}
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+		f, ok, err := fi.FindExample(tgt, c, want)
 		if err != nil {
 			return err
 		}
-		if err := obs.WriteTrace(f, ob.Trace.Spans(), ob.Trace.Epoch()); err != nil {
-			f.Close()
-			return err
+		if !ok {
+			continue
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
+		m, err := machine.New(tgt.Prog, tgt.MemSize)
 		if err != nil {
 			return err
 		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
+		if err := tgt.Setup(m); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
-			return err
+		r := m.Run(machine.RunOpts{Args: tgt.Args, Fault: &f, Trace: n})
+		fmt.Fprintf(out, "\nexample %s fault (site %d, bit %d) — last %d instructions:\n",
+			want, f.Site, f.Bit, len(r.Trace))
+		for _, line := range r.Trace {
+			fmt.Fprintln(out, "  "+line)
 		}
-	}
-	// Drain window: hold the endpoint open until a post-report scrape reads
-	// the frozen counters — CI reconciles against it.
-	if server != nil && *serveDr > 0 {
-		server.AwaitScrape(scrapesBeforeReport, *serveDr)
 	}
 	return nil
 }

@@ -323,4 +323,16 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", p, "-args", "zzz"}, &out); err == nil {
 		t.Error("bad args accepted")
 	}
+	// A failing campaign (here its golden run divides by zero) fails the
+	// invocation at both levels.
+	crash := filepath.Join(t.TempDir(), "crash.ll")
+	if err := os.WriteFile(crash, []byte("func @main(%n) {\nentry:\n  %d = sdiv 7, %n\n  out %d\n  ret %d\n}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []string{"asm", "ir"} {
+		err := run([]string{"-in", crash, "-args", "0", "-technique", "raw", "-level", level, "-samples", "10"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "golden") {
+			t.Errorf("level %s: crashing golden run: err = %v", level, err)
+		}
+	}
 }

@@ -131,7 +131,7 @@ func runSubmit(argv []string, out io.Writer) error {
 		seed      = fs.Int64("seed", harness.DefaultSeed, "RNG seed")
 		scale     = fs.Int("scale", 1, "benchmark scale factor")
 		bits      = fs.Int("bits", 1, "bits flipped per fault")
-		optimize  = fs.Bool("optimize", false, "run the optimizing scheduler on the protected assembly")
+		optimize  = fs.Bool("optimize", false, "run builds through the peephole optimizer before protection")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return err

@@ -78,3 +78,56 @@ func TestJournalResumeGuards(t *testing.T) {
 		t.Errorf("mismatched -samples resume: err = %v", err)
 	}
 }
+
+// TestJournalComposedResumeAcrossK: a composed journal recorded at one
+// checkpoint spacing is refused at another (K cuts the sections the plans
+// are drawn from) and resumes byte-identically at its own.
+func TestJournalComposedResumeAcrossK(t *testing.T) {
+	captureStderr(t)
+	path := filepath.Join(t.TempDir(), "composed.ndjson")
+	args := []string{"-exp", "fig10", "-bench", "bfs", "-samples", "60", "-compose", "on", "-journal", path}
+	var want strings.Builder
+	if err := run(append(args, "-checkpoint-every", "100"), &want); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if err := run(append(args, "-checkpoint-every", "300", "-resume"), &out); err == nil ||
+		!strings.Contains(err.Error(), "checkpoint_every") {
+		t.Errorf("resume at K=300 of a K=100 journal: err = %v, want a checkpoint_every mismatch", err)
+	}
+	if err := run(append(args, "-checkpoint-every", "100", "-resume"), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want.String() {
+		t.Errorf("resumed composed tables differ:\n%s\n---\n%s", out.String(), want.String())
+	}
+}
+
+// TestJournalUntouchedByBadExperiment: an unknown experiment is rejected
+// before the journal is opened, so an existing journal keeps its bytes.
+func TestJournalUntouchedByBadExperiment(t *testing.T) {
+	captureStderr(t)
+	path := filepath.Join(t.TempDir(), "suite.ndjson")
+	var out strings.Builder
+	if err := run([]string{"-exp", "fig10", "-bench", "bfs", "-samples", "40", "-journal", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-exp", "bogus", "-journal", path}, &out); err == nil {
+		t.Error("unknown experiment accepted")
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Error("an unknown experiment changed the existing journal")
+	}
+}

@@ -34,12 +34,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
-	"ferrum/internal/fi"
+	"ferrum/internal/cli"
 	"ferrum/internal/harness"
 	"ferrum/internal/obs"
 )
@@ -54,224 +53,79 @@ func main() {
 	}
 }
 
+// experiments lists the -exp names in the order "all" runs them.
+var experiments = []string{"table1", "table2", "fig10", "fig11", "exectime", "profile", "variation", "gap"}
+
 func run(argv []string, out io.Writer) error {
 	fs := flag.NewFlagSet("reprod", flag.ContinueOnError)
-	var (
-		exp         = fs.String("exp", "all", "experiment: all, table1, table2, fig10, fig11, exectime, gap, profile, variation")
-		samples     = fs.Int("samples", 1000, "fault injections per campaign cell")
-		seed        = fs.Int64("seed", harness.DefaultSeed, "RNG seed (any value, including 0, is honoured)")
-		scale       = fs.Int("scale", 1, "benchmark scale factor")
-		benches     = fs.String("bench", "", "comma-separated benchmark subset (default: all eight)")
-		workers     = fs.Int("workers", 0, "intra-campaign parallelism (0 = GOMAXPROCS/cell-workers)")
-		cellWorkers = fs.Int("cell-workers", 0, "concurrent campaign cells (0 = GOMAXPROCS); any value yields identical tables")
-		progress    = fs.Bool("progress", false, "stream live cell status to stderr")
-		o1          = fs.Bool("O1", false, "run builds through the peephole optimizer before protection")
-		noCkpt      = fs.Bool("no-checkpoint", false, "disable checkpointed fast-forwarding (identical tables, slower campaigns)")
-		ckptEvery   = fs.Uint64("checkpoint-every", 0, "snapshot spacing K in dynamic sites (0 = auto-tune per cell)")
-		journalPath = fs.String("journal", "", "write a crash-safe campaign journal (NDJSON) to this file; resume an interrupted run with -resume")
-		resume      = fs.Bool("resume", false, "resume from the -journal file of an interrupted run: journaled plans and cells are not re-run, tables are byte-identical")
-		cellTimeout = fs.Duration("cell-timeout", 0, "per-cell watchdog: cancel and record any cell still running after this long (0 = off)")
-		maxRetries  = fs.Int("max-retries", 0, "re-attempt a transiently failing cell up to this many extra times")
-		retryBack   = fs.Duration("retry-backoff", 0, "sleep before the first cell retry, doubled each further attempt")
-		ciWidth     = fs.Float64("ci-width", 0, "stop each campaign early once the 95% CI of its SDC rate is no wider than this (0 = off)")
-		pruneMode   = fs.String("prune", "off", "static fault-site pruning for asm campaigns: off, dead (exact), exact (dead+masked), full (adds class dedup, statistical)")
-		compMode    = fs.String("compose", "off", "compositional asm campaigns: off, on (sectioned at checkpoint boundaries, per-section tables cached across cells), validate (also run each monolithic campaign and gate the composed rates)")
-		dumpFusion  = fs.Int("dump-fusion", 0, "print the top N fused superinstruction patterns by dynamic executions to stderr")
-		serveAddr   = fs.String("serve", "", "serve live observability over HTTP on this address (host:port; :0 picks a port): /metrics, /progress, /debug/pprof")
-		serveDrain  = fs.Duration("serve-drain", 0, "with -serve: after the run completes, keep serving until one more /metrics scrape lands or this much time passes (0 = exit immediately)")
-		eventsOut   = fs.String("events-out", "", "write NDJSON observability events (spans + final metrics) to this file")
-		traceOut    = fs.String("trace-out", "", "write a Chrome trace_event JSON (Perfetto-loadable timeline) to this file")
-		cpuProfile  = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile  = fs.String("memprofile", "", "write a pprof heap profile to this file")
-	)
+	cf := cli.Register(fs)
+	o := &cf.Opts
+	exp := fs.String("exp", "all", "experiment: all, table1, table2, fig10, fig11, exectime, gap, profile, variation")
+	benches := fs.String("bench", "", "comma-separated benchmark subset (default: all eight)")
+	fs.IntVar(&o.Workers, "workers", 0, "intra-campaign parallelism (0 = GOMAXPROCS/cell-workers)")
+	fs.IntVar(&o.CellWorkers, "cell-workers", 0, "concurrent campaign cells (0 = GOMAXPROCS); any value yields identical tables")
+	fs.BoolVar(&o.Optimize, "O1", false, "run builds through the peephole optimizer before protection")
+	fs.DurationVar(&o.CellTimeout, "cell-timeout", 0, "per-cell watchdog: cancel and record any cell still running after this long (0 = off)")
+	fs.IntVar(&o.MaxRetries, "max-retries", 0, "re-attempt a transiently failing cell up to this many extra times")
+	fs.DurationVar(&o.RetryBackoff, "retry-backoff", 0, "sleep before the first cell retry, doubled each further attempt")
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-
-	ob := obs.New()
-
-	// -serve: live observatory. /metrics snapshots the same registry the
-	// end-of-run summary renders from; /progress replays the NDJSON event
-	// stream to HTTP clients through a broadcast hub.
-	var hub *obs.Hub
-	var server *obs.Server
-	if *serveAddr != "" {
-		hub = obs.NewHub()
-		srv, err := obs.StartServer(*serveAddr, ob.Reg.Snapshot, hub)
-		if err != nil {
-			return err
-		}
-		server = srv
-		defer server.Close()
-		fmt.Fprintf(errw, "serving http://%s (/metrics, /progress, /debug/pprof)\n", server.Addr())
-	}
-	var events *obs.NDJSON
-	var sink io.Writer
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sink = f
-		if hub != nil {
-			sink = io.MultiWriter(f, hub)
-		}
-	} else if hub != nil {
-		sink = hub
-	}
-	if sink != nil {
-		events = obs.NewNDJSON(sink, time.Time{})
-		events.Attach(ob.Trace)
-		events.Meta("reprod", argv)
-	}
-
-	prune, err := fi.ParsePruneMode(*pruneMode)
-	if err != nil {
-		return err
-	}
-	if prune != fi.PruneOff && *ciWidth > 0 {
-		return fmt.Errorf("-prune is incompatible with -ci-width (pruned campaigns have no uniform plan prefix)")
-	}
-	composeMode, err := fi.ParseComposeMode(*compMode)
-	if err != nil {
-		return err
-	}
-	if composeMode != fi.ComposeOff {
-		if prune != fi.PruneOff {
-			return fmt.Errorf("-compose is incompatible with -prune (pruned campaigns have no per-section plan strata)")
-		}
-		if *ciWidth > 0 {
-			return fmt.Errorf("-compose is incompatible with -ci-width (per-section budgets are fixed up front)")
-		}
-		if *noCkpt {
-			return fmt.Errorf("-compose requires checkpointing (sections are cut at checkpoint boundaries); drop -no-checkpoint")
-		}
-	}
-
-	opts := harness.Options{
-		Samples: *samples, Seed: *seed, Scale: *scale, Workers: *workers,
-		Optimize: *o1, CellWorkers: *cellWorkers, Cache: harness.NewBuildCache(),
-		NoCheckpoint: *noCkpt, CheckpointEvery: *ckptEvery,
-		CellTimeout: *cellTimeout, MaxRetries: *maxRetries, RetryBackoff: *retryBack,
-		CIWidth: *ciWidth, Prune: prune, Compose: composeMode,
-		Obs: ob,
-	}
-	if *progress {
-		opts.Progress = func(ev harness.CellEvent) {
-			if !ev.Done {
-				fmt.Fprintf(errw, "[%s] %s ...\n", ev.Experiment, ev.Cell)
-				return
-			}
-			rate := ""
-			if ev.Injections > 0 && ev.Wall > 0 {
-				rate = fmt.Sprintf(", %.0f inj/s", float64(ev.Injections)/ev.Wall.Seconds())
-			}
-			status := "done"
-			if ev.Err != nil {
-				status = "FAILED: " + ev.Err.Error()
-			}
-			fmt.Fprintf(errw, "[%s] %s %s in %v (%d inj%s) [%d/%d]\n",
-				ev.Experiment, ev.Cell, status, ev.Wall.Round(time.Millisecond),
-				ev.Injections, rate, ev.Index+1, ev.Total)
-		}
+	if *exp != "all" && !slices.Contains(experiments, *exp) {
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 	if *benches != "" {
 		for _, b := range strings.Split(*benches, ",") {
-			opts.Benchmarks = append(opts.Benchmarks, strings.TrimSpace(b))
+			o.Benchmarks = append(o.Benchmarks, strings.TrimSpace(b))
 		}
 	}
+	if err := o.Check(); err != nil {
+		return err
+	}
+	o.Cache = harness.NewBuildCache()
+	if cf.Progress {
+		o.Progress = printCellEvent
+	}
 
-	// Durable campaigns: -journal makes every campaign cell crash-safe,
-	// -resume replays a prior journal so only unfinished work re-runs. The
-	// meta record fingerprints everything that shapes fault plans; resume
+	// The meta fingerprints everything that shapes fault plans; -resume
 	// refuses a journal recorded under a different configuration.
-	if *resume && *journalPath == "" {
-		return fmt.Errorf("-resume requires -journal")
-	}
-	var journal *fi.Journal
-	if *journalPath != "" {
-		meta := fi.JournalMeta{
-			Tool: "reprod", Exp: *exp, Seed: *seed, Samples: *samples,
-			Scale: *scale, Optimize: *o1, Benchmarks: opts.Benchmarks,
-			CIWidth: *ciWidth,
+	return cf.Run("reprod", argv, errw, o.Meta("reprod", *exp), func(s *cli.Session) error {
+		opts := *o
+		opts.Obs, opts.Journal, opts.Resume = s.Obs, s.Journal, s.Resume
+		// render wraps a table render in a main-lane span, so the trace
+		// shows where the wall-clock between experiments went.
+		mainCx := s.Obs.Cell("", 0)
+		render := func(table, text string) {
+			sp := mainCx.Span("render")
+			sp.SetAttr("table", table)
+			fmt.Fprintln(out, text)
+			sp.End()
 		}
-		if prune != fi.PruneOff {
-			meta.Prune = prune.String()
+		for _, name := range experiments {
+			if *exp == "all" || *exp == name {
+				if err := runExperiment(name, opts, out, render); err != nil {
+					return err
+				}
+			}
 		}
-		if composeMode != fi.ComposeOff {
-			meta.Compose = composeMode.String()
-		}
-		if *resume {
-			st, j, err := fi.ResumeJournal(*journalPath)
-			if err != nil {
-				return err
-			}
-			if err := st.Meta.Check(meta); err != nil {
-				j.Close()
-				return err
-			}
-			if st.TornDropped {
-				fmt.Fprintln(errw, "journal: dropped a torn trailing record; its plan will re-run")
-			}
-			complete, partial := st.Cells()
-			fmt.Fprintf(errw, "journal: resuming %s (%d complete cells, %d partial)\n",
-				*journalPath, complete, partial)
-			opts.Resume, journal = st, j
-		} else {
-			j, err := fi.CreateJournal(*journalPath, meta)
-			if err != nil {
-				return err
-			}
-			journal = j
-		}
-		opts.Journal = journal
-		defer journal.Close()
-	}
+		return nil
+	}, func(snap obs.Snapshot, wall time.Duration, spans []obs.Span) {
+		obs.RenderSummary(errw, snap, wall, spans)
+	})
+}
 
-	// render wraps a table render in a main-lane span, so the trace shows
-	// where the wall-clock between experiments went.
-	mainCx := ob.Cell("", 0)
-	render := func(table, text string) {
-		sp := mainCx.Span("render")
-		sp.SetAttr("table", table)
-		fmt.Fprintln(out, text)
-		sp.End()
-	}
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
-	start := time.Now()
-
-	if want("table1") {
-		ran = true
+// runExperiment runs one experiment and renders its tables.
+func runExperiment(name string, opts harness.Options, out io.Writer, render func(table, text string)) error {
+	switch name {
+	case "table1":
 		render("table1", harness.RenderTable1())
-	}
-	if want("table2") {
-		ran = true
+	case "table2":
 		rows, err := harness.Table2(opts)
 		if err != nil {
 			return err
 		}
 		render("table2", harness.RenderTable2(rows))
-	}
-	if want("fig10") {
-		ran = true
+	case "fig10":
 		fmt.Fprintln(out, "running fig. 10 campaigns (this is the expensive one)...")
 		rows, err := harness.Fig10(opts)
 		if err != nil {
@@ -279,41 +133,31 @@ func run(argv []string, out io.Writer) error {
 		}
 		render("fig10", harness.RenderFig10(rows))
 		render("latency", harness.RenderLatency(rows))
-	}
-	if want("fig11") {
-		ran = true
+	case "fig11":
 		rows, err := harness.Fig11(opts)
 		if err != nil {
 			return err
 		}
 		render("fig11", harness.RenderFig11(rows))
-	}
-	if want("exectime") {
-		ran = true
+	case "exectime":
 		rows, err := harness.ExecTime(opts)
 		if err != nil {
 			return err
 		}
 		render("exectime", harness.RenderExecTime(rows))
-	}
-	if want("profile") {
-		ran = true
+	case "profile":
 		rows, err := harness.Profile(opts)
 		if err != nil {
 			return err
 		}
 		render("profile", harness.RenderProfile(rows))
-	}
-	if want("variation") {
-		ran = true
+	case "variation":
 		rows, err := harness.Variation(opts, 5)
 		if err != nil {
 			return err
 		}
 		render("variation", harness.RenderVariation(rows))
-	}
-	if want("gap") {
-		ran = true
+	case "gap":
 		fmt.Fprintln(out, "running cross-layer gap campaigns...")
 		rows, err := harness.Gap(opts)
 		if err != nil {
@@ -321,63 +165,24 @@ func run(argv []string, out io.Writer) error {
 		}
 		render("gap", harness.RenderGap(rows))
 	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", *exp)
-	}
-	if err := journal.Close(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	// The campaign counters are frozen from here on. Scrapes answered before
-	// this point may predate them; the drain window at the end waits for one
-	// that doesn't — a watcher that reacts to the summary below always gets
-	// the final counters.
-	scrapesBeforeSummary := server.Scrapes()
-
-	// One snapshot feeds both the human summary and the NDJSON metrics
-	// record, so the two always reconcile exactly.
-	snap := ob.Reg.Snapshot()
-	spans := ob.Trace.Spans()
-	obs.RenderSummary(errw, snap, time.Since(start), spans)
-	if *dumpFusion > 0 {
-		obs.RenderFusion(errw, snap, *dumpFusion)
-	}
-	if events != nil {
-		events.Metrics(snap)
-		if err := events.Err(); err != nil {
-			return err
-		}
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteTrace(f, spans, ob.Trace.Epoch()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			return err
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	// Drain window: hold the endpoint open until a post-summary scrape reads
-	// the frozen counters — CI reconciles against it.
-	if server != nil && *serveDrain > 0 {
-		server.AwaitScrape(scrapesBeforeSummary, *serveDrain)
-	}
 	return nil
+}
+
+// printCellEvent renders one -progress line per cell start and completion.
+func printCellEvent(ev harness.CellEvent) {
+	if !ev.Done {
+		fmt.Fprintf(errw, "[%s] %s ...\n", ev.Experiment, ev.Cell)
+		return
+	}
+	rate := ""
+	if ev.Injections > 0 && ev.Wall > 0 {
+		rate = fmt.Sprintf(", %.0f inj/s", float64(ev.Injections)/ev.Wall.Seconds())
+	}
+	status := "done"
+	if ev.Err != nil {
+		status = "FAILED: " + ev.Err.Error()
+	}
+	fmt.Fprintf(errw, "[%s] %s %s in %v (%d inj%s) [%d/%d]\n",
+		ev.Experiment, ev.Cell, status, ev.Wall.Round(time.Millisecond),
+		ev.Injections, rate, ev.Index+1, ev.Total)
 }

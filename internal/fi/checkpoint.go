@@ -3,7 +3,6 @@ package fi
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"ferrum/internal/ir"
 	"ferrum/internal/machine"
@@ -31,30 +30,6 @@ func (c Campaign) checkpointInterval(dynSites uint64) uint64 {
 		return c.CheckpointEvery
 	}
 	return DefaultCheckpointInterval(dynSites, c.Samples)
-}
-
-// CampaignStats accumulates checkpointing counters across many campaigns
-// (e.g. a whole experiment suite). All fields are atomic; one instance may
-// be shared by concurrent campaigns.
-type CampaignStats struct {
-	Campaigns     atomic.Int64 // campaigns that ran with checkpointing
-	Snapshots     atomic.Int64 // snapshots recorded
-	SnapshotBytes atomic.Int64 // dirtied memory captured across snapshots
-	Restores      atomic.Int64 // plans resumed from a snapshot
-	ColdStarts    atomic.Int64 // plans run from scratch (site before first snapshot)
-	SkippedInsts  atomic.Int64 // dynamic instructions fast-forwarded over
-}
-
-func (s *CampaignStats) add(cs CheckpointSummary) {
-	if s == nil || !cs.Enabled {
-		return
-	}
-	s.Campaigns.Add(1)
-	s.Snapshots.Add(int64(cs.Snapshots))
-	s.SnapshotBytes.Add(int64(cs.SnapshotBytes))
-	s.Restores.Add(cs.Restores)
-	s.ColdStarts.Add(cs.ColdStarts)
-	s.SkippedInsts.Add(cs.SkippedInsts)
 }
 
 // CheckpointSummary describes one campaign's checkpointing activity.

@@ -68,24 +68,10 @@ func ParseComposeMode(s string) (ComposeMode, error) {
 	return ComposeOff, fmt.Errorf("fi: unknown compose mode %q (off|on|validate)", s)
 }
 
-// composeCheck rejects campaign configurations compose cannot honour.
-func (c Campaign) composeCheck() error {
-	if c.Prune != PruneOff {
-		// Both modes repartition the plan space; composing the dense
-		// representative indices with per-section strata would leave the
-		// journal identity meaning neither.
-		return fmt.Errorf("fi: compose mode %v is incompatible with prune mode %v", c.Compose, c.Prune)
-	}
-	if c.CIWidth > 0 {
-		// The stratified plan sequence has no meaningful uniform prefix for
-		// the early-stop rule to truncate.
-		return fmt.Errorf("fi: compose mode %v is incompatible with CI-width early stopping", c.Compose)
-	}
-	if c.NoCheckpoint {
-		// Sections ARE the checkpoint schedule.
-		return fmt.Errorf("fi: compose mode %v requires checkpointing (NoCheckpoint set)", c.Compose)
-	}
-	return nil
+// Set parses a -compose flag value into m, making *ComposeMode a flag.Value.
+func (m *ComposeMode) Set(s string) (err error) {
+	*m, err = ParseComposeMode(s)
+	return err
 }
 
 // SectionRow is one section's line in the composed ledger.
@@ -575,7 +561,7 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 		mc := c
 		mc.Compose, mc.SectionCache = ComposeOff, nil
 		mc.Journal, mc.Key, mc.Prior = nil, "", nil
-		mc.Obs, mc.Progress, mc.Stats = nil, nil, nil
+		mc.Obs, mc.Progress = nil, nil
 		mono, err := RunAsmCampaign(tgt, mc)
 		if err != nil {
 			return Result{}, fmt.Errorf("fi: compose validation: %w", err)
@@ -594,7 +580,6 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 		res.Composed.Validation = v
 	}
 
-	c.Stats.add(res.Checkpoint)
 	c.observe(res)
 	c.journalCell(res)
 	if err := c.journalErr(); err != nil {

@@ -489,18 +489,17 @@ func TestProfilePronenessParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestProfilePronenessPlumbing: Workers, Progress, Stats and Obs all reach
+// TestProfilePronenessPlumbing: Workers, Progress and Obs all reach
 // the profiling campaign (the regression was ProfileProneness ignoring every
 // one of them).
 func TestProfilePronenessPlumbing(t *testing.T) {
 	inst := equivBench(t, "bfs")
 	tgt := equivAsmTarget(t, inst, false)
-	stats := &CampaignStats{}
 	ob := obs.New()
 	var high atomic.Int64
 	c := Campaign{
 		Samples: 200, Seed: 13, MaxSteps: equivSteps, Workers: 4,
-		Stats: stats, Obs: ob.Cell("profile", 0),
+		Obs: ob.Cell("profile", 0),
 		Progress: func(done int) {
 			for {
 				h := high.Load()
@@ -517,14 +516,13 @@ func TestProfilePronenessPlumbing(t *testing.T) {
 	if got := high.Load(); got != 200 {
 		t.Errorf("Progress high-water mark = %d, want 200", got)
 	}
-	if n := stats.Campaigns.Load(); n != 1 {
-		t.Errorf("Stats.Campaigns = %d, want 1", n)
-	}
-	if stats.Restores.Load()+stats.ColdStarts.Load() != 200 {
-		t.Errorf("Stats restores %d + cold starts %d != 200",
-			stats.Restores.Load(), stats.ColdStarts.Load())
-	}
 	snap := ob.Reg.Snapshot()
+	if n := snap.Counters[obs.MCkptCampaigns]; n != 1 {
+		t.Errorf("ckpt.campaigns = %d, want 1", n)
+	}
+	if r, cs := snap.Counters[obs.MCkptRestores], snap.Counters[obs.MCkptColdStarts]; r+cs != 200 {
+		t.Errorf("ckpt restores %d + cold starts %d != 200", r, cs)
+	}
 	if n := snap.Counters[obs.MPlans]; n != 200 {
 		t.Errorf("fi.plans = %d, want 200", n)
 	}

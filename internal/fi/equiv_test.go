@@ -7,6 +7,7 @@ import (
 	"ferrum/internal/backend"
 	"ferrum/internal/ferrumpass"
 	"ferrum/internal/irpass"
+	"ferrum/internal/obs"
 	"ferrum/internal/rodinia"
 )
 
@@ -158,27 +159,28 @@ func TestEquivMultiBit(t *testing.T) {
 	}
 }
 
-// TestEquivStatsSink checks the shared CampaignStats accumulator.
+// TestEquivStatsSink checks the checkpointing counters a shared observer
+// accumulates across an asm and an IR campaign.
 func TestEquivStatsSink(t *testing.T) {
 	inst := equivBench(t, "bfs")
-	stats := &CampaignStats{}
-	c := Campaign{Samples: 40, Seed: 5, MaxSteps: equivSteps, Workers: 4, Stats: stats}
+	ob := obs.New()
+	c := Campaign{Samples: 40, Seed: 5, MaxSteps: equivSteps, Workers: 4, Obs: ob.Cell("stats", 0)}
 	if _, err := RunAsmCampaign(equivAsmTarget(t, inst, false), c); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RunIRCampaign(equivIRTarget(t, inst, false), c); err != nil {
 		t.Fatal(err)
 	}
-	if n := stats.Campaigns.Load(); n != 2 {
-		t.Fatalf("campaigns = %d", n)
+	snap := ob.Reg.Snapshot()
+	if n := snap.Counters[obs.MCkptCampaigns]; n != 2 {
+		t.Fatalf("ckpt.campaigns = %d", n)
 	}
-	if stats.Restores.Load()+stats.ColdStarts.Load() != 80 {
-		t.Errorf("restores %d + cold starts %d != 80",
-			stats.Restores.Load(), stats.ColdStarts.Load())
+	if r, cs := snap.Counters[obs.MCkptRestores], snap.Counters[obs.MCkptColdStarts]; r+cs != 80 {
+		t.Errorf("restores %d + cold starts %d != 80", r, cs)
 	}
-	if stats.Snapshots.Load() == 0 || stats.SnapshotBytes.Load() == 0 {
+	if snap.Counters[obs.MCkptSnapshots] == 0 || snap.Counters[obs.MCkptBytes] == 0 {
 		t.Errorf("no snapshots recorded: %d/%d",
-			stats.Snapshots.Load(), stats.SnapshotBytes.Load())
+			snap.Counters[obs.MCkptSnapshots], snap.Counters[obs.MCkptBytes])
 	}
 }
 

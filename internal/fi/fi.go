@@ -138,11 +138,6 @@ type Campaign struct {
 	// executing them, and a journaled complete Result short-circuits the
 	// whole campaign (golden run included).
 	Prior *CellState
-	// Stats, if non-nil, accumulates checkpointing counters across
-	// campaigns (shared, concurrency-safe sink). It predates Obs and is kept
-	// as a thin adapter for library callers; new code should prefer Obs,
-	// which captures the same counters plus spans in one registry.
-	Stats *CampaignStats
 	// Obs, if non-nil, attributes the campaign's phases — golden run,
 	// snapshot recording, the injection loop — to the owning scheduler cell
 	// as spans, and accumulates plan/outcome/checkpoint counters in the
@@ -152,9 +147,8 @@ type Campaign struct {
 }
 
 // observe publishes a finished campaign's totals to the observability
-// registry: plan/outcome counts plus the checkpointing counters that the
-// legacy Stats adapter also accumulates. Called once per campaign, after
-// the injection loop — never from inside it.
+// registry: plan/outcome counts plus the checkpointing counters. Called
+// once per campaign, after the injection loop — never from inside it.
 func (c Campaign) observe(res Result) {
 	c.observeOutcomes(res)
 	if c.Obs == nil {
@@ -459,9 +453,6 @@ func newAsmCampaign(tgt AsmTarget, c Campaign, recordLocs bool) (*asmCampaign, e
 	a.plans = shardPlans(plans, c.Shard)
 	a.orig = append([]plannedFault(nil), a.plans...)
 	if c.Prune != PruneOff {
-		if c.CIWidth > 0 {
-			return nil, fmt.Errorf("fi: prune mode %v is incompatible with CI-width early stopping", c.Prune)
-		}
 		psp := c.Obs.Span("prune")
 		an := prune.Analyze(tgt.Prog)
 		part, err := partitionPlans(c.Prune, a.orig, golden.SiteStatics, an, m0.StaticInstrs())
@@ -608,20 +599,14 @@ func (a *asmCampaign) result(po planOutcomes) Result {
 // model. The fault plan is pre-generated from the seed, so results are
 // deterministic and independent of worker count.
 func RunAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
-	if err := c.Shard.check(c); err != nil {
+	if err := c.Check(); err != nil {
 		return Result{}, err
-	}
-	if c.Compose != ComposeOff {
-		if err := c.composeCheck(); err != nil {
-			return Result{}, err
-		}
-		if res, ok := c.priorResult(); ok {
-			return res, nil
-		}
-		return runComposedAsmCampaign(tgt, c)
 	}
 	if res, ok := c.priorResult(); ok {
 		return res, nil
+	}
+	if c.Compose != ComposeOff {
+		return runComposedAsmCampaign(tgt, c)
 	}
 	a, err := newAsmCampaign(tgt, c, false)
 	if err != nil {
@@ -632,7 +617,6 @@ func RunAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 		return Result{}, err
 	}
 	res := a.result(po)
-	c.Stats.add(res.Checkpoint)
 	c.observe(res)
 	c.journalCell(res)
 	if err := c.journalErr(); err != nil {
@@ -654,18 +638,7 @@ type IRTarget struct {
 // results are excluded (they are sphere inputs for EDDI, matching how the
 // paper's IR-level coverage expectations are formed).
 func RunIRCampaign(tgt IRTarget, c Campaign) (Result, error) {
-	if c.Prune != PruneOff {
-		// The static classification is an assembly-level analysis (register
-		// liveness, flag consumers, masking idioms); IR sites have no
-		// equivalent metadata.
-		return Result{}, fmt.Errorf("fi: prune mode %v is not supported for IR campaigns", c.Prune)
-	}
-	if c.Compose != ComposeOff {
-		// Section boundaries are machine snapshots and boundary descriptors
-		// are register/flag/page diffs; the IR interpreter has neither.
-		return Result{}, fmt.Errorf("fi: compose mode %v is not supported for IR campaigns", c.Compose)
-	}
-	if err := c.Shard.check(c); err != nil {
+	if err := c.CheckIR(); err != nil {
 		return Result{}, err
 	}
 	if res, ok := c.priorResult(); ok {
@@ -764,7 +737,6 @@ func RunIRCampaign(tgt IRTarget, c Campaign) (Result, error) {
 	res.Checkpoint.Restores = restores.Load()
 	res.Checkpoint.ColdStarts = coldStarts.Load()
 	res.Checkpoint.SkippedInsts = skipped.Load()
-	c.Stats.add(res.Checkpoint)
 	c.observe(res)
 	c.journalCell(res)
 	if err := c.journalErr(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -49,8 +50,12 @@ const defaultSyncBatch = 64
 // JournalMeta fingerprints the configuration a journal was recorded under.
 // Resume refuses a journal whose meta does not match the current invocation:
 // journaled outcomes are only reusable when they came from the same plans.
-// Fields that cannot change results (worker counts, progress, sinks) are
-// deliberately absent.
+// Nobody fills it by hand: Campaign.Meta derives the plan-space fields and
+// the harness stamps the target fields on top, so a result-shaping setting
+// cannot be left out. Fields that cannot change results (worker counts,
+// progress, sinks) are deliberately absent. Fields added after the first
+// journals were written are omitempty at their default, so those journals
+// still resume.
 type JournalMeta struct {
 	Tool       string   `json:"tool"` // "reprod", "fidi", or a library caller's tag
 	Exp        string   `json:"exp,omitempty"`
@@ -79,33 +84,15 @@ type JournalMeta struct {
 	// journal carries no shard fields — it speaks for the whole campaign.
 	ShardIndex int `json:"shard,omitempty"`
 	ShardCount int `json:"shard_count,omitempty"`
-}
-
-// metaField pairs one meta field's JSON name with its value in two metas,
-// for field-by-field comparison in declaration order.
-type metaField struct {
-	name string
-	a, b any
-}
-
-func (m JournalMeta) fieldsAgainst(w JournalMeta) []metaField {
-	return []metaField{
-		{"tool", m.Tool, w.Tool},
-		{"exp", m.Exp, w.Exp},
-		{"seed", m.Seed, w.Seed},
-		{"samples", m.Samples, w.Samples},
-		{"scale", m.Scale, w.Scale},
-		{"optimize", m.Optimize, w.Optimize},
-		{"benchmarks", strings.Join(m.Benchmarks, ","), strings.Join(w.Benchmarks, ",")},
-		{"technique", m.Technique, w.Technique},
-		{"level", m.Level, w.Level},
-		{"bits", m.Bits, w.Bits},
-		{"ci_width", m.CIWidth, w.CIWidth},
-		{"prune", m.Prune, w.Prune},
-		{"compose", m.Compose, w.Compose},
-		{"shard", m.ShardIndex, w.ShardIndex},
-		{"shard_count", m.ShardCount, w.ShardCount},
-	}
+	// CheckpointEvery is the forced snapshot spacing K, recorded only under
+	// compose, where K cuts the sections the plan draw is stratified over
+	// (0: auto-tuned, itself a function of the recorded fields).
+	CheckpointEvery uint64 `json:"checkpoint_every,omitempty"`
+	// MaxSteps is the per-run step budget (0: the default budget): it
+	// decides where a run is classified as a hang.
+	MaxSteps uint64 `json:"max_steps,omitempty"`
+	// MemSize is the machine memory size, recorded when not the default.
+	MemSize int `json:"mem_size,omitempty"`
 }
 
 // Check reports an error naming the first field (in declaration order)
@@ -114,13 +101,24 @@ func (m JournalMeta) fieldsAgainst(w JournalMeta) []metaField {
 // worker leasing from a differently-configured coordinator, says exactly
 // what to fix instead of dumping both configurations to eyeball.
 func (m JournalMeta) Check(want JournalMeta) error {
-	for _, f := range m.fieldsAgainst(want) {
-		if f.a != f.b {
+	a, b := reflect.ValueOf(m), reflect.ValueOf(want)
+	for i := 0; i < a.NumField(); i++ {
+		name, _, _ := strings.Cut(a.Type().Field(i).Tag.Get("json"), ",")
+		if x, y := metaValue(a.Field(i)), metaValue(b.Field(i)); x != y {
 			return fmt.Errorf("fi: journal was recorded under a different configuration: journal %s=%v, invocation %s=%v",
-				f.name, f.a, f.name, f.b)
+				name, x, name, y)
 		}
 	}
 	return nil
+}
+
+// metaValue is a meta field's comparable, printable value: lists compare
+// and print comma-joined, so a nil list equals an empty one.
+func metaValue(v reflect.Value) any {
+	if l, ok := v.Interface().([]string); ok {
+		return strings.Join(l, ",")
+	}
+	return v.Interface()
 }
 
 type journalRecord struct {

@@ -52,10 +52,13 @@ func (s SiteStats) MeanLatency() float64 {
 // descending proneness (ties broken by fault count, then location).
 //
 // It runs through the same engine as RunAsmCampaign — per-worker machines
-// (Campaign.Workers), checkpointed fast-forwarding, Progress, Stats and Obs
+// (Campaign.Workers), checkpointed fast-forwarding, Progress and Obs
 // all behave identically — and aggregates from the per-plan outcome record,
 // so the profile is deterministic and independent of worker count.
 func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
+	if err := c.Check(); err != nil {
+		return nil, err
+	}
 	// The journaled cell record carries only campaign totals, not the
 	// per-site attribution a profile needs, so a complete-cell shortcut
 	// would lose data; journaled per-plan outcomes replay fine through
@@ -72,7 +75,6 @@ func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
 		return nil, err
 	}
 	res := a.result(po)
-	c.Stats.add(res.Checkpoint)
 	c.observe(res)
 
 	// Under pruning the dense outcomes expand back onto the full plan space

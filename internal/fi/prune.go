@@ -58,6 +58,12 @@ func ParsePruneMode(s string) (PruneMode, error) {
 	return PruneOff, fmt.Errorf("fi: unknown prune mode %q (off|dead|exact|full)", s)
 }
 
+// Set parses a -prune flag value into m, making *PruneMode a flag.Value.
+func (m *PruneMode) Set(s string) (err error) {
+	*m, err = ParsePruneMode(s)
+	return err
+}
+
 // PruneSummary reports a pruned campaign's exact-count bookkeeping. The
 // identity Planned == Executed + Dead + Masked + Deduped always holds.
 type PruneSummary struct {

@@ -38,12 +38,9 @@ func (s ShardSpec) global(local int) int {
 	return s.Index + local*s.Count
 }
 
-// check validates the spec against the campaign configuration. Sharding
-// composes with neither pruning (plan indices would be dense-remapped
-// twice, and the analysis already answers plans without executing them)
-// nor CI-width early stopping (the qualifying prefix is defined over the
-// global generation order, which no single shard observes).
-func (s ShardSpec) check(c Campaign) error {
+// check validates the spec's index range. Which run modes sharding
+// composes with is Campaign.Check's business.
+func (s ShardSpec) check() error {
 	if s.Count < 0 || s.Index < 0 {
 		return fmt.Errorf("fi: shard %d/%d: negative shard spec", s.Index, s.Count)
 	}
@@ -55,18 +52,6 @@ func (s ShardSpec) check(c Campaign) error {
 	}
 	if s.Index >= s.Count {
 		return fmt.Errorf("fi: shard %d/%d: index out of range", s.Index, s.Count)
-	}
-	if c.Prune != PruneOff {
-		return fmt.Errorf("fi: shard %d/%d: sharding is incompatible with prune mode %v", s.Index, s.Count, c.Prune)
-	}
-	if c.CIWidth > 0 {
-		return fmt.Errorf("fi: shard %d/%d: sharding is incompatible with CI-width early stopping", s.Index, s.Count)
-	}
-	if c.Compose != ComposeOff {
-		// Compose stratifies the plan space per section; a round-robin
-		// residue of it is no longer a per-section budget, and the section
-		// cache would be partitioned across workers.
-		return fmt.Errorf("fi: shard %d/%d: sharding is incompatible with compose mode %v", s.Index, s.Count, c.Compose)
 	}
 	return nil
 }

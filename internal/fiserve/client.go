@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"ferrum/internal/fi"
 	"ferrum/internal/harness"
 )
 
@@ -110,21 +109,4 @@ func (c *Client) Run(spec harness.CampaignSpec) (CampaignStatus, error) {
 		return CampaignStatus{}, err
 	}
 	return c.Wait(id)
-}
-
-// Delegate adapts the client to harness.Options.Delegate: every campaign
-// cell of an experiment is submitted to the service and its merged Result
-// adopted. Results are deterministic functions of the spec, so a delegated
-// experiment's tables are byte-identical to a local run's.
-func (c *Client) Delegate() func(harness.CampaignSpec) (fi.Result, error) {
-	return func(spec harness.CampaignSpec) (fi.Result, error) {
-		st, err := c.Run(spec)
-		if err != nil {
-			return fi.Result{}, err
-		}
-		if st.Result == nil {
-			return fi.Result{}, fmt.Errorf("fiserve: campaign %s finished without a result", st.ID)
-		}
-		return *st.Result, nil
-	}
 }

@@ -186,8 +186,8 @@ func (co *Coordinator) Submit(tenant string, spec harness.CampaignSpec) (string,
 	if spec.Samples <= 0 {
 		return "", fmt.Errorf("fiserve: spec needs a positive sample count")
 	}
-	if spec.Level != "asm" && spec.Level != "ir" {
-		return "", fmt.Errorf("fiserve: unknown injection level %q", spec.Level)
+	if err := spec.Check(fi.Campaign{}); err != nil {
+		return "", fmt.Errorf("fiserve: %w", err)
 	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -285,8 +285,7 @@ func (co *Coordinator) lease(worker string) (*Lease, bool, error) {
 			s.worker = worker
 			s.lastBeat = time.Now()
 			co.ob.Counter(mLeases).Add(1)
-			meta := SpecMeta(c.spec)
-			meta.ShardIndex, meta.ShardCount = s.index, len(c.shards)
+			meta := shardMeta(c.spec, fi.ShardSpec{Index: s.index, Count: len(c.shards)})
 			co.event(map[string]any{
 				"t": "fiserve.lease", "campaign": c.id, "shard": s.index,
 				"epoch": s.epoch, "worker": worker, "resumed": len(prior) > 0,

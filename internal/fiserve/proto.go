@@ -40,16 +40,17 @@ func SpecKey(spec harness.CampaignSpec) string {
 }
 
 // SpecMeta is the journal meta a spec's campaign records under, without
-// shard fields: each shard journal adds its own ShardIndex/ShardCount, and
-// the merged journal carries exactly this meta. A single-process reference
-// run journaling under SpecMeta produces a canonical journal byte-identical
-// to the service's merged one.
+// shard fields: each shard journal's meta derives from its shard's campaign
+// instead, and the merged journal carries exactly this meta. A
+// single-process reference run journaling under SpecMeta produces a
+// canonical journal byte-identical to the service's merged one.
 func SpecMeta(spec harness.CampaignSpec) fi.JournalMeta {
-	return fi.JournalMeta{
-		Tool: "fiserve", Seed: spec.Seed, Samples: spec.Samples, Scale: spec.Scale,
-		Optimize: spec.Optimize, Benchmarks: []string{spec.Bench},
-		Technique: string(spec.Technique), Level: spec.Level, Bits: spec.Bits,
-	}
+	return shardMeta(spec, fi.ShardSpec{})
+}
+
+// shardMeta is the journal meta of one shard of a spec's campaign.
+func shardMeta(spec harness.CampaignSpec, shard fi.ShardSpec) fi.JournalMeta {
+	return spec.Meta("fiserve", fi.Campaign{Shard: shard})
 }
 
 // SubmitRequest asks the coordinator to admit one campaign.

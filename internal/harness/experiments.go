@@ -79,10 +79,10 @@ func Fig10(opts Options) ([]Fig10Row, error) {
 	return rows, nil
 }
 
-func asmTarget(inst *rodinia.Instance, build *Build) fi.AsmTarget {
+func asmTarget(inst *rodinia.Instance, build *Build, memSize int) fi.AsmTarget {
 	return fi.AsmTarget{
 		Prog:    build.Prog,
-		MemSize: 1 << 20,
+		MemSize: memSize,
 		Args:    inst.Args,
 		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
 	}
@@ -297,10 +297,10 @@ func Gap(opts Options) ([]GapRow, error) {
 	return rows, nil
 }
 
-func irTarget(inst *rodinia.Instance, mod *ir.Module) fi.IRTarget {
+func irTarget(inst *rodinia.Instance, mod *ir.Module, memSize int) fi.IRTarget {
 	return fi.IRTarget{
 		Mod:     mod,
-		MemSize: 1 << 20,
+		MemSize: memSize,
 		Args:    inst.Args,
 		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
 	}

@@ -24,7 +24,7 @@ func TestGuidedBeatsRandomSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt := asmTarget(inst, rawBuild)
+	tgt := asmTarget(inst, rawBuild, defaultMemSize)
 
 	// Profile proneness on the raw binary.
 	profCampaign := fi.Campaign{Samples: 600, Seed: 77}

@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ferrum/internal/asm"
@@ -153,7 +154,7 @@ type Options struct {
 	// callers wanting the paper's seed pass DefaultSeed explicitly.
 	Seed       int64
 	Scale      int      // benchmark scale factor (1 = default)
-	MemSize    int      // machine/interpreter memory (0 = 1 MiB)
+	MemSize    int      // campaign machine/interpreter memory (0 = 1 MiB)
 	Workers    int      // intra-campaign parallelism (0 = GOMAXPROCS/CellWorkers)
 	Benchmarks []string // nil = all eight
 	// Optimize runs every build through the -O1-style peephole optimizer
@@ -211,7 +212,7 @@ type Options struct {
 	// whole-program outcomes, and per-section propagation tables are cached
 	// by content fingerprint so re-runs re-inject only changed sections.
 	// IR-level cells ignore it (sections are machine snapshots).
-	// Incompatible with Prune, CIWidth and delegation.
+	// Incompatible with Prune, CIWidth and NoCheckpoint.
 	Compose fi.ComposeMode
 	// SectionCache supplies the section-table cache compose mode serves
 	// from. Nil with Compose on uses the BuildCache's shared section cache,
@@ -227,26 +228,61 @@ type Options struct {
 	// partially-journaled campaigns re-run only their missing plans,
 	// producing byte-identical tables to an uninterrupted run.
 	Resume *fi.JournalState
-	// CampaignStats, if non-nil, accumulates checkpointing counters across
-	// every campaign the experiments run (shared, concurrency-safe). It
-	// predates Obs, which captures the same counters (and more) in one
-	// registry; kept as a thin adapter for library callers.
-	CampaignStats *fi.CampaignStats
 	// Obs, if non-nil, collects metrics and per-phase spans from the
 	// scheduler, the build cache and every campaign: cells become timeline
 	// slices on their worker's lane, and the suite summary, NDJSON event
 	// stream and Perfetto export all render from its registry. Nil disables
 	// all instrumentation (nil observer handles are no-ops throughout).
 	Obs *obs.Observer
-	// Delegate, if non-nil, routes every injection-campaign cell to an
-	// external campaign service (the fiserve coordinator) instead of
-	// building and running it in this process: the scheduler hands over a
-	// CampaignSpec and adopts whatever Result comes back. Campaign results
-	// are deterministic functions of the spec, so delegated tables are
-	// byte-identical to local ones. Build-only experiments (Fig11, ExecTime)
-	// always run locally; journaling, pruning and early stopping belong to
-	// the service in delegated mode, not to these Options.
-	Delegate func(CampaignSpec) (fi.Result, error)
+}
+
+// defaultMemSize is the machine/interpreter memory every campaign gets
+// unless Options.MemSize overrides it.
+const defaultMemSize = 1 << 20
+
+// Campaign is the template every campaign cell of these options starts
+// from: the result-shaping fields plus the shared section cache and
+// journal. The scheduler adds the per-cell fields (workers, journal key,
+// prior, cancellation, observability), and Meta fingerprints the same
+// template, so a field the cells run with cannot be missing from the
+// journal meta.
+func (o Options) Campaign() fi.Campaign {
+	return fi.Campaign{
+		Samples:         o.Samples,
+		Seed:            o.Seed,
+		NoCheckpoint:    o.NoCheckpoint,
+		CheckpointEvery: o.CheckpointEvery,
+		CIWidth:         o.CIWidth,
+		Prune:           o.Prune,
+		Compose:         o.Compose,
+		SectionCache:    o.SectionCache,
+		Journal:         o.Journal,
+	}
+}
+
+// Meta derives the journal meta of a run of these options under the given
+// tool and experiment names: the template campaign's plan-space fields plus
+// the target fields (benchmarks, scale, optimize, a non-default MemSize).
+func (o Options) Meta(tool, exp string) fi.JournalMeta {
+	m := o.Campaign().Meta()
+	m.Tool, m.Exp = tool, exp
+	m.Benchmarks, m.Scale, m.Optimize = o.Benchmarks, o.Scale, o.Optimize
+	if o.MemSize != defaultMemSize {
+		m.MemSize = o.MemSize
+	}
+	return m
+}
+
+// Check validates the options before anything runs or is journaled: every
+// benchmark name, and the template campaign's run-mode matrix
+// (fi.Campaign.Check; IR-level cells drop prune and compose themselves).
+func (o Options) Check() error {
+	for _, name := range o.Benchmarks {
+		if _, ok := rodinia.ByName(name); !ok {
+			return fmt.Errorf("harness: unknown benchmark %q", name)
+		}
+	}
+	return o.Campaign().Check()
 }
 
 // CampaignSpec names one injection campaign precisely enough for another
@@ -265,14 +301,56 @@ type CampaignSpec struct {
 	Optimize  bool      `json:"optimize,omitempty"`
 }
 
+// Campaign returns c with the spec's plan-space fields filled in: samples,
+// seed and (when set) bits per fault. c supplies everything else.
+func (sp CampaignSpec) Campaign(c fi.Campaign) fi.Campaign {
+	c.Samples, c.Seed = sp.Samples, sp.Seed
+	if sp.Bits > 0 {
+		c.BitsPerFault = sp.Bits
+	}
+	return c
+}
+
+// Check validates the spec's recipe — a known technique, a known level,
+// and at IR level a technique with an IR form — and the campaign it runs
+// with c, against that level's mode matrix.
+func (sp CampaignSpec) Check(c fi.Campaign) error {
+	if sp.Technique != Raw && !slices.Contains(Techniques, sp.Technique) {
+		return fmt.Errorf("harness: unknown technique %q", sp.Technique)
+	}
+	switch sp.Level {
+	case "asm":
+		return sp.Campaign(c).Check()
+	case "ir":
+		if sp.Technique != Raw && sp.Technique != IREDDI {
+			return fmt.Errorf("harness: IR-level injection supports raw and ir-level-eddi, not %q", sp.Technique)
+		}
+		return sp.Campaign(c).CheckIR()
+	}
+	return fmt.Errorf("harness: unknown injection level %q", sp.Level)
+}
+
+// Meta derives the journal meta of the spec's campaign run with c: the
+// plan-space fields of sp.Campaign(c) plus the spec's target fields.
+func (sp CampaignSpec) Meta(tool string, c fi.Campaign) fi.JournalMeta {
+	m := sp.Campaign(c).Meta()
+	m.Tool, m.Benchmarks = tool, []string{sp.Bench}
+	m.Technique, m.Level = string(sp.Technique), sp.Level
+	m.Scale, m.Optimize = sp.Scale, sp.Optimize
+	return m
+}
+
 // RunSpec executes one CampaignSpec in this process: it instantiates the
 // named benchmark at the spec's scale and seed, builds the technique, and
 // runs the injection campaign. The caller's Campaign supplies everything a
 // spec deliberately omits — worker count, sharding, journal, observability —
 // while RunSpec fills in the result-determining fields from the spec.
-// fiserve workers execute leased shards through this, and a local
-// Options.Delegate built on it reproduces in-process results exactly.
+// fiserve workers execute leased shards through this, and it reproduces
+// the in-process experiment cells exactly.
 func RunSpec(spec CampaignSpec, c fi.Campaign) (fi.Result, error) {
+	if err := spec.Check(c); err != nil {
+		return fi.Result{}, err
+	}
 	b, ok := rodinia.ByName(spec.Bench)
 	if !ok {
 		return fi.Result{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
@@ -285,38 +363,24 @@ func RunSpec(spec CampaignSpec, c fi.Campaign) (fi.Result, error) {
 	if err != nil {
 		return fi.Result{}, err
 	}
-	c.Samples = spec.Samples
-	c.Seed = spec.Seed
-	if spec.Bits > 0 {
-		c.BitsPerFault = spec.Bits
-	}
-	switch spec.Level {
-	case "ir":
+	c = spec.Campaign(c)
+	bo := BuildOptions{Optimize: spec.Optimize}
+	if spec.Level == "ir" {
 		mod := inst.Mod
-		switch spec.Technique {
-		case Raw:
-		case IREDDI:
-			build, err := BuildTechniqueOpts(inst.Mod, IREDDI, BuildOptions{Optimize: spec.Optimize})
+		if spec.Technique == IREDDI {
+			build, err := BuildTechniqueOpts(inst.Mod, IREDDI, bo)
 			if err != nil {
 				return fi.Result{}, err
 			}
 			mod = build.ProtectedIR
-		default:
-			return fi.Result{}, fmt.Errorf("harness: IR-level injection supports raw and ir-level-eddi, not %q", spec.Technique)
 		}
-		// The prune analysis is assembly-level; IR campaigns always run
-		// unpruned (matching irCampaignCell).
-		c.Prune = fi.PruneOff
-		return fi.RunIRCampaign(irTarget(inst, mod), c)
-	case "asm":
-		build, err := BuildTechniqueOpts(inst.Mod, spec.Technique, BuildOptions{Optimize: spec.Optimize})
-		if err != nil {
-			return fi.Result{}, err
-		}
-		return fi.RunAsmCampaign(asmTarget(inst, build), c)
-	default:
-		return fi.Result{}, fmt.Errorf("harness: unknown injection level %q", spec.Level)
+		return fi.RunIRCampaign(irTarget(inst, mod, defaultMemSize), c)
 	}
+	build, err := BuildTechniqueOpts(inst.Mod, spec.Technique, bo)
+	if err != nil {
+		return fi.Result{}, err
+	}
+	return fi.RunAsmCampaign(asmTarget(inst, build, defaultMemSize), c)
 }
 
 func (o Options) withDefaults() Options {
@@ -327,7 +391,7 @@ func (o Options) withDefaults() Options {
 		o.Scale = 1
 	}
 	if o.MemSize == 0 {
-		o.MemSize = 1 << 20
+		o.MemSize = defaultMemSize
 	}
 	if o.Benchmarks == nil {
 		for _, b := range rodinia.All() {

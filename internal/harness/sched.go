@@ -89,29 +89,18 @@ func newScheduler(exp string, opts Options) *scheduler {
 	return &scheduler{exp: exp, opts: opts, cache: opts.Cache, cellWorkers: cw, campWorkers: camp}
 }
 
-// campaign builds the per-cell fi.Campaign. Fault plans derive only from
-// Samples and Seed, so worker counts never change campaign results. cc ties
-// the campaign's spans and counters to the cell being run, keys its journal
-// records, replays its journaled prior, and wires the watchdog's
-// cancellation into the campaign's batch loop.
+// campaign builds the per-cell fi.Campaign from the options' template.
+// Fault plans derive only from the template's result-shaping fields, so
+// worker counts never change campaign results. cc ties the campaign's spans
+// and counters to the cell being run, keys its journal records, replays its
+// journaled prior, and wires the watchdog's cancellation into the
+// campaign's batch loop.
 func (s *scheduler) campaign(cc *cellCtx) fi.Campaign {
-	return fi.Campaign{
-		Samples:         s.opts.Samples,
-		Seed:            s.opts.Seed,
-		Workers:         s.campWorkers,
-		NoCheckpoint:    s.opts.NoCheckpoint,
-		CheckpointEvery: s.opts.CheckpointEvery,
-		CIWidth:         s.opts.CIWidth,
-		Prune:           s.opts.Prune,
-		Compose:         s.opts.Compose,
-		SectionCache:    s.opts.SectionCache,
-		Cancel:          cc.cancel,
-		Journal:         s.opts.Journal,
-		Key:             cc.key,
-		Prior:           s.opts.Resume.Cell(cc.key),
-		Stats:           s.opts.CampaignStats,
-		Obs:             cc.cx,
-	}
+	c := s.opts.Campaign()
+	c.Workers = s.campWorkers
+	c.Cancel, c.Key, c.Obs = cc.cancel, cc.key, cc.cx
+	c.Prior = s.opts.Resume.Cell(cc.key)
+	return c
 }
 
 // attempt runs the cell once, arming the watchdog when CellTimeout is set.
@@ -168,43 +157,20 @@ func (s *scheduler) attempts(cx *obs.Ctx, c cellSpec) error {
 	}
 }
 
-// spec names the campaign a cell is about to run, for delegation to an
-// external campaign service. The spec's seed is the campaign seed; in every
-// campaign experiment it is also the instance seed, so the remote side
-// regenerates the identical benchmark instance and fault plan.
-func (s *scheduler) spec(tech Technique, level string) CampaignSpec {
-	return CampaignSpec{
-		Technique: tech, Level: level,
-		Samples: s.opts.Samples, Seed: s.opts.Seed, Scale: s.opts.Scale,
-		Optimize: s.opts.Optimize,
-	}
-}
-
 // asmCampaignCell runs one (benchmark × technique) assembly-level campaign
-// cell — locally (memoised build, then RunAsmCampaign), or through
-// Options.Delegate when the experiment's campaigns are served remotely.
+// cell: memoised build, then RunAsmCampaign.
 func (s *scheduler) asmCampaignCell(cc *cellCtx, inst instanceAt, tech Technique) (fi.Result, error) {
-	if s.opts.Delegate != nil {
-		sp := s.spec(tech, "asm")
-		sp.Bench = inst.inst.Bench.Name
-		return s.opts.Delegate(sp)
-	}
 	build, err := s.build(cc.cx, inst, tech)
 	if err != nil {
 		return fi.Result{}, err
 	}
-	return fi.RunAsmCampaign(asmTarget(inst.inst, build), s.campaign(cc))
+	return fi.RunAsmCampaign(asmTarget(inst.inst, build, s.opts.MemSize), s.campaign(cc))
 }
 
-/// irCampaignCell is asmCampaignCell's IR-level counterpart: raw injects the
-// benchmark module as-is, IREDDI injects the protected IR. Prune is always
-// off at IR level (the analysis is assembly-only), locally and delegated.
+// irCampaignCell is asmCampaignCell's IR-level counterpart: raw injects the
+// benchmark module as-is, IREDDI injects the protected IR. Prune and
+// compose are always off at IR level (both are assembly-only).
 func (s *scheduler) irCampaignCell(cc *cellCtx, inst instanceAt, tech Technique) (fi.Result, error) {
-	if s.opts.Delegate != nil {
-		sp := s.spec(tech, "ir")
-		sp.Bench = inst.inst.Bench.Name
-		return s.opts.Delegate(sp)
-	}
 	mod := inst.inst.Mod
 	if tech == IREDDI {
 		build, err := s.build(cc.cx, inst, IREDDI)
@@ -214,15 +180,12 @@ func (s *scheduler) irCampaignCell(cc *cellCtx, inst instanceAt, tech Technique)
 		mod = build.ProtectedIR
 	}
 	c := s.campaign(cc)
-	c.Prune = fi.PruneOff
-	// Compose is assembly-only too: sections are machine snapshots and
-	// boundary descriptors are register/flag/page diffs.
-	c.Compose, c.SectionCache = fi.ComposeOff, nil
-	return fi.RunIRCampaign(irTarget(inst.inst, mod), c)
+	c.Prune, c.Compose, c.SectionCache = fi.PruneOff, fi.ComposeOff, nil
+	return fi.RunIRCampaign(irTarget(inst.inst, mod, s.opts.MemSize), c)
 }
 
 // build memoises the technique build for an instance at the scheduler's
-/// scale/seed/optimize settings. The span shows what the cell actually paid:
+// scale/seed/optimize settings. The span shows what the cell actually paid:
 // cache hits collapse to microseconds on the timeline.
 func (s *scheduler) build(cx *obs.Ctx, inst instanceAt, tech Technique) (*Build, error) {
 	sp := cx.Span("build")

@@ -5,8 +5,8 @@
 //
 // One Observer is injected from the CLI down through the harness scheduler
 // into the fault-injection campaigns, superseding the bespoke telemetry the
-// layers grew separately (BuildCache hit/miss counters, fi.CampaignStats,
-// the hand-formatted stderr suite summary).
+// layers grew separately (BuildCache hit/miss counters, a checkpointing
+// stats adapter since deleted, the hand-formatted stderr suite summary).
 //
 // Everything is provably off-path when disabled: nil Observer, Registry,
 // Tracer, Ctx, Counter, Gauge, Histogram and ActiveSpan are all valid
@@ -121,7 +121,7 @@ const (
 	MGoldenMisses = "cache.golden_misses" // unique golden runs
 	MGoldenHits   = "cache.golden_hits"   // golden runs answered from cache
 
-	// Campaign-level, reported by internal/fi (supersede fi.CampaignStats).
+	// Campaign-level, reported by internal/fi.
 	MCampaigns     = "fi.campaigns"   // campaigns executed
 	MPlans         = "fi.plans"       // fault plans executed
 	MOutcomePrefix = "fi.outcome."    // + benign|sdc|detected|crash|hang
