@@ -388,10 +388,13 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 }
 
 // BenchmarkAsmCampaign compares the direct, checkpointed and pruned
-// campaign paths on the FERRUM-protected cell (the suite's dominant cost:
-// protected runs detect soon after injection, so fast-forwarding skips most
-// of each run; pruning answers provably-Benign plans without executing and
-// dedups value-identical ones). plans/s counts planned samples, so the
+// campaign paths on the FERRUM-protected cell (the suite's dominant cost).
+// Detected plans stop within a few dozen cycles of injection, so a
+// protected cell's time goes to its Benign plans. The checkpointed path
+// skips each plan's prefix and ends a masked plan at the first golden
+// checkpoint its state rejoins, instead of running it to the program's
+// end. Pruning answers provably-Benign plans without executing and dedups
+// value-identical ones. plans/s counts planned samples, so the
 // pruned mode's rate includes statically-answered plans; the executed
 // metric shows how many plans actually ran. BENCH_campaign.json snapshots
 // both.

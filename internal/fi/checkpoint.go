@@ -60,14 +60,17 @@ func nearestSnapshot(sites []uint64, site uint64) int {
 }
 
 // asmCheckpoints is the snapshot schedule recorded from one golden replay.
+// golden pairs it with the replay's Result, so injected runs can end at the
+// first checkpoint their state rejoins (machine.RunOpts.Golden).
 type asmCheckpoints struct {
-	snaps []*machine.Snapshot
-	sites []uint64 // snaps[i].Sites(), for binary search
+	snaps  []*machine.Snapshot
+	sites  []uint64 // snaps[i].Sites(), for binary search
+	golden *machine.Golden
 }
 
 func recordAsmCheckpoints(m *machine.Machine, tgt AsmTarget, c Campaign, k, dynSites uint64) *asmCheckpoints {
 	cps := &asmCheckpoints{}
-	m.Run(machine.RunOpts{
+	end := m.Run(machine.RunOpts{
 		Args:            tgt.Args,
 		MaxSteps:        c.MaxSteps,
 		SitesHint:       dynSites,
@@ -77,6 +80,7 @@ func recordAsmCheckpoints(m *machine.Machine, tgt AsmTarget, c Campaign, k, dynS
 			cps.sites = append(cps.sites, s.Sites())
 		},
 	})
+	cps.golden = &machine.Golden{Checkpoints: cps.snaps, End: end}
 	return cps
 }
 

@@ -245,6 +245,9 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 			cps.sites = append(cps.sites, s.Sites())
 		},
 	})
+	// The recording run is a golden run too: fallback continuations end at
+	// the first later section exit their state rejoins.
+	cps.golden = &machine.Golden{Checkpoints: cps.snaps, End: rec}
 	csp.SetAttr("k", k)
 	csp.SetAttr("snapshots", len(cps.snaps))
 	csp.SetAttr("bytes", cps.bytes())
@@ -400,7 +403,7 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 				// Ambiguous boundary: continue the same run end-to-end. The
 				// boundary snapshot carries the injection bookkeeping, so
 				// outcome and latency match a monolithic full run.
-				r2 := m.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, Resume: r.Boundary})
+				r2 := m.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, Resume: r.Boundary, Golden: cps.golden})
 				pr.o = classifyAsm(r2, golden.Output)
 				if r2.Injected {
 					pr.lat, pr.hasLat = r2.Cycles-r2.FaultCycles, true
@@ -449,24 +452,9 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 		return func(p plannedFault) planResult { return worker(m, p) }, nil
 	}, cached)
 	isp.End()
-	if c.Obs != nil {
-		mu.Lock()
-		all := append([]*machine.Machine{m0}, machines...)
-		mu.Unlock()
-		var blocks, fused uint64
-		for _, m := range all {
-			b, f := m.DispatchStats()
-			blocks += b
-			fused += f
-			for _, p := range m.FusionPairs() {
-				if p.Hits > 0 {
-					c.Obs.Counter(obs.MFusionPrefix + p.Pair).Add(int64(p.Hits))
-				}
-			}
-		}
-		c.Obs.Counter(obs.MBlocksEntered).Add(int64(blocks))
-		c.Obs.Counter(obs.MFusedUops).Add(int64(fused))
-	}
+	mu.Lock()
+	observeMachines(c.Obs, append([]*machine.Machine{m0}, machines...))
+	mu.Unlock()
 	if err != nil {
 		return Result{}, err
 	}

@@ -497,6 +497,7 @@ func (a *asmCampaign) runOne(m *machine.Machine, p plannedFault) planResult {
 		Fault:    &machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra},
 	}
 	if a.cps != nil {
+		opts.Golden = a.cps.golden
 		if i := nearestSnapshot(a.cps.sites, p.site); i >= 0 {
 			opts.Resume = a.cps.snaps[i]
 			a.restores.Add(1)
@@ -532,30 +533,41 @@ func (a *asmCampaign) run() (planOutcomes, error) {
 	return po, err
 }
 
-// observeDispatch merges the dispatch-tier counters and fusion-pair tables
-// of every machine the campaign ran (template plus worker clones) into the
-// observability registry. Pair tables go under obs.MFusionPrefix so the
-// -dump-fusion report can rank patterns by dynamic executions.
+// observeDispatch merges the machine counters of every machine the
+// campaign ran (template plus worker clones) into the observability
+// registry.
 func (a *asmCampaign) observeDispatch() {
-	if a.c.Obs == nil {
-		return
-	}
 	a.mu.Lock()
 	machines := append([]*machine.Machine{a.m0}, a.machines...)
 	a.mu.Unlock()
-	var blocks, fused uint64
+	observeMachines(a.c.Obs, machines)
+}
+
+// observeMachines publishes the lifetime counters of a campaign's
+// machines: dispatch-tier counts, fusion-pair tables (under
+// obs.MFusionPrefix, so the -dump-fusion report can rank patterns by
+// dynamic executions) and the plans that ended at a golden checkpoint.
+// Like the ckpt.* counters, these count work this process did or avoided,
+// so journal-answered campaigns never replay them.
+func observeMachines(o *obs.Ctx, machines []*machine.Machine) {
+	if o == nil {
+		return
+	}
+	var blocks, fused, converged uint64
 	for _, m := range machines {
 		b, f := m.DispatchStats()
 		blocks += b
 		fused += f
+		converged += m.Converged()
 		for _, p := range m.FusionPairs() {
 			if p.Hits > 0 {
-				a.c.Obs.Counter(obs.MFusionPrefix + p.Pair).Add(int64(p.Hits))
+				o.Counter(obs.MFusionPrefix + p.Pair).Add(int64(p.Hits))
 			}
 		}
 	}
-	a.c.Obs.Counter(obs.MBlocksEntered).Add(int64(blocks))
-	a.c.Obs.Counter(obs.MFusedUops).Add(int64(fused))
+	o.Counter(obs.MBlocksEntered).Add(int64(blocks))
+	o.Counter(obs.MFusedUops).Add(int64(fused))
+	o.Counter(obs.MCkptConverged).Add(int64(converged))
 }
 
 // result assembles the campaign Result from the plan outcomes. Under

@@ -81,7 +81,7 @@ func (m *Machine) buildBlocks() {
 // runBlocks is the block-dispatch execution loop. The caller has already
 // established the run preconditions (no per-instruction observers, no
 // checkpoint schedule). It returns the terminal outcome and crash message;
-// the shared Run epilogue flushes spans and assembles the Result.
+// runDispatched flushes spans and assembles the Result.
 func (m *Machine) runBlocks(fault *Fault, maxSteps, stopAt uint64) (Outcome, string) {
 	// The dispatch tables are loop-invariant; locals keep their headers in
 	// registers instead of reloading them through m on every instruction.
@@ -90,6 +90,7 @@ func (m *Machine) runBlocks(fault *Fault, maxSteps, stopAt uint64) (Outcome, str
 	fuseAt := m.fuseAt
 	fuops := m.fuops
 	fuseHits := m.fuseHits
+	stop := m.stopSite(stopAt)
 	for {
 		pc := m.pc
 		if pc < 0 || pc >= len(uops) {
@@ -100,15 +101,19 @@ func (m *Machine) runBlocks(fault *Fault, maxSteps, stopAt uint64) (Outcome, str
 		// Fall back to exact per-instruction execution when the step
 		// budget could expire inside the block (legacy checks the budget
 		// before every instruction), the planned fault site could land
-		// on one of the block's remaining destinations, or the site-count
-		// stop boundary falls within the block — fused uops retire several
-		// sites per step, so the fast path could blow straight past it.
+		// on one of the block's remaining destinations, or the next stop
+		// site (the StopAtSites boundary or a golden checkpoint) falls
+		// within the block — fused uops retire several sites per step, so
+		// the fast path could blow straight past it.
 		if m.dyn+uint64(end-pc) > maxSteps ||
 			(fault != nil && !m.injected && fault.Site < m.sites+uint64(m.siteSuffix[pc])) ||
-			(stopAt > 0 && stopAt <= m.sites+uint64(m.siteSuffix[pc])) {
+			stop <= m.sites+uint64(m.siteSuffix[pc]) {
 			if out, msg, done := m.runBlockSlow(fault, maxSteps, stopAt, pc, end); done {
 				return out, msg
 			}
+			// The slow block may have applied the fault or passed a
+			// golden checkpoint.
+			stop = m.stopSite(stopAt)
 			continue
 		}
 		i := pc
@@ -153,7 +158,8 @@ func (m *Machine) runBlocks(fault *Fault, maxSteps, stopAt uint64) (Outcome, str
 
 // runBlockSlow executes one basic block with the legacy per-instruction
 // checks: step budget before each instruction, fault application on the
-// matching site, per-site counting. Fused uops are ignored here — every
+// matching site, per-site counting, the StopAtSites boundary and the
+// golden convergence compare. Fused uops are ignored here — every
 // position executes its original single uop, which is what makes the slow
 // block bit-identical to the pre-fusion interpreter. It reports done=false
 // when control left the block with the run still live.
@@ -185,6 +191,9 @@ func (m *Machine) runBlockSlow(fault *Fault, maxSteps, stopAt uint64, pc, end in
 			if stopAt > 0 && m.sites == stopAt {
 				m.boundary = m.Snapshot()
 				return OutcomeBoundary, "", true
+			}
+			if m.checkConverged() {
+				return outcomeConverged, "", true
 			}
 		}
 		switch next {

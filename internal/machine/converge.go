@@ -1,0 +1,151 @@
+package machine
+
+import (
+	"bytes"
+	"math"
+	"sort"
+)
+
+// Golden convergence: exact early exit for injected runs (RunOpts.Golden).
+//
+// The machine's next state is a pure function of its current state: pc,
+// registers, flags, vector registers and memory decide what executes; dyn
+// decides when the step budget expires; the cycle clock and the in-flight
+// dual-issue spans decide Cycles; the output stream decides Output. A
+// faulty run whose complete state equals the golden run's at the same
+// site count therefore continues exactly as the golden run did and ends
+// with the golden Result. The injection bookkeeping is the only state the
+// compare ignores: it no longer influences execution once the fault has
+// been applied, and the converged Result keeps this run's own stamps.
+
+// outcomeConverged is runBlocks' internal report that the run's state
+// rejoined a golden checkpoint; Run never returns it.
+const outcomeConverged = OutcomeBoundary + 1
+
+// goldenAhead returns the golden checkpoints a run may converge at: those
+// strictly after both the run's start and its pending fault site. It
+// returns nil when opts.Golden cannot stand in for the rest of the run.
+func (m *Machine) goldenAhead(opts *RunOpts, maxSteps uint64) []*Snapshot {
+	g := opts.Golden
+	if g == nil || opts.StopAtSites > 0 || g.End.Outcome != OutcomeOK || g.End.DynInsts > maxSteps {
+		return nil
+	}
+	from := m.sites
+	if f := opts.Fault; f != nil && !m.injected && f.Site > from {
+		from = f.Site
+	}
+	cps := g.Checkpoints
+	i := sort.Search(len(cps), func(i int) bool { return cps[i].sites > from })
+	if i == len(cps) {
+		return nil
+	}
+	return cps[i:]
+}
+
+// stopSite is the first site count at which the block loop must hand
+// control to runBlockSlow: the StopAtSites boundary, or, once the fault
+// has been applied, the next golden checkpoint. MaxUint64 means none.
+func (m *Machine) stopSite(stopAt uint64) uint64 {
+	s := uint64(math.MaxUint64)
+	if stopAt > 0 {
+		s = stopAt
+	}
+	if m.injected && len(m.conv) > 0 && m.conv[0].sites < s {
+		s = m.conv[0].sites
+	}
+	return s
+}
+
+// checkConverged runs at each retired site on the slow block path. At the
+// next golden checkpoint's site count it reports whether the live state
+// equals that checkpoint; on a mismatch it moves on to the next one.
+func (m *Machine) checkConverged() bool {
+	if !m.injected || len(m.conv) == 0 || m.sites != m.conv[0].sites {
+		return false
+	}
+	if m.matchesSnapshot(m.conv[0]) {
+		return true
+	}
+	m.conv = m.conv[1:]
+	return false
+}
+
+// matchesSnapshot reports whether the live state equals s bit for bit, at
+// the capture point OnCheckpoint uses. It allocates nothing. The scalar
+// fields go first, so a run whose control flow, timing or output has
+// diverged is rejected before any register or memory is read.
+func (m *Machine) matchesSnapshot(s *Snapshot) bool {
+	if m.pc != s.pc || m.dyn != s.dyn || m.sites != s.sites ||
+		math.Float64bits(m.cycles) != math.Float64bits(s.cycles) ||
+		math.Float64bits(m.scalarSpan) != math.Float64bits(s.scalarSpan) ||
+		math.Float64bits(m.vectorSpan) != math.Float64bits(s.vectorSpan) ||
+		len(m.output) != len(s.output) ||
+		s.memSize != len(m.mem) || s.nInsts != len(m.insts) {
+		return false
+	}
+	if m.gpr != s.gpr || m.flags != s.flags {
+		return false
+	}
+	for i, o := range m.output {
+		if o != s.output[i] {
+			return false
+		}
+	}
+	return m.x == s.x && m.memMatches(s)
+}
+
+// memMatches compares live memory with the snapshot's memory, which is the
+// pristine image overlaid with its dirty pages. Live memory equals the
+// image outside m.dirtyPages, so only pages dirty on either side need a
+// look: the snapshot's pages against their captured bytes, and live dirty
+// pages the snapshot lacks against the image — a page written and then
+// restored to its pristine bytes still matches.
+func (m *Machine) memMatches(s *Snapshot) bool {
+	for _, pg := range s.pages {
+		lo := int(pg.idx) << pageShift
+		if !bytes.Equal(m.mem[lo:lo+len(pg.data)], pg.data) {
+			return false
+		}
+	}
+	for _, pg := range s.pages {
+		m.pageMark[pg.idx] = true
+	}
+	ok := true
+	for _, p := range m.dirtyPages {
+		if m.pageMark[p] {
+			continue
+		}
+		lo := int(p) << pageShift
+		hi := min(lo+pageSize, len(m.mem))
+		if !bytes.Equal(m.mem[lo:hi], m.memImage[lo:hi]) {
+			ok = false
+			break
+		}
+	}
+	for _, pg := range s.pages {
+		m.pageMark[pg.idx] = false
+	}
+	return ok
+}
+
+// convergedResult is the Result the full run would have returned: the
+// golden run's terminal fields with this run's injection stamps.
+func (m *Machine) convergedResult(end *Result) Result {
+	m.nConverged++
+	m.lastSites = end.DynSites
+	return Result{
+		Outcome:     end.Outcome,
+		Output:      append([]uint64(nil), end.Output...),
+		Cycles:      end.Cycles,
+		DynInsts:    end.DynInsts,
+		DynSites:    end.DynSites,
+		CrashMsg:    end.CrashMsg,
+		Injected:    m.injected,
+		FaultCycles: m.injCycles,
+		FaultDyn:    m.injDyn,
+	}
+}
+
+// Converged reports how many of this machine's runs ended early at a
+// golden checkpoint (RunOpts.Golden).
+func (m *Machine) Converged() uint64 { return m.nConverged }

@@ -132,3 +132,111 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 		}
 	}
 }
+
+// TestEquivFuzzGoldenConvergence: over randomly generated branch-dense
+// programs, raw and FERRUM-protected, an injected run given the golden
+// checkpoint schedule (RunOpts.Golden) returns a Result field-for-field
+// equal to the forced-slow reference run without one — from scratch and
+// resumed from the nearest checkpoint, for single- and multi-bit faults,
+// at K=1 and coarser spacings — and the schedule does end some runs early.
+// Continuations resumed from a faulty StopAtSites boundary (compositional
+// campaigns' fallback runs, which carry no Fault) converge exactly too.
+func TestEquivFuzzGoldenConvergence(t *testing.T) {
+	rng := rand.New(rand.NewSource(777))
+	iters := 10
+	if testing.Short() {
+		iters = 4
+	}
+	const maxSteps = 5_000_000
+	var runs, converged int
+	for i := 0; i < iters; i++ {
+		mod, err := progen.Generate(rng, progen.Options{
+			Stmts: 30, Calls: i%2 == 0, BranchDensity: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := []uint64{8192, uint64(rng.Int63n(10000)), uint64(rng.Int63n(10000))}
+		raw, err := backend.Compile(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prot, _, err := ferrumpass.Protect(raw, ferrumpass.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tech, prog := range map[string]*asm.Program{"raw": raw, "ferrum": prot} {
+			build := func() *Machine {
+				m, err := New(prog, equivMemSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := 0; s < 8; s++ {
+					if err := m.WriteWordImage(8192+8*uint64(s), uint64(s*5+3)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return m
+			}
+			fused, slow := build(), build()
+			forceSlow(slow)
+			golden := fused.Run(RunOpts{Args: args, MaxSteps: maxSteps, Profile: true})
+			if golden.Outcome != OutcomeOK || golden.DynSites < 4 {
+				continue
+			}
+			fused.FuseProfile(golden.Profile)
+			for _, k := range []uint64{1, 7, golden.DynSites / 4} {
+				g := recordGolden(fused, RunOpts{Args: args, MaxSteps: maxSteps}, k)
+				for j := 0; j < 12; j++ {
+					f := &Fault{Site: uint64(rng.Int63n(int64(golden.DynSites))), Bit: uint(rng.Intn(64))}
+					if j%3 == 0 {
+						f.Extra = []uint{uint(rng.Intn(64)), uint(rng.Intn(64))}
+					}
+					opts := RunOpts{Args: args, MaxSteps: maxSteps, Fault: f}
+					want := slow.Run(opts)
+					var resume *Snapshot
+					for _, s := range g.Checkpoints {
+						if s.Sites() <= f.Site {
+							resume = s
+						}
+					}
+					for _, from := range []*Snapshot{nil, resume} {
+						o := opts
+						o.Golden, o.Resume = g, from
+						before := fused.Converged()
+						got := fused.Run(o)
+						runs++
+						if fused.Converged() > before {
+							converged++
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("iter %d/%s K=%d fault=%+v resumed=%v: Result differs\ngolden: %+v\nslow:   %+v",
+								i, tech, k, *f, from != nil, got, want)
+						}
+					}
+					stop := (f.Site/k + 1) * k
+					if stop >= golden.DynSites {
+						continue
+					}
+					o := opts
+					o.StopAtSites = stop
+					b := fused.Run(o)
+					if b.Outcome != OutcomeBoundary {
+						continue
+					}
+					cont := RunOpts{MaxSteps: maxSteps, Resume: b.Boundary}
+					want = slow.Run(cont)
+					cont.Golden = g
+					if got := fused.Run(cont); !reflect.DeepEqual(got, want) {
+						t.Fatalf("iter %d/%s K=%d fault=%+v: boundary continuation differs\ngolden: %+v\nslow:   %+v",
+							i, tech, k, *f, got, want)
+					}
+				}
+			}
+		}
+	}
+	if converged == 0 {
+		t.Fatalf("none of %d scheduled runs converged; the early exit went unexercised", runs)
+	}
+	t.Logf("%d of %d scheduled runs ended at a golden checkpoint", converged, runs)
+}

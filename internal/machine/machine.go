@@ -162,6 +162,29 @@ type RunOpts struct {
 	// the spans to fingerprint the code a section actually executes —
 	// including functions that retire no fault sites of their own.
 	RecordFnSpans bool
+	// Golden lets an injected run end early, exactly. Once the fault has
+	// been applied, the run stops at each later golden checkpoint site
+	// count and compares its live state with the golden snapshot there. If
+	// the two are bit-identical, the rest of the run is the golden run's,
+	// so Run returns the golden End in place of executing it: same
+	// Outcome, Output, Cycles, DynInsts and DynSites, with this run's
+	// injection stamps. The machine's own state is then left at the
+	// convergence point. Golden is honoured only on the block-dispatch
+	// path; a run with per-instruction observers, a checkpoint schedule or
+	// StopAtSites ignores it and executes to the end, with the same Result.
+	Golden *Golden
+}
+
+// Golden is a fault-free reference run of the loaded program for
+// RunOpts.Golden: the snapshots its OnCheckpoint schedule delivered, in
+// ascending Sites() order, and the Result it ended with. It must come from
+// a machine loaded with the same program, memory image and cost model.
+// Only a golden run that reached HALT is used, and only when the
+// converging run's step budget covers its DynInsts, so the golden
+// continuation is exactly what the converging run would have executed.
+type Golden struct {
+	Checkpoints []*Snapshot
+	End         Result
 }
 
 // FnSpan records that function Fn was the executing function while the
@@ -259,6 +282,14 @@ type Machine struct {
 	// return a snapshot through the block loop's plumbing).
 	boundary *Snapshot
 
+	// conv holds the RunOpts.Golden checkpoints still ahead of the current
+	// run, nearest first; pageMark is the converge compare's scratch page
+	// set (all false between compares); nConverged counts runs that ended
+	// at a golden checkpoint (lifetime).
+	conv       []*Snapshot
+	pageMark   []bool
+	nConverged uint64
+
 	costs *CostModel
 }
 
@@ -316,6 +347,7 @@ func newMachine(p *asm.Program, memSize int) (*Machine, error) {
 	m.entry = m.labels[entry]
 	m.mem = make([]byte, memSize)
 	m.dirty = make([]bool, (memSize+pageSize-1)>>pageShift)
+	m.pageMark = make([]bool, len(m.dirty))
 	m.buildBlocks()
 	m.fuseAll()
 	return m, nil
@@ -345,6 +377,7 @@ func (m *Machine) Clone() *Machine {
 		lastSites:  m.lastSites,
 		mem:        make([]byte, len(m.memImage)),
 		dirty:      make([]bool, len(m.dirty)),
+		pageMark:   make([]bool, len(m.dirty)),
 		fuseHits:   make([]uint64, len(m.fuops)),
 		// memSynced stays false: the first reset copies the full image.
 	}
@@ -465,8 +498,7 @@ func (m *Machine) Run(opts RunOpts) Result {
 	// RunOpts semantics exactly; both paths produce bit-identical Results.
 	if !m.noBlocks && !record && prof == nil && trace == nil &&
 		(opts.CheckpointEvery == 0 || opts.OnCheckpoint == nil) {
-		outcome, crashMsg = m.runBlocks(opts.Fault, maxSteps, opts.StopAtSites)
-		goto done
+		return m.runDispatched(&opts, maxSteps)
 	}
 loop:
 	for m.dyn < maxSteps {
@@ -545,10 +577,30 @@ loop:
 			break loop
 		}
 	}
-done:
 	if opts.RecordFnSpans && curFn != "" {
 		fnSpans = append(fnSpans, FnSpan{Fn: curFn, Start: spanStart, End: m.sites})
 	}
+	res := m.finish(outcome, crashMsg)
+	res.SiteDests, res.SiteLocs, res.SiteBits, res.SiteStatics = siteDests, siteLocs, siteBits, siteStatics
+	res.Profile, res.Trace, res.FnSpans = prof.export(), trace.dump(), fnSpans
+	return res
+}
+
+// runDispatched is Run on the block-dispatch path, which also honours
+// RunOpts.Golden.
+func (m *Machine) runDispatched(opts *RunOpts, maxSteps uint64) Result {
+	m.conv = m.goldenAhead(opts, maxSteps)
+	outcome, crashMsg := m.runBlocks(opts.Fault, maxSteps, opts.StopAtSites)
+	m.conv = nil
+	if outcome == outcomeConverged {
+		return m.convergedResult(&opts.Golden.End)
+	}
+	return m.finish(outcome, crashMsg)
+}
+
+// finish ends a run: it flushes the in-flight cycle spans and returns the
+// Result fields every run reports.
+func (m *Machine) finish(outcome Outcome, crashMsg string) Result {
 	m.flushSpan()
 	m.lastSites = m.sites
 	return Result{
@@ -561,14 +613,7 @@ done:
 		Injected:    m.injected,
 		FaultCycles: m.injCycles,
 		FaultDyn:    m.injDyn,
-		SiteDests:   siteDests,
-		SiteLocs:    siteLocs,
-		SiteBits:    siteBits,
-		SiteStatics: siteStatics,
-		Profile:     prof.export(),
-		Trace:       trace.dump(),
 		Boundary:    m.boundary,
-		FnSpans:     fnSpans,
 	}
 }
 

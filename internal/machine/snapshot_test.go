@@ -235,3 +235,283 @@ func TestSitesHintPrealloc(t *testing.T) {
 		t.Errorf("lastSites prealloc cap = %d, want %d", cap(res.SiteDests), golden.DynSites)
 	}
 }
+
+// recordGolden runs prog's golden run on m with a checkpoint every k sites
+// and returns it as a RunOpts.Golden schedule.
+func recordGolden(m *Machine, opts RunOpts, k uint64) *Golden {
+	g := &Golden{}
+	opts.CheckpointEvery = k
+	opts.OnCheckpoint = func(s *Snapshot) { g.Checkpoints = append(g.Checkpoints, s) }
+	g.End = m.Run(opts)
+	return g
+}
+
+// convergeRun runs opts with and without the golden schedule on m and
+// requires field-for-field equal Results. It reports whether the scheduled
+// run ended at a golden checkpoint.
+func convergeRun(t *testing.T, m *Machine, opts RunOpts, g *Golden, ctx string) (Result, bool) {
+	t.Helper()
+	want := m.Run(opts)
+	before := m.Converged()
+	opts.Golden = g
+	got := m.Run(opts)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: Result with golden schedule differs\ngot  %+v\nwant %+v", ctx, got, want)
+	}
+	return got, m.Converged() > before
+}
+
+// TestSnapshotConvergeSnapSrc: every fault at every site of snapSrc, under
+// several schedules (K=1 included) and from scratch or resumed, returns the
+// unscheduled Result, and some of them do end early.
+func TestSnapshotConvergeSnapSrc(t *testing.T) {
+	m, err := New(mustParse(t, snapSrc), memSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := m.Run(RunOpts{})
+	var converged int
+	for _, k := range []uint64{1, 7, golden.DynSites} {
+		g := recordGolden(m, RunOpts{}, k)
+		for site := uint64(0); site < golden.DynSites; site++ {
+			for _, f := range []*Fault{{Site: site, Bit: 4}, {Site: site, Bit: 1, Extra: []uint{40}}} {
+				ctx := "K=" + itoa(k) + " site=" + itoa(site)
+				if _, ok := convergeRun(t, m, RunOpts{Fault: f}, g, ctx); ok {
+					converged++
+				}
+				var resume *Snapshot
+				for _, s := range g.Checkpoints {
+					if s.Sites() <= site {
+						resume = s
+					}
+				}
+				if resume != nil {
+					convergeRun(t, m, RunOpts{Fault: f, Resume: resume}, g, ctx+" resumed")
+				}
+			}
+		}
+	}
+	if converged == 0 {
+		t.Error("no faulted run converged; the early exit went unexercised")
+	}
+}
+
+// pristineSrc: a fault at site 0 moves the store-then-restore pair from the
+// page at 8192 to the page at 24576. Both pages end with their pristine
+// bytes, the address register is then reloaded, and from site 3 on the
+// faulty state equals the golden one although its dirty page sets differ.
+const pristineSrc = `
+	.globl	main
+main:
+	movq	$8192, %rdx
+	movq	(%rdx), %r8
+	movq	$7, (%rdx)
+	movq	%r8, (%rdx)
+	movq	$8192, %rdx
+	movq	$1, %rax
+	movq	$2, %rbx
+	movq	$3, %rcx
+	out	%rax
+	hlt
+`
+
+func TestSnapshotConvergeRestoredPage(t *testing.T) {
+	m, err := New(mustParse(t, pristineSrc), memSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := recordGolden(m, RunOpts{}, 1)
+	r, ok := convergeRun(t, m, RunOpts{Fault: &Fault{Site: 0, Bit: 14}}, g, "restored page")
+	if !ok {
+		t.Fatal("a state whose only difference is a page restored to its pristine bytes did not converge")
+	}
+	if !r.Injected || r.Outcome != OutcomeOK {
+		t.Errorf("converged Result = %+v", r)
+	}
+}
+
+// timingSrc: a fault at site 0 sends the run down the imulq arm instead of
+// the addq arm. Both arms compute the same rbx and retire the same
+// instruction and site counts, and the flags are re-derived after the
+// join, so the states re-agree in everything but the cycle clock.
+const timingSrc = `
+	.globl	main
+main:
+	movq	$0, %rax
+	testq	%rax, %rax
+	jne	.Lslow
+	addq	$0, %rbx
+	jmp	.Ljoin
+.Lslow:
+	imulq	$1, %rbx
+	jmp	.Ljoin
+.Ljoin:
+	movq	$0, %rax
+	testq	%rax, %rax
+	movq	$5, %rcx
+	movq	$6, %rdx
+	out	%rcx
+	hlt
+`
+
+// TestSnapshotConvergeNeedsEqualClock: architecturally equal but with a
+// different cycle clock is not converged — the golden Cycles would be wrong.
+func TestSnapshotConvergeNeedsEqualClock(t *testing.T) {
+	m, err := New(mustParse(t, timingSrc), memSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := recordGolden(m, RunOpts{}, 1)
+	f := &Fault{Site: 0, Bit: 0}
+	r, ok := convergeRun(t, m, RunOpts{Fault: f}, g, "timing")
+	if ok {
+		t.Fatal("a state differing only in the cycle clock converged")
+	}
+	if r.Cycles == g.End.Cycles || !reflect.DeepEqual(r.Output, g.End.Output) {
+		t.Fatalf("timingSrc no longer isolates the clock: cycles %v vs golden %v", r.Cycles, g.End.Cycles)
+	}
+	// At the last checkpoint the architectural state is clean.
+	last := g.Checkpoints[len(g.Checkpoints)-1]
+	b := m.Run(RunOpts{Fault: f, StopAtSites: last.Sites()})
+	if d := m.DiffSnapshots(b.Boundary, last); !d.Clean() {
+		t.Fatalf("timingSrc boundary differs architecturally: %+v", d)
+	}
+}
+
+// outputSrc: a fault at site 0 corrupts the first emitted value, then rax
+// is reloaded, so only the output stream keeps the difference.
+const outputSrc = `
+	.globl	main
+main:
+	movq	$5, %rax
+	out	%rax
+	movq	$5, %rax
+	movq	$1, %rbx
+	movq	$2, %rcx
+	out	%rbx
+	hlt
+`
+
+func TestSnapshotConvergeNeedsEqualOutput(t *testing.T) {
+	m, err := New(mustParse(t, outputSrc), memSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := recordGolden(m, RunOpts{}, 1)
+	f := &Fault{Site: 0, Bit: 3}
+	r, ok := convergeRun(t, m, RunOpts{Fault: f}, g, "output")
+	if ok {
+		t.Fatal("a state differing only in its output stream converged")
+	}
+	if reflect.DeepEqual(r.Output, g.End.Output) {
+		t.Fatal("outputSrc fault no longer corrupts the output")
+	}
+	last := g.Checkpoints[len(g.Checkpoints)-1]
+	b := m.Run(RunOpts{Fault: f, StopAtSites: last.Sites()})
+	if d := m.DiffSnapshots(b.Boundary, last); !d.Output || d.PC || d.Dyn || d.Mem || d.XMM ||
+		len(d.GPRs) != 0 || len(d.Flags) != 0 {
+		t.Fatalf("outputSrc boundary diff = %+v, want output only", d)
+	}
+}
+
+// TestSnapshotConvergePastLastCheckpoint: a fault after the last golden
+// checkpoint has nothing to converge at and runs to the end.
+func TestSnapshotConvergePastLastCheckpoint(t *testing.T) {
+	m, err := New(mustParse(t, snapSrc), memSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := m.Run(RunOpts{})
+	g := recordGolden(m, RunOpts{}, golden.DynSites/3)
+	last := g.Checkpoints[len(g.Checkpoints)-1].Sites()
+	for site := last; site < golden.DynSites; site++ {
+		if _, ok := convergeRun(t, m, RunOpts{Fault: &Fault{Site: site, Bit: 0}}, g, "past last site="+itoa(site)); ok {
+			t.Errorf("site %d: converged with no checkpoint after the fault", site)
+		}
+	}
+}
+
+// TestSnapshotConvergeIgnored: the schedule is ignored when it cannot
+// stand in for the rest of the run — an observer is attached, the golden
+// run did not halt, or the step budget is smaller than the golden run.
+func TestSnapshotConvergeIgnored(t *testing.T) {
+	m, err := New(mustParse(t, pristineSrc), memSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := recordGolden(m, RunOpts{}, 1)
+	f := &Fault{Site: 0, Bit: 14}
+	if _, ok := convergeRun(t, m, RunOpts{Fault: f}, g, "baseline"); !ok {
+		t.Fatal("baseline fault did not converge")
+	}
+	hung := *g
+	hung.End.Outcome = OutcomeHang
+	for name, opts := range map[string]RunOpts{
+		"profile":     {Fault: f, Profile: true},
+		"recordsites": {Fault: f, RecordSites: true},
+		"budget":      {Fault: f, MaxSteps: g.End.DynInsts - 1},
+	} {
+		if _, ok := convergeRun(t, m, opts, g, name); ok {
+			t.Errorf("%s: converged", name)
+		}
+	}
+	if _, ok := convergeRun(t, m, RunOpts{Fault: f}, &hung, "hung golden"); ok {
+		t.Error("converged against a golden run that did not halt")
+	}
+}
+
+// TestSnapshotConvergeCompare pins the in-place compare field by field: a
+// machine restored to a snapshot matches it, and changing any one piece of
+// state — including only the cycle clock or one in-flight span — breaks
+// the match. The compare allocates nothing.
+func TestSnapshotConvergeCompare(t *testing.T) {
+	m, err := New(mustParse(t, snapSrc), memSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := recordGolden(m, RunOpts{}, 11)
+	s := g.Checkpoints[len(g.Checkpoints)/2]
+	if len(s.pages) == 0 {
+		t.Fatal("checkpoint has no dirty pages")
+	}
+	spare := 4096 * 8 // a page snapSrc never touches
+	for name, mutate := range map[string]func(){
+		"none":          func() {},
+		"pc":            func() { m.pc++ },
+		"dyn":           func() { m.dyn++ },
+		"sites":         func() { m.sites++ },
+		"cycles":        func() { m.cycles += 0.5 },
+		"scalar span":   func() { m.scalarSpan += 0.25 },
+		"vector span":   func() { m.vectorSpan += 0.25 },
+		"gpr":           func() { m.gpr[3] ^= 1 },
+		"xmm":           func() { m.x[2][5] ^= 1 },
+		"flag":          func() { m.flags[1] = !m.flags[1] },
+		"output":        func() { m.output = append(m.output, 0) },
+		"snapshot page": func() { m.mem[int(s.pages[0].idx)<<pageShift] ^= 1 },
+		"other page": func() {
+			m.markDirty(uint64(spare), 1)
+			m.mem[spare] ^= 1
+		},
+		"other page restored": func() {
+			m.markDirty(uint64(spare), 1)
+		},
+		"injection stamps": func() { m.injected, m.injCycles, m.injDyn = true, 3, 4 },
+	} {
+		if err := m.Restore(s); err != nil {
+			t.Fatal(err)
+		}
+		mutate()
+		want := name == "none" || name == "other page restored" || name == "injection stamps"
+		if got := m.matchesSnapshot(s); got != want {
+			t.Errorf("%s: matchesSnapshot = %v, want %v", name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { m.matchesSnapshot(s) }); allocs != 0 {
+			t.Errorf("%s: compare allocates %v times", name, allocs)
+		}
+		for _, mark := range m.pageMark {
+			if mark {
+				t.Fatalf("%s: compare left a page marked", name)
+			}
+		}
+	}
+}
