@@ -59,28 +59,39 @@ func nearestSnapshot(sites []uint64, site uint64) int {
 	return sort.Search(len(sites), func(i int) bool { return sites[i] > site }) - 1
 }
 
-// asmCheckpoints is the snapshot schedule recorded from one golden replay.
-// golden pairs it with the replay's Result, so injected runs can end at the
-// first checkpoint their state rejoins (machine.RunOpts.Golden).
+// asmCheckpoints is the snapshot schedule recorded from one golden replay
+// at spacing k. golden pairs it with the replay's Result, so injected runs
+// can end at the first checkpoint their state rejoins
+// (machine.RunOpts.Golden); the Result's FnSpans say which functions ran
+// between the snapshots, which is what compositional section keys hash.
 type asmCheckpoints struct {
+	k      uint64
 	snaps  []*machine.Snapshot
 	sites  []uint64 // snaps[i].Sites(), for binary search
 	golden *machine.Golden
 }
 
-func recordAsmCheckpoints(m *machine.Machine, tgt AsmTarget, c Campaign, k, dynSites uint64) *asmCheckpoints {
-	cps := &asmCheckpoints{}
+// recordAsmCheckpoints replays the golden run on m with a snapshot every k
+// sites, recording function spans too: on the block loop they cost one
+// compare per block entry.
+func recordAsmCheckpoints(m *machine.Machine, tgt AsmTarget, c Campaign, k uint64) *asmCheckpoints {
+	csp := c.Obs.Span("checkpoint.record")
+	cps := &asmCheckpoints{k: k}
 	end := m.Run(machine.RunOpts{
 		Args:            tgt.Args,
 		MaxSteps:        c.MaxSteps,
-		SitesHint:       dynSites,
 		CheckpointEvery: k,
+		RecordFnSpans:   true,
 		OnCheckpoint: func(s *machine.Snapshot) {
 			cps.snaps = append(cps.snaps, s)
 			cps.sites = append(cps.sites, s.Sites())
 		},
 	})
 	cps.golden = &machine.Golden{Checkpoints: cps.snaps, End: end}
+	csp.SetAttr("k", k)
+	csp.SetAttr("snapshots", len(cps.snaps))
+	csp.SetAttr("bytes", cps.bytes())
+	csp.End()
 	return cps
 }
 

@@ -200,58 +200,23 @@ func ciHalf(k, n int) float64 {
 // runComposedAsmCampaign is the compositional counterpart of the monolithic
 // asmCampaign flow behind RunAsmCampaign.
 func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
-	m0, err := machine.New(tgt.Prog, tgt.MemSize)
+	a, err := newAsmGolden(tgt, c)
 	if err != nil {
-		return Result{}, fmt.Errorf("fi: %w", err)
+		return Result{}, err
 	}
-	if tgt.Setup != nil {
-		if err := tgt.Setup(m0); err != nil {
-			return Result{}, fmt.Errorf("fi: %w", err)
-		}
-	}
-	gsp := c.Obs.Span("golden")
-	golden := m0.Run(machine.RunOpts{
-		Args:           tgt.Args,
-		MaxSteps:       c.MaxSteps,
-		Profile:        true,
-		RecordSiteBits: true,
-	})
-	gsp.SetAttr("dyn_insts", golden.DynInsts)
-	gsp.SetAttr("dyn_sites", golden.DynSites)
-	gsp.End()
-	if golden.Outcome != machine.OutcomeOK {
-		return Result{}, fmt.Errorf("fi: golden run failed: %v (%s)", golden.Outcome, golden.CrashMsg)
-	}
+	m0, golden := a.m0, &a.golden
 	if golden.DynSites == 0 {
 		return Result{}, ErrNoSites
 	}
-	m0.FuseProfile(golden.Profile)
 
 	// The checkpoint replay doubles as the section scaffold: its snapshots
 	// delimit sections and its function spans pin each section's fingerprint
 	// to the code that actually executed inside it (including zero-site
-	// functions, which a site-range mapping alone would miss).
+	// functions, which a site-range mapping alone would miss). It is a
+	// golden run too: fallback continuations end at the first later section
+	// exit their state rejoins.
 	k := c.checkpointInterval(golden.DynSites)
-	csp := c.Obs.Span("checkpoint.record")
-	cps := &asmCheckpoints{}
-	rec := m0.Run(machine.RunOpts{
-		Args:            tgt.Args,
-		MaxSteps:        c.MaxSteps,
-		SitesHint:       golden.DynSites,
-		CheckpointEvery: k,
-		RecordFnSpans:   true,
-		OnCheckpoint: func(s *machine.Snapshot) {
-			cps.snaps = append(cps.snaps, s)
-			cps.sites = append(cps.sites, s.Sites())
-		},
-	})
-	// The recording run is a golden run too: fallback continuations end at
-	// the first later section exit their state rejoins.
-	cps.golden = &machine.Golden{Checkpoints: cps.snaps, End: rec}
-	csp.SetAttr("k", k)
-	csp.SetAttr("snapshots", len(cps.snaps))
-	csp.SetAttr("bytes", cps.bytes())
-	csp.End()
+	cps := recordAsmCheckpoints(m0, tgt, c, k)
 
 	secs := buildSections(cps, golden.DynSites)
 
@@ -278,7 +243,7 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 	}
 	budgets := compose.Alloc(c.Samples, weights)
 	var widthFallbacks int
-	width := siteWidth(golden.SiteBits, &widthFallbacks)
+	width := a.siteWidth(&widthFallbacks)
 	plans := make([]plannedFault, 0, c.Samples)
 	for i := range secs {
 		sec := &secs[i]
@@ -301,7 +266,7 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 			// The terminal section's "exit state" is the golden program end.
 			exitDig = compose.Mix(goldenOutDig, golden.DynSites, math.Float64bits(golden.Cycles))
 		}
-		secDig := compose.CodeDigest(tgt.Prog, compose.FnsInRange(rec.FnSpans, sec.start, sec.end))
+		secDig := compose.CodeDigest(tgt.Prog, compose.FnsInRange(cps.golden.End.FnSpans, sec.start, sec.end))
 		sec.key = compose.Mix(imageDig, argsDig, sec.start, sec.end, k,
 			entryDig, exitDig, secDig, uint64(sec.seed), uint64(sec.n),
 			uint64(c.BitsPerFault), c.MaxSteps)
@@ -309,6 +274,7 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 	if widthFallbacks > 0 {
 		c.Obs.Counter(obs.MWidthFallbacks).Add(int64(widthFallbacks))
 	}
+	golden.SiteStatics = nil // the plan is drawn
 
 	// Serve plans from cached section tables. A key hit serves every plan
 	// whose validity class allows it: local and output-class plans on the

@@ -371,6 +371,9 @@ type asmCampaign struct {
 	tgt    AsmTarget
 	build  func() (*machine.Machine, error)
 	golden machine.Result
+	// instrs is the template's StaticInstrs table, which the golden run's
+	// SiteStatics index: each site's location and destination width.
+	instrs []machine.StaticInstr
 	// m0 is the fully-loaded template machine: program decoded, data image
 	// installed, fusion tables rebuilt from the golden run's profile.
 	// Workers are clones of it — they share the decoded program and image
@@ -394,11 +397,13 @@ type asmCampaign struct {
 	restores, coldStarts, skipped atomic.Int64
 }
 
-// newAsmCampaign builds the target, performs the golden run (recording
-// per-site destination widths, and site locations when recordLocs), samples
-// the fault plan, and records the snapshot schedule if any plan still needs
-// executing.
-func newAsmCampaign(tgt AsmTarget, c Campaign, recordLocs bool) (*asmCampaign, error) {
+// newAsmGolden builds the target's template machine and performs the
+// golden run, recording its profile and per-site static ids. The golden
+// run doubles as the fusion profile: the template's fusion tables are
+// rebuilt from it before any clone is taken, so every worker inherits the
+// profile-guided superinstruction tier. Fused execution is bit-identical
+// to unfused, so campaign results are unaffected.
+func newAsmGolden(tgt AsmTarget, c Campaign) (*asmCampaign, error) {
 	build := func() (*machine.Machine, error) {
 		m, err := machine.New(tgt.Prog, tgt.MemSize)
 		if err != nil {
@@ -420,9 +425,7 @@ func newAsmCampaign(tgt AsmTarget, c Campaign, recordLocs bool) (*asmCampaign, e
 		Args:              tgt.Args,
 		MaxSteps:          c.MaxSteps,
 		Profile:           true,
-		RecordSiteBits:    true,
-		RecordSiteLocs:    recordLocs,
-		RecordSiteStatics: c.Prune != PruneOff,
+		RecordSiteStatics: true,
 	})
 	gsp.SetAttr("dyn_insts", golden.DynInsts)
 	gsp.SetAttr("dyn_sites", golden.DynSites)
@@ -430,14 +433,21 @@ func newAsmCampaign(tgt AsmTarget, c Campaign, recordLocs bool) (*asmCampaign, e
 	if golden.Outcome != machine.OutcomeOK {
 		return nil, fmt.Errorf("fi: golden run failed: %v (%s)", golden.Outcome, golden.CrashMsg)
 	}
-	// The golden run doubles as the fusion profile: rebuild the template's
-	// fusion tables from it before any clone is taken, so every worker
-	// inherits the profile-guided superinstruction tier. Fused execution is
-	// bit-identical to unfused, so campaign results are unaffected.
 	m0.FuseProfile(golden.Profile)
-	a := &asmCampaign{c: c, tgt: tgt, build: build, golden: golden, m0: m0}
+	return &asmCampaign{c: c, tgt: tgt, build: build, golden: golden, m0: m0, instrs: m0.StaticInstrs()}, nil
+}
+
+// newAsmCampaign performs the golden run, samples the fault plan, and
+// records the snapshot schedule if any plan still needs executing. The
+// golden run's per-site table is dropped once the plan is drawn, before
+// the snapshots are recorded, unless keepSites asks for it (siteLoc).
+func newAsmCampaign(tgt AsmTarget, c Campaign, keepSites bool) (*asmCampaign, error) {
+	a, err := newAsmGolden(tgt, c)
+	if err != nil {
+		return nil, err
+	}
 	var fallbacks int
-	plans, err := makePlans(c, golden.DynSites, siteWidth(golden.SiteBits, &fallbacks))
+	plans, err := makePlans(c, a.golden.DynSites, a.siteWidth(&fallbacks))
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +465,7 @@ func newAsmCampaign(tgt AsmTarget, c Campaign, recordLocs bool) (*asmCampaign, e
 	if c.Prune != PruneOff {
 		psp := c.Obs.Span("prune")
 		an := prune.Analyze(tgt.Prog)
-		part, err := partitionPlans(c.Prune, a.orig, golden.SiteStatics, an, m0.StaticInstrs())
+		part, err := partitionPlans(c.Prune, a.orig, a.golden.SiteStatics, an, a.instrs)
 		psp.End()
 		if err != nil {
 			return nil, err
@@ -471,18 +481,15 @@ func newAsmCampaign(tgt AsmTarget, c Campaign, recordLocs bool) (*asmCampaign, e
 			orig(answered)
 		}
 	}
+	if !keepSites {
+		a.golden.SiteStatics = nil
+	}
 	if !c.NoCheckpoint && a.c.pendingPlans(a.plans) > 0 {
-		k := c.checkpointInterval(golden.DynSites)
-		csp := c.Obs.Span("checkpoint.record")
-		a.cps = recordAsmCheckpoints(m0, tgt, c, k, golden.DynSites)
-		csp.SetAttr("k", k)
-		csp.SetAttr("snapshots", len(a.cps.snaps))
-		csp.SetAttr("bytes", a.cps.bytes())
-		csp.End()
+		a.cps = recordAsmCheckpoints(a.m0, tgt, c, c.checkpointInterval(a.golden.DynSites))
 		sortPlansBySite(a.plans)
 		a.ckpt = CheckpointSummary{
 			Enabled:       true,
-			Interval:      k,
+			Interval:      a.cps.k,
 			Snapshots:     len(a.cps.snaps),
 			SnapshotBytes: a.cps.bytes(),
 		}
@@ -757,18 +764,19 @@ func RunIRCampaign(tgt IRTarget, c Campaign) (Result, error) {
 	return res, nil
 }
 
-// siteWidth adapts a golden run's per-site destination widths (from
-// machine.RunOpts.RecordSiteBits) into makePlans' width lookup. Zero or
+// siteWidth adapts a golden run's per-site static ids (from
+// machine.RunOpts.RecordSiteStatics) into makePlans' width lookup: each
+// site's width is machine.DestBits of its static destination. Zero or
 // missing widths fall back to 64; when that happens the fallback is no
 // longer silent — each fallback draw increments *fallbacks (when non-nil)
 // so callers can surface it (fi.width_fallbacks) or refuse to proceed.
-func siteWidth(siteBits []uint16, fallbacks *int) func(uint64) uint {
-	if len(siteBits) == 0 {
+func siteWidth(statics []int32, instrs []machine.StaticInstr, fallbacks *int) func(uint64) uint {
+	if len(statics) == 0 {
 		return nil
 	}
 	return func(site uint64) uint {
-		if site < uint64(len(siteBits)) {
-			if b := siteBits[site]; b > 0 {
+		if site < uint64(len(statics)) {
+			if b := machine.DestBits(instrs[statics[site]].Dest); b > 0 {
 				return uint(b)
 			}
 		}
@@ -777,6 +785,17 @@ func siteWidth(siteBits []uint16, fallbacks *int) func(uint64) uint {
 		}
 		return 64
 	}
+}
+
+// siteWidth is the golden run's width lookup.
+func (a *asmCampaign) siteWidth(fallbacks *int) func(uint64) uint {
+	return siteWidth(a.golden.SiteStatics, a.instrs, fallbacks)
+}
+
+// siteLoc is the static location of the golden run's site-th site.
+func (a *asmCampaign) siteLoc(site uint64) machine.SiteLoc {
+	st := &a.instrs[a.golden.SiteStatics[site]]
+	return machine.SiteLoc{Fn: st.Fn, Idx: st.Idx}
 }
 
 // makePlans samples the campaign's deterministic fault plan: a uniformly
@@ -897,11 +916,11 @@ func FindExample(tgt AsmTarget, c Campaign, want Outcome) (machine.Fault, bool, 
 			return machine.Fault{}, false, err
 		}
 	}
-	golden := m.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, RecordSiteBits: true})
+	golden := m.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, RecordSiteStatics: true})
 	if golden.Outcome != machine.OutcomeOK {
 		return machine.Fault{}, false, fmt.Errorf("fi: golden run failed: %v", golden.Outcome)
 	}
-	plans, err := makePlans(c, golden.DynSites, siteWidth(golden.SiteBits, nil))
+	plans, err := makePlans(c, golden.DynSites, siteWidth(golden.SiteStatics, m.StaticInstrs(), nil))
 	if err != nil {
 		return machine.Fault{}, false, err
 	}

@@ -85,7 +85,7 @@ func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
 	agg := map[machine.SiteLoc]*SiteStats{}
 	for i := 0; i < samples; i++ {
 		p := a.orig[i]
-		loc := a.golden.SiteLocs[p.site]
+		loc := a.siteLoc(p.site)
 		st := agg[loc]
 		if st == nil {
 			st = &SiteStats{Loc: loc}
@@ -116,7 +116,7 @@ func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
 		if !po.hasLat[i] {
 			continue
 		}
-		loc := a.golden.SiteLocs[execPlans[i].site]
+		loc := a.siteLoc(execPlans[i].site)
 		st := agg[loc]
 		if st == nil {
 			st = &SiteStats{Loc: loc}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ferrum/internal/asm"
 	"ferrum/internal/machine"
 	"ferrum/internal/obs"
 )
@@ -35,7 +36,8 @@ func TestMakePlansNoSites(t *testing.T) {
 
 func TestSiteWidthFallbackCounted(t *testing.T) {
 	var n int
-	width := siteWidth([]uint16{8, 0}, &n)
+	instrs := []machine.StaticInstr{{Dest: asm.Dest{Kind: asm.DestGPR, W: asm.W8}}, {}}
+	width := siteWidth([]int32{0, 1}, instrs, &n)
 	if w := width(0); w != 8 || n != 0 {
 		t.Fatalf("recorded width: got %d (fallbacks %d)", w, n)
 	}
@@ -46,7 +48,7 @@ func TestSiteWidthFallbackCounted(t *testing.T) {
 		t.Fatalf("out-of-range site: got %d (fallbacks %d), want 64 (2)", w, n)
 	}
 	// A nil counter must still fall back without crashing.
-	if w := siteWidth([]uint16{0}, nil)(0); w != 64 {
+	if w := siteWidth([]int32{1}, instrs, nil)(0); w != 64 {
 		t.Fatalf("nil-counter fallback width = %d", w)
 	}
 }

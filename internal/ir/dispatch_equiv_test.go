@@ -9,12 +9,14 @@ import (
 	"ferrum/internal/progen"
 )
 
-// The IR interpreter has two dispatch paths: the block-segment loop (the
-// default) and runLegacy (taken whenever a checkpoint callback is set).
-// This property test pins them bit-identical on randomly generated
-// branch-dense programs — golden runs, injected faults, and step budgets
-// chosen to expire at every interesting point, including inside a block
-// segment (the case the hoisted hang check must hand to the slow path).
+// The IR interpreter's block-segment loop hoists the step budget, fault
+// site and checkpoint tests to segment entry. This property test pins it
+// bit-identical to the per-instruction reference loop (RunReference) on
+// randomly generated branch-dense programs — golden runs, injected faults,
+// step budgets chosen to expire at every interesting point, including
+// inside a block segment (the case the hoisted hang check must hand to the
+// single-step path), and checkpoint schedules, whose snapshots and the runs
+// resumed from them must match too.
 
 func newFuzzInterp(t *testing.T, mod *ir.Module) *ir.Interp {
 	t.Helper()
@@ -30,13 +32,13 @@ func newFuzzInterp(t *testing.T, mod *ir.Module) *ir.Interp {
 	return ip
 }
 
-// legacyOpts forces the legacy one-instruction loop without observable side
-// effects: the callback is armed (which selects runLegacy) but the spacing
-// exceeds the run's site count, so no snapshot is ever taken.
-func legacyOpts(opts ir.RunOpts, sites uint64) ir.RunOpts {
-	opts.CheckpointEvery = sites + 1
-	opts.OnCheckpoint = func(*ir.Snapshot) {}
-	return opts
+// runCkpts runs opts through run with a checkpoint every k sites and
+// returns the RunResult with the snapshots the schedule delivered.
+func runCkpts(run func(ir.RunOpts) ir.RunResult, opts ir.RunOpts, k uint64) (ir.RunResult, []*ir.Snapshot) {
+	var snaps []*ir.Snapshot
+	opts.CheckpointEvery = k
+	opts.OnCheckpoint = func(s *ir.Snapshot) { snaps = append(snaps, s) }
+	return run(opts), snaps
 }
 
 func TestEquivIRDispatchTiers(t *testing.T) {
@@ -58,7 +60,7 @@ func TestEquivIRDispatchTiers(t *testing.T) {
 		legacy := newFuzzInterp(t, mod)
 
 		base := ir.RunOpts{Args: args, MaxSteps: maxSteps}
-		want := legacy.Run(legacyOpts(base, maxSteps))
+		want := legacy.RunReference(base)
 		if want.Outcome != ir.OutcomeOK {
 			t.Fatalf("iter %d: golden outcome = %v (%s)\n%s", i, want.Outcome, want.CrashMsg, mod)
 		}
@@ -73,7 +75,7 @@ func TestEquivIRDispatchTiers(t *testing.T) {
 				for _, bit := range []uint{0, 13, 63} {
 					opts := base
 					opts.Fault = &ir.Fault{Site: site, Bit: bit}
-					fw := legacy.Run(legacyOpts(opts, maxSteps))
+					fw := legacy.RunReference(opts)
 					fg := block.Run(opts)
 					if !reflect.DeepEqual(fg, fw) {
 						t.Errorf("iter %d site=%d bit=%d: fault RunResult differs:\nblock:  %+v\nlegacy: %+v",
@@ -93,7 +95,7 @@ func TestEquivIRDispatchTiers(t *testing.T) {
 			}
 			opts := base
 			opts.MaxSteps = ms
-			hw := legacy.Run(legacyOpts(opts, maxSteps))
+			hw := legacy.RunReference(opts)
 			hg := block.Run(opts)
 			if !reflect.DeepEqual(hg, hw) {
 				t.Errorf("iter %d maxsteps=%d: RunResult differs:\nblock:  %+v\nlegacy: %+v",
@@ -101,6 +103,48 @@ func TestEquivIRDispatchTiers(t *testing.T) {
 			}
 			if ms == want.Steps && hw.Outcome != ir.OutcomeOK {
 				t.Errorf("iter %d: budget equal to golden steps must complete, got %v", i, hw.Outcome)
+			}
+		}
+
+		// Checkpoint parity, on the first programs: the block loop delivers
+		// the reference's snapshots, at K=1 (one snapshot per site, so on
+		// two programs only) and coarser, and runs resumed from the K=5
+		// snapshots — faulted, budgeted or with the schedule still running
+		// — are bit-identical to the reference's resumed runs.
+		ks := []uint64{5, want.Sites/3 + 1}
+		if i < 2 {
+			ks = append(ks, 1)
+		}
+		if i >= 5 {
+			ks = nil
+		}
+		for _, k := range ks {
+			wantK, wantSnaps := runCkpts(legacy.RunReference, base, k)
+			gotK, gotSnaps := runCkpts(block.Run, base, k)
+			if !reflect.DeepEqual(gotK, wantK) || !reflect.DeepEqual(gotSnaps, wantSnaps) {
+				t.Fatalf("iter %d K=%d: checkpointed run differs:\nblock:  %+v (%d snapshots)\nlegacy: %+v (%d snapshots)",
+					i, k, gotK, len(gotSnaps), wantK, len(wantSnaps))
+			}
+			if uint64(len(wantSnaps)) != want.Sites/k {
+				t.Fatalf("iter %d K=%d: %d snapshots for %d sites", i, k, len(wantSnaps), want.Sites)
+			}
+			if k != 5 {
+				continue
+			}
+			for j := 0; j < len(wantSnaps); j += len(wantSnaps)/3 + 1 {
+				s := wantSnaps[j]
+				for _, opts := range []ir.RunOpts{
+					{Resume: s, MaxSteps: maxSteps},
+					{Resume: s, MaxSteps: maxSteps, Fault: &ir.Fault{Site: s.Sites() + 2, Bit: 7}},
+					{Resume: s, MaxSteps: s.Steps() + (want.Steps-s.Steps())/2},
+				} {
+					rw, rws := runCkpts(legacy.RunReference, opts, k)
+					rg, rgs := runCkpts(block.Run, opts, k)
+					if !reflect.DeepEqual(rg, rw) || !reflect.DeepEqual(rgs, rws) {
+						t.Errorf("iter %d K=%d resume@%d fault=%v maxsteps=%d: resumed run differs:\nblock:  %+v\nlegacy: %+v",
+							i, k, s.Sites(), opts.Fault, opts.MaxSteps, rg, rw)
+					}
+				}
 			}
 		}
 

@@ -3,6 +3,7 @@ package ir
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Outcome is the terminal state of one IR execution.
@@ -129,6 +130,9 @@ type Interp struct {
 
 	checkpointEvery uint64
 	onCheckpoint    func(*Snapshot)
+	// nextCkpt is the site count of the next checkpoint, MaxUint64 when
+	// the run takes none.
+	nextCkpt uint64
 }
 
 // NewInterp builds an interpreter for a verified module.
@@ -211,9 +215,18 @@ var (
 
 // Run executes the module's entry function (or resumes from a snapshot).
 func (ip *Interp) Run(opts RunOpts) RunResult {
+	if err := ip.begin(&opts); err != nil {
+		return RunResult{Outcome: OutcomeCrash, CrashMsg: err.Error()}
+	}
+	return ip.result(ip.run())
+}
+
+// begin prepares the interpreter for a run: fresh memory, counters and an
+// entry frame holding the arguments, or the state of opts.Resume.
+func (ip *Interp) begin(opts *RunOpts) error {
 	if opts.Resume != nil {
 		if err := ip.Restore(opts.Resume); err != nil {
-			return RunResult{Outcome: OutcomeCrash, CrashMsg: err.Error()}
+			return err
 		}
 	} else {
 		ip.restoreMem()
@@ -239,9 +252,15 @@ func (ip *Interp) Run(opts RunOpts) RunResult {
 	}
 	ip.checkpointEvery = opts.CheckpointEvery
 	ip.onCheckpoint = opts.OnCheckpoint
+	ip.nextCkpt = math.MaxUint64
+	if k := opts.CheckpointEvery; k > 0 && opts.OnCheckpoint != nil {
+		ip.nextCkpt = (ip.sites/k + 1) * k
+	}
+	return nil
+}
 
-	err := ip.run()
-
+// result assembles the RunResult of a run that ended with err.
+func (ip *Interp) result(err error) RunResult {
 	res := RunResult{
 		Output:    append([]uint64(nil), ip.output...),
 		Steps:     ip.steps,
@@ -336,19 +355,16 @@ func (ip *Interp) controlFlow(in *dinst, fr *frame) (done bool, err error) {
 // dynamic instruction is decoded: block and function targets are indices,
 // operands are frame slots or inline constants.
 //
-// The default loop dispatches a basic-block segment at a time: one step-
-// budget check and one fault-proximity check at segment entry cover every
-// instruction up to the next control transfer, so the hot loop runs with no
-// per-instruction watchdog or site comparison. When either check cannot be
-// hoisted — the budget could expire inside the segment, or the planned
-// fault site could land on one of its remaining sites — the loop executes
-// exactly one instruction with the legacy per-instruction checks and
-// re-evaluates. Checkpointed runs need the per-site callback after every
-// instruction, so they take runLegacy, the verbatim original loop.
+// The loop dispatches a basic-block segment at a time: one step-budget
+// check and one site-proximity check at segment entry cover every
+// instruction up to the next control transfer, so the hot loop runs with
+// no per-instruction watchdog, site comparison or checkpoint test. When a
+// check cannot be hoisted — the budget could expire inside the segment, or
+// the planned fault site or the next checkpoint site could land on one of
+// its remaining sites — the loop executes exactly one instruction with the
+// per-instruction checks, delivers a checkpoint the instruction reached,
+// and re-evaluates.
 func (ip *Interp) run() error {
-	if ip.checkpointEvery > 0 && ip.onCheckpoint != nil {
-		return ip.runLegacy()
-	}
 outer:
 	for {
 		fr := &ip.frames[len(ip.frames)-1]
@@ -359,14 +375,14 @@ outer:
 		}
 		// The segment executes at most n-idx instructions before a control
 		// transfer returns to this header, so steps can never exceed the
-		// budget inside it; likewise the fault site cannot be reached if it
-		// lies beyond the block's remaining sites. (exec keeps its internal
-		// injection check, but it can never fire inside a fast segment.)
-		if ip.steps+uint64(n-fr.idx) > ip.maxSteps ||
-			(ip.fault != nil && !ip.injected &&
-				ip.fault.Site < ip.sites+uint64(bl.siteSuffix[fr.idx])) {
-			// Legacy-checked single step: budget before the instruction,
-			// fault applied by exec on the matching site.
+		// budget inside it; likewise neither the fault site nor the next
+		// checkpoint can be reached if it lies beyond the block's remaining
+		// sites. (exec keeps its internal injection check, but it can never
+		// fire inside a fast segment.)
+		if rest := ip.sites + uint64(bl.siteSuffix[fr.idx]); ip.steps+uint64(n-fr.idx) > ip.maxSteps ||
+			(ip.fault != nil && !ip.injected && ip.fault.Site < rest) || ip.nextCkpt <= rest {
+			// Checked single step: budget before the instruction, fault
+			// applied by exec on the matching site, checkpoint after it.
 			in := &bl.insts[fr.idx]
 			ip.steps++
 			if ip.steps > ip.maxSteps {
@@ -387,6 +403,10 @@ outer:
 				return err
 			}
 			fr.idx++
+			if ip.sites == ip.nextCkpt {
+				ip.nextCkpt += ip.checkpointEvery
+				ip.onCheckpoint(ip.Snapshot())
+			}
 			continue
 		}
 		insts := bl.insts
@@ -409,46 +429,6 @@ outer:
 				return err
 			}
 			fr.idx++
-		}
-	}
-}
-
-// runLegacy is the original one-instruction-at-a-time loop, retained
-// verbatim for checkpointed runs: the per-site snapshot callback must
-// observe the interpreter state after every instruction, which defeats
-// block-level hoisting. Its per-instruction semantics are the reference
-// the block loop is tested against.
-func (ip *Interp) runLegacy() error {
-	for {
-		fr := &ip.frames[len(ip.frames)-1]
-		bl := &fr.df.blocks[fr.block]
-		if int(fr.idx) >= len(bl.insts) {
-			return irCrash{fmt.Sprintf("@%s/%s: fell off block end", fr.df.fn.Name, bl.name)}
-		}
-		in := &bl.insts[fr.idx]
-		ip.steps++
-		if ip.steps > ip.maxSteps {
-			return errHang
-		}
-		switch in.op {
-		case OpBr, OpCondBr, OpRet, OpCall:
-			done, err := ip.controlFlow(in, fr)
-			if err != nil {
-				return err
-			}
-			if done {
-				return nil
-			}
-			continue
-		}
-		sitesBefore := ip.sites
-		if err := ip.exec(in, fr.regs); err != nil {
-			return err
-		}
-		fr.idx++
-		if ip.checkpointEvery > 0 && ip.sites != sitesBefore &&
-			ip.sites%ip.checkpointEvery == 0 && ip.onCheckpoint != nil {
-			ip.onCheckpoint(ip.Snapshot())
 		}
 	}
 }

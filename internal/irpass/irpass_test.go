@@ -283,7 +283,8 @@ small:
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := m.Run(machine.RunOpts{Args: []uint64{42}, RecordSites: true})
+	golden := m.Run(machine.RunOpts{Args: []uint64{42}, RecordSiteStatics: true})
+	statics := m.StaticInstrs()
 	if golden.Outcome != machine.OutcomeOK || golden.Output[0] != 1 {
 		t.Fatalf("golden: %+v", golden)
 	}
@@ -292,7 +293,7 @@ small:
 	// silent.
 	silent := 0
 	for site := uint64(0); site < golden.DynSites; site++ {
-		if golden.SiteDests[site] != asm.DestFlags {
+		if statics[golden.SiteStatics[site]].Dest.Kind != asm.DestFlags {
 			continue
 		}
 		for bit := uint(0); bit < 4; bit++ {
@@ -332,10 +333,11 @@ small:
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := m.Run(machine.RunOpts{Args: []uint64{42}, RecordSites: true})
+	golden := m.Run(machine.RunOpts{Args: []uint64{42}, RecordSiteStatics: true})
+	statics := m.StaticInstrs()
 	silent := 0
 	for site := uint64(0); site < golden.DynSites; site++ {
-		if golden.SiteDests[site] != asm.DestFlags {
+		if statics[golden.SiteStatics[site]].Dest.Kind != asm.DestFlags {
 			continue
 		}
 		for bit := uint(0); bit < 4; bit++ {

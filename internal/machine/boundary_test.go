@@ -4,9 +4,9 @@ import "testing"
 
 // TestEquivBoundaryStop pins the compose-mode invariant at machine level: a
 // run stopped at a checkpoint's site count (OutcomeBoundary) must capture
-// exactly the state the checkpoint recorded — same digest — on both the
-// block-threaded fast path and the instrumented slow path, and whether the
-// run started cold or resumed from an earlier snapshot.
+// exactly the state the checkpoint recorded — same digest — on the block
+// loop and on the per-instruction reference engine, and whether the run
+// started cold or resumed from an earlier snapshot.
 func TestEquivBoundaryStop(t *testing.T) {
 	prog := mustParse(t, snapSrc)
 	m, err := New(prog, memSize)
@@ -26,10 +26,10 @@ func TestEquivBoundaryStop(t *testing.T) {
 	}
 	for i, snap := range snaps {
 		stop := snap.Sites()
-		// Fast path (block dispatch) and slow path (RecordFnSpans forces the
-		// instrumented loop) must stop at the identical machine state.
+		// The block loop and the reference engine must stop at the
+		// identical machine state.
 		fast := m.Run(RunOpts{StopAtSites: stop})
-		slow := m.Run(RunOpts{StopAtSites: stop, RecordFnSpans: true})
+		slow := m.runReference(RunOpts{StopAtSites: stop, RecordFnSpans: true})
 		if fast.Outcome != OutcomeBoundary || slow.Outcome != OutcomeBoundary {
 			t.Fatalf("snap %d: outcomes %v/%v, want boundary", i, fast.Outcome, slow.Outcome)
 		}

@@ -27,7 +27,8 @@ const outcomeConverged = OutcomeBoundary + 1
 // returns nil when opts.Golden cannot stand in for the rest of the run.
 func (m *Machine) goldenAhead(opts *RunOpts, maxSteps uint64) []*Snapshot {
 	g := opts.Golden
-	if g == nil || opts.StopAtSites > 0 || g.End.Outcome != OutcomeOK || g.End.DynInsts > maxSteps {
+	if g == nil || opts.observed() || opts.StopAtSites > 0 ||
+		g.End.Outcome != OutcomeOK || g.End.DynInsts > maxSteps {
 		return nil
 	}
 	from := m.sites
@@ -42,13 +43,23 @@ func (m *Machine) goldenAhead(opts *RunOpts, maxSteps uint64) []*Snapshot {
 	return cps[i:]
 }
 
+// observed reports whether the run records anything beyond its Result's
+// terminal fields: sites, spans, a profile, a trace or checkpoints.
+func (o *RunOpts) observed() bool {
+	return o.RecordSiteStatics || o.RecordFnSpans || o.Profile || o.Trace > 0 || o.CheckpointEvery > 0
+}
+
 // stopSite is the first site count at which the block loop must hand
-// control to runBlockSlow: the StopAtSites boundary, or, once the fault
-// has been applied, the next golden checkpoint. MaxUint64 means none.
-func (m *Machine) stopSite(stopAt uint64) uint64 {
+// control to runBlockSlow: the StopAtSites boundary, the next multiple of
+// CheckpointEvery, or, once the fault has been applied, the next golden
+// checkpoint. MaxUint64 means none.
+func (m *Machine) stopSite(opts *RunOpts) uint64 {
 	s := uint64(math.MaxUint64)
-	if stopAt > 0 {
-		s = stopAt
+	if opts.StopAtSites > 0 {
+		s = opts.StopAtSites
+	}
+	if k := opts.CheckpointEvery; k > 0 {
+		s = min(s, (m.sites/k+1)*k)
 	}
 	if m.injected && len(m.conv) > 0 && m.conv[0].sites < s {
 		s = m.conv[0].sites

@@ -181,7 +181,6 @@ type uop struct {
 	x2       asm.XReg
 	x3       asm.XReg
 	destKind asm.DestKind // DestOf kind, for the per-site hot check
-	destBits uint16       // precomputed DestBits(dest)
 	target   int32        // jump/call target resolved to an instruction index
 	imm      uint64       // immediate, pre-masked to the operation width
 	mem      asm.Mem      // memory reference, Scale normalised (0 -> 1)
@@ -251,7 +250,6 @@ func (m *Machine) resolveTarget(u *uop, fi *flatInst, o asm.Operand, code ucode)
 func (m *Machine) decode(u *uop, fi *flatInst) error {
 	u.code = uSlow
 	u.destKind = fi.dest.Kind
-	u.destBits = DestBits(fi.dest)
 	in := &fi.in
 	a := in.A
 	switch in.Op {

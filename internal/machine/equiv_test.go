@@ -21,24 +21,34 @@ const equivMemSize = 1 << 20
 const equivMaxSteps = 1 << 20
 
 // forceSlow reroutes every decoded uop through the generic interpreter,
-// recovering the pre-decode execution engine. Cost, destination kind and
-// destination width stay as decoded, so only the dispatch path changes.
-// Block dispatch and fusion are disabled too: this machine is the legacy
-// per-instruction reference the faster tiers are measured against.
+// recovering the pre-decode execution engine. Cost and destination kind
+// stay as decoded, so only the dispatch path changes. Fusion is disabled
+// too: run through runReference, this machine is the per-instruction
+// reference the block loop is measured against; run through Run, it is the
+// block loop over the generic interpreter.
 func forceSlow(m *Machine) {
 	for i := range m.uops {
 		m.uops[i].code = uSlow
 	}
 	m.hotOps = nil
 	m.fuseAll()
-	m.noBlocks = true
 }
 
-// forceOneUop keeps the decoded uops but disables block dispatch, so the
-// machine runs the legacy one-uop loop over fast uops — the middle tier
-// between block dispatch and the generic slow path.
-func forceOneUop(m *Machine) {
-	m.noBlocks = true
+// ckpt is what one OnCheckpoint delivery pins: the snapshot's site and
+// instruction counts and the digest of its whole state.
+type ckpt struct{ sites, dyn, digest uint64 }
+
+// runCkpts runs opts through run with a checkpoint every k sites and
+// returns the Result with the schedule it delivered.
+func runCkpts(run func(RunOpts) Result, opts RunOpts, k uint64) (Result, []ckpt, []*Snapshot) {
+	var cks []ckpt
+	var snaps []*Snapshot
+	opts.CheckpointEvery = k
+	opts.OnCheckpoint = func(s *Snapshot) {
+		cks = append(cks, ckpt{s.Sites(), s.DynInsts(), s.Digest()})
+		snaps = append(snaps, s)
+	}
+	return run(opts), cks, snaps
 }
 
 func equivPrograms(t *testing.T, bench string) map[string]*asm.Program {
@@ -84,22 +94,23 @@ func equivMachine(t *testing.T, bench string, prog *asm.Program) (*Machine, []ui
 }
 
 // TestEquivDecodeVsSlowAsm runs every Rodinia cell × {raw, eddi, ferrum}
-// on all four dispatch tiers — block dispatch with profile-guided fusion,
-// block dispatch with the static triad set, the one-uop legacy loop over
-// decoded uops, and the forced slow path — asserting an identical Result
-// (outcome, output, cycles, dynamic counts, per-site records and profile)
-// for the golden run and for a spread of fault injections. It also pins
-// decode coverage: compiled Rodinia programs must decode with no residual
-// slow-path uops.
+// on three block-loop tiers — block dispatch with profile-guided fusion,
+// block dispatch with the static triad set, and the block loop over the
+// forced slow path — and on the per-instruction reference engine,
+// asserting an identical Result (outcome, output, cycles, dynamic counts,
+// per-site statics, function spans, profile and trace) for the golden run,
+// an identical checkpoint schedule, and identical Results for a spread of
+// fault injections. It also pins decode coverage: compiled Rodinia
+// programs must decode with no residual slow-path uops.
 func TestEquivDecodeVsSlowAsm(t *testing.T) {
 	for _, bench := range rodinia.Names() {
 		for tech, prog := range equivPrograms(t, bench) {
 			fast, args := equivMachine(t, bench, prog)
 			fused, _ := equivMachine(t, bench, prog)
-			oneuop, _ := equivMachine(t, bench, prog)
 			slow, _ := equivMachine(t, bench, prog)
-			forceOneUop(oneuop)
+			ref, _ := equivMachine(t, bench, prog)
 			forceSlow(slow)
+			forceSlow(ref)
 
 			for i := range fast.uops {
 				if fast.uops[i].code == uSlow {
@@ -111,12 +122,13 @@ func TestEquivDecodeVsSlowAsm(t *testing.T) {
 				t.Errorf("%s/%s: no static check triads fused", bench, tech)
 			}
 
-			golden := RunOpts{
-				Args: args, MaxSteps: equivMaxSteps,
-				RecordSites: true, RecordSiteLocs: true, RecordSiteBits: true,
-				Profile: true, Trace: 16,
-			}
-			want := slow.Run(golden)
+			base := RunOpts{Args: args, MaxSteps: equivMaxSteps}
+			// The traced variant is the debugging configuration; the
+			// untraced one is what campaign golden and recording runs use.
+			traced, observed := base, base
+			traced.RecordSiteStatics, traced.Profile, traced.Trace = true, true, 16
+			observed.RecordSiteStatics, observed.Profile, observed.RecordFnSpans = true, true, true
+			want := ref.runReference(traced)
 			if want.Outcome != OutcomeOK {
 				t.Fatalf("%s/%s: golden outcome = %v (%s)", bench, tech, want.Outcome, want.CrashMsg)
 			}
@@ -125,13 +137,24 @@ func TestEquivDecodeVsSlowAsm(t *testing.T) {
 				t.Errorf("%s/%s: profile-guided fusion dropped static triads: %d < %d",
 					bench, tech, len(fused.fuops), len(fast.fuops))
 			}
+			wantObs := ref.runReference(observed)
+			k := want.DynSites/5 + 1
+			wantCk, wantCks, _ := runCkpts(ref.runReference, observed, k)
 
-			tiers := map[string]*Machine{"fast": fast, "fused": fused, "oneuop": oneuop}
+			tiers := map[string]*Machine{"fast": fast, "fused": fused, "slow": slow}
 			for name, m := range tiers {
-				got := m.Run(golden)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s: golden Result differs:\n%s: %+v\nslow: %+v",
+				if got := m.Run(traced); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s: traced golden Result differs:\n%s: %+v\nref: %+v",
 						bench, tech, name, got, want)
+				}
+				if got := m.Run(observed); !reflect.DeepEqual(got, wantObs) {
+					t.Fatalf("%s/%s: observed golden Result differs:\n%s: %+v\nref: %+v",
+						bench, tech, name, got, wantObs)
+				}
+				got, cks, _ := runCkpts(m.Run, observed, k)
+				if !reflect.DeepEqual(got, wantCk) || !reflect.DeepEqual(cks, wantCks) {
+					t.Fatalf("%s/%s K=%d: checkpointed run differs:\n%s: %+v %v\nref: %+v %v",
+						bench, tech, k, name, got, cks, wantCk, wantCks)
 				}
 			}
 
@@ -142,11 +165,11 @@ func TestEquivDecodeVsSlowAsm(t *testing.T) {
 						Args: args, MaxSteps: equivMaxSteps,
 						Fault: &Fault{Site: site, Bit: bit},
 					}
-					fw := slow.Run(opts)
+					fw := ref.runReference(opts)
 					for name, m := range tiers {
 						fg := m.Run(opts)
 						if !reflect.DeepEqual(fg, fw) {
-							t.Errorf("%s/%s site=%d bit=%d: fault Result differs:\n%s: %+v\nslow: %+v",
+							t.Errorf("%s/%s site=%d bit=%d: fault Result differs:\n%s: %+v\nref: %+v",
 								bench, tech, site, bit, name, fg, fw)
 						}
 					}

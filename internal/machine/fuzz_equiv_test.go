@@ -1,7 +1,8 @@
 package machine
 
 import (
-	"hash/fnv"
+	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -26,10 +27,12 @@ type archState struct {
 	pc      int
 }
 
+// memSeed keys the memory hash; one seed per process keeps fingerprints
+// comparable across machines.
+var memSeed = maphash.MakeSeed()
+
 func fingerprint(m *Machine) archState {
-	h := fnv.New64a()
-	h.Write(m.mem)
-	return archState{gpr: m.gpr, x: m.x, flags: m.flags, memHash: h.Sum64(), pc: m.pc}
+	return archState{gpr: m.gpr, x: m.x, flags: m.flags, memHash: maphash.Bytes(memSeed, m.mem), pc: m.pc}
 }
 
 // TestEquivFuzzDispatchTiers is the property-based complement to the
@@ -37,9 +40,15 @@ func fingerprint(m *Machine) archState {
 // (short basic blocks, nested diamonds and loops — the shapes that stress
 // block-formation boundaries and fusion-group claims) must produce a
 // bit-identical Result AND bit-identical terminal architectural state on
-// all four dispatch tiers, for the golden run and for injected faults.
-// Unlike the Rodinia suite's golden options, the comparison runs carry no
-// observers, so the block-dispatch fast path is what actually executes.
+// every block-loop tier and on the per-instruction reference engine, for
+// the golden run and for injected faults. The plain runs carry no
+// observers, so the block-dispatch fast path is what actually executes;
+// the observed runs then pin the block-granularity observers against the
+// reference: site statics, function spans, profile, trace and checkpoint
+// schedules at K=1 and coarser, runs resumed from mid-block snapshots,
+// budgets and crashes that end a run mid-block, StopAtSites on a
+// checkpoint's own site count, and a Golden schedule that observers must
+// make the run ignore.
 func TestEquivFuzzDispatchTiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	iters := 12
@@ -47,6 +56,7 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 		iters = 4
 	}
 	const maxSteps = 5_000_000
+	var midResumes, crashes int
 	for i := 0; i < iters; i++ {
 		mod, err := progen.Generate(rng, progen.Options{
 			Stmts: 30, Calls: i%2 == 0, BranchDensity: 7,
@@ -76,31 +86,31 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 				}
 				return m
 			}
-			fast, fused, oneuop, slow := build(), build(), build(), build()
-			forceOneUop(oneuop)
+			fast, fused, slow, ref := build(), build(), build(), build()
 			forceSlow(slow)
+			forceSlow(ref)
 
 			// The fusion profile comes from a separate profiled run so the
 			// comparison runs themselves stay observer-free.
 			profiled := build().Run(RunOpts{Args: args, MaxSteps: maxSteps, Profile: true})
 			fused.FuseProfile(profiled.Profile)
 
-			want := slow.Run(RunOpts{Args: args, MaxSteps: maxSteps})
+			want := ref.runReference(RunOpts{Args: args, MaxSteps: maxSteps})
 			if want.Outcome != OutcomeOK {
 				t.Fatalf("iter %d/%s: golden outcome = %v (%s)\n%s",
 					i, tech, want.Outcome, want.CrashMsg, mod)
 			}
-			wantState := fingerprint(slow)
+			wantState := fingerprint(ref)
 
-			tiers := map[string]*Machine{"fast": fast, "fused": fused, "oneuop": oneuop}
+			tiers := map[string]*Machine{"fast": fast, "fused": fused, "slow": slow}
 			for name, m := range tiers {
 				got := m.Run(RunOpts{Args: args, MaxSteps: maxSteps})
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("iter %d/%s %s: golden Result differs:\n%s: %+v\nslow: %+v",
+					t.Fatalf("iter %d/%s %s: golden Result differs:\n%s: %+v\nref: %+v",
 						i, tech, name, name, got, want)
 				}
 				if st := fingerprint(m); st != wantState {
-					t.Fatalf("iter %d/%s %s: terminal machine state differs from slow path",
+					t.Fatalf("iter %d/%s %s: terminal machine state differs from the reference",
 						i, tech, name)
 				}
 			}
@@ -114,12 +124,12 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 						Args: args, MaxSteps: maxSteps,
 						Fault: &Fault{Site: site, Bit: bit},
 					}
-					fw := slow.Run(opts)
-					fwState := fingerprint(slow)
+					fw := ref.runReference(opts)
+					fwState := fingerprint(ref)
 					for name, m := range tiers {
 						fg := m.Run(opts)
 						if !reflect.DeepEqual(fg, fw) {
-							t.Errorf("iter %d/%s %s site=%d bit=%d: fault Result differs:\n%s: %+v\nslow: %+v",
+							t.Errorf("iter %d/%s %s site=%d bit=%d: fault Result differs:\n%s: %+v\nref: %+v",
 								i, tech, name, site, bit, name, fg, fw)
 						}
 						if st := fingerprint(m); st != fwState {
@@ -129,7 +139,92 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 					}
 				}
 			}
+
+			// Observed runs, on the first programs (with and without
+			// calls): every recorder on, checkpoints at K=1 (one snapshot
+			// per site, so on one program only) and coarser, compared with
+			// the reference run by run.
+			if i >= 4 {
+				continue
+			}
+			observed := RunOpts{Args: args, MaxSteps: maxSteps,
+				RecordSiteStatics: true, RecordFnSpans: true, Profile: true, Trace: 8}
+			ctx := fmt.Sprintf("iter %d/%s", i, tech)
+			check := func(what string, opts RunOpts, k uint64) Result {
+				want, wantCks, _ := runCkpts(ref.runReference, opts, k)
+				wantState := fingerprint(ref)
+				for name, m := range tiers {
+					got, cks, _ := runCkpts(m.Run, opts, k)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s %s: Result differs:\ngot: %+v\nref: %+v", ctx, name, what, got, want)
+					}
+					if !reflect.DeepEqual(cks, wantCks) {
+						t.Errorf("%s %s %s: checkpoints differ:\ngot: %v\nref: %v", ctx, name, what, cks, wantCks)
+					}
+					if fingerprint(m) != wantState {
+						t.Errorf("%s %s %s: terminal machine state differs", ctx, name, what)
+					}
+				}
+				return want
+			}
+			ks := []uint64{13, want.DynSites/3 + 1}
+			if i == 0 {
+				ks = append(ks, 1)
+			}
+			for _, k := range ks {
+				check(fmt.Sprintf("K=%d", k), observed, k)
+				// StopAtSites on a checkpoint's own site count: the
+				// checkpoint is delivered first, then the boundary.
+				o := observed
+				o.StopAtSites = want.DynSites / 2 / k * k
+				if o.StopAtSites > 0 {
+					if r := check(fmt.Sprintf("K=%d stop=%d", k, o.StopAtSites), o, k); r.Outcome != OutcomeBoundary {
+						t.Fatalf("%s K=%d: reference did not stop on its checkpoint: %v", ctx, k, r.Outcome)
+					}
+				}
+			}
+			// Resume from snapshots of a K=13 schedule, most of them taken
+			// mid-block, with the schedule still running.
+			_, _, snaps := runCkpts(ref.runReference, observed, 13)
+			for j := 0; j < len(snaps); j += len(snaps)/3 + 1 {
+				if pc := snaps[j].PC(); pc > 0 && fast.blockEnd[pc-1] == fast.blockEnd[pc] {
+					midResumes++
+				}
+				o := observed
+				o.Args, o.Resume = nil, snaps[j]
+				check(fmt.Sprintf("resume@%d", snaps[j].Sites()), o, 13)
+			}
+			// Budgets expiring mid-block and faults that crash mid-block.
+			for _, ms := range []uint64{1, want.DynInsts / 3, want.DynInsts/2 + 1, want.DynInsts - 1} {
+				o := observed
+				o.MaxSteps = ms
+				check(fmt.Sprintf("maxsteps=%d", ms), o, 13)
+			}
+			g := recordGolden(fast, RunOpts{Args: args, MaxSteps: maxSteps}, 3)
+			for _, site := range []uint64{0, want.DynSites / 3, want.DynSites / 2} {
+				for _, bit := range []uint{5, 44} {
+					o := observed
+					o.Fault = &Fault{Site: site, Bit: bit}
+					if check(fmt.Sprintf("fault=%d/%d", site, bit), o, 13).Outcome == OutcomeCrash {
+						crashes++
+					}
+					// Observers make the run ignore a Golden schedule.
+					o.Golden = g
+					w := ref.runReference(o)
+					for name, m := range tiers {
+						before := m.Converged()
+						if got := m.Run(o); !reflect.DeepEqual(got, w) || m.Converged() != before {
+							t.Errorf("%s %s fault=%d/%d: observed run with Golden differs or converged:\n%+v\nref: %+v",
+								ctx, name, site, bit, got, w)
+						}
+					}
+				}
+			}
 		}
+	}
+	t.Logf("%d mid-block resumes, %d crashes with recorders on", midResumes, crashes)
+	if midResumes == 0 || crashes == 0 {
+		t.Errorf("observer cases went unexercised: %d mid-block resumes, %d crashes", midResumes, crashes)
 	}
 }
 
@@ -193,7 +288,7 @@ func TestEquivFuzzGoldenConvergence(t *testing.T) {
 						f.Extra = []uint{uint(rng.Intn(64)), uint(rng.Intn(64))}
 					}
 					opts := RunOpts{Args: args, MaxSteps: maxSteps, Fault: f}
-					want := slow.Run(opts)
+					want := slow.runReference(opts)
 					var resume *Snapshot
 					for _, s := range g.Checkpoints {
 						if s.Sites() <= f.Site {
@@ -225,7 +320,7 @@ func TestEquivFuzzGoldenConvergence(t *testing.T) {
 						continue
 					}
 					cont := RunOpts{MaxSteps: maxSteps, Resume: b.Boundary}
-					want = slow.Run(cont)
+					want = slow.runReference(cont)
 					cont.Golden = g
 					if got := fused.Run(cont); !reflect.DeepEqual(got, want) {
 						t.Fatalf("iter %d/%s K=%d fault=%+v: boundary continuation differs\ngolden: %+v\nslow:   %+v",

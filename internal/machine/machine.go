@@ -78,22 +78,10 @@ type Result struct {
 	// terminal event (detector trap, crash, hang cutoff, or normal exit).
 	FaultCycles float64
 	FaultDyn    uint64
-	// SiteDests holds the destination kind of each dynamic site, in site
-	// order, when RunOpts.RecordSites was set.
-	SiteDests []asm.DestKind
-	// SiteLocs holds each dynamic site's static location when
-	// RunOpts.RecordSiteLocs was set.
-	SiteLocs []SiteLoc
-	// SiteBits holds each dynamic site's destination width in bits when
-	// RunOpts.RecordSiteBits was set: the number of distinct bit positions a
-	// fault at that site can flip (8/16/32/64 for GPR writes, 64 per lane
-	// for SIMD writes — up to 512 for full-width vector destinations — and
-	// NumFlag for flag-only writers). Fault planners sample bits inside this
-	// width so narrow and wide destinations are stressed uniformly.
-	SiteBits []uint16
 	// SiteStatics holds each dynamic site's static instruction id (its index
 	// into StaticInstrs) when RunOpts.RecordSiteStatics was set. It maps
-	// dynamic sites back to the static analysis that classified them.
+	// dynamic sites back to their location, destination and width, and to
+	// the static analysis that classified them.
 	SiteStatics []int32
 	// Profile holds the dynamic attribution when RunOpts.Profile was set.
 	Profile *Profile
@@ -111,31 +99,20 @@ type Result struct {
 
 // RunOpts configures one execution.
 type RunOpts struct {
-	Args        []uint64 // passed to the entry function in the argument registers
-	MaxSteps    uint64   // dynamic instruction budget; 0 means DefaultMaxSteps
-	Fault       *Fault   // optional fault plan
-	RecordSites bool     // record each dynamic site's destination kind
-	// RecordSiteLocs records each dynamic site's static location
-	// (function, index) in Result.SiteLocs, for proneness profiling.
-	RecordSiteLocs bool
-	// RecordSiteBits records each dynamic site's destination width in bits
-	// in Result.SiteBits, so fault planners can clamp bit sampling to what
-	// the destination can actually hold.
-	RecordSiteBits bool
+	Args     []uint64 // passed to the entry function in the argument registers
+	MaxSteps uint64   // dynamic instruction budget; 0 means DefaultMaxSteps
+	Fault    *Fault   // optional fault plan
 	// RecordSiteStatics records each dynamic site's static instruction id
-	// (index into StaticInstrs) in Result.SiteStatics, so static per-site
-	// analyses — the pruning pass's equivalence classes — can be joined
-	// against the dynamic site sequence.
+	// (index into StaticInstrs) in Result.SiteStatics. StaticInstrs maps an
+	// id to the site's location and destination, so this one recorder
+	// serves proneness profiling, width-aware bit sampling (DestBits) and
+	// the pruning pass's equivalence classes.
 	RecordSiteStatics bool
 	Profile           bool // attribute dynamic instructions/cycles by opcode and tag
 	// Trace keeps the last N executed instructions (rendered with their
 	// provenance tags) in Result.Trace — a flight recorder for debugging
 	// fault outcomes. 0 disables tracing.
 	Trace int
-	// SitesHint preallocates the RecordSites/RecordSiteLocs slices when the
-	// dynamic site count is known in advance (e.g. from a golden run). When
-	// zero, the machine falls back to the previous run's site count.
-	SitesHint uint64
 	// CheckpointEvery captures a Snapshot after every CheckpointEvery-th
 	// dynamic site and passes it to OnCheckpoint, recording a checkpoint
 	// schedule for later fast-forward resumes. 0 disables checkpointing.
@@ -146,8 +123,8 @@ type RunOpts struct {
 	// snapshot) and all counters continue from the snapshot's values, so a
 	// resumed run's Result is bit-identical to a from-scratch run that
 	// passed through the snapshot point — including MaxSteps/hang
-	// semantics. RecordSites/RecordSiteLocs/Profile/Trace observe only the
-	// resumed suffix.
+	// semantics. RecordSiteStatics/RecordFnSpans/Profile/Trace observe only
+	// the resumed suffix.
 	Resume *Snapshot
 	// StopAtSites, if > 0, ends the run with OutcomeBoundary the moment the
 	// dynamic site counter reaches it, capturing the machine state in
@@ -169,9 +146,10 @@ type RunOpts struct {
 	// so Run returns the golden End in place of executing it: same
 	// Outcome, Output, Cycles, DynInsts and DynSites, with this run's
 	// injection stamps. The machine's own state is then left at the
-	// convergence point. Golden is honoured only on the block-dispatch
-	// path; a run with per-instruction observers, a checkpoint schedule or
-	// StopAtSites ignores it and executes to the end, with the same Result.
+	// convergence point. A run with an observer (site or span recording,
+	// profiling, tracing, a checkpoint schedule) or StopAtSites ignores
+	// Golden and executes to the end, with the same Result: converging
+	// would cut its recordings short.
 	Golden *Golden
 }
 
@@ -239,7 +217,7 @@ type Machine struct {
 	dirtyPages []int32
 	memSynced  bool // mem matches memImage outside the dirty pages
 
-	lastSites uint64 // previous run's site count (RecordSites capacity hint)
+	lastSites uint64 // previous run's site count (RecordSiteStatics capacity hint)
 
 	// Block-dispatch and fusion tables (built at load time, indexed by
 	// pre-fusion instruction position, shared read-only by Clones; see
@@ -251,7 +229,6 @@ type Machine struct {
 	hotOps     map[asm.Op]bool // profile-hot opcodes enabling pair fusion
 
 	fuseHits []uint64 // per-fuop dynamic execution counts (this machine)
-	noBlocks bool     // force the legacy one-uop loop (equivalence tests)
 	nBlocks  uint64   // basic blocks entered (lifetime)
 
 	// Architectural state (reset per run).
@@ -435,14 +412,35 @@ func crashf(format string, args ...any) error {
 // result. Run never returns a Go error for in-program failures; those are
 // reported through the Outcome.
 func (m *Machine) Run(opts RunOpts) Result {
-	sitesHint := opts.SitesHint
-	if sitesHint == 0 {
-		sitesHint = m.lastSites
+	maxSteps, err := m.begin(&opts)
+	if err != nil {
+		return Result{Outcome: OutcomeCrash, CrashMsg: err.Error()}
+	}
+	ob := newObservers(m, &opts)
+	m.conv = m.goldenAhead(&opts, maxSteps)
+	outcome, crashMsg := m.runBlocks(&opts, maxSteps, ob)
+	m.conv = nil
+	if outcome == outcomeConverged {
+		return m.convergedResult(&opts.Golden.End)
+	}
+	res := m.finish(outcome, crashMsg)
+	if ob != nil {
+		ob.end(m, outcome == OutcomeCrash, &res)
+	}
+	return res
+}
+
+// begin prepares the machine for a run — a reset with the entry arguments
+// installed, or a restore of opts.Resume — and returns its step budget. A
+// checkpoint spacing without a callback is cleared.
+func (m *Machine) begin(opts *RunOpts) (uint64, error) {
+	if opts.OnCheckpoint == nil {
+		opts.CheckpointEvery = 0
 	}
 	m.boundary = nil
 	if opts.Resume != nil {
 		if err := m.Restore(opts.Resume); err != nil {
-			return Result{Outcome: OutcomeCrash, CrashMsg: err.Error()}
+			return 0, err
 		}
 	} else {
 		m.reset()
@@ -453,149 +451,10 @@ func (m *Machine) Run(opts RunOpts) Result {
 			m.gpr[asm.ArgRegs[i]] = a
 		}
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
+	if opts.MaxSteps == 0 {
+		return DefaultMaxSteps, nil
 	}
-
-	outcome := OutcomeHang
-	var crashMsg string
-	var siteDests []asm.DestKind
-	var siteLocs []SiteLoc
-	var siteBits []uint16
-	var siteStatics []int32
-	if opts.RecordSites && sitesHint > 0 {
-		siteDests = make([]asm.DestKind, 0, sitesHint)
-	}
-	if opts.RecordSiteLocs && sitesHint > 0 {
-		siteLocs = make([]SiteLoc, 0, sitesHint)
-	}
-	if opts.RecordSiteBits && sitesHint > 0 {
-		siteBits = make([]uint16, 0, sitesHint)
-	}
-	if opts.RecordSiteStatics && sitesHint > 0 {
-		siteStatics = make([]int32, 0, sitesHint)
-	}
-	// One register-resident bool keeps the per-site hot path to a single
-	// predicted branch on injection runs, where no recording is active.
-	record := opts.RecordSites || opts.RecordSiteLocs || opts.RecordSiteBits ||
-		opts.RecordSiteStatics || opts.RecordFnSpans
-	var fnSpans []FnSpan
-	var curFn string
-	var spanStart uint64
-	var prof *profile
-	if opts.Profile {
-		prof = &profile{}
-	}
-	var trace *traceRing
-	if opts.Trace > 0 {
-		trace = newTraceRing(opts.Trace)
-	}
-	// Block dispatch runs whole basic blocks with one bounds/watchdog/
-	// fault-proximity check each (see block.go). Any per-instruction
-	// observer — site recording, profiling, tracing, a checkpoint
-	// schedule — forces the legacy one-uop loop below, which preserves
-	// RunOpts semantics exactly; both paths produce bit-identical Results.
-	if !m.noBlocks && !record && prof == nil && trace == nil &&
-		(opts.CheckpointEvery == 0 || opts.OnCheckpoint == nil) {
-		return m.runDispatched(&opts, maxSteps)
-	}
-loop:
-	for m.dyn < maxSteps {
-		if m.pc < 0 || m.pc >= len(m.uops) {
-			outcome, crashMsg = OutcomeCrash, fmt.Sprintf("pc %d out of range", m.pc)
-			break
-		}
-		// pc is captured before step advances it: the cold flatInst at this
-		// index backs profiling, tracing and fault application.
-		pc := m.pc
-		u := &m.uops[pc]
-		m.dyn++
-		if opts.RecordFnSpans {
-			if fn := m.insts[pc].fn; fn != curFn {
-				if curFn != "" {
-					fnSpans = append(fnSpans, FnSpan{Fn: curFn, Start: spanStart, End: m.sites})
-				}
-				curFn, spanStart = fn, m.sites
-			}
-		}
-		if prof != nil {
-			prof.record(&m.insts[pc])
-		}
-		if trace != nil {
-			trace.record(&m.insts[pc])
-		}
-		next, err := m.step(u, pc)
-		if err != nil {
-			outcome, crashMsg = OutcomeCrash, err.Error()
-			break
-		}
-		// Fault injection: flip one bit of the destination after retire.
-		if u.destKind != asm.DestNone {
-			if opts.Fault != nil && m.sites == opts.Fault.Site {
-				dest := m.insts[pc].dest
-				m.applyFault(dest, opts.Fault.Bit)
-				for _, b := range opts.Fault.Extra {
-					m.applyFault(dest, b)
-				}
-				m.injected = true
-				m.injCycles = m.cyclesNow()
-				m.injDyn = m.dyn
-			}
-			if record {
-				if opts.RecordSites {
-					siteDests = append(siteDests, u.destKind)
-				}
-				if opts.RecordSiteLocs {
-					siteLocs = append(siteLocs, SiteLoc{Fn: m.insts[pc].fn, Idx: m.insts[pc].idx})
-				}
-				if opts.RecordSiteBits {
-					siteBits = append(siteBits, u.destBits)
-				}
-				if opts.RecordSiteStatics {
-					siteStatics = append(siteStatics, int32(pc))
-				}
-			}
-			m.sites++
-			if opts.CheckpointEvery > 0 && m.sites%opts.CheckpointEvery == 0 && opts.OnCheckpoint != nil {
-				opts.OnCheckpoint(m.Snapshot())
-			}
-			if opts.StopAtSites > 0 && m.sites == opts.StopAtSites {
-				// Capture before the epilogue's span flush so the boundary
-				// state matches a golden OnCheckpoint snapshot bit for bit.
-				m.boundary = m.Snapshot()
-				outcome = OutcomeBoundary
-				break loop
-			}
-		}
-		switch next {
-		case nextHalt:
-			outcome = OutcomeOK
-			break loop
-		case nextDetect:
-			outcome = OutcomeDetected
-			break loop
-		}
-	}
-	if opts.RecordFnSpans && curFn != "" {
-		fnSpans = append(fnSpans, FnSpan{Fn: curFn, Start: spanStart, End: m.sites})
-	}
-	res := m.finish(outcome, crashMsg)
-	res.SiteDests, res.SiteLocs, res.SiteBits, res.SiteStatics = siteDests, siteLocs, siteBits, siteStatics
-	res.Profile, res.Trace, res.FnSpans = prof.export(), trace.dump(), fnSpans
-	return res
-}
-
-// runDispatched is Run on the block-dispatch path, which also honours
-// RunOpts.Golden.
-func (m *Machine) runDispatched(opts *RunOpts, maxSteps uint64) Result {
-	m.conv = m.goldenAhead(opts, maxSteps)
-	outcome, crashMsg := m.runBlocks(opts.Fault, maxSteps, opts.StopAtSites)
-	m.conv = nil
-	if outcome == outcomeConverged {
-		return m.convergedResult(&opts.Golden.End)
-	}
-	return m.finish(outcome, crashMsg)
+	return opts.MaxSteps, nil
 }
 
 // finish ends a run: it flushes the in-flight cycle spans and returns the

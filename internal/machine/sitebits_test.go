@@ -34,10 +34,10 @@ func TestDestBits(t *testing.T) {
 	}
 }
 
-// TestRecordSiteBits: a golden run with RecordSiteBits reports one width per
-// dynamic injection site, in execution order, matching each site's actual
-// destination — so a fault planner can sample bits inside the destination
-// instead of a flat [0, 64).
+// TestRecordSiteBits: the destination widths a fault planner derives from
+// a golden run's site statics are one per dynamic injection site, in
+// execution order, matching each site's actual destination — so bits are
+// sampled inside the destination instead of a flat [0, 64).
 func TestRecordSiteBits(t *testing.T) {
 	src := `
 	.globl	main
@@ -48,34 +48,30 @@ main:
 	out	%rax
 	hlt
 `
-	res := run(t, src, RunOpts{RecordSiteBits: true})
+	m, err := New(mustParse(t, src), 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := m.Run(RunOpts{RecordSiteStatics: true})
 	if res.Outcome != OutcomeOK {
 		t.Fatalf("outcome = %v (%s)", res.Outcome, res.CrashMsg)
 	}
 	want := []uint16{64, uint16(asm.NumFlag), 64}
-	if len(res.SiteBits) != int(res.DynSites) {
-		t.Fatalf("SiteBits has %d entries for %d sites", len(res.SiteBits), res.DynSites)
+	if len(res.SiteStatics) != int(res.DynSites) || len(res.SiteStatics) != len(want) {
+		t.Fatalf("SiteStatics = %v for %d sites, want %d entries", res.SiteStatics, res.DynSites, len(want))
 	}
-	if len(res.SiteBits) != len(want) {
-		t.Fatalf("SiteBits = %v, want %v", res.SiteBits, want)
-	}
+	statics := m.StaticInstrs()
 	for i, w := range want {
-		if res.SiteBits[i] != w {
-			t.Errorf("site %d width = %d, want %d", i, res.SiteBits[i], w)
+		if got := DestBits(statics[res.SiteStatics[i]].Dest); got != w {
+			t.Errorf("site %d width = %d, want %d", i, got, w)
 		}
-	}
-
-	// Without the flag the run records nothing: the per-plan hot path must
-	// not pay for width recording it didn't ask for.
-	if plain := run(t, src, RunOpts{}); plain.SiteBits != nil {
-		t.Errorf("SiteBits recorded without RecordSiteBits: %v", plain.SiteBits)
 	}
 }
 
 // TestRecordSiteStatics: the per-site static instruction ids index
-// StaticInstrs in load order, and the referenced instruction's destination
-// width agrees with the SiteBits recorded for the same dynamic site — the
-// alignment the prune partitioner depends on.
+// StaticInstrs in load order, in execution order, and name each site's
+// location — the alignment the prune partitioner and proneness profiles
+// depend on.
 func TestRecordSiteStatics(t *testing.T) {
 	src := `
 	.globl	main
@@ -90,13 +86,12 @@ main:
 	out	%rax
 	hlt
 `
-	res := run(t, src, RunOpts{RecordSiteBits: true, RecordSiteStatics: true})
+	res := run(t, src, RunOpts{RecordSiteStatics: true})
 	if res.Outcome != OutcomeOK {
 		t.Fatalf("outcome = %v (%s)", res.Outcome, res.CrashMsg)
 	}
-	if uint64(len(res.SiteStatics)) != res.DynSites || len(res.SiteStatics) != len(res.SiteBits) {
-		t.Fatalf("SiteStatics has %d entries for %d sites (%d widths)",
-			len(res.SiteStatics), res.DynSites, len(res.SiteBits))
+	if uint64(len(res.SiteStatics)) != res.DynSites {
+		t.Fatalf("SiteStatics has %d entries for %d sites", len(res.SiteStatics), res.DynSites)
 	}
 	p, err := asm.Parse(src)
 	if err != nil {
@@ -107,27 +102,24 @@ main:
 		t.Fatal(err)
 	}
 	statics := m.StaticInstrs()
-	seen := map[int32]bool{}
+	// Execution order: two set-up movs, then three loop iterations of
+	// addq/cmpq/subq (indices 2-4 of main).
+	wantIdx := []int{0, 1, 2, 3, 4, 2, 3, 4, 2, 3, 4}
+	if len(res.SiteStatics) != len(wantIdx) {
+		t.Fatalf("SiteStatics = %v, want sites at %v", res.SiteStatics, wantIdx)
+	}
 	for site, sid := range res.SiteStatics {
 		if sid < 0 || int(sid) >= len(statics) {
 			t.Fatalf("site %d: static id %d out of range [0,%d)", site, sid, len(statics))
 		}
 		st := statics[sid]
-		if st.Fn != "main" {
-			t.Errorf("site %d: static %d attributed to %q", site, sid, st.Fn)
+		if st.Fn != "main" || st.Idx != wantIdx[site] || st.Dest.Kind == asm.DestNone {
+			t.Errorf("site %d: static %d = %+v, want main[%d] with a destination", site, sid, st, wantIdx[site])
 		}
-		if got := DestBits(st.Dest); got != res.SiteBits[site] {
-			t.Errorf("site %d: static %d dest width %d != recorded SiteBits %d",
-				site, sid, got, res.SiteBits[site])
-		}
-		seen[sid] = true
-	}
-	// The loop executes its sited instructions three times: distinct statics
-	// must be far fewer than dynamic sites, or the ids are not static at all.
-	if len(seen) >= len(res.SiteStatics) {
-		t.Errorf("%d distinct statics for %d dynamic sites; ids look dynamic", len(seen), len(res.SiteStatics))
 	}
 
+	// Without the flag the run records nothing: the per-plan hot path must
+	// not pay for recording it didn't ask for.
 	if plain := run(t, src, RunOpts{}); plain.SiteStatics != nil {
 		t.Errorf("SiteStatics recorded without RecordSiteStatics: %v", plain.SiteStatics)
 	}

@@ -218,21 +218,15 @@ func TestSnapshotSharedAcrossMachines(t *testing.T) {
 	}
 }
 
-// TestSitesHintPrealloc checks that recording runs preallocate the site
-// slices at the hinted capacity.
+// TestSitesHintPrealloc checks that a recording run preallocates its site
+// slice at the previous run's site count.
 func TestSitesHintPrealloc(t *testing.T) {
 	prog := mustParse(t, snapSrc)
 	m, _ := New(prog, memSize)
 	golden := m.Run(RunOpts{})
-	res := m.Run(RunOpts{RecordSites: true, RecordSiteLocs: true, SitesHint: golden.DynSites})
-	if uint64(cap(res.SiteDests)) != golden.DynSites || uint64(cap(res.SiteLocs)) != golden.DynSites {
-		t.Errorf("caps = %d/%d, want %d", cap(res.SiteDests), cap(res.SiteLocs), golden.DynSites)
-	}
-	// Second recording run without a hint uses the machine's own memory of
-	// the previous run's site count.
-	res = m.Run(RunOpts{RecordSites: true})
-	if uint64(cap(res.SiteDests)) != golden.DynSites {
-		t.Errorf("lastSites prealloc cap = %d, want %d", cap(res.SiteDests), golden.DynSites)
+	res := m.Run(RunOpts{RecordSiteStatics: true})
+	if uint64(cap(res.SiteStatics)) != golden.DynSites {
+		t.Errorf("lastSites prealloc cap = %d, want %d", cap(res.SiteStatics), golden.DynSites)
 	}
 }
 
@@ -448,7 +442,7 @@ func TestSnapshotConvergeIgnored(t *testing.T) {
 	hung.End.Outcome = OutcomeHang
 	for name, opts := range map[string]RunOpts{
 		"profile":     {Fault: f, Profile: true},
-		"recordsites": {Fault: f, RecordSites: true},
+		"recordsites": {Fault: f, RecordSiteStatics: true},
 		"budget":      {Fault: f, MaxSteps: g.End.DynInsts - 1},
 	} {
 		if _, ok := convergeRun(t, m, opts, g, name); ok {
