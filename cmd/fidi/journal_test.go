@@ -134,8 +134,9 @@ func TestRunComposedResumeAcrossK(t *testing.T) {
 }
 
 // TestRunRejectsBeforeJournal: an invocation with an unknown technique or
-// level fails before the journal is opened, leaving an existing journal's
-// bytes untouched.
+// level, or an impossible mode combination (multi-bit faults at IR level
+// among them), fails before the journal is opened, leaving an existing
+// journal's bytes untouched.
 func TestRunRejectsBeforeJournal(t *testing.T) {
 	swapStderr(t)
 	path := filepath.Join(t.TempDir(), "campaign.ndjson")
@@ -152,6 +153,7 @@ func TestRunRejectsBeforeJournal(t *testing.T) {
 		{"-level", "bogus"},
 		{"-level", "ir", "-technique", "ferrum"},
 		{"-prune", "dead", "-compose", "on"},
+		{"-level", "ir", "-technique", "raw", "-bits", "2"},
 	} {
 		argv := append([]string{"-bench", "bfs", "-samples", "60", "-journal", path}, bad...)
 		if err := run(argv, &out); err == nil {

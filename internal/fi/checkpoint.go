@@ -1,11 +1,10 @@
 package fi
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
-
-	"ferrum/internal/ir"
-	"ferrum/internal/machine"
 )
 
 // DefaultCheckpointInterval auto-tunes the checkpoint spacing K for a
@@ -44,12 +43,14 @@ type CheckpointSummary struct {
 	SkippedInsts  int64 // dynamic instructions fast-forwarded over
 }
 
-// sortPlansBySite orders the fault plan by ascending site (stable, so
-// plans at the same site keep their generation order). Outcome counts are
-// order-independent, so sorting cannot change Result.Counts; it gives each
-// worker's batch good snapshot locality.
+// sortPlansBySite orders the fault plan by ascending site, and plans at the
+// same site by generation index. Outcome counts are order-independent, so
+// sorting cannot change Result.Counts; it gives each worker's batch good
+// snapshot locality.
 func sortPlansBySite(plans []plannedFault) {
-	sort.SliceStable(plans, func(i, j int) bool { return plans[i].site < plans[j].site })
+	slices.SortFunc(plans, func(a, b plannedFault) int {
+		return cmp.Or(cmp.Compare(a.site, b.site), cmp.Compare(a.idx, b.idx))
+	})
 }
 
 // nearestSnapshot returns the latest snapshot taken at or before site, or
@@ -57,76 +58,4 @@ func sortPlansBySite(plans []plannedFault) {
 // ascending Sites(), which the recording run guarantees.
 func nearestSnapshot(sites []uint64, site uint64) int {
 	return sort.Search(len(sites), func(i int) bool { return sites[i] > site }) - 1
-}
-
-// asmCheckpoints is the snapshot schedule recorded from one golden replay
-// at spacing k. golden pairs it with the replay's Result, so injected runs
-// can end at the first checkpoint their state rejoins
-// (machine.RunOpts.Golden); the Result's FnSpans say which functions ran
-// between the snapshots, which is what compositional section keys hash.
-type asmCheckpoints struct {
-	k      uint64
-	snaps  []*machine.Snapshot
-	sites  []uint64 // snaps[i].Sites(), for binary search
-	golden *machine.Golden
-}
-
-// recordAsmCheckpoints replays the golden run on m with a snapshot every k
-// sites, recording function spans too: on the block loop they cost one
-// compare per block entry.
-func recordAsmCheckpoints(m *machine.Machine, tgt AsmTarget, c Campaign, k uint64) *asmCheckpoints {
-	csp := c.Obs.Span("checkpoint.record")
-	cps := &asmCheckpoints{k: k}
-	end := m.Run(machine.RunOpts{
-		Args:            tgt.Args,
-		MaxSteps:        c.MaxSteps,
-		CheckpointEvery: k,
-		RecordFnSpans:   true,
-		OnCheckpoint: func(s *machine.Snapshot) {
-			cps.snaps = append(cps.snaps, s)
-			cps.sites = append(cps.sites, s.Sites())
-		},
-	})
-	cps.golden = &machine.Golden{Checkpoints: cps.snaps, End: end}
-	csp.SetAttr("k", k)
-	csp.SetAttr("snapshots", len(cps.snaps))
-	csp.SetAttr("bytes", cps.bytes())
-	csp.End()
-	return cps
-}
-
-func (cps *asmCheckpoints) bytes() int {
-	n := 0
-	for _, s := range cps.snaps {
-		n += s.MemBytes()
-	}
-	return n
-}
-
-// irCheckpoints is the IR-level snapshot schedule from one golden replay.
-type irCheckpoints struct {
-	snaps []*ir.Snapshot
-	sites []uint64
-}
-
-func recordIRCheckpoints(ip *ir.Interp, tgt IRTarget, c Campaign, k uint64) *irCheckpoints {
-	cps := &irCheckpoints{}
-	ip.Run(ir.RunOpts{
-		Args:            tgt.Args,
-		MaxSteps:        c.MaxSteps,
-		CheckpointEvery: k,
-		OnCheckpoint: func(s *ir.Snapshot) {
-			cps.snaps = append(cps.snaps, s)
-			cps.sites = append(cps.sites, s.Sites())
-		},
-	})
-	return cps
-}
-
-func (cps *irCheckpoints) bytes() int {
-	n := 0
-	for _, s := range cps.snaps {
-		n += s.MemBytes()
-	}
-	return n
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ferrum/internal/compose"
 	"ferrum/internal/liveness"
@@ -119,9 +117,10 @@ type ComposeSummary struct {
 // section is one checkpoint-delimited slice of the golden execution.
 type section struct {
 	start, end uint64 // dynamic site range [start, end)
-	// entry is the golden snapshot at start (nil: run from program start);
-	// exit is the golden snapshot at end (nil: terminal section, runs to the
-	// program's end with no boundary stop).
+	// entry is the golden snapshot at start (nil: run from program start),
+	// the snapshot the flow's resume lookup picks for every plan in the
+	// section; exit is the golden snapshot at end (nil: terminal section,
+	// runs to the program's end with no boundary stop).
 	entry, exit *machine.Snapshot
 	base, n     int   // plan index range [base, base+n)
 	seed        int64 // section-local plan RNG seed
@@ -146,15 +145,15 @@ type planMeta struct {
 // schedule. Empty site ranges (a snapshot at site 0, or two snapshots at
 // the same count) are dropped; the terminal section always runs to program
 // end.
-func buildSections(cps *asmCheckpoints, dynSites uint64) []section {
+func buildSections(snaps []*machine.Snapshot, dynSites uint64) []section {
 	var secs []section
 	var prev uint64
 	var prevSnap *machine.Snapshot
-	for i, s := range cps.snaps {
+	for _, s := range snaps {
 		if s.Sites() > prev {
 			secs = append(secs, section{start: prev, end: s.Sites(), entry: prevSnap, exit: s})
 		}
-		prev, prevSnap = s.Sites(), cps.snaps[i]
+		prev, prevSnap = s.Sites(), s
 	}
 	if dynSites > prev {
 		secs = append(secs, section{start: prev, end: dynSites, entry: prevSnap})
@@ -162,63 +161,43 @@ func buildSections(cps *asmCheckpoints, dynSites uint64) []section {
 	return secs
 }
 
-// makeSectionPlans samples one section's stratified plan slice: sites
-// uniform in [start, end), bits and multi-bit extras exactly as makePlans
-// draws them, from the section-local seed — so a section's plan sequence is
-// a pure function of its identity, not of its ordinal or its neighbours.
-func makeSectionPlans(c Campaign, sec *section, width func(uint64) uint) []plannedFault {
-	rng := rand.New(rand.NewSource(sec.seed))
-	plans := make([]plannedFault, sec.n)
-	for i := range plans {
-		site := sec.start + uint64(rng.Int63n(int64(sec.end-sec.start)))
-		w := uint(64)
-		if width != nil {
-			w = width(site)
-		}
-		p := plannedFault{idx: sec.base + i, site: site, bit: uint(rng.Intn(int(w)))}
-		bits := c.BitsPerFault
-		if bits > int(w) {
-			bits = int(w)
-		}
-		for extra := 1; extra < bits; extra++ {
-			b := uint(rng.Intn(int(w)))
-			for duplicateBit(p, b) {
-				b = uint(rng.Intn(int(w)))
-			}
-			p.extra = append(p.extra, b)
-		}
-		plans[i] = p
-	}
-	return plans
-}
-
 func ciHalf(k, n int) float64 {
 	lo, hi := wilson(float64(k), float64(n))
 	return (hi - lo) / 2
 }
 
-// runComposedAsmCampaign is the compositional counterpart of the monolithic
-// asmCampaign flow behind RunAsmCampaign.
-func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
-	a, err := newAsmGolden(tgt, c)
-	if err != nil {
-		return Result{}, err
-	}
-	m0, golden := a.m0, &a.golden
-	if golden.DynSites == 0 {
-		return Result{}, ErrNoSites
-	}
+// composition is a composed campaign's stage state: the sections, their
+// keys, and the per-plan descriptor metadata the cache tables are rebuilt
+// from. Plans, workers, resume accounting and the Result come from the
+// shared campaign flow.
+type composition struct {
+	f    *campaign
+	e    *asmEngine
+	secs []section
+	// globalDig pins the downstream context only ClassGlobal cache entries
+	// depend on; outDig is the golden output digest.
+	globalDig, outDig uint64
+	metas             []planMeta
+}
 
-	// The checkpoint replay doubles as the section scaffold: its snapshots
-	// delimit sections and its function spans pin each section's fingerprint
-	// to the code that actually executed inside it (including zero-site
-	// functions, which a site-range mapping alone would miss). It is a
-	// golden run too: fallback continuations end at the first later section
-	// exit their state rejoins.
-	k := c.checkpointInterval(golden.DynSites)
-	cps := recordAsmCheckpoints(m0, tgt, c, k)
-
-	secs := buildSections(cps, golden.DynSites)
+// newComposition is compose's plan stage in place of the uniform draw: it
+// records the checkpoint schedule, cuts it into sections, keys each
+// section and draws its stratified plan slice.
+//
+// The checkpoint replay doubles as the section scaffold: its snapshots
+// delimit sections and its function spans pin each section's fingerprint
+// to the code that actually executed inside it (including zero-site
+// functions, which a site-range mapping alone would miss). It is a golden
+// run too: fallback continuations end at the first later section exit
+// their state rejoins.
+func newComposition(f *campaign) *composition {
+	c, g := f.c, f.g
+	e := f.eng.(*asmEngine)
+	var widthFallbacks int
+	width := g.width(&widthFallbacks) // taken before recording drops the site table
+	f.record()
+	k := f.sched.k
+	secs := buildSections(e.sched.Checkpoints, g.sites)
 
 	// Whole-program and per-section fingerprints. The section key pins
 	// everything that determines the section's propagation table: the data
@@ -226,30 +205,36 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 	// entry and exit states, the code executed inside, and the plan sequence
 	// parameters. The global digest additionally pins the downstream context
 	// that only ClassGlobal cache entries depend on.
-	imageDig := m0.ImageDigest()
-	argsDig := compose.Mix(append([]uint64{uint64(len(tgt.Args))}, tgt.Args...)...)
-	allFns := make([]string, len(tgt.Prog.Funcs))
-	for i, f := range tgt.Prog.Funcs {
-		allFns[i] = f.Name
+	prog, args := e.tgt.Prog, e.tgt.Args
+	imageDig := e.m0.ImageDigest()
+	argsDig := compose.Mix(append([]uint64{uint64(len(args))}, args...)...)
+	allFns := make([]string, len(prog.Funcs))
+	for i, fn := range prog.Funcs {
+		allFns[i] = fn.Name
 	}
-	progDig := compose.CodeDigest(tgt.Prog, allFns)
-	goldenOutDig := compose.OutputDigest(golden.Output)
-	globalDig := compose.Mix(progDig, goldenOutDig, golden.DynSites,
-		math.Float64bits(golden.Cycles), imageDig, argsDig, c.MaxSteps, uint64(c.BitsPerFault))
+	progDig := compose.CodeDigest(prog, allFns)
+	cs := &composition{f: f, e: e, secs: secs, outDig: compose.OutputDigest(g.output)}
+	cs.globalDig = compose.Mix(progDig, cs.outDig, g.sites,
+		math.Float64bits(g.cycles), imageDig, argsDig, c.MaxSteps, uint64(c.BitsPerFault))
 
 	weights := make([]uint64, len(secs))
 	for i := range secs {
 		weights[i] = secs[i].end - secs[i].start
 	}
 	budgets := compose.Alloc(c.Samples, weights)
-	var widthFallbacks int
-	width := a.siteWidth(&widthFallbacks)
 	plans := make([]plannedFault, 0, c.Samples)
 	for i := range secs {
 		sec := &secs[i]
 		sec.base, sec.n = len(plans), budgets[i]
+		// A section's plan sequence is a pure function of its identity, not
+		// of its ordinal or its neighbours.
 		sec.seed = compose.SectionSeed(c.Seed, sec.start, sec.end)
-		plans = append(plans, makeSectionPlans(c, sec, width)...)
+		rng := rand.New(rand.NewSource(sec.seed))
+		for range sec.n {
+			p := drawFault(rng, sec.start, sec.end, width, c.BitsPerFault)
+			p.idx = len(plans)
+			plans = append(plans, p)
+		}
 
 		entryDig := uint64(0)
 		if sec.entry != nil {
@@ -259,14 +244,14 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 		if sec.exit != nil {
 			exitDig = sec.exit.Digest()
 			sec.exitCycles = sec.exit.CyclesNow()
-			if fn, idx, ok := m0.LocOf(sec.exit.PC()); ok {
-				sec.deadR, sec.deadF = compose.DeadSets(tgt.Prog, fn, idx)
+			if fn, idx, ok := e.m0.LocOf(sec.exit.PC()); ok {
+				sec.deadR, sec.deadF = compose.DeadSets(prog, fn, idx)
 			}
 		} else {
 			// The terminal section's "exit state" is the golden program end.
-			exitDig = compose.Mix(goldenOutDig, golden.DynSites, math.Float64bits(golden.Cycles))
+			exitDig = compose.Mix(cs.outDig, g.sites, math.Float64bits(g.cycles))
 		}
-		secDig := compose.CodeDigest(tgt.Prog, compose.FnsInRange(cps.golden.End.FnSpans, sec.start, sec.end))
+		secDig := compose.CodeDigest(prog, compose.FnsInRange(e.sched.End.FnSpans, sec.start, sec.end))
 		sec.key = compose.Mix(imageDig, argsDig, sec.start, sec.end, k,
 			entryDig, exitDig, secDig, uint64(sec.seed), uint64(sec.n),
 			uint64(c.BitsPerFault), c.MaxSteps)
@@ -274,177 +259,140 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 	if widthFallbacks > 0 {
 		c.Obs.Counter(obs.MWidthFallbacks).Add(int64(widthFallbacks))
 	}
-	golden.SiteStatics = nil // the plan is drawn
+	f.orig, f.plans = plans, plans
+	cs.metas = make([]planMeta, len(plans))
+	return cs
+}
 
-	// Serve plans from cached section tables. A key hit serves every plan
-	// whose validity class allows it: local and output-class plans on the
-	// key alone, global-class plans only under an unchanged whole-program
-	// digest — a partial hit re-executes just the stale global plans.
-	cache := c.SectionCache
-	metas := make([]planMeta, len(plans))
-	var cached map[int]planResult
-	if cache != nil {
-		cached = map[int]planResult{}
-		for i := range secs {
-			sec := &secs[i]
-			if sec.n == 0 {
-				continue
-			}
-			t := cache.Get(sec.key)
-			if t == nil {
-				continue
-			}
-			if len(t.Plans) != sec.n || !tableMatchesPlans(t, plans[sec.base:sec.base+sec.n]) {
-				// A fingerprint collision; vanishingly unlikely, but refuse
-				// to serve results for different plans.
-				continue
-			}
-			served := 0
-			for j := 0; j < sec.n; j++ {
-				cp := t.Plans[j]
-				if cp.Class == compose.ClassGlobal && t.GlobalDigest != globalDig {
-					continue
-				}
-				idx := sec.base + j
-				r := planResult{o: Outcome(cp.Outcome), fb: cp.Fallback}
-				if cp.Class == compose.ClassOutput {
-					// Early program exit inside the section: the stored
-					// faulty-output digest reclassifies against the CURRENT
-					// golden output, so the entry survives golden changes.
-					if cp.OutDigest == goldenOutDig {
-						r.o = Benign
-					} else {
-						r.o = SDC
-					}
-				}
-				if cp.HasLat {
-					r.lat, r.hasLat = cp.Lat, true
-					if cp.Boundary {
-						// Boundary plans store the injection→boundary part;
-						// the golden tail is this program's, not the one the
-						// table was measured under.
-						r.lat += golden.Cycles - sec.exitCycles
-					}
-				}
-				cached[idx] = r
-				metas[idx] = planMeta{set: true, class: cp.Class, boundary: cp.Boundary,
-					localLat: cp.Lat, outDig: cp.OutDigest}
-				served++
-			}
-			cache.Served(served)
-		}
+// serve answers plans from cached section tables. A key hit serves every
+// plan whose validity class allows it: local and output-class plans on the
+// key alone, global-class plans only under an unchanged whole-program
+// digest — a partial hit re-executes just the stale global plans.
+func (cs *composition) serve() map[int]planResult {
+	cache := cs.f.c.SectionCache
+	if cache == nil {
+		return nil
 	}
-
-	var restores, coldStarts, skipped atomic.Int64
-	var mu sync.Mutex
-	var machines []*machine.Machine
-	findSec := func(site uint64) *section {
-		i := sort.Search(len(secs), func(i int) bool { return secs[i].end > site })
-		return &secs[i]
-	}
-	worker := func(m *machine.Machine, p plannedFault) planResult {
-		sec := findSec(p.site)
-		opts := machine.RunOpts{
-			Args:     tgt.Args,
-			MaxSteps: c.MaxSteps,
-			Fault:    &machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra},
+	cached := map[int]planResult{}
+	for i := range cs.secs {
+		sec := &cs.secs[i]
+		if sec.n == 0 {
+			continue
 		}
-		if sec.entry != nil {
-			opts.Resume = sec.entry
-			restores.Add(1)
-			skipped.Add(int64(sec.entry.DynInsts()))
-		} else {
-			coldStarts.Add(1)
+		t := cache.Get(sec.key)
+		if t == nil {
+			continue
 		}
-		if sec.exit != nil {
-			opts.StopAtSites = sec.end
+		if len(t.Plans) != sec.n || !tableMatchesPlans(t, cs.f.orig[sec.base:sec.base+sec.n]) {
+			// A fingerprint collision; vanishingly unlikely, but refuse
+			// to serve results for different plans.
+			continue
 		}
-		r := m.Run(opts)
-		var pr planResult
-		meta := planMeta{set: true}
-		if r.Outcome == machine.OutcomeBoundary {
-			d := m.DiffSnapshots(r.Boundary, sec.exit)
-			v, exact := compose.Classify(d, sec.deadR, sec.deadF)
-			if v == compose.VerdictFallback {
-				// Ambiguous boundary: continue the same run end-to-end. The
-				// boundary snapshot carries the injection bookkeeping, so
-				// outcome and latency match a monolithic full run.
-				r2 := m.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, Resume: r.Boundary, Golden: cps.golden})
-				pr.o = classifyAsm(r2, golden.Output)
-				if r2.Injected {
-					pr.lat, pr.hasLat = r2.Cycles-r2.FaultCycles, true
-				}
-				pr.fb = true
-				meta.class = compose.ClassGlobal
-			} else {
-				if v == compose.VerdictSDC {
-					pr.o = SDC
+		served := 0
+		for j := 0; j < sec.n; j++ {
+			cp := t.Plans[j]
+			if cp.Class == compose.ClassGlobal && t.GlobalDigest != cs.globalDig {
+				continue
+			}
+			idx := sec.base + j
+			r := planResult{o: Outcome(cp.Outcome), fb: cp.Fallback}
+			if cp.Class == compose.ClassOutput {
+				// Early program exit inside the section: the stored
+				// faulty-output digest reclassifies against the CURRENT
+				// golden output, so the entry survives golden changes.
+				if cp.OutDigest == cs.outDig {
+					r.o = Benign
 				} else {
-					pr.o = Benign
-				}
-				meta.boundary = true
-				meta.class = compose.ClassGlobal
-				if exact {
-					meta.class = compose.ClassLocal
-				}
-				if r.Injected {
-					meta.localLat = r.Boundary.CyclesNow() - r.FaultCycles
-					pr.lat, pr.hasLat = meta.localLat+(golden.Cycles-sec.exitCycles), true
+					r.o = SDC
 				}
 			}
-		} else {
-			pr.o = classifyAsm(r, golden.Output)
-			if r.Injected {
-				pr.lat, pr.hasLat = r.Cycles-r.FaultCycles, true
+			if cp.HasLat {
+				r.lat, r.hasLat = cp.Lat, true
+				if cp.Boundary {
+					// Boundary plans store the injection→boundary part;
+					// the golden tail is this program's, not the one the
+					// table was measured under.
+					r.lat += cs.f.g.cycles - sec.exitCycles
+				}
 			}
-			if r.Outcome == machine.OutcomeOK {
-				meta.class = compose.ClassOutput
-				meta.outDig = compose.OutputDigest(r.Output)
-			} else {
-				meta.class = compose.ClassLocal
-			}
+			cached[idx] = r
+			cs.metas[idx] = planMeta{set: true, class: cp.Class, boundary: cp.Boundary,
+				localLat: cp.Lat, outDig: cp.OutDigest}
+			served++
 		}
-		metas[p.idx] = meta
+		cache.Served(served)
+	}
+	return cached
+}
+
+// worker wraps an engine worker with the section-local run: each plan
+// resumes from its section's entry snapshot (the flow's resume lookup
+// picks it) and stops at the section boundary, where its state is
+// classified against the golden exit or continued end-to-end.
+func (cs *composition) worker(w worker) worker {
+	return composeWorker{cs: cs, w: w.(*asmWorker)}
+}
+
+type composeWorker struct {
+	cs *composition
+	w  *asmWorker
+}
+
+func (cw composeWorker) run(p plannedFault, i int) planResult {
+	cs, w := cw.cs, cw.w
+	si := sort.Search(len(cs.secs), func(i int) bool { return cs.secs[i].end > p.site })
+	sec := &cs.secs[si]
+	opts := w.opts(p, i)
+	if sec.exit != nil {
+		opts.StopAtSites = sec.end
+	}
+	r := w.m.Run(opts)
+	if r.Outcome != machine.OutcomeBoundary {
+		pr := w.e.planResult(r)
+		meta := planMeta{set: true, class: compose.ClassLocal}
+		if r.Outcome == machine.OutcomeOK {
+			meta.class = compose.ClassOutput
+			meta.outDig = compose.OutputDigest(r.Output)
+		}
+		cs.metas[p.idx] = meta
 		return pr
 	}
-
-	isp := c.Obs.Span("inject")
-	isp.SetAttr("plans", len(plans))
-	po, err := runPlans(c, plans, func() (func(plannedFault) planResult, error) {
-		m := m0.Clone()
-		mu.Lock()
-		machines = append(machines, m)
-		mu.Unlock()
-		return func(p plannedFault) planResult { return worker(m, p) }, nil
-	}, cached)
-	isp.End()
-	mu.Lock()
-	observeMachines(c.Obs, append([]*machine.Machine{m0}, machines...))
-	mu.Unlock()
-	if err != nil {
-		return Result{}, err
+	d := w.m.DiffSnapshots(r.Boundary, sec.exit)
+	v, exact := compose.Classify(d, sec.deadR, sec.deadF)
+	if v == compose.VerdictFallback {
+		// Ambiguous boundary: continue the same run end-to-end. The
+		// boundary snapshot carries the injection bookkeeping, so outcome
+		// and latency match a monolithic full run.
+		pr := w.e.planResult(w.m.Run(machine.RunOpts{Args: w.e.tgt.Args, MaxSteps: w.e.maxSteps,
+			Resume: r.Boundary, Golden: w.e.sched}))
+		pr.fb = true
+		cs.metas[p.idx] = planMeta{set: true, class: compose.ClassGlobal}
+		return pr
 	}
-
-	res := Result{
-		Samples:  po.samples,
-		Counts:   po.counts,
-		DynSites: golden.DynSites,
-		Golden:   golden.Output,
-		Cycles:   golden.Cycles,
-		Checkpoint: CheckpointSummary{
-			Enabled:       true,
-			Interval:      k,
-			Snapshots:     len(cps.snaps),
-			SnapshotBytes: cps.bytes(),
-			Restores:      restores.Load(),
-			ColdStarts:    coldStarts.Load(),
-			SkippedInsts:  skipped.Load(),
-		},
-		Latency: aggregateLatency("cycles", po.samples, po.outcomes, po.lats, po.hasLat),
+	pr := planResult{o: Benign}
+	if v == compose.VerdictSDC {
+		pr.o = SDC
 	}
-	cs := ComposeSummary{Enabled: true, Mode: c.Compose.String(), Interval: k, Composed: po.samples}
-	for i := range secs {
-		sec := &secs[i]
+	meta := planMeta{set: true, boundary: true, class: compose.ClassGlobal}
+	if exact {
+		meta.class = compose.ClassLocal
+	}
+	if r.Injected {
+		meta.localLat = r.Boundary.CyclesNow() - r.FaultCycles
+		pr.lat, pr.hasLat = meta.localLat+(cs.f.g.cycles-sec.exitCycles), true
+	}
+	cs.metas[p.idx] = meta
+	return pr
+}
+
+// finish adds the composed ledger to the flow's Result, stores every
+// fully-measured section's propagation table, and under ComposeValidate
+// runs the monolithic campaign to compare against.
+func (cs *composition) finish(res *Result) error {
+	po, c := cs.f.po, cs.f.c
+	sum := ComposeSummary{Enabled: true, Mode: c.Compose.String(), Interval: cs.f.sched.k, Composed: po.samples}
+	for i := range cs.secs {
+		sec := &cs.secs[i]
 		row := SectionRow{
 			Start:       sec.start,
 			End:         sec.end,
@@ -457,68 +405,21 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 				row.Fallbacks++
 			}
 		}
-		cs.Fallbacks += row.Fallbacks
-		cs.Rows = append(cs.Rows, row)
+		sum.Fallbacks += row.Fallbacks
+		sum.Rows = append(sum.Rows, row)
 	}
-	cs.Sections = cs.Composed - cs.Fallbacks
-	res.Composed = cs
-
-	// Rebuild and store each fully-measured section's propagation table.
-	// Sections containing journal-replayed plans carry no descriptor
-	// metadata and are skipped — resume correctness never depends on the
-	// cache. Tables that served under a stale global digest were re-measured
-	// plan-by-plan above, so the Put refreshes their global entries.
-	if cache != nil {
-		for i := range secs {
-			sec := &secs[i]
-			if sec.n == 0 {
-				continue
-			}
-			complete := true
-			for j := 0; j < sec.n; j++ {
-				if !metas[sec.base+j].set {
-					complete = false
-					break
-				}
-			}
-			if !complete {
-				continue
-			}
-			t := &compose.Table{GlobalDigest: globalDig, Plans: make([]compose.CachedPlan, sec.n)}
-			for j := 0; j < sec.n; j++ {
-				idx := sec.base + j
-				pm := metas[idx]
-				cp := compose.CachedPlan{
-					Site:      plans[idx].site,
-					Bit:       uint16(plans[idx].bit),
-					Outcome:   uint8(po.outcomes[idx]),
-					Fallback:  po.fbs[idx],
-					Class:     pm.class,
-					Boundary:  pm.boundary,
-					OutDigest: pm.outDig,
-				}
-				if po.hasLat[idx] {
-					cp.HasLat = true
-					if pm.boundary {
-						cp.Lat = pm.localLat
-					} else {
-						cp.Lat = po.lats[idx]
-					}
-				}
-				t.Plans[j] = cp
-			}
-			cache.Put(sec.key, t)
-		}
-	}
+	sum.Sections = sum.Composed - sum.Fallbacks
+	res.Composed = sum
+	cs.put()
 
 	if c.Compose == ComposeValidate {
 		mc := c
 		mc.Compose, mc.SectionCache = ComposeOff, nil
 		mc.Journal, mc.Key, mc.Prior = nil, "", nil
 		mc.Obs, mc.Progress = nil, nil
-		mono, err := RunAsmCampaign(tgt, mc)
+		mono, err := RunAsmCampaign(cs.e.tgt, mc)
 		if err != nil {
-			return Result{}, fmt.Errorf("fi: compose validation: %w", err)
+			return fmt.Errorf("fi: compose validation: %w", err)
 		}
 		v := &ComposeValidation{
 			MonoSamples:  mono.Samples,
@@ -533,13 +434,59 @@ func runComposedAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
 			math.Abs(v.Detected-v.MonoDetected) <= v.DetectedTol
 		res.Composed.Validation = v
 	}
+	return nil
+}
 
-	c.observe(res)
-	c.journalCell(res)
-	if err := c.journalErr(); err != nil {
-		return Result{}, err
+// put rebuilds and stores each fully-measured section's propagation table.
+// Sections containing journal-replayed plans carry no descriptor metadata
+// and are skipped — resume correctness never depends on the cache. Tables
+// that served under a stale global digest were re-measured plan-by-plan,
+// so the Put refreshes their global entries.
+func (cs *composition) put() {
+	cache, po, plans := cs.f.c.SectionCache, cs.f.po, cs.f.orig
+	if cache == nil {
+		return
 	}
-	return res, nil
+	for i := range cs.secs {
+		sec := &cs.secs[i]
+		if sec.n == 0 {
+			continue
+		}
+		complete := true
+		for j := 0; j < sec.n; j++ {
+			if !cs.metas[sec.base+j].set {
+				complete = false
+				break
+			}
+		}
+		if !complete {
+			continue
+		}
+		t := &compose.Table{GlobalDigest: cs.globalDig, Plans: make([]compose.CachedPlan, sec.n)}
+		for j := 0; j < sec.n; j++ {
+			idx := sec.base + j
+			pm := cs.metas[idx]
+			cp := compose.CachedPlan{
+				Site:      plans[idx].site,
+				Bit:       uint16(plans[idx].bit),
+				Outcome:   uint8(po.outcomes[idx]),
+				Fallback:  po.fbs[idx],
+				Class:     pm.class,
+				Boundary:  pm.boundary,
+				OutDigest: pm.outDig,
+			}
+			if po.hasLat[idx] {
+				cp.HasLat = true
+				if pm.boundary {
+					cp.Lat = pm.localLat
+				} else {
+					cp.Lat = po.lats[idx]
+				}
+			}
+			t.Plans[j] = cp
+		}
+		cache.Put(sec.key, t)
+	}
 }
 
 // tableMatchesPlans cross-checks a cached table's plan identity against the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,7 +73,7 @@ func testKillResume(t *testing.T, workers int, run func(Campaign) (Result, error
 			t.Errorf("%s: counts %v (n=%d) != baseline %v (n=%d)",
 				stage, got.Counts, got.Samples, want.Counts, want.Samples)
 		}
-		if got.DynSites != want.DynSites || !equalOutput(got.Golden, want.Golden) {
+		if got.DynSites != want.DynSites || !slices.Equal(got.Golden, want.Golden) {
 			t.Errorf("%s: golden-run fields differ from baseline", stage)
 		}
 	}

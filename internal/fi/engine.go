@@ -1,0 +1,307 @@
+package fi
+
+import (
+	"fmt"
+	"sync"
+
+	"ferrum/internal/ir"
+	"ferrum/internal/machine"
+	"ferrum/internal/obs"
+)
+
+// engine is what the campaign flow (campaign.go) needs from one injection
+// level: asmEngine drives the machine model (the PINFI-style injector),
+// irEngine the IR interpreter (the LLFI-style one). Plan drawing, the run
+// mode stages, the worker pool, resume accounting and result assembly are
+// level-independent and live in the flow.
+type engine interface {
+	// golden runs the built template unfaulted.
+	golden() (goldenRun, error)
+	// record replays the golden run with a snapshot every k sites. The
+	// engine keeps the snapshots; the flow gets where they sit.
+	record(k uint64) *schedule
+	// clone returns a worker over its own copy of the template's mutable
+	// state. Safe for concurrent use.
+	clone() worker
+	// observe publishes the engine's work counters once the plans ran.
+	observe(o *obs.Ctx)
+	// unit names the detection-latency unit: "cycles" or "insts".
+	unit() string
+}
+
+// worker runs plans on one engine clone.
+type worker interface {
+	// run executes p resumed from snapshot i of the recorded schedule, or
+	// from program start when i < 0.
+	run(p plannedFault, i int) planResult
+}
+
+// goldenRun is what the flow reads of a golden run.
+type goldenRun struct {
+	sites, insts uint64
+	output       []uint64
+	cycles       float64 // machine cycles; 0 at IR level (no cycle model)
+	// width returns the per-site destination-width lookup the plan draw
+	// samples bits from, counting fallback draws into *fallbacks (see
+	// siteWidth). nil at IR level, where every site is 64 bits wide.
+	width func(fallbacks *int) func(uint64) uint
+}
+
+// schedule is a recorded checkpoint schedule as the flow sees it.
+type schedule struct {
+	k     uint64
+	sites []uint64 // snapshot site counts, ascending
+	skips []int64  // instructions resuming from each snapshot skips
+	bytes int      // dirtied bytes captured across all snapshots
+}
+
+func (s *schedule) add(sites, skip uint64, bytes int) {
+	s.sites = append(s.sites, sites)
+	s.skips = append(s.skips, int64(skip))
+	s.bytes += bytes
+}
+
+// Each engine's terminal outcomes by campaign class; classify splits a
+// completed run into Benign and SDC.
+var (
+	asmClass = [...]Outcome{machine.OutcomeOK: Benign, machine.OutcomeDetected: Detected,
+		machine.OutcomeCrash: Crash, machine.OutcomeHang: Hang}
+	irClass = [...]Outcome{ir.OutcomeOK: Benign, ir.OutcomeDetected: Detected,
+		ir.OutcomeCrash: Crash, ir.OutcomeHang: Hang}
+)
+
+// asmEngine injects into the machine model.
+type asmEngine struct {
+	tgt      AsmTarget
+	maxSteps uint64
+	// m0 is the fully-loaded template machine: program decoded, data image
+	// installed, fusion tables rebuilt from the golden run's profile.
+	// Workers are clones of it — they share the decoded program and image
+	// and own all mutable run state. machines collects the clones (clone
+	// runs inside worker goroutines, hence the mutex) so dispatch-tier
+	// counters and fusion-pair tables can be merged after the plans ran.
+	m0       *machine.Machine
+	mu       sync.Mutex
+	machines []*machine.Machine
+	res      machine.Result
+	// instrs is the template's StaticInstrs table, which res.SiteStatics
+	// index: each site's location and destination width. The per-site
+	// table is dropped when the checkpoints are recorded — the plan is
+	// drawn by then — unless keepSites asks for it (siteLoc).
+	instrs    []machine.StaticInstr
+	keepSites bool
+	// sched is the recorded checkpoint schedule. Plans resume from its
+	// snapshots and end at the first one their state rejoins
+	// (machine.RunOpts.Golden); its Result's FnSpans say which functions
+	// ran between the snapshots.
+	sched *machine.Golden
+}
+
+func newAsmEngine(tgt AsmTarget, maxSteps uint64) (*asmEngine, error) {
+	m, err := machine.New(tgt.Prog, tgt.MemSize)
+	if err == nil && tgt.Setup != nil {
+		err = tgt.Setup(m)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fi: %w", err)
+	}
+	return &asmEngine{tgt: tgt, maxSteps: maxSteps, m0: m}, nil
+}
+
+// golden also records the run's profile and per-site static ids. The
+// profile rebuilds the template's fusion tables before any clone is taken,
+// so every worker inherits the profile-guided superinstruction tier. Fused
+// execution is bit-identical to unfused, so results are unaffected.
+func (e *asmEngine) golden() (goldenRun, error) {
+	e.res = e.m0.Run(machine.RunOpts{
+		Args:              e.tgt.Args,
+		MaxSteps:          e.maxSteps,
+		Profile:           true,
+		RecordSiteStatics: true,
+	})
+	if e.res.Outcome != machine.OutcomeOK {
+		return goldenRun{}, fmt.Errorf("fi: golden run failed: %v (%s)", e.res.Outcome, e.res.CrashMsg)
+	}
+	e.m0.FuseProfile(e.res.Profile)
+	e.instrs = e.m0.StaticInstrs()
+	return goldenRun{
+		sites:  e.res.DynSites,
+		insts:  e.res.DynInsts,
+		output: e.res.Output,
+		cycles: e.res.Cycles,
+		width: func(fallbacks *int) func(uint64) uint {
+			return siteWidth(e.res.SiteStatics, e.instrs, fallbacks)
+		},
+	}, nil
+}
+
+// record also records function spans: on the block loop they cost one
+// compare per block entry, and compose's section keys hash them.
+func (e *asmEngine) record(k uint64) *schedule {
+	if !e.keepSites {
+		e.res.SiteStatics = nil
+	}
+	s := &schedule{k: k}
+	var snaps []*machine.Snapshot
+	end := e.m0.Run(machine.RunOpts{
+		Args:            e.tgt.Args,
+		MaxSteps:        e.maxSteps,
+		CheckpointEvery: k,
+		RecordFnSpans:   true,
+		OnCheckpoint: func(sn *machine.Snapshot) {
+			snaps = append(snaps, sn)
+			s.add(sn.Sites(), sn.DynInsts(), sn.MemBytes())
+		},
+	})
+	e.sched = &machine.Golden{Checkpoints: snaps, End: end}
+	return s
+}
+
+func (e *asmEngine) clone() worker {
+	m := e.m0.Clone()
+	e.mu.Lock()
+	e.machines = append(e.machines, m)
+	e.mu.Unlock()
+	return &asmWorker{e: e, m: m}
+}
+
+// observe publishes the lifetime counters of the template and every clone:
+// dispatch-tier counts, fusion-pair tables (under obs.MFusionPrefix, so the
+// -dump-fusion report can rank patterns by dynamic executions) and the
+// plans that ended at a golden checkpoint. Like the ckpt.* counters, these
+// count work this process did or avoided, so journal-answered campaigns
+// never replay them.
+func (e *asmEngine) observe(o *obs.Ctx) {
+	if o == nil {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var blocks, fused, converged uint64
+	for _, m := range append([]*machine.Machine{e.m0}, e.machines...) {
+		b, f := m.DispatchStats()
+		blocks += b
+		fused += f
+		converged += m.Converged()
+		for _, p := range m.FusionPairs() {
+			if p.Hits > 0 {
+				o.Counter(obs.MFusionPrefix + p.Pair).Add(int64(p.Hits))
+			}
+		}
+	}
+	o.Counter(obs.MBlocksEntered).Add(int64(blocks))
+	o.Counter(obs.MFusedUops).Add(int64(fused))
+	o.Counter(obs.MCkptConverged).Add(int64(converged))
+}
+
+func (e *asmEngine) unit() string { return "cycles" }
+
+// siteLoc is the static location of the golden run's site-th site.
+func (e *asmEngine) siteLoc(site uint64) machine.SiteLoc {
+	st := &e.instrs[e.res.SiteStatics[site]]
+	return machine.SiteLoc{Fn: st.Fn, Idx: st.Idx}
+}
+
+// planResult classifies an injected run against the golden output.
+func (e *asmEngine) planResult(r machine.Result) planResult {
+	pr := planResult{o: classify(asmClass[r.Outcome], r.Output, e.res.Output)}
+	if r.Injected {
+		pr.lat, pr.hasLat = r.Cycles-r.FaultCycles, true
+	}
+	return pr
+}
+
+type asmWorker struct {
+	e *asmEngine
+	m *machine.Machine
+}
+
+// opts are the run options of plan p resumed from snapshot i.
+func (w *asmWorker) opts(p plannedFault, i int) machine.RunOpts {
+	opts := machine.RunOpts{
+		Args:     w.e.tgt.Args,
+		MaxSteps: w.e.maxSteps,
+		Fault:    &machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra},
+	}
+	if i >= 0 {
+		opts.Resume = w.e.sched.Checkpoints[i]
+	}
+	return opts
+}
+
+func (w *asmWorker) run(p plannedFault, i int) planResult {
+	opts := w.opts(p, i)
+	opts.Golden = w.e.sched
+	return w.e.planResult(w.m.Run(opts))
+}
+
+// irEngine injects into the IR interpreter.
+type irEngine struct {
+	tgt      IRTarget
+	maxSteps uint64
+	// ip0 is the fully-loaded template; workers clone it, sharing the
+	// decoded module and pristine memory image.
+	ip0    *ir.Interp
+	output []uint64
+	snaps  []*ir.Snapshot
+}
+
+func newIREngine(tgt IRTarget, maxSteps uint64) (*irEngine, error) {
+	ip, err := ir.NewInterp(tgt.Mod, tgt.MemSize)
+	if err == nil && tgt.Setup != nil {
+		err = tgt.Setup(ip)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fi: %w", err)
+	}
+	return &irEngine{tgt: tgt, maxSteps: maxSteps, ip0: ip}, nil
+}
+
+func (e *irEngine) golden() (goldenRun, error) {
+	r := e.ip0.Run(ir.RunOpts{Args: e.tgt.Args, MaxSteps: e.maxSteps})
+	if r.Outcome != ir.OutcomeOK {
+		return goldenRun{}, fmt.Errorf("fi: golden IR run failed: %v (%s)", r.Outcome, r.CrashMsg)
+	}
+	e.output = r.Output
+	return goldenRun{sites: r.Sites, insts: r.Steps, output: r.Output}, nil
+}
+
+func (e *irEngine) record(k uint64) *schedule {
+	s := &schedule{k: k}
+	e.ip0.Run(ir.RunOpts{
+		Args:            e.tgt.Args,
+		MaxSteps:        e.maxSteps,
+		CheckpointEvery: k,
+		OnCheckpoint: func(sn *ir.Snapshot) {
+			e.snaps = append(e.snaps, sn)
+			s.add(sn.Sites(), sn.Steps(), sn.MemBytes())
+		},
+	})
+	return s
+}
+
+func (e *irEngine) clone() worker    { return &irWorker{e: e, ip: e.ip0.Clone()} }
+func (e *irEngine) observe(*obs.Ctx) {}
+func (e *irEngine) unit() string     { return "insts" }
+
+type irWorker struct {
+	e  *irEngine
+	ip *ir.Interp
+}
+
+func (w *irWorker) run(p plannedFault, i int) planResult {
+	opts := ir.RunOpts{
+		Args:     w.e.tgt.Args,
+		MaxSteps: w.e.maxSteps,
+		Fault:    &ir.Fault{Site: p.site, Bit: p.bit},
+	}
+	if i >= 0 {
+		opts.Resume = w.e.snaps[i]
+	}
+	r := w.ip.Run(opts)
+	pr := planResult{o: classify(irClass[r.Outcome], r.Output, w.e.output)}
+	if r.Injected {
+		pr.lat, pr.hasLat = float64(r.Steps-r.FaultStep), true
+	}
+	return pr
+}

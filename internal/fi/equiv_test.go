@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -117,7 +118,7 @@ func checkEquiv(t *testing.T, name string, run func(Campaign) (Result, error)) {
 				t.Errorf("%s: counts %v != direct %v", ctx, got.Counts, want.Counts)
 			}
 			checkLatencyEquiv(t, ctx, got.Latency, want.Latency)
-			if got.DynSites != want.DynSites || !equalOutput(got.Golden, want.Golden) {
+			if got.DynSites != want.DynSites || !slices.Equal(got.Golden, want.Golden) {
 				t.Errorf("%s: golden-run fields differ", ctx)
 			}
 			cp := got.Checkpoint
@@ -169,15 +170,29 @@ func TestEquivAsmCampaigns(t *testing.T) {
 }
 
 // TestEquivJournalPlanRecords: a journaled checkpointed campaign writes the
-// same plan records as the NoCheckpoint campaign, byte for byte. Plans
-// complete in site order under checkpointing, so the records are compared
-// as sorted lines; the cell records must agree on everything but the
-// checkpointing summary.
+// same plan records as the NoCheckpoint campaign, byte for byte, at both
+// injection levels. Plans complete in site order under checkpointing, so
+// the records are compared as sorted lines; the cell records must agree on
+// everything but the checkpointing summary.
 func TestEquivJournalPlanRecords(t *testing.T) {
 	inst := equivBench(t, "bfs")
 	dir := t.TempDir()
+	type target struct {
+		tech string
+		run  func(Campaign) (Result, error)
+	}
+	var targets []target
 	for _, tech := range equivAsmTechs {
 		tgt := equivTechTarget(t, inst, tech)
+		targets = append(targets, target{tech, func(c Campaign) (Result, error) { return RunAsmCampaign(tgt, c) }})
+	}
+	for _, protect := range []bool{false, true} {
+		tgt := equivIRTarget(t, inst, protect)
+		tech := map[bool]string{false: "ir-raw", true: "ir-eddi"}[protect]
+		targets = append(targets, target{tech, func(c Campaign) (Result, error) { return RunIRCampaign(tgt, c) }})
+	}
+	for _, tg := range targets {
+		tech, run := tg.tech, tg.run
 		journal := func(name string, noCheckpoint bool) ([]string, Result) {
 			t.Helper()
 			path := filepath.Join(dir, tech+"-"+name+".ndjson")
@@ -187,7 +202,7 @@ func TestEquivJournalPlanRecords(t *testing.T) {
 			}
 			c := Campaign{Samples: 200, Seed: 4242, MaxSteps: equivSteps, Workers: 4,
 				NoCheckpoint: noCheckpoint, Journal: j, Key: "bfs/" + tech}
-			if _, err := RunAsmCampaign(tgt, c); err != nil {
+			if _, err := run(c); err != nil {
 				t.Fatal(err)
 			}
 			if err := j.Close(); err != nil {

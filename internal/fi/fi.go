@@ -11,16 +11,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"ferrum/internal/asm"
 	"ferrum/internal/compose"
 	"ferrum/internal/ir"
 	"ferrum/internal/machine"
 	"ferrum/internal/obs"
-	"ferrum/internal/prune"
 )
 
 // ErrNoSites reports a campaign whose golden run exposed no fault-injection
@@ -66,7 +63,8 @@ type Campaign struct {
 	// BitsPerFault is the number of distinct bits flipped in the sampled
 	// destination (default 1, the paper's fault model; >1 models the
 	// multi-bit upsets §II-A defers to future work; capped per plan at the
-	// sampled destination's width). Assembly-level campaigns only.
+	// sampled destination's width). Assembly-level campaigns only: CheckIR
+	// refuses more than one.
 	BitsPerFault int
 	// Prune, if not PruneOff, classifies each sampled (site, bit) pair
 	// against the static liveness/masking analysis (internal/prune) and
@@ -352,296 +350,12 @@ type MemWriter interface {
 	SetMemImage(addr uint64, data []byte) error
 }
 
-// plannedFault is one sampled fault. idx is its generation index in the
-// deterministic plan sequence: the identity used for journal records,
-// outcome bookkeeping and early-stop prefixes, stable under the site sort
-// the checkpointing path applies.
-type plannedFault struct {
-	idx   int
-	site  uint64
-	bit   uint
-	extra []uint
-}
-
-// asmCampaign is the shared assembly-level campaign engine behind
-// RunAsmCampaign and ProfileProneness: golden run, width-aware fault plan,
-// snapshot schedule, and the worker factory for runPlans.
-type asmCampaign struct {
-	c      Campaign
-	tgt    AsmTarget
-	build  func() (*machine.Machine, error)
-	golden machine.Result
-	// instrs is the template's StaticInstrs table, which the golden run's
-	// SiteStatics index: each site's location and destination width.
-	instrs []machine.StaticInstr
-	// m0 is the fully-loaded template machine: program decoded, data image
-	// installed, fusion tables rebuilt from the golden run's profile.
-	// Workers are clones of it — they share the decoded program and image
-	// (no per-worker re-decode, re-fuse or image copy) and own all mutable
-	// run state. machines collects the clones (factories run inside worker
-	// goroutines, hence the mutex) so dispatch-tier counters and fusion-pair
-	// tables can be merged after the injection loop.
-	m0       *machine.Machine
-	mu       sync.Mutex
-	machines []*machine.Machine
-	// plans is execution-ordered (sorted by site when checkpointing);
-	// orig keeps generation order for per-plan attribution by index. Under
-	// pruning, plans holds only the dense-indexed class representatives and
-	// part maps generation indices back onto them.
-	plans []plannedFault
-	orig  []plannedFault
-	part  *planPartition
-	cps   *asmCheckpoints
-	ckpt  CheckpointSummary
-
-	restores, coldStarts, skipped atomic.Int64
-}
-
-// newAsmGolden builds the target's template machine and performs the
-// golden run, recording its profile and per-site static ids. The golden
-// run doubles as the fusion profile: the template's fusion tables are
-// rebuilt from it before any clone is taken, so every worker inherits the
-// profile-guided superinstruction tier. Fused execution is bit-identical
-// to unfused, so campaign results are unaffected.
-func newAsmGolden(tgt AsmTarget, c Campaign) (*asmCampaign, error) {
-	build := func() (*machine.Machine, error) {
-		m, err := machine.New(tgt.Prog, tgt.MemSize)
-		if err != nil {
-			return nil, err
-		}
-		if tgt.Setup != nil {
-			if err := tgt.Setup(m); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	}
-	m0, err := build()
-	if err != nil {
-		return nil, fmt.Errorf("fi: %w", err)
-	}
-	gsp := c.Obs.Span("golden")
-	golden := m0.Run(machine.RunOpts{
-		Args:              tgt.Args,
-		MaxSteps:          c.MaxSteps,
-		Profile:           true,
-		RecordSiteStatics: true,
-	})
-	gsp.SetAttr("dyn_insts", golden.DynInsts)
-	gsp.SetAttr("dyn_sites", golden.DynSites)
-	gsp.End()
-	if golden.Outcome != machine.OutcomeOK {
-		return nil, fmt.Errorf("fi: golden run failed: %v (%s)", golden.Outcome, golden.CrashMsg)
-	}
-	m0.FuseProfile(golden.Profile)
-	return &asmCampaign{c: c, tgt: tgt, build: build, golden: golden, m0: m0, instrs: m0.StaticInstrs()}, nil
-}
-
-// newAsmCampaign performs the golden run, samples the fault plan, and
-// records the snapshot schedule if any plan still needs executing. The
-// golden run's per-site table is dropped once the plan is drawn, before
-// the snapshots are recorded, unless keepSites asks for it (siteLoc).
-func newAsmCampaign(tgt AsmTarget, c Campaign, keepSites bool) (*asmCampaign, error) {
-	a, err := newAsmGolden(tgt, c)
-	if err != nil {
-		return nil, err
-	}
-	var fallbacks int
-	plans, err := makePlans(c, a.golden.DynSites, a.siteWidth(&fallbacks))
-	if err != nil {
-		return nil, err
-	}
-	if fallbacks > 0 {
-		c.Obs.Counter(obs.MWidthFallbacks).Add(int64(fallbacks))
-		if c.Prune != PruneOff {
-			// A fallback width means the recorded destination metadata is
-			// incomplete; the static classification cannot be trusted for
-			// those sites, and an exact-mode campaign must not guess.
-			return nil, fmt.Errorf("fi: prune: %d plan draws hit sites with missing/zero recorded width", fallbacks)
-		}
-	}
-	a.plans = shardPlans(plans, c.Shard)
-	a.orig = append([]plannedFault(nil), a.plans...)
-	if c.Prune != PruneOff {
-		psp := c.Obs.Span("prune")
-		an := prune.Analyze(tgt.Prog)
-		part, err := partitionPlans(c.Prune, a.orig, a.golden.SiteStatics, an, a.instrs)
-		psp.End()
-		if err != nil {
-			return nil, err
-		}
-		a.part = part
-		a.plans = append([]plannedFault(nil), part.exec...)
-		// Plans answered statically are complete before any execution:
-		// report them upfront and shift later worker progress past them, so
-		// the caller still observes a monotone count ending at Samples.
-		if answered := len(a.orig) - len(a.plans); answered > 0 && c.Progress != nil {
-			orig := c.Progress
-			a.c.Progress = func(done int) { orig(done + answered) }
-			orig(answered)
-		}
-	}
-	if !keepSites {
-		a.golden.SiteStatics = nil
-	}
-	if !c.NoCheckpoint && a.c.pendingPlans(a.plans) > 0 {
-		a.cps = recordAsmCheckpoints(a.m0, tgt, c, c.checkpointInterval(a.golden.DynSites))
-		sortPlansBySite(a.plans)
-		a.ckpt = CheckpointSummary{
-			Enabled:       true,
-			Interval:      a.cps.k,
-			Snapshots:     len(a.cps.snaps),
-			SnapshotBytes: a.cps.bytes(),
-		}
-	}
-	return a, nil
-}
-
-func (a *asmCampaign) runOne(m *machine.Machine, p plannedFault) planResult {
-	opts := machine.RunOpts{
-		Args:     a.tgt.Args,
-		MaxSteps: a.c.MaxSteps,
-		Fault:    &machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra},
-	}
-	if a.cps != nil {
-		opts.Golden = a.cps.golden
-		if i := nearestSnapshot(a.cps.sites, p.site); i >= 0 {
-			opts.Resume = a.cps.snaps[i]
-			a.restores.Add(1)
-			a.skipped.Add(int64(a.cps.snaps[i].DynInsts()))
-		} else {
-			a.coldStarts.Add(1)
-		}
-	}
-	r := m.Run(opts)
-	pr := planResult{o: classifyAsm(r, a.golden.Output)}
-	if r.Injected {
-		pr.lat, pr.hasLat = r.Cycles-r.FaultCycles, true
-	}
-	return pr
-}
-
-// run executes the plan through runPlans with a per-worker machine. Each
-// worker is a clone of the fused template rather than a from-scratch
-// build: program decode, block formation, fusion and the data image are
-// paid once per campaign instead of once per worker.
-func (a *asmCampaign) run() (planOutcomes, error) {
-	isp := a.c.Obs.Span("inject")
-	isp.SetAttr("plans", len(a.plans))
-	po, err := runPlans(a.c, a.plans, func() (func(plannedFault) planResult, error) {
-		m := a.m0.Clone()
-		a.mu.Lock()
-		a.machines = append(a.machines, m)
-		a.mu.Unlock()
-		return func(p plannedFault) planResult { return a.runOne(m, p) }, nil
-	}, nil)
-	isp.End()
-	a.observeDispatch()
-	return po, err
-}
-
-// observeDispatch merges the machine counters of every machine the
-// campaign ran (template plus worker clones) into the observability
-// registry.
-func (a *asmCampaign) observeDispatch() {
-	a.mu.Lock()
-	machines := append([]*machine.Machine{a.m0}, a.machines...)
-	a.mu.Unlock()
-	observeMachines(a.c.Obs, machines)
-}
-
-// observeMachines publishes the lifetime counters of a campaign's
-// machines: dispatch-tier counts, fusion-pair tables (under
-// obs.MFusionPrefix, so the -dump-fusion report can rank patterns by
-// dynamic executions) and the plans that ended at a golden checkpoint.
-// Like the ckpt.* counters, these count work this process did or avoided,
-// so journal-answered campaigns never replay them.
-func observeMachines(o *obs.Ctx, machines []*machine.Machine) {
-	if o == nil {
-		return
-	}
-	var blocks, fused, converged uint64
-	for _, m := range machines {
-		b, f := m.DispatchStats()
-		blocks += b
-		fused += f
-		converged += m.Converged()
-		for _, p := range m.FusionPairs() {
-			if p.Hits > 0 {
-				o.Counter(obs.MFusionPrefix + p.Pair).Add(int64(p.Hits))
-			}
-		}
-	}
-	o.Counter(obs.MBlocksEntered).Add(int64(blocks))
-	o.Counter(obs.MFusedUops).Add(int64(fused))
-	o.Counter(obs.MCkptConverged).Add(int64(converged))
-}
-
-// result assembles the campaign Result from the plan outcomes. Under
-// pruning the dense executed outcomes are expanded back onto the full
-// generation-ordered plan space first, so Samples and Counts aggregate
-// every planned fault exactly as an unpruned campaign's would.
-func (a *asmCampaign) result(po planOutcomes) Result {
-	samples, counts, early := po.samples, po.counts, po.early
-	if a.part != nil {
-		n, outcomes := a.expandedOutcomes(po)
-		samples, early = n, false
-		counts = [numOutcomes]int{}
-		for _, o := range outcomes[:n] {
-			counts[o]++
-		}
-	}
-	res := Result{
-		Samples:      samples,
-		Counts:       counts,
-		DynSites:     a.golden.DynSites,
-		Golden:       a.golden.Output,
-		Cycles:       a.golden.Cycles,
-		EarlyStopped: early,
-		Checkpoint:   a.ckpt,
-		// Latency aggregates over the executed prefix po indexes: the
-		// generation order for plain campaigns (truncated on early stop),
-		// the dense representative set under pruning — expanded outcomes
-		// never executed, so they carry no latency.
-		Latency: aggregateLatency("cycles", po.samples, po.outcomes, po.lats, po.hasLat),
-	}
-	if a.part != nil {
-		res.Pruned = a.part.summary
-	}
-	res.Checkpoint.Restores = a.restores.Load()
-	res.Checkpoint.ColdStarts = a.coldStarts.Load()
-	res.Checkpoint.SkippedInsts = a.skipped.Load()
-	return res
-}
-
 // RunAsmCampaign executes a fault-injection campaign against the machine
 // model. The fault plan is pre-generated from the seed, so results are
 // deterministic and independent of worker count.
 func RunAsmCampaign(tgt AsmTarget, c Campaign) (Result, error) {
-	if err := c.Check(); err != nil {
-		return Result{}, err
-	}
-	if res, ok := c.priorResult(); ok {
-		return res, nil
-	}
-	if c.Compose != ComposeOff {
-		return runComposedAsmCampaign(tgt, c)
-	}
-	a, err := newAsmCampaign(tgt, c, false)
-	if err != nil {
-		return Result{}, err
-	}
-	po, err := a.run()
-	if err != nil {
-		return Result{}, err
-	}
-	res := a.result(po)
-	c.observe(res)
-	c.journalCell(res)
-	if err := c.journalErr(); err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	f := &campaign{c: c, build: func() (engine, error) { return newAsmEngine(tgt, c.MaxSteps) }}
+	return f.run()
 }
 
 // IRTarget describes one module to inject at IR level.
@@ -657,111 +371,8 @@ type IRTarget struct {
 // results are excluded (they are sphere inputs for EDDI, matching how the
 // paper's IR-level coverage expectations are formed).
 func RunIRCampaign(tgt IRTarget, c Campaign) (Result, error) {
-	if err := c.CheckIR(); err != nil {
-		return Result{}, err
-	}
-	if res, ok := c.priorResult(); ok {
-		return res, nil
-	}
-	build := func() (*ir.Interp, error) {
-		ip, err := ir.NewInterp(tgt.Mod, tgt.MemSize)
-		if err != nil {
-			return nil, err
-		}
-		if tgt.Setup != nil {
-			if err := tgt.Setup(ip); err != nil {
-				return nil, err
-			}
-		}
-		return ip, nil
-	}
-	ip0, err := build()
-	if err != nil {
-		return Result{}, fmt.Errorf("fi: %w", err)
-	}
-	gsp := c.Obs.Span("golden")
-	golden := ip0.Run(ir.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps})
-	gsp.SetAttr("dyn_sites", golden.Sites)
-	gsp.End()
-	if golden.Outcome != ir.OutcomeOK {
-		return Result{}, fmt.Errorf("fi: golden IR run failed: %v (%s)", golden.Outcome, golden.CrashMsg)
-	}
-	res := Result{DynSites: golden.Sites, Golden: golden.Output}
-	// Every IR site produces a 64-bit value, so the plan needs no per-site
-	// width map (nil samples bits uniformly in [0,64)).
-	plans, err := makePlans(c, golden.Sites, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	plans = shardPlans(plans, c.Shard)
-
-	var (
-		cps                           *irCheckpoints
-		restores, coldStarts, skipped atomic.Int64
-	)
-	if !c.NoCheckpoint && c.pendingPlans(plans) > 0 {
-		k := c.checkpointInterval(golden.Sites)
-		csp := c.Obs.Span("checkpoint.record")
-		cps = recordIRCheckpoints(ip0, tgt, c, k)
-		csp.SetAttr("k", k)
-		csp.SetAttr("snapshots", len(cps.snaps))
-		csp.SetAttr("bytes", cps.bytes())
-		csp.End()
-		sortPlansBySite(plans)
-		res.Checkpoint = CheckpointSummary{
-			Enabled:       true,
-			Interval:      k,
-			Snapshots:     len(cps.snaps),
-			SnapshotBytes: cps.bytes(),
-		}
-	}
-	isp := c.Obs.Span("inject")
-	isp.SetAttr("plans", len(plans))
-	po, err := runPlans(c, plans, func() (func(plannedFault) planResult, error) {
-		// Workers clone the fully-loaded template: the decoded module and
-		// pristine memory image are shared, so per-worker setup skips the
-		// verify/decode passes and the data-image copy.
-		ip := ip0.Clone()
-		return func(p plannedFault) planResult {
-			opts := ir.RunOpts{
-				Args:     tgt.Args,
-				MaxSteps: c.MaxSteps,
-				Fault:    &ir.Fault{Site: p.site, Bit: p.bit},
-			}
-			if cps != nil {
-				if i := nearestSnapshot(cps.sites, p.site); i >= 0 {
-					opts.Resume = cps.snaps[i]
-					restores.Add(1)
-					skipped.Add(int64(cps.snaps[i].Steps()))
-				} else {
-					coldStarts.Add(1)
-				}
-			}
-			r := ip.Run(opts)
-			pr := planResult{o: classifyIR(r, golden.Output)}
-			if r.Injected {
-				pr.lat, pr.hasLat = float64(r.Steps-r.FaultStep), true
-			}
-			return pr
-		}, nil
-	}, nil)
-	isp.End()
-	if err != nil {
-		return Result{}, err
-	}
-	res.Samples = po.samples
-	res.Counts = po.counts
-	res.EarlyStopped = po.early
-	res.Latency = aggregateLatency("insts", po.samples, po.outcomes, po.lats, po.hasLat)
-	res.Checkpoint.Restores = restores.Load()
-	res.Checkpoint.ColdStarts = coldStarts.Load()
-	res.Checkpoint.SkippedInsts = skipped.Load()
-	c.observe(res)
-	c.journalCell(res)
-	if err := c.journalErr(); err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	f := &campaign{c: c, irLevel: true, build: func() (engine, error) { return newIREngine(tgt, c.MaxSteps) }}
+	return f.run()
 }
 
 // siteWidth adapts a golden run's per-site static ids (from
@@ -787,119 +398,13 @@ func siteWidth(statics []int32, instrs []machine.StaticInstr, fallbacks *int) fu
 	}
 }
 
-// siteWidth is the golden run's width lookup.
-func (a *asmCampaign) siteWidth(fallbacks *int) func(uint64) uint {
-	return siteWidth(a.golden.SiteStatics, a.instrs, fallbacks)
-}
-
-// siteLoc is the static location of the golden run's site-th site.
-func (a *asmCampaign) siteLoc(site uint64) machine.SiteLoc {
-	st := &a.instrs[a.golden.SiteStatics[site]]
-	return machine.SiteLoc{Fn: st.Fn, Idx: st.Idx}
-}
-
-// makePlans samples the campaign's deterministic fault plan: a uniformly
-// random site, then a uniformly random bit of that site's actual
-// destination width (width nil means every site is 64 bits wide, the IR
-// case). Sampling in [0, width) rather than a flat [0, 64) matters in both
-// directions: narrow destinations (8/16/32-bit moves, the 4 condition
-// flags) would otherwise draw bit numbers the injector must wrap or mask,
-// and SIMD destinations wider than 64 bits (multi-lane stores up to 512
-// bits) would never receive faults in their upper lanes at all.
-//
-// A siteless golden run returns ErrNoSites rather than panicking inside
-// the RNG draw.
-func makePlans(c Campaign, sites uint64, width func(uint64) uint) ([]plannedFault, error) {
-	if sites == 0 {
-		return nil, ErrNoSites
+// classify names a run's outcome from its engine's terminal class (see
+// asmClass, irClass): a run that completed is Benign or SDC by its output.
+func classify(o Outcome, out, golden []uint64) Outcome {
+	if o == Benign && !slices.Equal(out, golden) {
+		return SDC
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	plans := make([]plannedFault, c.Samples)
-	for i := range plans {
-		site := uint64(rng.Int63n(int64(sites)))
-		w := uint(64)
-		if width != nil {
-			w = width(site)
-		}
-		p := plannedFault{
-			idx:  i,
-			site: site,
-			bit:  uint(rng.Intn(int(w))),
-		}
-		bits := c.BitsPerFault
-		if bits > int(w) {
-			// A destination has only w distinct bits; flipping more is
-			// impossible and resampling for them would never terminate.
-			bits = int(w)
-		}
-		for extra := 1; extra < bits; extra++ {
-			// Resample until the bit is distinct from every bit already
-			// chosen for this fault, not just the primary one: two equal
-			// extras would XOR-cancel and silently weaken the planned
-			// multi-bit upset.
-			b := uint(rng.Intn(int(w)))
-			for duplicateBit(p, b) {
-				b = uint(rng.Intn(int(w)))
-			}
-			p.extra = append(p.extra, b)
-		}
-		plans[i] = p
-	}
-	return plans, nil
-}
-
-func duplicateBit(p plannedFault, b uint) bool {
-	if b == p.bit {
-		return true
-	}
-	for _, e := range p.extra {
-		if e == b {
-			return true
-		}
-	}
-	return false
-}
-
-func classifyAsm(r machine.Result, golden []uint64) Outcome {
-	switch r.Outcome {
-	case machine.OutcomeDetected:
-		return Detected
-	case machine.OutcomeCrash:
-		return Crash
-	case machine.OutcomeHang:
-		return Hang
-	}
-	if equalOutput(r.Output, golden) {
-		return Benign
-	}
-	return SDC
-}
-
-func classifyIR(r ir.RunResult, golden []uint64) Outcome {
-	switch r.Outcome {
-	case ir.OutcomeDetected:
-		return Detected
-	case ir.OutcomeCrash:
-		return Crash
-	case ir.OutcomeHang:
-		return Hang
-	}
-	if equalOutput(r.Output, golden) {
-		return Benign
-	}
-	return SDC
-}
-
-func equalOutput(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return o
 }
 
 // FindExample scans the campaign's deterministic fault plan for the first
@@ -907,28 +412,22 @@ func equalOutput(a, b []uint64) bool {
 // replay it (e.g. with machine tracing enabled for diagnosis). ok is false
 // if no sampled fault produces the outcome.
 func FindExample(tgt AsmTarget, c Campaign, want Outcome) (machine.Fault, bool, error) {
-	m, err := machine.New(tgt.Prog, tgt.MemSize)
+	e, err := newAsmEngine(tgt, c.MaxSteps)
 	if err != nil {
 		return machine.Fault{}, false, err
 	}
-	if tgt.Setup != nil {
-		if err := tgt.Setup(m); err != nil {
-			return machine.Fault{}, false, err
-		}
-	}
-	golden := m.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, RecordSiteStatics: true})
-	if golden.Outcome != machine.OutcomeOK {
-		return machine.Fault{}, false, fmt.Errorf("fi: golden run failed: %v", golden.Outcome)
-	}
-	plans, err := makePlans(c, golden.DynSites, siteWidth(golden.SiteStatics, m.StaticInstrs(), nil))
+	g, err := e.golden()
 	if err != nil {
 		return machine.Fault{}, false, err
 	}
+	plans, err := makePlans(c, g.sites, g.width(nil))
+	if err != nil {
+		return machine.Fault{}, false, err
+	}
+	w := &asmWorker{e: e, m: e.m0}
 	for _, p := range plans {
-		f := machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra}
-		r := m.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, Fault: &f})
-		if classifyAsm(r, golden.Output) == want {
-			return f, true, nil
+		if w.run(p, -1).o == want {
+			return machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra}, true, nil
 		}
 	}
 	return machine.Fault{}, false, nil

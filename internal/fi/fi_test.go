@@ -2,6 +2,7 @@ package fi
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -332,7 +333,7 @@ func TestFindExample(t *testing.T) {
 	if res.Outcome != machineOutcomeOK {
 		t.Fatalf("replay outcome %v, want ok-with-wrong-output", res.Outcome)
 	}
-	if equalOutput(res.Output, golden.Output) {
+	if slices.Equal(res.Output, golden.Output) {
 		t.Error("replayed fault did not corrupt output")
 	}
 	// Protected program has no SDC example.

@@ -1,6 +1,7 @@
 package fi
 
 import (
+	"strings"
 	"testing"
 
 	"ferrum/internal/asm"
@@ -167,5 +168,16 @@ func TestProfileProneness(t *testing.T) {
 	}
 	if len(stats2) != len(stats) || stats2[0] != stats[0] {
 		t.Error("profiling not deterministic")
+	}
+}
+
+// TestProfilePronenessRejectsCompose: a stratified composed draw cannot be
+// attributed per site, so a composed profile is refused rather than
+// silently run monolithic.
+func TestProfilePronenessRejectsCompose(t *testing.T) {
+	tgt := asmTarget(t, false)
+	_, err := ProfileProneness(tgt, Campaign{Samples: 50, Seed: 13, Compose: ComposeOn})
+	if err == nil || !strings.Contains(err.Error(), "not supported for proneness profiles") {
+		t.Fatalf("composed profile: err = %v, want a refusal", err)
 	}
 }

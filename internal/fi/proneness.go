@@ -1,6 +1,7 @@
 package fi
 
 import (
+	"fmt"
 	"sort"
 
 	"ferrum/internal/machine"
@@ -56,8 +57,10 @@ func (s SiteStats) MeanLatency() float64 {
 // all behave identically — and aggregates from the per-plan outcome record,
 // so the profile is deterministic and independent of worker count.
 func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
-	if err := c.Check(); err != nil {
-		return nil, err
+	if c.Compose != ComposeOff {
+		// A stratified draw weights sites by section, not uniformly, and
+		// composed plans never run to a per-site outcome of their own.
+		return nil, fmt.Errorf("fi: compose mode %v is not supported for proneness profiles (per-site attribution needs the uniform plan)", c.Compose)
 	}
 	// The journaled cell record carries only campaign totals, not the
 	// per-site attribution a profile needs, so a complete-cell shortcut
@@ -66,31 +69,35 @@ func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
 	if c.Prior != nil && c.Prior.Result != nil {
 		c.Prior = &CellState{Plans: c.Prior.Plans, PlanLats: c.Prior.PlanLats, PlanSites: c.Prior.PlanSites}
 	}
-	a, err := newAsmCampaign(tgt, c, true)
-	if err != nil {
+	var e *asmEngine
+	f := &campaign{c: c, profile: true, build: func() (engine, error) {
+		var err error
+		if e, err = newAsmEngine(tgt, c.MaxSteps); err != nil {
+			return nil, err
+		}
+		e.keepSites = true // siteLoc attributes every plan after the run
+		return e, nil
+	}}
+	if _, err := f.run(); err != nil {
 		return nil, err
 	}
-	po, err := a.run()
-	if err != nil {
-		return nil, err
-	}
-	res := a.result(po)
-	c.observe(res)
 
 	// Under pruning the dense outcomes expand back onto the full plan space
 	// (pruned plans Benign, deduped plans their representative's outcome);
 	// every member of a class shares a static instruction, so per-site
 	// attribution composes exactly.
-	samples, outcomes := a.expandedOutcomes(po)
+	po := f.po
+	samples, outcomes := f.expandedOutcomes()
 	agg := map[machine.SiteLoc]*SiteStats{}
-	for i := 0; i < samples; i++ {
-		p := a.orig[i]
-		loc := a.siteLoc(p.site)
-		st := agg[loc]
-		if st == nil {
-			st = &SiteStats{Loc: loc}
-			agg[loc] = st
+	at := func(site uint64) *SiteStats {
+		loc := e.siteLoc(site)
+		if agg[loc] == nil {
+			agg[loc] = &SiteStats{Loc: loc}
 		}
+		return agg[loc]
+	}
+	for i := 0; i < samples; i++ {
+		st := at(f.orig[i].site)
 		st.Faults++
 		switch outcomes[i] {
 		case Benign:
@@ -108,20 +115,15 @@ func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
 	// Latency attributes by the executed plan set po actually indexes (the
 	// dense representatives under pruning), not the expanded space: only
 	// executed faults measured anything.
-	execPlans := a.orig
-	if a.part != nil {
-		execPlans = a.part.exec
+	execPlans := f.orig
+	if f.part != nil {
+		execPlans = f.part.exec
 	}
 	for i := 0; i < po.samples && i < len(execPlans); i++ {
 		if !po.hasLat[i] {
 			continue
 		}
-		loc := a.siteLoc(execPlans[i].site)
-		st := agg[loc]
-		if st == nil {
-			st = &SiteStats{Loc: loc}
-			agg[loc] = st
-		}
+		st := at(execPlans[i].site)
 		st.LatencySum += po.lats[i]
 		st.LatencyN++
 	}

@@ -184,13 +184,14 @@ func planKind(mode PruneMode, si prune.SiteInfo, p plannedFault) prune.Kind {
 // deduplicated plans take their representative's outcome. Without a
 // partition it returns the plan outcomes as-is (including early-stop
 // truncation).
-func (a *asmCampaign) expandedOutcomes(po planOutcomes) (int, []Outcome) {
-	if a.part == nil {
+func (f *campaign) expandedOutcomes() (int, []Outcome) {
+	po := f.po
+	if f.part == nil {
 		return po.samples, po.outcomes
 	}
-	out := make([]Outcome, len(a.orig))
-	for i := range a.orig {
-		if oi := a.part.assign[i]; oi >= 0 {
+	out := make([]Outcome, len(f.orig))
+	for i := range f.orig {
+		if oi := f.part.assign[i]; oi >= 0 {
 			out[i] = po.outcomes[oi]
 		} else {
 			out[i] = Benign

@@ -2,6 +2,7 @@ package fi
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -89,25 +90,22 @@ func TestPrunedPlansAreBenign(t *testing.T) {
 	for _, protect := range []bool{false, true} {
 		tgt := asmTarget(t, protect)
 		c := Campaign{Samples: 250, Seed: 99, MaxSteps: equivSteps, Prune: PruneExact}
-		a, err := newAsmCampaign(tgt, c, false)
-		if err != nil {
+		f := &campaign{c: c, build: func() (engine, error) { return newAsmEngine(tgt, c.MaxSteps) }}
+		if _, err := f.run(); err != nil {
 			t.Fatal(err)
 		}
-		m, err := a.build()
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := f.eng.(*asmEngine)
 		pruned := 0
-		for i, p := range a.orig {
-			if a.part.assign[i] >= 0 {
+		for i, p := range f.orig {
+			if f.part.assign[i] >= 0 {
 				continue
 			}
 			pruned++
-			f := machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra}
-			r := m.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, Fault: &f})
-			if o := classifyAsm(r, a.golden.Output); o != Benign {
-				t.Errorf("protect=%v plan %d (site %d bit %d) pruned as %d but executes to %v",
-					protect, i, p.site, p.bit, a.part.assign[i], o)
+			fault := machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra}
+			r := e.m0.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, Fault: &fault})
+			if o := e.planResult(r).o; o != Benign {
+				t.Errorf("protect=%v plan %d (site %d bit %d) pruned but executes to %v",
+					protect, i, p.site, p.bit, o)
 			}
 		}
 		if pruned == 0 {
@@ -153,7 +151,7 @@ func TestPruneEquivalence(t *testing.T) {
 					if got.Samples != base.Samples {
 						t.Errorf("%s: samples %d != %d", ctx, got.Samples, base.Samples)
 					}
-					if got.DynSites != want.DynSites || !equalOutput(got.Golden, want.Golden) {
+					if got.DynSites != want.DynSites || !slices.Equal(got.Golden, want.Golden) {
 						t.Errorf("%s: golden-run fields differ", ctx)
 					}
 					switch mode {

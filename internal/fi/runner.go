@@ -42,7 +42,6 @@ type planRun struct {
 	ciWidth      float64
 	cancel       <-chan struct{}
 	canceled     bool
-	firstErr     error
 	done         []bool
 	outcomes     []Outcome
 	lats         []float64
@@ -139,6 +138,16 @@ func (pr *planRun) record(idx int, r planResult) bool {
 	if pr.canceled || pr.done[idx] {
 		return false
 	}
+	pr.setLocked(idx, r)
+	pr.advanceLocked()
+	// A plan that itself completed the qualifying prefix (idx < stopAt)
+	// counts; anything at or past the truncation point is discarded by
+	// finish() and must stay out of the journal.
+	return !pr.stopped || idx < pr.stopAt
+}
+
+// setLocked stores plan idx's result.
+func (pr *planRun) setLocked(idx int, r planResult) {
 	pr.done[idx] = true
 	pr.outcomes[idx] = r.o
 	if r.hasLat {
@@ -146,11 +155,6 @@ func (pr *planRun) record(idx int, r planResult) bool {
 		pr.hasLat[idx] = true
 	}
 	pr.fbs[idx] = r.fb
-	pr.advanceLocked()
-	// A plan that itself completed the qualifying prefix (idx < stopAt)
-	// counts; anything at or past the truncation point is discarded by
-	// finish() and must stay out of the journal.
-	return !pr.stopped || idx < pr.stopAt
 }
 
 // advanceLocked extends the completed prefix one plan at a time, testing
@@ -176,21 +180,11 @@ func (pr *planRun) advanceLocked() {
 	}
 }
 
-func (pr *planRun) fail(err error) {
-	pr.mu.Lock()
-	if pr.firstErr == nil {
-		pr.firstErr = err
-	}
-	pr.mu.Unlock()
-}
-
 func (pr *planRun) finish() (planOutcomes, error) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	po := planOutcomes{outcomes: pr.outcomes, lats: pr.lats, hasLat: pr.hasLat, fbs: pr.fbs}
 	switch {
-	case pr.firstErr != nil:
-		return po, pr.firstErr
 	case pr.stopped:
 		po.samples, po.counts, po.early = pr.stopAt, pr.stopCounts, true
 	case pr.prefixLen == pr.n:
@@ -242,7 +236,7 @@ func (c Campaign) journalErr() error {
 // outcome bookkeeping is always by the plan's generation index, so results
 // are independent of both ordering and worker count.
 func runPlans(c Campaign, plans []plannedFault,
-	newWorker func() (func(plannedFault) planResult, error),
+	newWorker func() func(plannedFault) planResult,
 	cached map[int]planResult) (planOutcomes, error) {
 	n := len(plans)
 	pr := &planRun{
@@ -256,15 +250,6 @@ func runPlans(c Campaign, plans []plannedFault,
 		fbs:      make([]bool, n),
 	}
 	prior := c.Prior
-	prefill := func(idx int, r planResult) {
-		pr.done[idx] = true
-		pr.outcomes[idx] = r.o
-		if r.hasLat {
-			pr.lats[idx] = r.lat
-			pr.hasLat[idx] = true
-		}
-		pr.fbs[idx] = r.fb
-	}
 	prefilled, replayed := 0, 0
 	if (prior != nil && len(prior.Plans) > 0) || len(cached) > 0 {
 		for _, p := range plans {
@@ -274,14 +259,14 @@ func runPlans(c Campaign, plans []plannedFault,
 					if l, ok := prior.PlanLats[p.idx]; ok {
 						r.lat, r.hasLat = l, true
 					}
-					prefill(p.idx, r)
+					pr.setLocked(p.idx, r)
 					prefilled++
 					replayed++
 					continue
 				}
 			}
 			if r, ok := cached[p.idx]; ok && p.idx < n {
-				prefill(p.idx, r)
+				pr.setLocked(p.idx, r)
 				c.journalPlan(p, r)
 				prefilled++
 				continue
@@ -320,19 +305,15 @@ func runPlans(c Campaign, plans []plannedFault,
 	if workers > len(pr.todo) {
 		workers = len(pr.todo)
 	}
+	work := func() {
+		w := newWorker()
+		for batch := pr.grab(16); batch != nil; batch = pr.grab(16) {
+			runBatch(w, batch)
+		}
+	}
 	if workers <= 1 {
 		if len(pr.todo) > 0 {
-			w, err := newWorker()
-			if err != nil {
-				return planOutcomes{}, err
-			}
-			for {
-				batch := pr.grab(16)
-				if batch == nil {
-					break
-				}
-				runBatch(w, batch)
-			}
+			work()
 		}
 		return pr.finish()
 	}
@@ -341,18 +322,7 @@ func runPlans(c Campaign, plans []plannedFault,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w, err := newWorker()
-			if err != nil {
-				pr.fail(err)
-				return
-			}
-			for {
-				batch := pr.grab(16)
-				if batch == nil {
-					return
-				}
-				runBatch(w, batch)
-			}
+			work()
 		}()
 	}
 	wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"ferrum/internal/obs"
@@ -88,7 +89,7 @@ func MergeShardResults(shards []Result) (Result, error) {
 		if s.DynSites != m.DynSites {
 			return Result{}, fmt.Errorf("fi: merge shards: shard %d saw %d dynamic sites, shard 0 saw %d — different golden runs", i+1, s.DynSites, m.DynSites)
 		}
-		if !equalOutput(s.Golden, m.Golden) {
+		if !slices.Equal(s.Golden, m.Golden) {
 			return Result{}, fmt.Errorf("fi: merge shards: shard %d's golden output differs from shard 0's", i+1)
 		}
 		if s.Cycles != m.Cycles {

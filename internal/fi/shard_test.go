@@ -116,8 +116,8 @@ func TestNoJournalPastEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Campaign{Samples: len(plans), CIWidth: 0.25, Workers: 1, Journal: j, Key: "cell"}
-	po, err := runPlans(c, plans, func() (func(plannedFault) planResult, error) {
-		return func(plannedFault) planResult { return planResult{o: Benign} }, nil
+	po, err := runPlans(c, plans, func() func(plannedFault) planResult {
+		return func(plannedFault) planResult { return planResult{o: Benign} }
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +162,13 @@ func TestNoJournalPastCancel(t *testing.T) {
 	}
 	cancel := make(chan struct{})
 	c := Campaign{Samples: len(plans), Workers: 1, Cancel: cancel, Journal: j, Key: "cell"}
-	_, err = runPlans(c, plans, func() (func(plannedFault) planResult, error) {
+	_, err = runPlans(c, plans, func() func(plannedFault) planResult {
 		return func(p plannedFault) planResult {
 			if p.idx == 20 { // mid-batch: positions 21..31 are still in hand
 				close(cancel)
 			}
 			return planResult{o: Benign}
-		}, nil
+		}
 	}, nil)
 	if !errors.Is(err, ErrCampaignCanceled) {
 		t.Fatalf("err = %v, want ErrCampaignCanceled", err)

@@ -9,7 +9,7 @@ import "fmt"
 func (c Campaign) Check() error { return c.check(false) }
 
 // CheckIR is Check for an IR-level campaign, which additionally supports
-// neither pruning nor compose.
+// neither pruning, compose nor multi-bit faults.
 func (c Campaign) CheckIR() error { return c.check(true) }
 
 func (c Campaign) check(irLevel bool) error {
@@ -20,6 +20,10 @@ func (c Campaign) check(irLevel bool) error {
 		// Register liveness, flag consumers and masking idioms have no IR
 		// equivalent.
 		return fmt.Errorf("fi: prune mode %v is not supported for IR campaigns (the analysis is assembly-level)", c.Prune)
+	}
+	if irLevel && c.BitsPerFault > 1 {
+		// The IR injector flips exactly one bit of a 64-bit value.
+		return fmt.Errorf("fi: %d bits per fault is not supported for IR campaigns (the IR injector flips a single bit)", c.BitsPerFault)
 	}
 	if irLevel && c.Compose != ComposeOff {
 		// Boundary descriptors are register/flag/page diffs of machine

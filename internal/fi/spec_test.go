@@ -35,6 +35,9 @@ func TestCampaignCheck(t *testing.T) {
 		{Campaign{Shard: ShardSpec{Index: -1}}, false, "negative shard spec"},
 		{Campaign{Prune: PruneDead}, true, "the analysis is assembly-level"},
 		{Campaign{Compose: ComposeOn}, true, "sections are cut at assembly checkpoint boundaries"},
+		{Campaign{BitsPerFault: 1}, true, ""},
+		{Campaign{BitsPerFault: 3}, false, ""},
+		{Campaign{BitsPerFault: 2}, true, "the IR injector flips a single bit"},
 	} {
 		check := tc.c.Check
 		if tc.ir {
