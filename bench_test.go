@@ -315,6 +315,38 @@ func BenchmarkMachineRun(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineLoad measures one machine's whole life per iteration —
+// New, Setup, a golden Run and Release — the fixed cost every golden,
+// profile and campaign template pays before its first plan. Run it with
+// -benchmem: B/op is what recycling engine memory through Release saves.
+func BenchmarkMachineLoad(b *testing.B) {
+	inst, err := rodinia.BFS.Instantiate(1, harness.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := backend.Compile(inst.Mod)
+	if err == nil {
+		prog, _, err = ferrumpass.Protect(prog, ferrumpass.Config{})
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := machine.New(prog, 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := inst.Setup(m); err != nil {
+			b.Fatal(err)
+		}
+		if res := m.Run(machine.RunOpts{Args: inst.Args}); res.Outcome != machine.OutcomeOK {
+			b.Fatalf("%v (%s)", res.Outcome, res.CrashMsg)
+		}
+		m.Release()
+	}
+}
+
 // BenchmarkIRRun is the IR-interpreter counterpart of BenchmarkMachineRun:
 // one interpreted execution per iteration, raw and EDDI-protected.
 func BenchmarkIRRun(b *testing.B) {

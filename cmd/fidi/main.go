@@ -266,9 +266,11 @@ func traceExamples(out io.Writer, tgt fi.AsmTarget, c fi.Campaign, res fi.Result
 			return err
 		}
 		if err := tgt.Setup(m); err != nil {
+			m.Release()
 			return err
 		}
 		r := m.Run(machine.RunOpts{Args: tgt.Args, Fault: &f, Trace: n})
+		m.Release()
 		fmt.Fprintf(out, "\nexample %s fault (site %d, bit %d) — last %d instructions:\n",
 			want, f.Site, f.Bit, len(r.Trace))
 		for _, line := range r.Trace {

@@ -132,6 +132,7 @@ func (p *Pipeline) Run(prog *asm.Program, args []uint64, data map[uint64]uint64)
 	if err != nil {
 		return machine.Result{}, err
 	}
+	defer m.Release()
 	for addr, v := range data {
 		if err := m.WriteWordImage(addr, v); err != nil {
 			return machine.Result{}, err
@@ -167,6 +168,7 @@ func (p *Pipeline) Verify(mod *ir.Module, prog *asm.Program, args []uint64, data
 	if err != nil {
 		return err
 	}
+	defer ip.Release()
 	for addr, v := range data {
 		if err := ip.WriteWordImage(addr, v); err != nil {
 			return err

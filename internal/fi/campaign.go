@@ -62,6 +62,7 @@ func (f *campaign) run() (Result, error) {
 	if f.eng, err = f.build(); err != nil {
 		return Result{}, err
 	}
+	defer f.eng.release()
 	gsp := c.Obs.Span("golden")
 	f.g, err = f.eng.golden()
 	gsp.SetAttr("dyn_insts", f.g.insts)

@@ -25,6 +25,9 @@ type engine interface {
 	clone() worker
 	// observe publishes the engine's work counters once the plans ran.
 	observe(o *obs.Ctx)
+	// release returns the memory of every clone and then the template to
+	// the pool of zero buffers. The engine is unusable afterwards.
+	release()
 	// unit names the detection-latency unit: "cycles" or "insts".
 	unit() string
 }
@@ -99,11 +102,14 @@ type asmEngine struct {
 
 func newAsmEngine(tgt AsmTarget, maxSteps uint64) (*asmEngine, error) {
 	m, err := machine.New(tgt.Prog, tgt.MemSize)
-	if err == nil && tgt.Setup != nil {
-		err = tgt.Setup(m)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("fi: %w", err)
+	}
+	if tgt.Setup != nil {
+		if err := tgt.Setup(m); err != nil {
+			m.Release()
+			return nil, fmt.Errorf("fi: %w", err)
+		}
 	}
 	return &asmEngine{tgt: tgt, maxSteps: maxSteps, m0: m}, nil
 }
@@ -194,6 +200,15 @@ func (e *asmEngine) observe(o *obs.Ctx) {
 	o.Counter(obs.MCkptConverged).Add(int64(converged))
 }
 
+func (e *asmEngine) release() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, m := range e.machines {
+		m.Release()
+	}
+	e.m0.Release()
+}
+
 func (e *asmEngine) unit() string { return "cycles" }
 
 // siteLoc is the static location of the golden run's site-th site.
@@ -240,19 +255,25 @@ type irEngine struct {
 	tgt      IRTarget
 	maxSteps uint64
 	// ip0 is the fully-loaded template; workers clone it, sharing the
-	// decoded module and pristine memory image.
+	// decoded module and pristine memory image. clones collects them for
+	// release (clone runs inside worker goroutines, hence the mutex).
 	ip0    *ir.Interp
+	mu     sync.Mutex
+	clones []*ir.Interp
 	output []uint64
 	snaps  []*ir.Snapshot
 }
 
 func newIREngine(tgt IRTarget, maxSteps uint64) (*irEngine, error) {
 	ip, err := ir.NewInterp(tgt.Mod, tgt.MemSize)
-	if err == nil && tgt.Setup != nil {
-		err = tgt.Setup(ip)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("fi: %w", err)
+	}
+	if tgt.Setup != nil {
+		if err := tgt.Setup(ip); err != nil {
+			ip.Release()
+			return nil, fmt.Errorf("fi: %w", err)
+		}
 	}
 	return &irEngine{tgt: tgt, maxSteps: maxSteps, ip0: ip}, nil
 }
@@ -280,7 +301,23 @@ func (e *irEngine) record(k uint64) *schedule {
 	return s
 }
 
-func (e *irEngine) clone() worker    { return &irWorker{e: e, ip: e.ip0.Clone()} }
+func (e *irEngine) clone() worker {
+	ip := e.ip0.Clone()
+	e.mu.Lock()
+	e.clones = append(e.clones, ip)
+	e.mu.Unlock()
+	return &irWorker{e: e, ip: ip}
+}
+
+func (e *irEngine) release() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, ip := range e.clones {
+		ip.Release()
+	}
+	e.ip0.Release()
+}
+
 func (e *irEngine) observe(*obs.Ctx) {}
 func (e *irEngine) unit() string     { return "insts" }
 

@@ -416,6 +416,7 @@ func FindExample(tgt AsmTarget, c Campaign, want Outcome) (machine.Fault, bool, 
 	if err != nil {
 		return machine.Fault{}, false, err
 	}
+	defer e.release()
 	g, err := e.golden()
 	if err != nil {
 		return machine.Fault{}, false, err

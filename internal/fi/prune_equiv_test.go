@@ -95,6 +95,14 @@ func TestPrunedPlansAreBenign(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := f.eng.(*asmEngine)
+		// The campaign released its machines; replay on a fresh one.
+		m, err := machine.New(tgt.Prog, tgt.MemSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tgt.Setup(m); err != nil {
+			t.Fatal(err)
+		}
 		pruned := 0
 		for i, p := range f.orig {
 			if f.part.assign[i] >= 0 {
@@ -102,12 +110,13 @@ func TestPrunedPlansAreBenign(t *testing.T) {
 			}
 			pruned++
 			fault := machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra}
-			r := e.m0.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, Fault: &fault})
+			r := m.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, Fault: &fault})
 			if o := e.planResult(r).o; o != Benign {
 				t.Errorf("protect=%v plan %d (site %d bit %d) pruned but executes to %v",
 					protect, i, p.site, p.bit, o)
 			}
 		}
+		m.Release()
 		if pruned == 0 {
 			t.Errorf("protect=%v: no plans pruned; the check is vacuous", protect)
 		}

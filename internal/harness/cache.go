@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"ferrum/internal/compose"
+	"ferrum/internal/machine"
 	"ferrum/internal/obs"
 	"ferrum/internal/rodinia"
 )
@@ -17,6 +18,13 @@ type buildKey struct {
 	seed     int64
 	tech     Technique
 	optimize bool
+}
+
+// goldenKey identifies one memoisable golden run: a build on a machine of
+// memSize bytes.
+type goldenKey struct {
+	buildKey
+	memSize int
 }
 
 type instKey struct {
@@ -39,7 +47,7 @@ type BuildCache struct {
 	mu      sync.Mutex
 	insts   map[instKey]*instEntry
 	builds  map[buildKey]*buildEntry
-	goldens map[buildKey]*goldenEntry
+	goldens map[goldenKey]*goldenEntry
 	// sections memoises compositional campaigns' per-section propagation
 	// tables (keyed by section content fingerprint inside the compose
 	// cache). It rides in the BuildCache so one suite-wide cache gives every
@@ -80,7 +88,7 @@ func NewBuildCache() *BuildCache {
 	return &BuildCache{
 		insts:        map[instKey]*instEntry{},
 		builds:       map[buildKey]*buildEntry{},
-		goldens:      map[buildKey]*goldenEntry{},
+		goldens:      map[goldenKey]*goldenEntry{},
 		sections:     compose.NewCache(),
 		instances:    &obs.Counter{},
 		buildHits:    &obs.Counter{},
@@ -190,9 +198,10 @@ func (c *BuildCache) build(inst *rodinia.Instance, scale int, seed int64, tech T
 }
 
 // golden returns the memoised golden run (cycles, dynamic instructions,
-// output) of the instance's build under the given technique and options.
-func (c *BuildCache) golden(inst *rodinia.Instance, scale int, seed int64, tech Technique, bo BuildOptions) (golden, error) {
-	key := buildKey{inst.Bench.Name, scale, seed, tech, bo.Optimize}
+// output) of the instance's build under the given technique and options,
+// on a machine of memSize bytes.
+func (c *BuildCache) golden(inst *rodinia.Instance, scale int, seed int64, tech Technique, bo BuildOptions, memSize int) (golden, error) {
+	key := goldenKey{buildKey{inst.Bench.Name, scale, seed, tech, bo.Optimize}, memSize}
 	c.mu.Lock()
 	e, ok := c.goldens[key]
 	if !ok {
@@ -211,7 +220,10 @@ func (c *BuildCache) golden(inst *rodinia.Instance, scale int, seed int64, tech 
 		if e.err != nil {
 			return
 		}
-		e.g, e.err = runBuild(inst, build)
+		var res machine.Result
+		if res, e.err = runGolden(nil, inst, build, memSize, false); e.err == nil {
+			e.g = golden{cycles: res.Cycles, dyn: res.DynInsts, output: res.Output}
+		}
 	})
 	return e.g, e.err
 }

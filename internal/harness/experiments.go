@@ -7,6 +7,7 @@ import (
 	"ferrum/internal/fi"
 	"ferrum/internal/ir"
 	"ferrum/internal/machine"
+	"ferrum/internal/obs"
 	"ferrum/internal/rodinia"
 )
 
@@ -306,18 +307,27 @@ func irTarget(inst *rodinia.Instance, mod *ir.Module, memSize int) fi.IRTarget {
 	}
 }
 
-// runBuild executes a build's golden run on a fresh machine.
-func runBuild(inst *rodinia.Instance, build *Build) (golden, error) {
-	m, err := machine.New(build.Prog, 1<<20)
+// runGolden is the fault-free run of a build on a fresh machine of memSize
+// bytes holding the instance's data: the golden cache's run, or a profile
+// cell's when profile asks for dynamic attribution, timed by a profile.run
+// span on cx. The machine is released on every path.
+func runGolden(cx *obs.Ctx, inst *rodinia.Instance, build *Build, memSize int, profile bool) (machine.Result, error) {
+	m, err := machine.New(build.Prog, memSize)
 	if err != nil {
-		return golden{}, err
+		return machine.Result{}, err
 	}
+	defer m.Release()
 	if err := inst.Setup(m); err != nil {
-		return golden{}, err
+		return machine.Result{}, err
 	}
-	res := m.Run(machine.RunOpts{Args: inst.Args})
+	var sp *obs.ActiveSpan
+	if profile {
+		sp = cx.Span("profile.run")
+	}
+	res := m.Run(machine.RunOpts{Args: inst.Args, Profile: profile})
+	sp.End()
 	if res.Outcome != machine.OutcomeOK {
-		return golden{}, fmt.Errorf("golden run failed: %v (%s)", res.Outcome, res.CrashMsg)
+		return machine.Result{}, fmt.Errorf("golden run failed: %v (%s)", res.Outcome, res.CrashMsg)
 	}
-	return golden{cycles: res.Cycles, dyn: res.DynInsts, output: res.Output}, nil
+	return res, nil
 }

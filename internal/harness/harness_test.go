@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ferrum/internal/asm"
+	"ferrum/internal/machine"
 )
 
 // Small, fast options for tests; the full 1000-sample campaigns run in
@@ -28,16 +29,35 @@ func TestBuildTechniqueAll(t *testing.T) {
 		if build.Prog == nil {
 			t.Fatalf("%s: nil program", tech)
 		}
-		g, err := runBuild(inst, build)
+		g, err := runGolden(nil, inst, build, defaultMemSize, false)
 		if err != nil {
 			t.Fatalf("%s: %v", tech, err)
 		}
-		if g.cycles <= 0 || len(g.output) == 0 {
+		if g.Cycles <= 0 || len(g.Output) == 0 {
 			t.Errorf("%s: golden = %+v", tech, g)
 		}
 	}
 	if _, err := BuildTechnique(inst.Mod, Technique("bogus")); err == nil {
 		t.Error("bogus technique accepted")
+	}
+}
+
+// TestMemSizeReachesGoldenRuns: Options.MemSize sizes every machine an
+// experiment builds, golden and profile runs included. With a memory too
+// small for the benchmark's data, Fig11, Profile and Variation fail the
+// same way Fig10 does, instead of silently running at the default size.
+func TestMemSizeReachesGoldenRuns(t *testing.T) {
+	opts := testOpts("bfs")
+	opts.MemSize = 2 * machine.GuardSize
+	for name, run := range map[string]func() error{
+		"fig10":     func() error { _, err := Fig10(opts); return err },
+		"fig11":     func() error { _, err := Fig11(opts); return err },
+		"profile":   func() error { _, err := Profile(opts); return err },
+		"variation": func() error { _, err := Variation(opts, 1); return err },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "machine: image write") {
+			t.Errorf("%s at MemSize %d: err = %v, want an out-of-range image write", name, opts.MemSize, err)
+		}
 	}
 }
 
@@ -52,7 +72,7 @@ func TestProtectedOutputsMatchRaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := runBuild(inst, rawBuild)
+		raw, err := runGolden(nil, inst, rawBuild, defaultMemSize, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,22 +81,22 @@ func TestProtectedOutputsMatchRaw(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", inst.Bench.Name, tech, err)
 			}
-			g, err := runBuild(inst, build)
+			g, err := runGolden(nil, inst, build, defaultMemSize, false)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", inst.Bench.Name, tech, err)
 			}
-			if len(g.output) != len(raw.output) {
-				t.Fatalf("%s/%s: output length %d vs %d", inst.Bench.Name, tech, len(g.output), len(raw.output))
+			if len(g.Output) != len(raw.Output) {
+				t.Fatalf("%s/%s: output length %d vs %d", inst.Bench.Name, tech, len(g.Output), len(raw.Output))
 			}
-			for i := range g.output {
-				if g.output[i] != raw.output[i] {
+			for i := range g.Output {
+				if g.Output[i] != raw.Output[i] {
 					t.Errorf("%s/%s: output[%d] = %d, want %d",
-						inst.Bench.Name, tech, i, g.output[i], raw.output[i])
+						inst.Bench.Name, tech, i, g.Output[i], raw.Output[i])
 				}
 			}
-			if g.cycles <= raw.cycles {
+			if g.Cycles <= raw.Cycles {
 				t.Errorf("%s/%s: protection has no cost (%v <= %v)",
-					inst.Bench.Name, tech, g.cycles, raw.cycles)
+					inst.Bench.Name, tech, g.Cycles, raw.Cycles)
 			}
 		}
 	}

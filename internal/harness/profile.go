@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"ferrum/internal/asm"
-	"ferrum/internal/machine"
 )
 
 // ProfileRow attributes one benchmark's dynamic execution under a
@@ -45,18 +44,9 @@ func Profile(opts Options) ([]ProfileRow, error) {
 					if err != nil {
 						return fmt.Errorf("%s/%s: %w", inst.Bench.Name, tech, err)
 					}
-					m, err := machine.New(build.Prog, 1<<20)
+					res, err := runGolden(cc.cx, inst, build, opts.MemSize, true)
 					if err != nil {
-						return err
-					}
-					if err := inst.Setup(m); err != nil {
-						return err
-					}
-					sp := cc.cx.Span("profile.run")
-					res := m.Run(machine.RunOpts{Args: inst.Args, Profile: true})
-					sp.End()
-					if res.Outcome != machine.OutcomeOK {
-						return fmt.Errorf("%s/%s: %v (%s)", inst.Bench.Name, tech, res.Outcome, res.CrashMsg)
+						return fmt.Errorf("%s/%s: %w", inst.Bench.Name, tech, err)
 					}
 					row := ProfileRow{
 						Benchmark:  inst.Bench.Name,

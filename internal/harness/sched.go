@@ -200,7 +200,7 @@ func (s *scheduler) build(cx *obs.Ctx, inst instanceAt, tech Technique) (*Build,
 func (s *scheduler) golden(cx *obs.Ctx, inst instanceAt, tech Technique) (golden, error) {
 	sp := cx.Span("golden.cached")
 	sp.SetAttr("tech", string(tech))
-	g, err := s.cache.golden(inst.inst, s.opts.Scale, inst.seed, tech, BuildOptions{Optimize: s.opts.Optimize})
+	g, err := s.cache.golden(inst.inst, s.opts.Scale, inst.seed, tech, BuildOptions{Optimize: s.opts.Optimize}, s.opts.MemSize)
 	sp.End()
 	return g, err
 }

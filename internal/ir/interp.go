@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"ferrum/internal/pagemem"
 )
 
 // Outcome is the terminal state of one IR execution.
@@ -34,7 +36,7 @@ func (o Outcome) String() string {
 
 // GuardSize mirrors the machine's unmapped low region so IR and assembly
 // executions share one address space layout.
-const GuardSize = 4096
+const GuardSize = pagemem.GuardSize
 
 // DefaultMaxSteps bounds runaway executions.
 const DefaultMaxSteps = 50_000_000
@@ -99,21 +101,17 @@ type frame struct {
 // Interp executes IR modules against the same flat memory model the
 // machine uses, so benchmark data loaders work identically at both levels.
 type Interp struct {
-	mod      *Module
-	memImage []byte
+	mod *Module
 
 	dfuncs  []*dfunc         // decoded functions, parallel to mod.Funcs
 	funcIdx map[string]int32 // function name -> dfuncs index
 	entry   int32            // dfuncs index of the entry function
 	regPool [][]uint64       // retired register frames for reuse
 
-	mem []byte
-	// Dirty-page tracking mirrors the machine's: mem deviates from
-	// memImage only inside pages listed in dirtyPages, so per-run resets,
+	// mem is the working memory over the pristine image, shared with
+	// clones; it tracks the pages a run dirties, so per-run resets,
 	// Snapshot and Restore copy only what the run touched.
-	dirty      []bool
-	dirtyPages []int32
-	memSynced  bool
+	mem pagemem.Mem
 
 	frames   []frame
 	sp       uint64
@@ -135,7 +133,9 @@ type Interp struct {
 	nextCkpt uint64
 }
 
-// NewInterp builds an interpreter for a verified module.
+// NewInterp builds an interpreter for a verified module. Release it when
+// done to recycle its memory; an unreleased interpreter is simply left to
+// the GC.
 func NewInterp(mod *Module, memSize int) (*Interp, error) {
 	if err := Verify(mod); err != nil {
 		return nil, err
@@ -147,12 +147,9 @@ func NewInterp(mod *Module, memSize int) (*Interp, error) {
 		return nil, fmt.Errorf("ir: memory size %d too small", memSize)
 	}
 	ip := &Interp{
-		mod:      mod,
-		memImage: make([]byte, memSize),
-		mem:      make([]byte, memSize),
-		dirty:    make([]bool, (memSize+pageSize-1)>>pageShift),
-		dfuncs:   make([]*dfunc, len(mod.Funcs)),
-		funcIdx:  make(map[string]int32, len(mod.Funcs)),
+		mod:     mod,
+		dfuncs:  make([]*dfunc, len(mod.Funcs)),
+		funcIdx: make(map[string]int32, len(mod.Funcs)),
 	}
 	for i, f := range mod.Funcs {
 		ip.funcIdx[f.Name] = int32(i)
@@ -165,6 +162,7 @@ func NewInterp(mod *Module, memSize int) (*Interp, error) {
 		ip.dfuncs[i] = df
 	}
 	ip.entry = ip.funcIdx[mod.Entry]
+	ip.mem = pagemem.New(memSize)
 	return ip, nil
 }
 
@@ -174,34 +172,47 @@ func NewInterp(mod *Module, memSize int) (*Interp, error) {
 // and the register pool. Campaign workers clone one fully-loaded template
 // instead of re-verifying, re-decoding and re-copying the data image per
 // worker; clones may then Run concurrently. SetMemImage must not be called
-// on a clone: the image is shared with the template and every sibling.
+// while the image is shared with a clone. A clone keeps the shared image
+// alive: it still runs after its template's Release.
 func (ip *Interp) Clone() *Interp {
+	ip.live("Clone")
 	return &Interp{
-		mod:      ip.mod,
-		memImage: ip.memImage,
-		dfuncs:   ip.dfuncs,
-		funcIdx:  ip.funcIdx,
-		entry:    ip.entry,
-		mem:      make([]byte, len(ip.memImage)),
-		dirty:    make([]bool, (len(ip.memImage)+pageSize-1)>>pageShift),
+		mod:     ip.mod,
+		dfuncs:  ip.dfuncs,
+		funcIdx: ip.funcIdx,
+		entry:   ip.entry,
+		mem:     ip.mem.Clone(),
+	}
+}
+
+// Release returns the interpreter's memory to the pool of zero buffers,
+// and the shared image too when no clone still holds it. Run, Restore,
+// Snapshot and Clone panic on a released interpreter; releasing it again
+// does nothing.
+func (ip *Interp) Release() { ip.mem.Release() }
+
+// live panics when the interpreter was released: only a bug reaches op
+// then.
+func (ip *Interp) live(op string) {
+	if ip.mem.Released() {
+		panic("ir: " + op + " on a released Interp")
 	}
 }
 
 // SetMemImage copies data into the pristine memory image at addr.
 func (ip *Interp) SetMemImage(addr uint64, data []byte) error {
-	if addr < GuardSize || addr+uint64(len(data)) > uint64(len(ip.memImage)) {
-		return fmt.Errorf("ir: image write [%d,%d) out of range", addr, addr+uint64(len(data)))
+	if err := ip.mem.SetImage(addr, data); err != nil {
+		return fmt.Errorf("ir: %w", err)
 	}
-	copy(ip.memImage[addr:], data)
-	ip.memSynced = false // force a full re-sync on the next run
 	return nil
 }
 
 // WriteWordImage stores a 64-bit little-endian word into the pristine image.
 func (ip *Interp) WriteWordImage(addr uint64, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return ip.SetMemImage(addr, b[:])
+	if err := ip.mem.WriteWordImage(addr, v); err != nil {
+		return fmt.Errorf("ir: %w", err)
+	}
+	return nil
 }
 
 type irCrash struct{ msg string }
@@ -215,6 +226,7 @@ var (
 
 // Run executes the module's entry function (or resumes from a snapshot).
 func (ip *Interp) Run(opts RunOpts) RunResult {
+	ip.live("Run")
 	if err := ip.begin(&opts); err != nil {
 		return RunResult{Outcome: OutcomeCrash, CrashMsg: err.Error()}
 	}
@@ -229,8 +241,8 @@ func (ip *Interp) begin(opts *RunOpts) error {
 			return err
 		}
 	} else {
-		ip.restoreMem()
-		ip.sp = uint64(len(ip.mem))
+		ip.mem.Reset()
+		ip.sp = uint64(len(ip.mem.B))
 		ip.output = ip.output[:0]
 		ip.steps, ip.sites = 0, 0
 		ip.injected = false
@@ -543,17 +555,17 @@ func evalBinary(op Op, a, b uint64) (uint64, error) {
 // side wrap to a huge value.
 
 func (ip *Interp) load(addr uint64) (uint64, error) {
-	if addr-GuardSize > uint64(len(ip.mem))-(GuardSize+8) {
+	if addr-GuardSize > uint64(len(ip.mem.B))-(GuardSize+8) {
 		return 0, irCrash{fmt.Sprintf("load at %#x out of range", addr)}
 	}
-	return binary.LittleEndian.Uint64(ip.mem[addr:]), nil
+	return binary.LittleEndian.Uint64(ip.mem.B[addr:]), nil
 }
 
 func (ip *Interp) store(addr, v uint64) error {
-	if addr-GuardSize > uint64(len(ip.mem))-(GuardSize+8) {
+	if addr-GuardSize > uint64(len(ip.mem.B))-(GuardSize+8) {
 		return irCrash{fmt.Sprintf("store at %#x out of range", addr)}
 	}
-	ip.markDirty(addr, 8)
-	binary.LittleEndian.PutUint64(ip.mem[addr:], v)
+	ip.mem.MarkDirty(addr, 8)
+	binary.LittleEndian.PutUint64(ip.mem.B[addr:], v)
 	return nil
 }

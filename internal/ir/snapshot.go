@@ -1,49 +1,10 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
 
-// Dirty-page tracking granularity, matching internal/machine so the two
-// levels have comparable snapshot costs.
-const (
-	pageShift = 9 // 512-byte pages
-	pageSize  = 1 << pageShift
+	"ferrum/internal/pagemem"
 )
-
-// markDirty records that [addr, addr+size) has been written. Callers have
-// already bounds-checked the access.
-func (ip *Interp) markDirty(addr, size uint64) {
-	for p := addr >> pageShift; p <= (addr+size-1)>>pageShift; p++ {
-		if !ip.dirty[p] {
-			ip.dirty[p] = true
-			ip.dirtyPages = append(ip.dirtyPages, int32(p))
-		}
-	}
-}
-
-// restoreMem brings working memory back to the pristine image. When the
-// image is unchanged since the last sync only the dirtied pages are copied;
-// after SetMemImage the whole image is re-synced once.
-func (ip *Interp) restoreMem() {
-	if !ip.memSynced {
-		copy(ip.mem, ip.memImage)
-		for _, p := range ip.dirtyPages {
-			ip.dirty[p] = false
-		}
-		ip.dirtyPages = ip.dirtyPages[:0]
-		ip.memSynced = true
-		return
-	}
-	for _, p := range ip.dirtyPages {
-		lo := int(p) << pageShift
-		hi := lo + pageSize
-		if hi > len(ip.mem) {
-			hi = len(ip.mem)
-		}
-		copy(ip.mem[lo:hi], ip.memImage[lo:hi])
-		ip.dirty[p] = false
-	}
-	ip.dirtyPages = ip.dirtyPages[:0]
-}
 
 // snapFrame is one serialised activation record: function and block are
 // stored by name, and the register file is stored as a name-keyed value
@@ -73,13 +34,8 @@ type Snapshot struct {
 	injected bool
 	injStep  uint64
 
-	pages   []snapPage
+	pages   []pagemem.Page
 	memSize int
-}
-
-type snapPage struct {
-	idx  int32
-	data []byte
 }
 
 // Sites reports the number of dynamic fault-injection sites executed before
@@ -92,18 +48,13 @@ func (s *Snapshot) Steps() uint64 { return s.steps }
 
 // MemBytes reports the bytes of dirtied memory the snapshot carries, the
 // dominant cost of a restore.
-func (s *Snapshot) MemBytes() int {
-	n := 0
-	for _, pg := range s.pages {
-		n += len(pg.data)
-	}
-	return n
-}
+func (s *Snapshot) MemBytes() int { return pagemem.Bytes(s.pages) }
 
 // Snapshot captures the interpreter's current state. Meaningful mid-run
 // (via RunOpts.OnCheckpoint); the capture is relative to the current
 // pristine image, so mutating the image afterwards invalidates it.
 func (ip *Interp) Snapshot() *Snapshot {
+	ip.live("Snapshot")
 	s := &Snapshot{
 		frames:   make([]snapFrame, len(ip.frames)),
 		sp:       ip.sp,
@@ -112,8 +63,8 @@ func (ip *Interp) Snapshot() *Snapshot {
 		sites:    ip.sites,
 		injected: ip.injected,
 		injStep:  ip.injStep,
-		pages:    make([]snapPage, 0, len(ip.dirtyPages)),
-		memSize:  len(ip.mem),
+		pages:    ip.mem.Capture(),
+		memSize:  len(ip.mem.B),
 	}
 	for i := range ip.frames {
 		fr := &ip.frames[i]
@@ -129,14 +80,6 @@ func (ip *Interp) Snapshot() *Snapshot {
 			savedSP: fr.savedSP,
 		}
 	}
-	for _, p := range ip.dirtyPages {
-		lo := int(p) << pageShift
-		hi := lo + pageSize
-		if hi > len(ip.mem) {
-			hi = len(ip.mem)
-		}
-		s.pages = append(s.pages, snapPage{idx: p, data: append([]byte(nil), ip.mem[lo:hi]...)})
-	}
 	return s
 }
 
@@ -146,8 +89,9 @@ func (ip *Interp) Snapshot() *Snapshot {
 // against this interpreter's module; after Restore a resumed Run matches a
 // from-scratch run that reached the same point.
 func (ip *Interp) Restore(s *Snapshot) error {
-	if s.memSize != len(ip.mem) {
-		return fmt.Errorf("ir: snapshot mismatch (mem %d vs %d)", s.memSize, len(ip.mem))
+	ip.live("Restore")
+	if s.memSize != len(ip.mem.B) {
+		return fmt.Errorf("ir: snapshot mismatch (mem %d vs %d)", s.memSize, len(ip.mem.B))
 	}
 	frames := make([]frame, len(s.frames))
 	for i, sf := range s.frames {
@@ -174,16 +118,8 @@ func (ip *Interp) Restore(s *Snapshot) error {
 			savedSP: sf.savedSP,
 		}
 	}
-	ip.restoreMem()
+	ip.mem.Restore(s.pages)
 	ip.recycleFrames()
-	for _, pg := range s.pages {
-		lo := int(pg.idx) << pageShift
-		copy(ip.mem[lo:lo+len(pg.data)], pg.data)
-		if !ip.dirty[pg.idx] {
-			ip.dirty[pg.idx] = true
-			ip.dirtyPages = append(ip.dirtyPages, pg.idx)
-		}
-	}
 	ip.frames = append(ip.frames, frames...)
 	ip.sp = s.sp
 	ip.output = append(ip.output[:0], s.output...)

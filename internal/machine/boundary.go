@@ -1,13 +1,13 @@
 package machine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"sort"
 
 	"ferrum/internal/asm"
+	"ferrum/internal/pagemem"
 )
 
 // Boundary-state support for compositional campaigns: snapshot digests that
@@ -71,12 +71,12 @@ func (s *Snapshot) Digest() uint64 {
 	}
 	// Dirty pages are listed in first-touch order, which can differ between
 	// two runs reaching the same state; hash them in page order.
-	pages := append([]snapPage(nil), s.pages...)
-	sort.Slice(pages, func(i, j int) bool { return pages[i].idx < pages[j].idx })
+	pages := append([]pagemem.Page(nil), s.pages...)
+	sort.Slice(pages, func(i, j int) bool { return pages[i].Idx < pages[j].Idx })
 	w(uint64(len(pages)))
 	for _, pg := range pages {
-		w(uint64(pg.idx))
-		h.Write(pg.data)
+		w(uint64(pg.Idx))
+		h.Write(pg.Data)
 	}
 	w(uint64(s.memSize))
 	w(uint64(s.nInsts))
@@ -88,7 +88,7 @@ func (s *Snapshot) Digest() uint64 {
 // program with different data never match.
 func (m *Machine) ImageDigest() uint64 {
 	h := fnv.New64a()
-	h.Write(m.memImage)
+	h.Write(m.mem.Image())
 	return h.Sum64()
 }
 
@@ -133,7 +133,7 @@ func (d BoundaryDiff) Clean() bool {
 func (m *Machine) DiffSnapshots(a, b *Snapshot) BoundaryDiff {
 	var d BoundaryDiff
 	if a.memSize != b.memSize || a.nInsts != b.nInsts ||
-		a.memSize != len(m.mem) || a.nInsts != len(m.insts) {
+		a.memSize != len(m.mem.B) || a.nInsts != len(m.insts) {
 		return d
 	}
 	d.Comparable = true
@@ -165,42 +165,6 @@ func (m *Machine) DiffSnapshots(a, b *Snapshot) BoundaryDiff {
 			}
 		}
 	}
-	d.Mem = m.diffPages(a, b)
+	d.Mem = m.mem.PagesDiffer(a.pages, b.pages)
 	return d
-}
-
-func (m *Machine) diffPages(a, b *Snapshot) bool {
-	other := make(map[int32][]byte, len(b.pages))
-	for _, pg := range b.pages {
-		other[pg.idx] = pg.data
-	}
-	seen := make(map[int32]bool, len(a.pages))
-	for _, pg := range a.pages {
-		bd, ok := other[pg.idx]
-		if !ok {
-			bd = m.imagePage(pg.idx, len(pg.data))
-		}
-		if !bytes.Equal(pg.data, bd) {
-			return true
-		}
-		seen[pg.idx] = true
-	}
-	for _, pg := range b.pages {
-		if seen[pg.idx] {
-			continue
-		}
-		if !bytes.Equal(pg.data, m.imagePage(pg.idx, len(pg.data))) {
-			return true
-		}
-	}
-	return false
-}
-
-func (m *Machine) imagePage(idx int32, n int) []byte {
-	lo := int(idx) << pageShift
-	hi := lo + n
-	if hi > len(m.memImage) {
-		hi = len(m.memImage)
-	}
-	return m.memImage[lo:hi]
 }

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"bytes"
 	"math"
 	"sort"
 )
@@ -82,16 +81,17 @@ func (m *Machine) checkConverged() bool {
 }
 
 // matchesSnapshot reports whether the live state equals s bit for bit, at
-// the capture point OnCheckpoint uses. It allocates nothing. The scalar
-// fields go first, so a run whose control flow, timing or output has
-// diverged is rejected before any register or memory is read.
+// the capture point OnCheckpoint uses. It allocates nothing after the
+// machine's first compare. The scalar fields go first, so a run whose
+// control flow, timing or output has diverged is rejected before any
+// register or memory is read.
 func (m *Machine) matchesSnapshot(s *Snapshot) bool {
 	if m.pc != s.pc || m.dyn != s.dyn || m.sites != s.sites ||
 		math.Float64bits(m.cycles) != math.Float64bits(s.cycles) ||
 		math.Float64bits(m.scalarSpan) != math.Float64bits(s.scalarSpan) ||
 		math.Float64bits(m.vectorSpan) != math.Float64bits(s.vectorSpan) ||
 		len(m.output) != len(s.output) ||
-		s.memSize != len(m.mem) || s.nInsts != len(m.insts) {
+		s.memSize != len(m.mem.B) || s.nInsts != len(m.insts) {
 		return false
 	}
 	if m.gpr != s.gpr || m.flags != s.flags {
@@ -102,41 +102,7 @@ func (m *Machine) matchesSnapshot(s *Snapshot) bool {
 			return false
 		}
 	}
-	return m.x == s.x && m.memMatches(s)
-}
-
-// memMatches compares live memory with the snapshot's memory, which is the
-// pristine image overlaid with its dirty pages. Live memory equals the
-// image outside m.dirtyPages, so only pages dirty on either side need a
-// look: the snapshot's pages against their captured bytes, and live dirty
-// pages the snapshot lacks against the image — a page written and then
-// restored to its pristine bytes still matches.
-func (m *Machine) memMatches(s *Snapshot) bool {
-	for _, pg := range s.pages {
-		lo := int(pg.idx) << pageShift
-		if !bytes.Equal(m.mem[lo:lo+len(pg.data)], pg.data) {
-			return false
-		}
-	}
-	for _, pg := range s.pages {
-		m.pageMark[pg.idx] = true
-	}
-	ok := true
-	for _, p := range m.dirtyPages {
-		if m.pageMark[p] {
-			continue
-		}
-		lo := int(p) << pageShift
-		hi := min(lo+pageSize, len(m.mem))
-		if !bytes.Equal(m.mem[lo:hi], m.memImage[lo:hi]) {
-			ok = false
-			break
-		}
-	}
-	for _, pg := range s.pages {
-		m.pageMark[pg.idx] = false
-	}
-	return ok
+	return m.x == s.x && m.mem.Matches(s.pages)
 }
 
 // convergedResult is the Result the full run would have returned: the

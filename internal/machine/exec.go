@@ -780,50 +780,50 @@ func (m *Machine) uea(mm *asm.Mem) uint64 {
 // memory (len(mem) >= 2*GuardSize is enforced at construction, so the
 // right-hand side never underflows).
 func (m *Machine) load64(ea uint64) (uint64, error) {
-	if ea-GuardSize > uint64(len(m.mem))-(GuardSize+8) {
+	if ea-GuardSize > uint64(len(m.mem.B))-(GuardSize+8) {
 		return 0, crashf("load of %d bytes at %#x out of range", 8, ea)
 	}
-	return binary.LittleEndian.Uint64(m.mem[ea:]), nil
+	return binary.LittleEndian.Uint64(m.mem.B[ea:]), nil
 }
 
 func (m *Machine) load32(ea uint64) (uint64, error) {
-	if ea-GuardSize > uint64(len(m.mem))-(GuardSize+4) {
+	if ea-GuardSize > uint64(len(m.mem.B))-(GuardSize+4) {
 		return 0, crashf("load of %d bytes at %#x out of range", 4, ea)
 	}
-	return uint64(binary.LittleEndian.Uint32(m.mem[ea:])), nil
+	return uint64(binary.LittleEndian.Uint32(m.mem.B[ea:])), nil
 }
 
 func (m *Machine) load8(ea uint64) (uint64, error) {
-	if ea-GuardSize > uint64(len(m.mem))-(GuardSize+1) {
+	if ea-GuardSize > uint64(len(m.mem.B))-(GuardSize+1) {
 		return 0, crashf("load of %d bytes at %#x out of range", 1, ea)
 	}
-	return uint64(m.mem[ea]), nil
+	return uint64(m.mem.B[ea]), nil
 }
 
 func (m *Machine) store64(ea uint64, v uint64) error {
-	if ea-GuardSize > uint64(len(m.mem))-(GuardSize+8) {
+	if ea-GuardSize > uint64(len(m.mem.B))-(GuardSize+8) {
 		return crashf("store of %d bytes at %#x out of range", 8, ea)
 	}
-	m.markDirty(ea, 8)
-	binary.LittleEndian.PutUint64(m.mem[ea:], v)
+	m.mem.MarkDirty(ea, 8)
+	binary.LittleEndian.PutUint64(m.mem.B[ea:], v)
 	return nil
 }
 
 func (m *Machine) store32(ea uint64, v uint64) error {
-	if ea-GuardSize > uint64(len(m.mem))-(GuardSize+4) {
+	if ea-GuardSize > uint64(len(m.mem.B))-(GuardSize+4) {
 		return crashf("store of %d bytes at %#x out of range", 4, ea)
 	}
-	m.markDirty(ea, 4)
-	binary.LittleEndian.PutUint32(m.mem[ea:], uint32(v))
+	m.mem.MarkDirty(ea, 4)
+	binary.LittleEndian.PutUint32(m.mem.B[ea:], uint32(v))
 	return nil
 }
 
 func (m *Machine) store8(ea uint64, v uint64) error {
-	if ea-GuardSize > uint64(len(m.mem))-(GuardSize+1) {
+	if ea-GuardSize > uint64(len(m.mem.B))-(GuardSize+1) {
 		return crashf("store of %d bytes at %#x out of range", 1, ea)
 	}
-	m.markDirty(ea, 1)
-	m.mem[ea] = byte(v)
+	m.mem.MarkDirty(ea, 1)
+	m.mem.B[ea] = byte(v)
 	return nil
 }
 
@@ -1297,36 +1297,36 @@ func (m *Machine) ea(mem asm.Mem) uint64 {
 
 func (m *Machine) loadMem(ea uint64, w asm.Width) (uint64, error) {
 	size := uint64(w)
-	if ea < GuardSize || ea+size > uint64(len(m.mem)) || ea+size < ea {
+	if ea < GuardSize || ea+size > uint64(len(m.mem.B)) || ea+size < ea {
 		return 0, crashf("load of %d bytes at %#x out of range", size, ea)
 	}
 	switch w {
 	case asm.W64:
-		return binary.LittleEndian.Uint64(m.mem[ea:]), nil
+		return binary.LittleEndian.Uint64(m.mem.B[ea:]), nil
 	case asm.W32:
-		return uint64(binary.LittleEndian.Uint32(m.mem[ea:])), nil
+		return uint64(binary.LittleEndian.Uint32(m.mem.B[ea:])), nil
 	case asm.W16:
-		return uint64(binary.LittleEndian.Uint16(m.mem[ea:])), nil
+		return uint64(binary.LittleEndian.Uint16(m.mem.B[ea:])), nil
 	default:
-		return uint64(m.mem[ea]), nil
+		return uint64(m.mem.B[ea]), nil
 	}
 }
 
 func (m *Machine) storeMem(ea uint64, w asm.Width, v uint64) error {
 	size := uint64(w)
-	if ea < GuardSize || ea+size > uint64(len(m.mem)) || ea+size < ea {
+	if ea < GuardSize || ea+size > uint64(len(m.mem.B)) || ea+size < ea {
 		return crashf("store of %d bytes at %#x out of range", size, ea)
 	}
-	m.markDirty(ea, size)
+	m.mem.MarkDirty(ea, size)
 	switch w {
 	case asm.W64:
-		binary.LittleEndian.PutUint64(m.mem[ea:], v)
+		binary.LittleEndian.PutUint64(m.mem.B[ea:], v)
 	case asm.W32:
-		binary.LittleEndian.PutUint32(m.mem[ea:], uint32(v))
+		binary.LittleEndian.PutUint32(m.mem.B[ea:], uint32(v))
 	case asm.W16:
-		binary.LittleEndian.PutUint16(m.mem[ea:], uint16(v))
+		binary.LittleEndian.PutUint16(m.mem.B[ea:], uint16(v))
 	default:
-		m.mem[ea] = byte(v)
+		m.mem.B[ea] = byte(v)
 	}
 	return nil
 }

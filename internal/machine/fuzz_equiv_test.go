@@ -32,7 +32,7 @@ type archState struct {
 var memSeed = maphash.MakeSeed()
 
 func fingerprint(m *Machine) archState {
-	return archState{gpr: m.gpr, x: m.x, flags: m.flags, memHash: maphash.Bytes(memSeed, m.mem), pc: m.pc}
+	return archState{gpr: m.gpr, x: m.x, flags: m.flags, memHash: maphash.Bytes(memSeed, m.mem.B), pc: m.pc}
 }
 
 // TestEquivFuzzDispatchTiers is the property-based complement to the

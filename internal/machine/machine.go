@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"ferrum/internal/asm"
+	"ferrum/internal/pagemem"
 )
 
 // Outcome is the terminal state of one program execution.
@@ -49,7 +50,7 @@ func (o Outcome) String() string {
 
 // GuardSize is the size of the unmapped low region; accesses below it crash,
 // catching null-pointer-style corruption.
-const GuardSize = 4096
+const GuardSize = pagemem.GuardSize
 
 // Fault is a fault plan in the paper's §IV-A2 model: flip bit Bit of the
 // destination of the Site-th dynamically executed instruction that has an
@@ -208,15 +209,6 @@ type Machine struct {
 	entry  int
 	start  int
 
-	memImage []byte // pristine memory restored before each run
-
-	// Dirty-page tracking: mem deviates from memImage only inside the
-	// pages listed in dirtyPages (see snapshot.go), so reset and Restore
-	// copy back only what the last run touched.
-	dirty      []bool
-	dirtyPages []int32
-	memSynced  bool // mem matches memImage outside the dirty pages
-
 	lastSites uint64 // previous run's site count (RecordSiteStatics capacity hint)
 
 	// Block-dispatch and fusion tables (built at load time, indexed by
@@ -235,7 +227,10 @@ type Machine struct {
 	gpr   [asm.NumReg]uint64
 	x     [asm.NumXReg][8]uint64
 	flags [asm.NumFlag]bool
-	mem   []byte
+	// mem is the working memory over the pristine image every run starts
+	// from, shared with clones; it tracks the pages a run dirties, so
+	// reset, Snapshot and Restore copy only those.
+	mem pagemem.Mem
 
 	output   []uint64
 	pc       int
@@ -260,11 +255,9 @@ type Machine struct {
 	boundary *Snapshot
 
 	// conv holds the RunOpts.Golden checkpoints still ahead of the current
-	// run, nearest first; pageMark is the converge compare's scratch page
-	// set (all false between compares); nConverged counts runs that ended
-	// at a golden checkpoint (lifetime).
+	// run, nearest first; nConverged counts runs that ended at a golden
+	// checkpoint (lifetime).
 	conv       []*Snapshot
-	pageMark   []bool
 	nConverged uint64
 
 	costs *CostModel
@@ -272,7 +265,8 @@ type Machine struct {
 
 // New loads a program into a machine with the given memory size. The
 // initial memory image is zero; use SetMemImage or WriteWord to install
-// benchmark data before Run.
+// benchmark data before Run. Release the machine when done with it to
+// recycle its memory; an unreleased machine is simply left to the GC.
 func New(p *asm.Program, memSize int) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -287,10 +281,14 @@ func newMachine(p *asm.Program, memSize int) (*Machine, error) {
 	if memSize < GuardSize*2 {
 		return nil, fmt.Errorf("machine: memory size %d too small", memSize)
 	}
+	n := 0
+	for _, f := range p.Funcs {
+		n += len(f.Insts)
+	}
 	m := &Machine{
-		labels:   make(map[string]int),
-		memImage: make([]byte, memSize),
-		costs:    DefaultCostModel(),
+		insts:  make([]flatInst, 0, n),
+		labels: make(map[string]int),
+		costs:  DefaultCostModel(),
 	}
 	for _, f := range p.Funcs {
 		m.labels[f.Name] = len(m.insts)
@@ -322,9 +320,7 @@ func newMachine(p *asm.Program, memSize int) (*Machine, error) {
 	}
 	m.start = start
 	m.entry = m.labels[entry]
-	m.mem = make([]byte, memSize)
-	m.dirty = make([]bool, (memSize+pageSize-1)>>pageShift)
-	m.pageMark = make([]bool, len(m.dirty))
+	m.mem = pagemem.New(memSize)
 	m.buildBlocks()
 	m.fuseAll()
 	return m, nil
@@ -336,15 +332,16 @@ func newMachine(p *asm.Program, memSize int) (*Machine, error) {
 // campaigns pool the load-time decode across workers: clone once per
 // worker after SetMemImage/SetCostModel/FuseProfile, then Run concurrently.
 // Mutating the program (SetCostModel, SetMemImage, FuseProfile) on any
-// machine after cloning is not safe while its clones run.
+// machine after cloning is not safe while its clones run. A clone keeps
+// the shared image alive: it still runs after its template's Release.
 func (m *Machine) Clone() *Machine {
+	m.live("Clone")
 	return &Machine{
 		insts:      m.insts,
 		uops:       m.uops,
 		labels:     m.labels,
 		entry:      m.entry,
 		start:      m.start,
-		memImage:   m.memImage,
 		blockEnd:   m.blockEnd,
 		siteSuffix: m.siteSuffix,
 		fuseAt:     m.fuseAt,
@@ -352,11 +349,21 @@ func (m *Machine) Clone() *Machine {
 		hotOps:     m.hotOps,
 		costs:      m.costs,
 		lastSites:  m.lastSites,
-		mem:        make([]byte, len(m.memImage)),
-		dirty:      make([]bool, len(m.dirty)),
-		pageMark:   make([]bool, len(m.dirty)),
+		mem:        m.mem.Clone(),
 		fuseHits:   make([]uint64, len(m.fuops)),
-		// memSynced stays false: the first reset copies the full image.
+	}
+}
+
+// Release returns the machine's memory to the pool of zero buffers, and
+// the shared image too when no clone still holds it. Run, Restore,
+// Snapshot and Clone panic on a released machine; releasing it again does
+// nothing.
+func (m *Machine) Release() { m.mem.Release() }
+
+// live panics when the machine was released: only a bug reaches op then.
+func (m *Machine) live(op string) {
+	if m.mem.Released() {
+		panic("machine: " + op + " on a released Machine")
 	}
 }
 
@@ -372,32 +379,31 @@ func (m *Machine) SetCostModel(c *CostModel) {
 }
 
 // MemSize reports the size of the machine's memory.
-func (m *Machine) MemSize() int { return len(m.memImage) }
+func (m *Machine) MemSize() int { return len(m.mem.B) }
 
 // SetMemImage copies data into the pristine memory image at addr; every Run
 // starts from that image.
 func (m *Machine) SetMemImage(addr uint64, data []byte) error {
-	if addr < GuardSize || addr+uint64(len(data)) > uint64(len(m.memImage)) {
-		return fmt.Errorf("machine: image write [%d,%d) out of range", addr, addr+uint64(len(data)))
+	if err := m.mem.SetImage(addr, data); err != nil {
+		return fmt.Errorf("machine: %w", err)
 	}
-	copy(m.memImage[addr:], data)
-	m.memSynced = false // force a full re-sync on the next reset
 	return nil
 }
 
 // WriteWordImage stores a 64-bit little-endian word into the pristine image.
 func (m *Machine) WriteWordImage(addr uint64, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return m.SetMemImage(addr, b[:])
+	if err := m.mem.WriteWordImage(addr, v); err != nil {
+		return fmt.Errorf("machine: %w", err)
+	}
+	return nil
 }
 
 // ReadWord reads a 64-bit word from the current (post-run) memory.
 func (m *Machine) ReadWord(addr uint64) (uint64, error) {
-	if addr < GuardSize || addr+8 > uint64(len(m.mem)) {
+	if addr < GuardSize || addr+8 > uint64(len(m.mem.B)) {
 		return 0, fmt.Errorf("machine: read [%d,%d) out of range", addr, addr+8)
 	}
-	return binary.LittleEndian.Uint64(m.mem[addr:]), nil
+	return binary.LittleEndian.Uint64(m.mem.B[addr:]), nil
 }
 
 type crashError struct{ msg string }
@@ -412,6 +418,7 @@ func crashf(format string, args ...any) error {
 // result. Run never returns a Go error for in-program failures; those are
 // reported through the Outcome.
 func (m *Machine) Run(opts RunOpts) Result {
+	m.live("Run")
 	maxSteps, err := m.begin(&opts)
 	if err != nil {
 		return Result{Outcome: OutcomeCrash, CrashMsg: err.Error()}
@@ -499,7 +506,7 @@ func (m *Machine) reset() {
 	m.gpr = [asm.NumReg]uint64{}
 	m.x = [asm.NumXReg][8]uint64{}
 	m.flags = [asm.NumFlag]bool{}
-	m.restoreMem()
+	m.mem.Reset()
 	m.output = m.output[:0]
 	m.pc = m.start
 	m.dyn, m.sites = 0, 0
@@ -510,7 +517,7 @@ func (m *Machine) reset() {
 	// sentinel is pushed. A stray top-level RET pops from the address one
 	// past the end of memory, which fails the load bounds check and yields
 	// OutcomeCrash instead of wrapping into program data.
-	m.gpr[asm.RSP] = uint64(len(m.mem))
+	m.gpr[asm.RSP] = uint64(len(m.mem.B))
 }
 
 // DestBits reports how many distinct bit positions a fault at a destination

