@@ -20,7 +20,6 @@ import (
 	"ferrum/internal/fi"
 	"ferrum/internal/harness"
 	"ferrum/internal/ir"
-	"ferrum/internal/irpass"
 	"ferrum/internal/machine"
 	"ferrum/internal/obs"
 	"ferrum/internal/rodinia"
@@ -256,37 +255,51 @@ func BenchmarkMachineExecution(b *testing.B) {
 	b.ReportMetric(float64(dyn), "dyn-insts")
 }
 
+// benchBuild instantiates bench at scale 1 with the paper's seed and builds
+// it under tech: the set-up the engine and campaign benchmarks below share.
+// It runs outside the timer.
+func benchBuild(b *testing.B, bench *rodinia.Benchmark, tech harness.Technique) (*rodinia.Instance, *harness.Build) {
+	b.Helper()
+	inst, err := bench.Instantiate(1, harness.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	build, err := harness.BuildTechnique(inst.Mod, tech)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inst, build
+}
+
+// bfsAsmTarget is the asm campaign target of bfs built under tech.
+func bfsAsmTarget(b *testing.B, tech harness.Technique) fi.AsmTarget {
+	b.Helper()
+	inst, build := benchBuild(b, rodinia.BFS, tech)
+	return fi.AsmTarget{
+		Prog:    build.Prog,
+		MemSize: 1 << 20,
+		Args:    inst.Args,
+		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
+	}
+}
+
 // BenchmarkMachineRun measures one uninstrumented asm-machine execution per
 // iteration — the inner-loop cost every campaign and experiment pays per
-// plan. BENCH_interp.json snapshots ns/op before and after the pre-decoded
-// execution engine.
+// plan. BENCH_micro.json tracks its ns/op (scripts/bench).
 func BenchmarkMachineRun(b *testing.B) {
 	for _, v := range []struct {
-		bench   *rodinia.Benchmark
-		protect bool
-		name    string
+		bench *rodinia.Benchmark
+		tech  harness.Technique
+		name  string
 	}{
-		{rodinia.BFS, false, "bfs/raw"},
-		{rodinia.BFS, true, "bfs/ferrum"},
-		{rodinia.Particlefilter, false, "particlefilter/raw"},
+		{rodinia.BFS, harness.Raw, "bfs/raw"},
+		{rodinia.BFS, harness.Ferrum, "bfs/ferrum"},
+		{rodinia.Particlefilter, harness.Raw, "particlefilter/raw"},
 	} {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			inst, err := v.bench.Instantiate(1, harness.DefaultSeed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prog, err := backend.Compile(inst.Mod)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if v.protect {
-				prog, _, err = ferrumpass.Protect(prog, ferrumpass.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			m, err := machine.New(prog, 1<<20)
+			inst, build := benchBuild(b, v.bench, v.tech)
+			m, err := machine.New(build.Prog, 1<<20)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -320,20 +333,10 @@ func BenchmarkMachineRun(b *testing.B) {
 // profile and campaign template pays before its first plan. Run it with
 // -benchmem: B/op is what recycling engine memory through Release saves.
 func BenchmarkMachineLoad(b *testing.B) {
-	inst, err := rodinia.BFS.Instantiate(1, harness.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := backend.Compile(inst.Mod)
-	if err == nil {
-		prog, _, err = ferrumpass.Protect(prog, ferrumpass.Config{})
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
+	inst, build := benchBuild(b, rodinia.BFS, harness.Ferrum)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := machine.New(prog, 1<<20)
+		m, err := machine.New(build.Prog, 1<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,26 +354,20 @@ func BenchmarkMachineLoad(b *testing.B) {
 // one interpreted execution per iteration, raw and EDDI-protected.
 func BenchmarkIRRun(b *testing.B) {
 	for _, v := range []struct {
-		bench   *rodinia.Benchmark
-		protect bool
-		name    string
+		bench *rodinia.Benchmark
+		tech  harness.Technique
+		name  string
 	}{
-		{rodinia.BFS, false, "bfs/raw"},
-		{rodinia.BFS, true, "bfs/eddi"},
-		{rodinia.Particlefilter, false, "particlefilter/raw"},
+		{rodinia.BFS, harness.Raw, "bfs/raw"},
+		{rodinia.BFS, harness.IREDDI, "bfs/eddi"},
+		{rodinia.Particlefilter, harness.Raw, "particlefilter/raw"},
 	} {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			inst, err := v.bench.Instantiate(1, harness.DefaultSeed)
-			if err != nil {
-				b.Fatal(err)
-			}
+			inst, build := benchBuild(b, v.bench, v.tech)
 			mod := inst.Mod
-			if v.protect {
-				mod, err = irpass.EDDI(mod)
-				if err != nil {
-					b.Fatal(err)
-				}
+			if build.ProtectedIR != nil {
+				mod = build.ProtectedIR
 			}
 			ip, err := ir.NewInterp(mod, 1<<20)
 			if err != nil {
@@ -428,27 +425,10 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // end. Pruning answers provably-Benign plans without executing and dedups
 // value-identical ones. plans/s counts planned samples, so the
 // pruned mode's rate includes statically-answered plans; the executed
-// metric shows how many plans actually ran. BENCH_campaign.json snapshots
-// both.
+// metric shows how many plans actually ran. BENCH_micro.json tracks the
+// three paths' ns/op.
 func BenchmarkAsmCampaign(b *testing.B) {
-	inst, err := rodinia.BFS.Instantiate(1, harness.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := backend.Compile(inst.Mod)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prot, _, err := ferrumpass.Protect(prog, ferrumpass.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tgt := fi.AsmTarget{
-		Prog:    prot,
-		MemSize: 1 << 20,
-		Args:    inst.Args,
-		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
-	}
+	tgt := bfsAsmTarget(b, harness.Ferrum)
 	for _, mode := range []struct {
 		name string
 		c    fi.Campaign
@@ -485,9 +465,10 @@ func BenchmarkAsmCampaign(b *testing.B) {
 const composeSamples = 1000
 
 // BenchmarkCompose measures the compositional campaign's section-reuse
-// speedup, the headline number of BENCH_compose.json: 'full' runs the
-// composed campaign cold (fresh section cache every iteration — golden run,
-// recording run, and every plan executed), 'reuse' runs the identical
+// speedup, which the compose gate of BENCH_micro.json (scripts/bench) holds
+// at 3x or more: 'full' runs the composed campaign cold (fresh section cache
+// every iteration — golden run, recording run, and every plan executed),
+// 'reuse' runs the identical
 // campaign against warm tables (every plan served from cache; only the
 // golden and recording runs execute). The ratio is the wall-clock saving a
 // re-run pays after an edit that reaches no section. The cell is the raw
@@ -495,20 +476,7 @@ const composeSamples = 1000
 // developer re-runs most, and the one whose plans run longest (no detector
 // truncates them), so it is also where composition pays most.
 func BenchmarkCompose(b *testing.B) {
-	inst, err := rodinia.BFS.Instantiate(1, harness.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := backend.Compile(inst.Mod)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tgt := fi.AsmTarget{
-		Prog:    prog,
-		MemSize: 1 << 20,
-		Args:    inst.Args,
-		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
-	}
+	tgt := bfsAsmTarget(b, harness.Raw)
 	base := fi.Campaign{Samples: composeSamples, Seed: harness.DefaultSeed, Compose: fi.ComposeOn}
 
 	b.Run("full", func(b *testing.B) {
@@ -552,27 +520,10 @@ func BenchmarkCompose(b *testing.B) {
 // checkpointed FERRUM campaign with instrumentation disabled (nil Obs — the
 // default), and with a live observer collecting spans and counters. The two
 // must stay within a few percent: spans wrap campaign phases, never the
-// per-plan inner loop. BENCH_obs.json snapshots the disabled mode against
-// BENCH_campaign.json's checkpointed baseline.
+// per-plan inner loop. The obs gate of BENCH_micro.json (scripts/bench)
+// holds the disabled mode to BenchmarkAsmCampaign/checkpointed.
 func BenchmarkObsOverhead(b *testing.B) {
-	inst, err := rodinia.BFS.Instantiate(1, harness.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := backend.Compile(inst.Mod)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prot, _, err := ferrumpass.Protect(prog, ferrumpass.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tgt := fi.AsmTarget{
-		Prog:    prot,
-		MemSize: 1 << 20,
-		Args:    inst.Args,
-		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
-	}
+	tgt := bfsAsmTarget(b, harness.Ferrum)
 	for _, mode := range []struct {
 		name string
 		cx   func() *obs.Ctx
@@ -596,16 +547,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 // BenchmarkIRCampaign is the IR-level counterpart of BenchmarkAsmCampaign
 // (EDDI-protected module, the gap experiment's expensive half).
 func BenchmarkIRCampaign(b *testing.B) {
-	inst, err := rodinia.BFS.Instantiate(1, harness.DefaultSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mod, err := irpass.EDDI(inst.Mod)
-	if err != nil {
-		b.Fatal(err)
-	}
+	inst, build := benchBuild(b, rodinia.BFS, harness.IREDDI)
 	tgt := fi.IRTarget{
-		Mod:     mod,
+		Mod:     build.ProtectedIR,
 		MemSize: 1 << 20,
 		Args:    inst.Args,
 		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },

@@ -16,6 +16,7 @@ import (
 	"ferrum/internal/fi"
 	"ferrum/internal/harness"
 	"ferrum/internal/obs"
+	"ferrum/internal/rodinia"
 )
 
 // Coordinator-side metric names, alongside the standard fi.*/journal.*
@@ -183,6 +184,11 @@ func (co *Coordinator) event(v any) {
 // ErrTenantQuota (HTTP 429) when the bounded queue or the tenant's token
 // quota is exhausted.
 func (co *Coordinator) Submit(tenant string, spec harness.CampaignSpec) (string, error) {
+	// The campaign ID built from the name becomes a directory under
+	// cfg.Dir, so only registered benchmark names get that far.
+	if _, ok := rodinia.ByName(spec.Bench); !ok {
+		return "", fmt.Errorf("fiserve: unknown benchmark %q", spec.Bench)
+	}
 	if spec.Samples <= 0 {
 		return "", fmt.Errorf("fiserve: spec needs a positive sample count")
 	}

@@ -263,6 +263,52 @@ func TestAdmissionLimits(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnknownBench: the campaign ID built from spec.Bench names
+// a directory under -dir, so a name that is not a registered benchmark — a
+// path traversal or a plain typo — is refused with a 400 before any
+// directory is created, and no campaign is admitted.
+func TestSubmitRejectsUnknownBench(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "data")
+	co, err := Start(Config{Addr: "127.0.0.1:0", Dir: dir})
+	if err != nil {
+		t.Fatalf("start coordinator: %v", err)
+	}
+	defer co.Close()
+
+	for _, name := range []string{"../../../escaped", "no-such-bench"} {
+		if id, err := co.Submit("t", testSpec(name, harness.Raw, 8)); err == nil {
+			t.Errorf("Submit(%q) admitted campaign %s", name, id)
+		}
+		body := fmt.Sprintf(`{"tenant":"t","spec":{"bench":%q,"technique":"raw","level":"asm","samples":8}}`, name)
+		resp, err := http.Post("http://"+co.Addr()+"/api/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST /api/submit: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /api/submit bench %q: %s, want 400", name, resp.Status)
+		}
+	}
+
+	for d, want := range map[string]int{root: 1, dir: 0} {
+		ents, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatalf("read %s: %v", d, err)
+		}
+		if len(ents) != want {
+			var names []string
+			for _, e := range ents {
+				names = append(names, e.Name())
+			}
+			t.Errorf("%s holds %v, want %d entries", d, names, want)
+		}
+	}
+	if n := co.snapshot().Counters[mCampaignsAdmitted]; n != 0 {
+		t.Errorf("%s = %d, want 0", mCampaignsAdmitted, n)
+	}
+}
+
 // TestStaleEpochRejected covers the lease-epoch fencing and upload
 // validation: chunks from an old epoch are 409s, torn or corrupt chunks 400s.
 func TestStaleEpochRejected(t *testing.T) {
