@@ -306,13 +306,6 @@ func BenchmarkMachineRun(b *testing.B) {
 			if err := inst.Setup(m); err != nil {
 				b.Fatal(err)
 			}
-			// Profile-guided pair fusion, exactly as campaigns apply it
-			// from their golden run.
-			prof := m.Run(machine.RunOpts{Args: inst.Args, Profile: true})
-			if prof.Outcome != machine.OutcomeOK {
-				b.Fatalf("%v (%s)", prof.Outcome, prof.CrashMsg)
-			}
-			m.FuseProfile(prof.Profile)
 			b.ResetTimer()
 			var dyn uint64
 			for i := 0; i < b.N; i++ {

@@ -61,7 +61,7 @@ func Parse(src string) (*Program, error) {
 		// Labels (possibly several per line position).
 		if strings.HasSuffix(line, ":") {
 			name := strings.TrimSuffix(line, ":")
-			if name == "" || strings.ContainsAny(name, " \t") {
+			if name == "" || strings.ContainsAny(name, " \t:") {
 				return nil, fail("malformed label %q", line)
 			}
 			if name == pendingGlobl || cur == nil {

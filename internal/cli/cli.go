@@ -1,7 +1,7 @@
 // Package cli is the command-line plumbing the campaign tools (fidi and
 // reprod) share: the campaign-shape flags, the -journal/-resume lifecycle
 // and the observability sinks (-serve, -serve-drain, -events-out,
-// -trace-out, -cpuprofile, -memprofile, -dump-fusion).
+// -trace-out, -cpuprofile, -memprofile).
 //
 // A tool registers the shared flags beside its own, parses, builds and
 // checks its campaign spec from Flags.Opts, derives the journal meta from
@@ -37,7 +37,6 @@ type Flags struct {
 
 	journal    string
 	resume     bool
-	dumpFusion int
 	serve      string
 	serveDrain time.Duration
 	eventsOut  string
@@ -61,7 +60,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Progress, "progress", false, "stream live progress to stderr")
 	fs.StringVar(&f.journal, "journal", "", "write a crash-safe campaign journal (NDJSON) to this file; resume an interrupted run with -resume")
 	fs.BoolVar(&f.resume, "resume", false, "resume from the -journal file of an interrupted run: journaled plans and campaigns are not re-run, output is byte-identical")
-	fs.IntVar(&f.dumpFusion, "dump-fusion", 0, "print the top N fused superinstruction patterns by dynamic executions to stderr")
 	fs.StringVar(&f.serve, "serve", "", "serve live observability over HTTP on this address (host:port; :0 picks a port): /metrics, /progress, /debug/pprof")
 	fs.DurationVar(&f.serveDrain, "serve-drain", 0, "with -serve: after the run completes, keep serving until one more /metrics scrape lands or this much time passes (0 = exit immediately)")
 	fs.StringVar(&f.eventsOut, "events-out", "", "write NDJSON observability events (spans + final metrics) to this file")
@@ -178,15 +176,12 @@ func (f *Flags) Run(tool string, argv []string, errw io.Writer, meta fi.JournalM
 		return err
 	}
 
-	// One snapshot feeds the summary, the fusion report and the NDJSON
-	// metrics record, so they always reconcile; the Perfetto export shares
-	// the tracer's span list and epoch.
+	// One snapshot feeds the summary and the NDJSON metrics record, so
+	// they always reconcile; the Perfetto export shares the tracer's span
+	// list and epoch.
 	snap, spans := s.Obs.Reg.Snapshot(), s.Obs.Trace.Spans()
 	if summary != nil {
 		summary(snap, time.Since(start), spans)
-	}
-	if f.dumpFusion > 0 {
-		obs.RenderFusion(errw, snap, f.dumpFusion)
 	}
 	if events != nil {
 		events.Metrics(snap)

@@ -78,11 +78,10 @@ type asmEngine struct {
 	tgt      AsmTarget
 	maxSteps uint64
 	// m0 is the fully-loaded template machine: program decoded, data image
-	// installed, fusion tables rebuilt from the golden run's profile.
-	// Workers are clones of it — they share the decoded program and image
-	// and own all mutable run state. machines collects the clones (clone
-	// runs inside worker goroutines, hence the mutex) so dispatch-tier
-	// counters and fusion-pair tables can be merged after the plans ran.
+	// installed. Workers are clones of it — they share the decoded program
+	// and image and own all mutable run state. machines collects the clones
+	// (clone runs inside worker goroutines, hence the mutex) so their
+	// counters can be merged after the plans ran.
 	m0       *machine.Machine
 	mu       sync.Mutex
 	machines []*machine.Machine
@@ -114,21 +113,16 @@ func newAsmEngine(tgt AsmTarget, maxSteps uint64) (*asmEngine, error) {
 	return &asmEngine{tgt: tgt, maxSteps: maxSteps, m0: m}, nil
 }
 
-// golden also records the run's profile and per-site static ids. The
-// profile rebuilds the template's fusion tables before any clone is taken,
-// so every worker inherits the profile-guided superinstruction tier. Fused
-// execution is bit-identical to unfused, so results are unaffected.
+// golden also records the run's per-site static ids.
 func (e *asmEngine) golden() (goldenRun, error) {
 	e.res = e.m0.Run(machine.RunOpts{
 		Args:              e.tgt.Args,
 		MaxSteps:          e.maxSteps,
-		Profile:           true,
 		RecordSiteStatics: true,
 	})
 	if e.res.Outcome != machine.OutcomeOK {
 		return goldenRun{}, fmt.Errorf("fi: golden run failed: %v (%s)", e.res.Outcome, e.res.CrashMsg)
 	}
-	e.m0.FuseProfile(e.res.Profile)
 	e.instrs = e.m0.StaticInstrs()
 	return goldenRun{
 		sites:  e.res.DynSites,
@@ -172,31 +166,21 @@ func (e *asmEngine) clone() worker {
 }
 
 // observe publishes the lifetime counters of the template and every clone:
-// dispatch-tier counts, fusion-pair tables (under obs.MFusionPrefix, so the
-// -dump-fusion report can rank patterns by dynamic executions) and the
-// plans that ended at a golden checkpoint. Like the ckpt.* counters, these
-// count work this process did or avoided, so journal-answered campaigns
-// never replay them.
+// basic blocks entered and the plans that ended at a golden checkpoint.
+// Like the ckpt.* counters, these count work this process did or avoided,
+// so journal-answered campaigns never replay them.
 func (e *asmEngine) observe(o *obs.Ctx) {
 	if o == nil {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var blocks, fused, converged uint64
+	var blocks, converged uint64
 	for _, m := range append([]*machine.Machine{e.m0}, e.machines...) {
-		b, f := m.DispatchStats()
-		blocks += b
-		fused += f
+		blocks += m.DispatchStats()
 		converged += m.Converged()
-		for _, p := range m.FusionPairs() {
-			if p.Hits > 0 {
-				o.Counter(obs.MFusionPrefix + p.Pair).Add(int64(p.Hits))
-			}
-		}
 	}
 	o.Counter(obs.MBlocksEntered).Add(int64(blocks))
-	o.Counter(obs.MFusedUops).Add(int64(fused))
 	o.Counter(obs.MCkptConverged).Add(int64(converged))
 }
 

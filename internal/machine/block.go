@@ -20,9 +20,9 @@ import (
 // Per-instruction observers (site recording, function spans, profiling,
 // tracing) are charged at block granularity by the observers hook.
 //
-// All tables are indexed by pre-fusion instruction position: block
-// formation and fusion never renumber insts/uops, so fault-site indexing,
-// DestBits, snapshots and journal identity are untouched.
+// All tables are indexed by instruction position: block formation never
+// renumbers insts/uops, so fault-site indexing, DestBits, snapshots and
+// journal identity are untouched.
 
 // buildBlocks computes, for every instruction index, the exclusive end of
 // its enclosing basic block (blockEnd) and the number of fault-injection
@@ -89,9 +89,6 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 	// registers instead of reloading them through m on every instruction.
 	uops := m.uops
 	blockEnd := m.blockEnd
-	fuseAt := m.fuseAt
-	fuops := m.fuops
-	fuseHits := m.fuseHits
 	fault := opts.Fault
 	stop := m.stopSite(opts)
 	for {
@@ -108,8 +105,7 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 		// budget could expire inside the block (the budget is checked
 		// before every instruction), the planned fault site could land
 		// on one of the block's remaining destinations, or the next stop
-		// site falls within the block — fused uops retire several sites
-		// per step, so the fast path could blow straight past it.
+		// site falls within the block.
 		if m.dyn+uint64(end-pc) > maxSteps ||
 			(fault != nil && !m.injected && fault.Site < m.sites+uint64(m.siteSuffix[pc])) ||
 			stop <= m.sites+uint64(m.siteSuffix[pc]) {
@@ -123,23 +119,16 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 		}
 		i := pc
 		for i < end {
-			var next nextAction
-			var err error
-			if fx := fuseAt[i]; fx >= 0 {
-				fuseHits[fx]++
-				next, err = m.stepFused(&fuops[fx], i)
-			} else {
-				u := &uops[i]
-				m.dyn++
-				next, err = m.step(u, i)
+			u := &uops[i]
+			m.dyn++
+			next, err := m.step(u, i)
+			if err != nil {
 				// A crashed instruction does not retire its destination, so
 				// its site is not counted.
-				if err == nil && u.destKind != asm.DestNone {
-					m.sites++
-				}
-			}
-			if err != nil {
 				return OutcomeCrash, err.Error()
+			}
+			if u.destKind != asm.DestNone {
+				m.sites++
 			}
 			switch next {
 			case nextHalt:
@@ -163,10 +152,8 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 // runBlockSlow executes one basic block with per-instruction checks: step
 // budget before each instruction, fault application on the matching site,
 // per-site counting, the checkpoint schedule, the StopAtSites boundary and
-// the golden convergence compare. Fused uops are ignored here — every
-// position executes its original single uop, which is what makes the slow
-// block bit-identical to the pre-fusion interpreter. It reports done=false
-// when control left the block with the run still live.
+// the golden convergence compare. It reports done=false when control left
+// the block with the run still live.
 func (m *Machine) runBlockSlow(opts *RunOpts, maxSteps uint64, pc, end int) (Outcome, string, bool) {
 	fault := opts.Fault
 	i := pc
@@ -338,13 +325,6 @@ func (o *observers) end(m *Machine, crashed bool, res *Result) {
 	res.Profile, res.Trace = o.prof.export(), o.trace.dump()
 }
 
-// DispatchStats reports this machine's lifetime block-dispatch counters:
-// basic blocks entered and fused superinstructions executed. The fused
-// count is the sum of the per-fuop hit counters, which the dispatch loop
-// maintains anyway — the hot path carries no separate global counter.
-func (m *Machine) DispatchStats() (blocksEntered, fusedUops uint64) {
-	for _, h := range m.fuseHits {
-		fusedUops += h
-	}
-	return m.nBlocks, fusedUops
-}
+// DispatchStats reports the basic blocks this machine entered in its
+// lifetime.
+func (m *Machine) DispatchStats() (blocksEntered uint64) { return m.nBlocks }

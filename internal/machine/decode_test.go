@@ -94,7 +94,7 @@ func TestUndefinedLabelRejectedAtLoad(t *testing.T) {
 }
 
 // TestRodiniaDecodesFully is in equiv_test.go; here we check a small parsed
-// program decodes every instruction off the slow path, so the fused
+// program decodes every instruction off the slow path, so the decoded
 // dispatch actually covers the common shapes.
 func TestSmallProgramDecodesFully(t *testing.T) {
 	src := `

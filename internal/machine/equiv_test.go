@@ -11,7 +11,7 @@ import (
 	"ferrum/internal/rodinia"
 )
 
-// The decode stage is pure representation: the fused uop dispatch must be
+// The decode stage is pure representation: the decoded uop dispatch must be
 // observationally identical to the generic slow-path interpreter it
 // accelerates. These tests run every Rodinia benchmark under every
 // protection technique on both engines and require bit-identical Results;
@@ -22,16 +22,14 @@ const equivMaxSteps = 1 << 20
 
 // forceSlow reroutes every decoded uop through the generic interpreter,
 // recovering the pre-decode execution engine. Cost and destination kind
-// stay as decoded, so only the dispatch path changes. Fusion is disabled
-// too: run through runReference, this machine is the per-instruction
-// reference the block loop is measured against; run through Run, it is the
-// block loop over the generic interpreter.
+// stay as decoded, so only the dispatch path changes. Run through
+// runReference, this machine is the per-instruction reference the block
+// loop is measured against; run through Run, it is the block loop over the
+// generic interpreter.
 func forceSlow(m *Machine) {
 	for i := range m.uops {
 		m.uops[i].code = uSlow
 	}
-	m.hotOps = nil
-	m.fuseAll()
 }
 
 // ckpt is what one OnCheckpoint delivery pins: the snapshot's site and
@@ -94,19 +92,17 @@ func equivMachine(t *testing.T, bench string, prog *asm.Program) (*Machine, []ui
 }
 
 // TestEquivDecodeVsSlowAsm runs every Rodinia cell × {raw, eddi, ferrum}
-// on three block-loop tiers — block dispatch with profile-guided fusion,
-// block dispatch with the static triad set, and the block loop over the
-// forced slow path — and on the per-instruction reference engine,
-// asserting an identical Result (outcome, output, cycles, dynamic counts,
-// per-site statics, function spans, profile and trace) for the golden run,
-// an identical checkpoint schedule, and identical Results for a spread of
-// fault injections. It also pins decode coverage: compiled Rodinia
-// programs must decode with no residual slow-path uops.
+// on both block-loop tiers — block dispatch over the decoded uops and the
+// block loop over the forced slow path — and on the per-instruction
+// reference engine, asserting an identical Result (outcome, output, cycles,
+// dynamic counts, per-site statics, function spans, profile and trace) for
+// the golden run, an identical checkpoint schedule, and identical Results
+// for a spread of fault injections. It also pins decode coverage: compiled
+// Rodinia programs must decode with no residual slow-path uops.
 func TestEquivDecodeVsSlowAsm(t *testing.T) {
 	for _, bench := range rodinia.Names() {
 		for tech, prog := range equivPrograms(t, bench) {
 			fast, args := equivMachine(t, bench, prog)
-			fused, _ := equivMachine(t, bench, prog)
 			slow, _ := equivMachine(t, bench, prog)
 			ref, _ := equivMachine(t, bench, prog)
 			forceSlow(slow)
@@ -117,9 +113,6 @@ func TestEquivDecodeVsSlowAsm(t *testing.T) {
 					t.Errorf("%s/%s: instruction %d (%s) left on the slow path",
 						bench, tech, i, fast.insts[i].in.String())
 				}
-			}
-			if tech == "ferrum" && len(fast.fuops) == 0 {
-				t.Errorf("%s/%s: no static check triads fused", bench, tech)
 			}
 
 			base := RunOpts{Args: args, MaxSteps: equivMaxSteps}
@@ -132,16 +125,11 @@ func TestEquivDecodeVsSlowAsm(t *testing.T) {
 			if want.Outcome != OutcomeOK {
 				t.Fatalf("%s/%s: golden outcome = %v (%s)", bench, tech, want.Outcome, want.CrashMsg)
 			}
-			fused.FuseProfile(want.Profile)
-			if len(fused.fuops) < len(fast.fuops) {
-				t.Errorf("%s/%s: profile-guided fusion dropped static triads: %d < %d",
-					bench, tech, len(fused.fuops), len(fast.fuops))
-			}
 			wantObs := ref.runReference(observed)
 			k := want.DynSites/5 + 1
 			wantCk, wantCks, _ := runCkpts(ref.runReference, observed, k)
 
-			tiers := map[string]*Machine{"fast": fast, "fused": fused, "slow": slow}
+			tiers := map[string]*Machine{"fast": fast, "slow": slow}
 			for name, m := range tiers {
 				if got := m.Run(traced); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s/%s: traced golden Result differs:\n%s: %+v\nref: %+v",
@@ -187,12 +175,8 @@ func TestEquivSnapshotAcrossDecode(t *testing.T) {
 	for _, bench := range []string{"bfs", "lud"} {
 		prog := equivPrograms(t, bench)["ferrum"]
 		fast, args := equivMachine(t, bench, prog)
-		fused, _ := equivMachine(t, bench, prog)
 		slow, _ := equivMachine(t, bench, prog)
 		forceSlow(slow)
-
-		profiled := fast.Run(RunOpts{Args: args, MaxSteps: equivMaxSteps, Profile: true})
-		fused.FuseProfile(profiled.Profile)
 
 		want := fast.Run(RunOpts{Args: args, MaxSteps: equivMaxSteps})
 		if want.Outcome != OutcomeOK {
@@ -203,10 +187,8 @@ func TestEquivSnapshotAcrossDecode(t *testing.T) {
 			name     string
 			from, to *Machine
 		}{
-			{"slow->fused", slow, fast},
-			{"fused->slow", fast, slow},
-			{"slow->pfused", slow, fused},
-			{"pfused->slow", fused, slow},
+			{"slow->fast", slow, fast},
+			{"fast->slow", fast, slow},
 		}
 		for _, p := range pairs {
 			var snaps []*Snapshot

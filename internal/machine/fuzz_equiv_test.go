@@ -38,10 +38,10 @@ func fingerprint(m *Machine) archState {
 // TestEquivFuzzDispatchTiers is the property-based complement to the
 // Rodinia-cell equivalence suite: randomly generated branch-dense programs
 // (short basic blocks, nested diamonds and loops — the shapes that stress
-// block-formation boundaries and fusion-group claims) must produce a
-// bit-identical Result AND bit-identical terminal architectural state on
-// every block-loop tier and on the per-instruction reference engine, for
-// the golden run and for injected faults. The plain runs carry no
+// block-formation boundaries) must produce a bit-identical Result AND
+// bit-identical terminal architectural state on both block-loop tiers and
+// on the per-instruction reference engine, for the golden run and for
+// injected faults. The plain runs carry no
 // observers, so the block-dispatch fast path is what actually executes;
 // the observed runs then pin the block-granularity observers against the
 // reference: site statics, function spans, profile, trace and checkpoint
@@ -86,14 +86,9 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 				}
 				return m
 			}
-			fast, fused, slow, ref := build(), build(), build(), build()
+			fast, slow, ref := build(), build(), build()
 			forceSlow(slow)
 			forceSlow(ref)
-
-			// The fusion profile comes from a separate profiled run so the
-			// comparison runs themselves stay observer-free.
-			profiled := build().Run(RunOpts{Args: args, MaxSteps: maxSteps, Profile: true})
-			fused.FuseProfile(profiled.Profile)
 
 			want := ref.runReference(RunOpts{Args: args, MaxSteps: maxSteps})
 			if want.Outcome != OutcomeOK {
@@ -102,7 +97,7 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 			}
 			wantState := fingerprint(ref)
 
-			tiers := map[string]*Machine{"fast": fast, "fused": fused, "slow": slow}
+			tiers := map[string]*Machine{"fast": fast, "slow": slow}
 			for name, m := range tiers {
 				got := m.Run(RunOpts{Args: args, MaxSteps: maxSteps})
 				if !reflect.DeepEqual(got, want) {
@@ -273,15 +268,14 @@ func TestEquivFuzzGoldenConvergence(t *testing.T) {
 				}
 				return m
 			}
-			fused, slow := build(), build()
+			fast, slow := build(), build()
 			forceSlow(slow)
-			golden := fused.Run(RunOpts{Args: args, MaxSteps: maxSteps, Profile: true})
+			golden := fast.Run(RunOpts{Args: args, MaxSteps: maxSteps})
 			if golden.Outcome != OutcomeOK || golden.DynSites < 4 {
 				continue
 			}
-			fused.FuseProfile(golden.Profile)
 			for _, k := range []uint64{1, 7, golden.DynSites / 4} {
-				g := recordGolden(fused, RunOpts{Args: args, MaxSteps: maxSteps}, k)
+				g := recordGolden(fast, RunOpts{Args: args, MaxSteps: maxSteps}, k)
 				for j := 0; j < 12; j++ {
 					f := &Fault{Site: uint64(rng.Int63n(int64(golden.DynSites))), Bit: uint(rng.Intn(64))}
 					if j%3 == 0 {
@@ -298,10 +292,10 @@ func TestEquivFuzzGoldenConvergence(t *testing.T) {
 					for _, from := range []*Snapshot{nil, resume} {
 						o := opts
 						o.Golden, o.Resume = g, from
-						before := fused.Converged()
-						got := fused.Run(o)
+						before := fast.Converged()
+						got := fast.Run(o)
 						runs++
-						if fused.Converged() > before {
+						if fast.Converged() > before {
 							converged++
 						}
 						if !reflect.DeepEqual(got, want) {
@@ -315,14 +309,14 @@ func TestEquivFuzzGoldenConvergence(t *testing.T) {
 					}
 					o := opts
 					o.StopAtSites = stop
-					b := fused.Run(o)
+					b := fast.Run(o)
 					if b.Outcome != OutcomeBoundary {
 						continue
 					}
 					cont := RunOpts{MaxSteps: maxSteps, Resume: b.Boundary}
 					want = slow.runReference(cont)
 					cont.Golden = g
-					if got := fused.Run(cont); !reflect.DeepEqual(got, want) {
+					if got := fast.Run(cont); !reflect.DeepEqual(got, want) {
 						t.Fatalf("iter %d/%s K=%d fault=%+v: boundary continuation differs\ngolden: %+v\nslow:   %+v",
 							i, tech, k, *f, got, want)
 					}

@@ -211,17 +211,12 @@ type Machine struct {
 
 	lastSites uint64 // previous run's site count (RecordSiteStatics capacity hint)
 
-	// Block-dispatch and fusion tables (built at load time, indexed by
-	// pre-fusion instruction position, shared read-only by Clones; see
-	// block.go and fuse.go).
+	// Block-dispatch tables (built at load time, indexed by instruction
+	// position, shared read-only by Clones; see block.go).
 	blockEnd   []int32 // exclusive end of the enclosing basic block
 	siteSuffix []int32 // fault sites from this index to its block end
-	fuseAt     []int32 // head index -> fuop index, -1 when unfused
-	fuops      []fuop
-	hotOps     map[asm.Op]bool // profile-hot opcodes enabling pair fusion
 
-	fuseHits []uint64 // per-fuop dynamic execution counts (this machine)
-	nBlocks  uint64   // basic blocks entered (lifetime)
+	nBlocks uint64 // basic blocks entered (lifetime)
 
 	// Architectural state (reset per run).
 	gpr   [asm.NumReg]uint64
@@ -322,18 +317,17 @@ func newMachine(p *asm.Program, memSize int) (*Machine, error) {
 	m.entry = m.labels[entry]
 	m.mem = pagemem.New(memSize)
 	m.buildBlocks()
-	m.fuseAll()
 	return m, nil
 }
 
 // Clone returns a machine that shares this machine's loaded program — the
-// instruction, uop, block and fusion tables and the pristine memory image —
-// but owns its architectural state, memory and counters. Clones are how
+// instruction, uop and block tables and the pristine memory image — but
+// owns its architectural state, memory and counters. Clones are how
 // campaigns pool the load-time decode across workers: clone once per
-// worker after SetMemImage/SetCostModel/FuseProfile, then Run concurrently.
-// Mutating the program (SetCostModel, SetMemImage, FuseProfile) on any
-// machine after cloning is not safe while its clones run. A clone keeps
-// the shared image alive: it still runs after its template's Release.
+// worker after SetMemImage/SetCostModel, then Run concurrently. Mutating
+// the program (SetCostModel, SetMemImage) on any machine after cloning is
+// not safe while its clones run. A clone keeps the shared image alive: it
+// still runs after its template's Release.
 func (m *Machine) Clone() *Machine {
 	m.live("Clone")
 	return &Machine{
@@ -344,13 +338,9 @@ func (m *Machine) Clone() *Machine {
 		start:      m.start,
 		blockEnd:   m.blockEnd,
 		siteSuffix: m.siteSuffix,
-		fuseAt:     m.fuseAt,
-		fuops:      m.fuops,
-		hotOps:     m.hotOps,
 		costs:      m.costs,
 		lastSites:  m.lastSites,
 		mem:        m.mem.Clone(),
-		fuseHits:   make([]uint64, len(m.fuops)),
 	}
 }
 
@@ -374,8 +364,6 @@ func (m *Machine) SetCostModel(c *CostModel) {
 		m.insts[i].cost = c.staticCost(m.insts[i].in)
 		m.uops[i].cost = m.insts[i].cost
 	}
-	// Fused uops hold copies of their constituents (including costs).
-	m.fuseAll()
 }
 
 // MemSize reports the size of the machine's memory.

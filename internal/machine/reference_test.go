@@ -10,7 +10,7 @@ import (
 // tested against: one loop that checks the pc, the step budget, the fault
 // site, the checkpoint schedule and StopAtSites before or after every
 // instruction, and charges every observer as the instruction executes. It
-// ignores fusion and block tables, so together with forceSlow it is the
+// ignores the block tables, so together with forceSlow it is the
 // pre-decode interpreter. It does not honour RunOpts.Golden.
 func (m *Machine) runReference(opts RunOpts) Result {
 	maxSteps, err := m.begin(&opts)

@@ -151,10 +151,7 @@ const (
 	// Dispatch-tier counters, reported by internal/fi from the machines a
 	// campaign executed on (golden template plus per-worker clones).
 	MBlocksEntered = "machine.blocks_entered" // basic blocks dispatched by the block loop
-	MFusedUops     = "machine.fused_uops"     // fused superinstructions executed
-	// MFusionPrefix + a pair name (e.g. "vpxor+vptest+jcc") counts that
-	// fused pattern's dynamic executions; -dump-fusion renders the top N.
-	MFusionPrefix = "machine.fusion."
+	MFusedUops     = "machine.fused_uops"     // nothing increments it now; always 0
 
 	// Compositional campaigns (internal/fi driven by fi.Campaign.Compose,
 	// section-table cache in internal/compose).

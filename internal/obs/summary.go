@@ -64,58 +64,12 @@ func RenderSummary(w io.Writer, s Snapshot, wall time.Duration, spans []Span) {
 			plans, c(MCampaigns), strings.Join(parts, ", "))
 	}
 
-	if n := c(MFusedUops); n > 0 {
-		fmt.Fprintf(w, "dispatch: %d blocks entered, %d fused superinstructions executed\n",
-			c(MBlocksEntered), n)
+	if n := c(MBlocksEntered); n > 0 {
+		fmt.Fprintf(w, "dispatch: %d blocks entered\n", n)
 	}
 
 	if cells := slowestCells(spans, 3); len(cells) > 0 {
 		fmt.Fprintf(w, "slowest cells: %s\n", strings.Join(cells, ", "))
-	}
-}
-
-// FusionCount is one fused opcode pattern's dynamic execution count,
-// extracted from the machine.fusion.* counters the campaigns merged in.
-type FusionCount struct {
-	Pair string
-	Hits int64
-}
-
-// TopFusionPairs extracts the fused-pattern counters from a snapshot,
-// sorted by dynamic executions descending (ties by name) and truncated to
-// n entries (n <= 0 keeps all).
-func TopFusionPairs(s Snapshot, n int) []FusionCount {
-	var out []FusionCount
-	for name, v := range s.Counters {
-		if p, ok := strings.CutPrefix(name, MFusionPrefix); ok && v > 0 {
-			out = append(out, FusionCount{Pair: p, Hits: v})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hits != out[j].Hits {
-			return out[i].Hits > out[j].Hits
-		}
-		return out[i].Pair < out[j].Pair
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// RenderFusion writes the -dump-fusion report: dispatch-tier totals and
-// the top-n fused opcode patterns by dynamic executions. Silent when the
-// run executed no fused superinstructions.
-func RenderFusion(w io.Writer, s Snapshot, n int) {
-	pairs := TopFusionPairs(s, n)
-	if len(pairs) == 0 {
-		fmt.Fprintln(w, "fusion: no fused superinstructions executed")
-		return
-	}
-	fmt.Fprintf(w, "fusion: %d blocks entered, %d fused superinstructions; top %d patterns:\n",
-		s.Counters[MBlocksEntered], s.Counters[MFusedUops], len(pairs))
-	for _, p := range pairs {
-		fmt.Fprintf(w, "  %12d  %s\n", p.Hits, p.Pair)
 	}
 }
 

@@ -28,8 +28,8 @@ type Options struct {
 	// diamonds or bounded loops instead of straight-line statements.
 	// The default 2 is the historical mix; values are capped at 9. Dense
 	// settings generate programs made of many short basic blocks, which is
-	// what stresses block-formation boundaries and superinstruction fusion
-	// in the machine's dispatch tiers.
+	// what stresses block-formation boundaries in the machine's dispatch
+	// tiers.
 	BranchDensity int
 }
 
