@@ -5,8 +5,9 @@
 // input variation).
 //
 // All experiments in one invocation share a build cache, so each
-// (benchmark, technique, optimize) build and golden run happens exactly
-// once; independent campaign cells run concurrently (bounded by
+// (benchmark, technique, optimize) program is compiled and decoded once,
+// whatever inputs use it, and each golden runs once per input; independent
+// campaign cells run concurrently (bounded by
 // -cell-workers) without changing any table byte. -progress streams live
 // cell status to stderr; a suite summary rendered from the observability
 // registry always goes to stderr at the end.

@@ -108,9 +108,11 @@ type (
 	Technique = harness.Technique
 	// ExperimentOptions configures a reproduction run.
 	ExperimentOptions = harness.Options
-	// BuildCache memoises benchmark instances, technique builds and golden
-	// runs; share one across experiment calls (ExperimentOptions.Cache) so
-	// each (benchmark, technique, optimize) build happens exactly once.
+	// BuildCache memoises benchmark instances, technique builds, their
+	// decoded programs and golden runs; share one across experiment calls
+	// (ExperimentOptions.Cache) so each (benchmark, technique, optimize)
+	// program is compiled and decoded once whatever inputs use it, and each
+	// golden runs once per input.
 	BuildCache = harness.BuildCache
 	// CellEvent is one scheduler cell transition, streamed to
 	// ExperimentOptions.Progress.

@@ -1,6 +1,7 @@
 package fi
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,6 +66,50 @@ func TestJournalRoundTrip(t *testing.T) {
 	if nilState.Cell("a") != nil {
 		t.Error("nil state returned a cell")
 	}
+}
+
+// FuzzJournalLoad: LoadJournalData never panics, and any journal it
+// accepts re-serialises byte-stably: WriteCanonical → LoadJournalData →
+// WriteCanonical writes the same bytes twice.
+func FuzzJournalLoad(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "campaign.ndjson")
+	j, err := CreateJournal(path, testMeta)
+	if err != nil {
+		f.Fatal(err)
+	}
+	j.Plan("a", 0, Benign, 10, 128, true, false)
+	j.Plan("a", 3, SDC, 11, 0, false, false)
+	j.Plan("b", 1, Crash, 12, 7, true, true)
+	j.Cell("a", Result{Samples: 2, Counts: [numOutcomes]int{Benign: 1, SDC: 1}, DynSites: 9})
+	if err := j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)*2/3])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := LoadJournalData(data, "fuzz")
+		if err != nil {
+			return
+		}
+		var w1, w2 bytes.Buffer
+		if err := st.WriteCanonical(&w1); err != nil {
+			t.Fatalf("accepted journal does not serialise: %v", err)
+		}
+		st2, err := LoadJournalData(w1.Bytes(), "canonical")
+		if err != nil {
+			t.Fatalf("canonical form does not load: %v\n%s", err, w1.Bytes())
+		}
+		if err := st2.WriteCanonical(&w2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
+			t.Fatalf("canonical form is not stable:\n%s\n---\n%s", w1.Bytes(), w2.Bytes())
+		}
+	})
 }
 
 // TestJournalMetaMismatch: resume must refuse a journal recorded under a

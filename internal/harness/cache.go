@@ -9,40 +9,49 @@ import (
 	"ferrum/internal/rodinia"
 )
 
-// buildKey identifies one memoisable build: the benchmark inputs are fully
-// determined by (benchmark, scale, seed) and the binary by the technique
-// and optimisation level on top of that.
+// buildKey identifies one memoisable build: a program. Every instance of a
+// benchmark comes from rodinia.ByName → Instantiate, which parses the
+// benchmark's one fixed source whatever the scale and seed; those shape
+// only Args and the memory image. BuildTechniqueOpts reads nothing but the
+// module, and a Build holds only what it derives from it (Prog,
+// ProtectedIR, Transform and the pass reports). So a build is a function of
+// (benchmark, technique, optimize), and every input of the benchmark shares
+// it (TestBuildIndependentOfInput).
 type buildKey struct {
 	bench    string
-	scale    int
-	seed     int64
 	tech     Technique
 	optimize bool
 }
 
-// goldenKey identifies one memoisable golden run: a build on a machine of
-// memSize bytes.
-type goldenKey struct {
-	buildKey
-	memSize int
-}
-
+// instKey identifies one benchmark input.
 type instKey struct {
 	bench string
 	scale int
 	seed  int64
 }
 
-// BuildCache memoises benchmark instantiation, per-technique builds, and
-// golden runs across experiment functions. Sharing one cache across a whole
-// `reprod -exp all` invocation (Options.Cache) makes each (benchmark,
-// technique, optimize) build happen exactly once no matter how many
-// experiments need it; the hit/miss counters prove it in the suite summary.
+// goldenKey identifies one memoisable golden run: a build on one input, on a
+// machine of memSize bytes.
+type goldenKey struct {
+	build   buildKey
+	input   instKey
+	memSize int
+}
+
+// BuildCache memoises benchmark instantiation, per-technique builds, their
+// decoded programs and golden runs across experiment functions. Sharing one
+// cache across a whole `reprod -exp all` invocation (Options.Cache)
+// compiles and decodes each (benchmark, technique, optimize) program once,
+// whichever inputs and experiments use it, and runs each golden once per
+// (program, input, memory size); the hit/miss counters prove it in the
+// suite summary.
 //
 // A BuildCache is safe for concurrent use: concurrent cells asking for the
 // same key block on a single computation (sync.Once per entry) instead of
-// duplicating work. Cached values — instances, builds, golden outputs — are
-// treated as immutable by every consumer.
+// duplicating work. Cached values — instances, builds, decoded programs,
+// golden outputs — are treated as immutable by every consumer. A decoded
+// program holds no memory buffer (machines instantiated from it own and
+// release theirs), so dropping the cache pins nothing.
 type BuildCache struct {
 	mu      sync.Mutex
 	insts   map[instKey]*instEntry
@@ -71,10 +80,15 @@ type instEntry struct {
 	err  error
 }
 
+// buildEntry is one build and, decoded on first use, its program.
 type buildEntry struct {
 	once  sync.Once
 	build *Build
 	err   error
+
+	decOnce sync.Once
+	dec     *machine.Decoded
+	decErr  error
 }
 
 type goldenEntry struct {
@@ -175,10 +189,10 @@ func (c *BuildCache) instance(bench *rodinia.Benchmark, scale int, seed int64) (
 	return e.inst, e.err
 }
 
-// build returns the memoised BuildTechniqueOpts result for the instance's
-// key under the given technique and options.
-func (c *BuildCache) build(inst *rodinia.Instance, scale int, seed int64, tech Technique, bo BuildOptions) (*Build, error) {
-	key := buildKey{inst.Bench.Name, scale, seed, tech, bo.Optimize}
+// entry returns the memoised build entry for the instance's benchmark under
+// the given technique and options, building it on first use.
+func (c *BuildCache) entry(inst *rodinia.Instance, tech Technique, bo BuildOptions) *buildEntry {
+	key := buildKey{inst.Bench.Name, tech, bo.Optimize}
 	c.mu.Lock()
 	e, ok := c.builds[key]
 	if !ok {
@@ -194,14 +208,35 @@ func (c *BuildCache) build(inst *rodinia.Instance, scale int, seed int64, tech T
 	e.once.Do(func() {
 		e.build, e.err = BuildTechniqueOpts(inst.Mod, tech, bo)
 	})
+	return e
+}
+
+// build returns the memoised BuildTechniqueOpts result for the instance's
+// benchmark under the given technique and options.
+func (c *BuildCache) build(inst *rodinia.Instance, tech Technique, bo BuildOptions) (*Build, error) {
+	e := c.entry(inst, tech, bo)
 	return e.build, e.err
+}
+
+// decoded returns the memoised build's decoded program, decoding it on
+// first use.
+func (c *BuildCache) decoded(inst *rodinia.Instance, tech Technique, bo BuildOptions) (*machine.Decoded, error) {
+	e := c.entry(inst, tech, bo)
+	if e.err != nil {
+		return nil, e.err
+	}
+	e.decOnce.Do(func() {
+		e.dec, e.decErr = machine.Decode(e.build.Prog)
+	})
+	return e.dec, e.decErr
 }
 
 // golden returns the memoised golden run (cycles, dynamic instructions,
 // output) of the instance's build under the given technique and options,
-// on a machine of memSize bytes.
+// on the input (scale, seed) and a machine of memSize bytes.
 func (c *BuildCache) golden(inst *rodinia.Instance, scale int, seed int64, tech Technique, bo BuildOptions, memSize int) (golden, error) {
-	key := goldenKey{buildKey{inst.Bench.Name, scale, seed, tech, bo.Optimize}, memSize}
+	name := inst.Bench.Name
+	key := goldenKey{buildKey{name, tech, bo.Optimize}, instKey{name, scale, seed}, memSize}
 	c.mu.Lock()
 	e, ok := c.goldens[key]
 	if !ok {
@@ -215,13 +250,12 @@ func (c *BuildCache) golden(inst *rodinia.Instance, scale int, seed int64, tech 
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		var build *Build
-		build, e.err = c.build(inst, scale, seed, tech, bo)
-		if e.err != nil {
+		var dec *machine.Decoded
+		if dec, e.err = c.decoded(inst, tech, bo); e.err != nil {
 			return
 		}
 		var res machine.Result
-		if res, e.err = runGolden(nil, inst, build, memSize, false); e.err == nil {
+		if res, e.err = runGolden(nil, inst, dec, memSize, false); e.err == nil {
 			e.g = golden{cycles: res.Cycles, dyn: res.DynInsts, output: res.Output}
 		}
 	})

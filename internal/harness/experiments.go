@@ -307,12 +307,13 @@ func irTarget(inst *rodinia.Instance, mod *ir.Module, memSize int) fi.IRTarget {
 	}
 }
 
-// runGolden is the fault-free run of a build on a fresh machine of memSize
-// bytes holding the instance's data: the golden cache's run, or a profile
-// cell's when profile asks for dynamic attribution, timed by a profile.run
-// span on cx. The machine is released on every path.
-func runGolden(cx *obs.Ctx, inst *rodinia.Instance, build *Build, memSize int, profile bool) (machine.Result, error) {
-	m, err := machine.New(build.Prog, memSize)
+// runGolden is the fault-free run of a decoded build on a machine of
+// memSize bytes instantiated from it, holding the instance's data: the
+// golden cache's run, or a profile cell's when profile asks for dynamic
+// attribution, timed by a profile.run span on cx. The machine is released
+// on every path; the decoded program is left as it was.
+func runGolden(cx *obs.Ctx, inst *rodinia.Instance, dec *machine.Decoded, memSize int, profile bool) (machine.Result, error) {
+	m, err := dec.Instantiate(memSize)
 	if err != nil {
 		return machine.Result{}, err
 	}

@@ -6,12 +6,23 @@ import (
 
 	"ferrum/internal/asm"
 	"ferrum/internal/machine"
+	"ferrum/internal/rodinia"
 )
 
 // Small, fast options for tests; the full 1000-sample campaigns run in
 // cmd/reprod and the benchmark harness.
 func testOpts(benchmarks ...string) Options {
 	return Options{Samples: 120, Seed: 99, Benchmarks: benchmarks}
+}
+
+// buildGolden decodes a build outside any cache and returns its golden run
+// on the instance at the default memory size.
+func buildGolden(inst *rodinia.Instance, build *Build) (machine.Result, error) {
+	dec, err := machine.Decode(build.Prog)
+	if err != nil {
+		return machine.Result{}, err
+	}
+	return runGolden(nil, inst, dec, defaultMemSize, false)
 }
 
 func TestBuildTechniqueAll(t *testing.T) {
@@ -29,7 +40,7 @@ func TestBuildTechniqueAll(t *testing.T) {
 		if build.Prog == nil {
 			t.Fatalf("%s: nil program", tech)
 		}
-		g, err := runGolden(nil, inst, build, defaultMemSize, false)
+		g, err := buildGolden(inst, build)
 		if err != nil {
 			t.Fatalf("%s: %v", tech, err)
 		}
@@ -72,7 +83,7 @@ func TestProtectedOutputsMatchRaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := runGolden(nil, inst, rawBuild, defaultMemSize, false)
+		raw, err := buildGolden(inst, rawBuild)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +92,7 @@ func TestProtectedOutputsMatchRaw(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", inst.Bench.Name, tech, err)
 			}
-			g, err := runGolden(nil, inst, build, defaultMemSize, false)
+			g, err := buildGolden(inst, build)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", inst.Bench.Name, tech, err)
 			}

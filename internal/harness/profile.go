@@ -40,11 +40,11 @@ func Profile(opts Options) ([]ProfileRow, error) {
 			cells = append(cells, cellSpec{
 				name: inst.Bench.Name + "/" + string(tech),
 				run: func(cc *cellCtx) error {
-					build, err := s.build(cc.cx, instanceAt{inst, opts.Seed}, tech)
+					dec, err := s.decoded(cc.cx, instanceAt{inst, opts.Seed}, tech)
 					if err != nil {
 						return fmt.Errorf("%s/%s: %w", inst.Bench.Name, tech, err)
 					}
-					res, err := runGolden(cc.cx, inst, build, opts.MemSize, true)
+					res, err := runGolden(cc.cx, inst, dec, opts.MemSize, true)
 					if err != nil {
 						return fmt.Errorf("%s/%s: %w", inst.Bench.Name, tech, err)
 					}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ferrum/internal/fi"
+	"ferrum/internal/machine"
 	"ferrum/internal/obs"
 	"ferrum/internal/rodinia"
 )
@@ -184,15 +185,25 @@ func (s *scheduler) irCampaignCell(cc *cellCtx, inst instanceAt, tech Technique)
 	return fi.RunIRCampaign(irTarget(inst.inst, mod, s.opts.MemSize), c)
 }
 
-// build memoises the technique build for an instance at the scheduler's
-// scale/seed/optimize settings. The span shows what the cell actually paid:
+// build memoises the technique build of an instance's benchmark at the
+// scheduler's optimize setting. The span shows what the cell actually paid:
 // cache hits collapse to microseconds on the timeline.
 func (s *scheduler) build(cx *obs.Ctx, inst instanceAt, tech Technique) (*Build, error) {
 	sp := cx.Span("build")
 	sp.SetAttr("tech", string(tech))
-	b, err := s.cache.build(inst.inst, s.opts.Scale, inst.seed, tech, BuildOptions{Optimize: s.opts.Optimize})
+	b, err := s.cache.build(inst.inst, tech, BuildOptions{Optimize: s.opts.Optimize})
 	sp.End()
 	return b, err
+}
+
+// decoded is build for a cell that runs the program itself: it returns the
+// build's memoised decoded program, and its span covers the decode too.
+func (s *scheduler) decoded(cx *obs.Ctx, inst instanceAt, tech Technique) (*machine.Decoded, error) {
+	sp := cx.Span("build")
+	sp.SetAttr("tech", string(tech))
+	d, err := s.cache.decoded(inst.inst, tech, BuildOptions{Optimize: s.opts.Optimize})
+	sp.End()
+	return d, err
 }
 
 // golden memoises the golden run for an instance at the scheduler's
@@ -206,7 +217,7 @@ func (s *scheduler) golden(cx *obs.Ctx, inst instanceAt, tech Technique) (golden
 }
 
 // instanceAt pairs an instance with the seed it was generated from, which
-// is part of every cache key (Variation runs cells at shifted seeds).
+// is part of every golden key (Variation runs cells at shifted seeds).
 type instanceAt struct {
 	inst *rodinia.Instance
 	seed int64

@@ -48,7 +48,7 @@ func TestSchedulerDeterminism(t *testing.T) {
 }
 
 // TestBuildCacheCounts: a shared cache across a two-experiment run performs
-// each (benchmark, technique, optimize) build exactly once. Fig11 populates
+// each (benchmark, technique, optimize) build once. Fig11 populates
 // builds and goldens (4 techniques × 1 benchmark); Fig10 then reuses every
 // build without a single new compilation.
 func TestBuildCacheCounts(t *testing.T) {

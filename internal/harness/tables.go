@@ -80,7 +80,7 @@ func Table2(opts Options) ([]Table2Row, error) {
 	for _, inst := range insts {
 		// Table II reports the backend's unoptimised output regardless of
 		// Options.Optimize, as the seed evaluation always has.
-		build, err := opts.Cache.build(inst, opts.Scale, opts.Seed, Raw, BuildOptions{})
+		build, err := opts.Cache.build(inst, Raw, BuildOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -33,10 +33,10 @@ import (
 // interpreter may perform arbitrary control flow. siteSuffix is defined for
 // every index, not just leaders, so a run resumed mid-block (snapshot pcs
 // are per-instruction) still gets an exact fault-proximity bound.
-func (m *Machine) buildBlocks() {
-	n := len(m.uops)
-	m.blockEnd = make([]int32, n)
-	m.siteSuffix = make([]int32, n)
+func (p *program) buildBlocks() {
+	n := len(p.uops)
+	p.blockEnd = make([]int32, n)
+	p.siteSuffix = make([]int32, n)
 	if n == 0 {
 		return
 	}
@@ -47,15 +47,15 @@ func (m *Machine) buildBlocks() {
 			leader[i] = true
 		}
 	}
-	mark(m.start)
-	mark(m.entry)
-	for _, idx := range m.labels {
+	mark(p.start)
+	mark(p.entry)
+	for _, idx := range p.labels {
 		mark(idx)
 	}
-	for i := range m.uops {
-		switch m.uops[i].code {
+	for i := range p.uops {
+		switch p.uops[i].code {
 		case uJmp, uJcc, uCall:
-			mark(int(m.uops[i].target))
+			mark(int(p.uops[i].target))
 			mark(i + 1)
 		case uRet, uHalt, uDetect, uSlow:
 			mark(i + 1)
@@ -63,20 +63,20 @@ func (m *Machine) buildBlocks() {
 	}
 	next := int32(n)
 	for i := n - 1; i >= 0; i-- {
-		m.blockEnd[i] = next
+		p.blockEnd[i] = next
 		if leader[i] {
 			next = int32(i)
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := int32(0)
-		if int(m.blockEnd[i]) > i+1 {
-			s = m.siteSuffix[i+1]
+		if int(p.blockEnd[i]) > i+1 {
+			s = p.siteSuffix[i+1]
 		}
-		if m.uops[i].destKind != asm.DestNone {
+		if p.uops[i].destKind != asm.DestNone {
 			s++
 		}
-		m.siteSuffix[i] = s
+		p.siteSuffix[i] = s
 	}
 }
 

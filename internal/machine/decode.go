@@ -10,7 +10,7 @@ import (
 // with the operand-kind shape and width of one concrete instruction, so the
 // interpreter's step dispatches exactly once per dynamic instruction
 // instead of re-switching through readOperand/writeOperand/widthMask per
-// operand. Decoding happens once, at load time (New), in the spirit of the
+// operand. Decoding happens once, at load time (Decode), in the spirit of the
 // paper's "pay the analysis cost statically" philosophy.
 //
 // uSlow is the escape hatch: operand shapes the fused cases do not cover
@@ -227,14 +227,14 @@ func decodeSrcDst(u *uop, w asm.Width, src, dst asm.Operand, rr, ir, mr, rm, im 
 
 // resolveTarget resolves a jump/call target label to an instruction index
 // at load time. Undefined labels are a load-time error here (Program.
-// Validate already rejects them for the public New path); non-label
+// Validate already rejects them on the public Decode path); non-label
 // operands keep the instruction on the slow path, where the legacy
 // "jump to undefined label" crash is reproduced at runtime.
-func (m *Machine) resolveTarget(u *uop, fi *flatInst, o asm.Operand, code ucode) error {
+func (p *program) resolveTarget(u *uop, fi *flatInst, o asm.Operand, code ucode) error {
 	if o.Kind != asm.KLabel {
 		return nil
 	}
-	idx, ok := m.labels[o.Label]
+	idx, ok := p.labels[o.Label]
 	if !ok {
 		return fmt.Errorf("machine: %s+%d: %s: undefined label %q",
 			fi.fn, fi.idx, fi.in.Op, o.Label)
@@ -247,7 +247,7 @@ func (m *Machine) resolveTarget(u *uop, fi *flatInst, o asm.Operand, code ucode)
 // runs once per static instruction at load time, after the label map is
 // built. Anything it cannot fuse stays at uSlow; decode itself only fails
 // on undefined control-flow labels.
-func (m *Machine) decode(u *uop, fi *flatInst) error {
+func (p *program) decode(u *uop, fi *flatInst) error {
 	u.code = uSlow
 	u.destKind = fi.dest.Kind
 	in := &fi.in
@@ -413,18 +413,18 @@ func (m *Machine) decode(u *uop, fi *flatInst) error {
 		if len(a) != 1 {
 			return nil
 		}
-		return m.resolveTarget(u, fi, a[0], uJmp)
+		return p.resolveTarget(u, fi, a[0], uJmp)
 	case asm.JE, asm.JNE, asm.JL, asm.JLE, asm.JG, asm.JGE:
 		if len(a) != 1 {
 			return nil
 		}
 		u.cc = asm.CondOf(in.Op)
-		return m.resolveTarget(u, fi, a[0], uJcc)
+		return p.resolveTarget(u, fi, a[0], uJcc)
 	case asm.CALL:
 		if len(a) != 1 {
 			return nil
 		}
-		return m.resolveTarget(u, fi, a[0], uCall)
+		return p.resolveTarget(u, fi, a[0], uCall)
 	case asm.RET:
 		u.code = uRet
 

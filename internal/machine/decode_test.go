@@ -85,10 +85,10 @@ func TestUndefinedLabelRejectedAtLoad(t *testing.T) {
 		}
 		// Bypass Validate: the decoder's own target resolution must still
 		// refuse to build the machine.
-		if _, err := newMachine(mk(op), memSize); err == nil {
-			t.Errorf("newMachine accepted %s to an undefined label", op)
+		if _, err := decodeProgram(mk(op)); err == nil {
+			t.Errorf("decodeProgram accepted %s to an undefined label", op)
 		} else if !strings.Contains(err.Error(), `undefined label "nowhere"`) {
-			t.Errorf("newMachine(%s) error = %v, want it to name the label", op, err)
+			t.Errorf("decodeProgram(%s) error = %v, want it to name the label", op, err)
 		}
 	}
 }

@@ -200,21 +200,37 @@ type flatInst struct {
 	idx  int    // index within the function
 }
 
-// Machine executes one loaded program. A Machine is reusable: each Run
-// resets architectural state but keeps the loaded program and memory image.
-type Machine struct {
+// program is a decoded asm program: the flat instruction table, its
+// parallel uop array, the label map, the start and entry points and the
+// block-dispatch tables. It holds no memory, so one decoded program serves
+// machines of every memory size. A Machine embeds it by value: making a
+// machine copies the slice headers, and the execution loop reads the
+// tables straight off the Machine.
+type program struct {
 	insts  []flatInst
 	uops   []uop // decoded hot array, parallel to insts
 	labels map[string]int
 	entry  int
 	start  int
 
-	lastSites uint64 // previous run's site count (RecordSiteStatics capacity hint)
-
-	// Block-dispatch tables (built at load time, indexed by instruction
-	// position, shared read-only by Clones; see block.go).
+	// Block-dispatch tables (indexed by instruction position; see
+	// block.go).
 	blockEnd   []int32 // exclusive end of the enclosing basic block
 	siteSuffix []int32 // fault sites from this index to its block end
+}
+
+// Decoded is a validated, decoded program that machines are instantiated
+// from. Decode once and instantiate per run: every machine made from one
+// Decoded shares its tables read-only and owns only its architectural
+// state and memory, so a Decoded pins no memory buffer.
+type Decoded struct{ program }
+
+// Machine executes one loaded program. A Machine is reusable: each Run
+// resets architectural state but keeps the loaded program and memory image.
+type Machine struct {
+	program // shared read-only with the Decoded and every Clone
+
+	lastSites uint64 // previous run's site count (RecordSiteStatics capacity hint)
 
 	nBlocks uint64 // basic blocks entered (lifetime)
 
@@ -254,53 +270,58 @@ type Machine struct {
 	// checkpoint (lifetime).
 	conv       []*Snapshot
 	nConverged uint64
-
-	costs *CostModel
 }
 
-// New loads a program into a machine with the given memory size. The
-// initial memory image is zero; use SetMemImage or WriteWord to install
-// benchmark data before Run. Release the machine when done with it to
-// recycle its memory; an unreleased machine is simply left to the GC.
+// New loads a program into a machine with the given memory size: it
+// decodes the program and instantiates one machine from it. The initial
+// memory image is zero; use SetMemImage or WriteWord to install benchmark
+// data before Run. Release the machine when done with it to recycle its
+// memory; an unreleased machine is simply left to the GC.
 func New(p *asm.Program, memSize int) (*Machine, error) {
+	d, err := Decode(p)
+	if err != nil {
+		return nil, err
+	}
+	return d.Instantiate(memSize)
+}
+
+// Decode validates and decodes a program under the default cost model.
+func Decode(p *asm.Program) (*Decoded, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return newMachine(p, memSize)
+	return decodeProgram(p)
 }
 
-// newMachine loads a program without validating it first. Decode still
-// rejects undefined control-flow labels at load time; tests use this entry
-// to exercise that guard directly.
-func newMachine(p *asm.Program, memSize int) (*Machine, error) {
-	if memSize < GuardSize*2 {
-		return nil, fmt.Errorf("machine: memory size %d too small", memSize)
-	}
+// decodeProgram decodes a program without validating it first. It still
+// rejects undefined control-flow labels; tests use this entry to exercise
+// that guard directly.
+func decodeProgram(p *asm.Program) (*Decoded, error) {
 	n := 0
 	for _, f := range p.Funcs {
 		n += len(f.Insts)
 	}
-	m := &Machine{
+	d := &Decoded{program{
 		insts:  make([]flatInst, 0, n),
 		labels: make(map[string]int),
-		costs:  DefaultCostModel(),
-	}
+	}}
 	for _, f := range p.Funcs {
-		m.labels[f.Name] = len(m.insts)
+		d.labels[f.Name] = len(d.insts)
 		for i, in := range f.Insts {
 			for _, l := range in.Labels {
-				m.labels[l] = len(m.insts)
+				d.labels[l] = len(d.insts)
 			}
-			m.insts = append(m.insts, flatInst{
+			d.insts = append(d.insts, flatInst{
 				in: in, dest: asm.DestOf(in), fn: f.Name, idx: i,
 			})
 		}
 	}
-	m.uops = make([]uop, len(m.insts))
-	for i := range m.insts {
-		m.insts[i].cost = m.costs.staticCost(m.insts[i].in)
-		m.uops[i].cost = m.insts[i].cost
-		if err := m.decode(&m.uops[i], &m.insts[i]); err != nil {
+	costs := DefaultCostModel()
+	d.uops = make([]uop, len(d.insts))
+	for i := range d.insts {
+		d.insts[i].cost = costs.staticCost(d.insts[i].in)
+		d.uops[i].cost = d.insts[i].cost
+		if err := d.decode(&d.uops[i], &d.insts[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -308,16 +329,25 @@ func newMachine(p *asm.Program, memSize int) (*Machine, error) {
 	if entry == "" {
 		return nil, fmt.Errorf("machine: program has no entry")
 	}
-	start, ok := m.labels[asm.StartLabel]
+	start, ok := d.labels[asm.StartLabel]
 	if !ok {
 		// Without scaffolding, begin directly at the entry function.
-		start = m.labels[entry]
+		start = d.labels[entry]
 	}
-	m.start = start
-	m.entry = m.labels[entry]
-	m.mem = pagemem.New(memSize)
-	m.buildBlocks()
-	return m, nil
+	d.start = start
+	d.entry = d.labels[entry]
+	d.buildBlocks()
+	return d, nil
+}
+
+// Instantiate returns a machine running the decoded program on a memory of
+// memSize bytes with a zero image. The machine shares the decoded tables
+// and owns everything else; Release recycles only its own memory.
+func (d *Decoded) Instantiate(memSize int) (*Machine, error) {
+	if memSize < GuardSize*2 {
+		return nil, fmt.Errorf("machine: memory size %d too small", memSize)
+	}
+	return &Machine{program: d.program, mem: pagemem.New(memSize)}, nil
 }
 
 // Clone returns a machine that shares this machine's loaded program — the
@@ -331,16 +361,9 @@ func newMachine(p *asm.Program, memSize int) (*Machine, error) {
 func (m *Machine) Clone() *Machine {
 	m.live("Clone")
 	return &Machine{
-		insts:      m.insts,
-		uops:       m.uops,
-		labels:     m.labels,
-		entry:      m.entry,
-		start:      m.start,
-		blockEnd:   m.blockEnd,
-		siteSuffix: m.siteSuffix,
-		costs:      m.costs,
-		lastSites:  m.lastSites,
-		mem:        m.mem.Clone(),
+		program:   m.program,
+		lastSites: m.lastSites,
+		mem:       m.mem.Clone(),
 	}
 }
 
@@ -357,9 +380,11 @@ func (m *Machine) live(op string) {
 	}
 }
 
-// SetCostModel replaces the cycle cost model (before Run).
+// SetCostModel replaces the cycle cost model (before Run). It rewrites the
+// decoded tables in place, so it changes the cost model of the Decoded the
+// machine came from, of every machine instantiated from that Decoded and of
+// every Clone: call it only while none of them runs.
 func (m *Machine) SetCostModel(c *CostModel) {
-	m.costs = c
 	for i := range m.insts {
 		m.insts[i].cost = c.staticCost(m.insts[i].in)
 		m.uops[i].cost = m.insts[i].cost

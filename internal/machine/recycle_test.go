@@ -136,8 +136,9 @@ func sharesBuffer(m *Machine, bufs [][]byte) bool {
 // random pages, the stack top and the image pages — is bit-identical to
 // one built on fresh allocations: the golden Result, every snapshot's
 // pages, converged-run Results, DiffSnapshots and the terminal state. So
-// are its clones, a clone whose template was released first, and machines
-// built, cloned, run and released concurrently.
+// are its clones, a clone whose template was released first, machines
+// built, cloned, run and released concurrently, and machines instantiated
+// concurrently from one shared Decoded.
 func TestEquivRecycledMemory(t *testing.T) {
 	size := equivMemSize + int(recycleSizes.Add(1))*pagemem.PageSize
 	prog, inst := recycleBench(t, "bfs", "ferrum")
@@ -233,6 +234,53 @@ func TestEquivRecycledMemory(t *testing.T) {
 			t.Error("shared template golden differs after concurrent clones")
 		}
 		shared.Release()
+	})
+
+	t.Run("decoded once", func(t *testing.T) {
+		// Machines instantiated concurrently from one Decoded, each
+		// released while its siblings still run, match the fresh machine;
+		// one of another memory size matches New at that size.
+		d, err := Decode(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 2; i++ {
+					m, err := d.Instantiate(size)
+					if err == nil {
+						err = inst.Setup(m)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := runMemRun(m, inst.Args); !reflect.DeepEqual(got, want) {
+						t.Errorf("worker %d: machine instantiated from a shared Decoded differs", w)
+					}
+					m.Release()
+				}
+			}(w)
+		}
+		wg.Wait()
+		bigger := size + pagemem.PageSize
+		m, err := d.Instantiate(bigger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Setup(m); err != nil {
+			t.Fatal(err)
+		}
+		ref := loadMachine(t, prog, inst, bigger)
+		opts := RunOpts{Args: inst.Args, MaxSteps: equivMaxSteps}
+		if got, want := m.Run(opts), ref.Run(opts); !reflect.DeepEqual(got, want) || fingerprint(m) != fingerprint(ref) {
+			t.Errorf("Instantiate(%d) differs from New at that size", bigger)
+		}
+		ref.Release()
+		m.Release()
 	})
 }
 

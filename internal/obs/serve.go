@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -102,6 +103,12 @@ func sortedKeys(m map[string]int64) []string {
 // snapshot (modulo name sanitisation). This is the scrape side of the
 // reconciliation story: fistat parses a saved /metrics body with it and
 // diffs against the journal's own totals.
+//
+// It accepts only what WritePrometheus can write back unchanged: a sample
+// name SanitizeMetricName would rewrite, a finite bucket bound that is not
+// above the previous one, and any infinite or NaN bound other than the
+// literal "+Inf" bucket are errors. So parse → write → parse → write is
+// stable (FuzzPromRoundTrip).
 func ParsePrometheus(r io.Reader) (Snapshot, error) {
 	s := Snapshot{
 		Counters: map[string]int64{},
@@ -133,6 +140,9 @@ func ParsePrometheus(r io.Reader) (Snapshot, error) {
 		if !ok {
 			return s, fmt.Errorf("obs: unparseable exposition line %q", line)
 		}
+		if name == "" || SanitizeMetricName(name) != name {
+			return s, fmt.Errorf("obs: invalid metric name %q", name)
+		}
 		switch {
 		case strings.HasSuffix(name, "_bucket"):
 			base := strings.TrimSuffix(name, "_bucket")
@@ -155,6 +165,12 @@ func ParsePrometheus(r io.Reader) (Snapshot, error) {
 			bound, err := strconv.ParseFloat(le, 64)
 			if err != nil {
 				return s, fmt.Errorf("obs: bad le %q: %v", le, err)
+			}
+			if math.IsInf(bound, 0) || math.IsNaN(bound) {
+				return s, fmt.Errorf("obs: bad le %q: only the +Inf bucket is unbounded", le)
+			}
+			if n := len(h.bounds); n > 0 && bound <= h.bounds[n-1] {
+				return s, fmt.Errorf("obs: le %q does not ascend from %s", le, formatFloat(h.bounds[n-1]))
 			}
 			h.bounds = append(h.bounds, bound)
 			h.cums = append(h.cums, val)

@@ -135,6 +135,11 @@ func TestParsePrometheusRejectsGarbage(t *testing.T) {
 		"# TYPE h histogram\nh_bucket{le=\"1\"} notanumber\n",
 		"# TYPE h histogram\nh_bucket{nolabel=\"1\"} 3\n",
 		"c 1.5.3\n",
+		"# TYPE h histogram\nh_bucket{le= Inf} 0\n",
+		"# TYPE h histogram\nh_bucket{le=\"NaN\"} 0\n",
+		"# TYPE h histogram\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"1\"} 2\n",
+		"0000000 0\n",
+		"fi.plans 3\n",
 	} {
 		if _, err := ParsePrometheus(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParsePrometheus accepted %q", bad)
@@ -367,4 +372,44 @@ func TestServerNilSafety(t *testing.T) {
 	if s.Addr() != "" || s.Scrapes() != 0 || s.AwaitScrape(0, time.Millisecond) || s.Close() != nil {
 		t.Error("nil Server methods not inert")
 	}
+}
+
+// FuzzPromRoundTrip: whatever ParsePrometheus accepts, WritePrometheus
+// writes as text that parses back to a snapshot written identically — so
+// parse → write → parse → write is stable.
+func FuzzPromRoundTrip(f *testing.F) {
+	f.Add("# TYPE fi_lat histogram\nfi_lat_bucket{le= Inf}0")
+	f.Add("0000000 0\nA 0")
+	r := NewRegistry()
+	r.Counter("fi.plans").Add(123)
+	r.Gauge("sched.workers").Set(8)
+	h := r.Histogram("fi.detect_latency.insts.sdc", []float64{1, 2, 4, 8, 16})
+	for _, v := range []float64{1, 3, 3, 7, 40} {
+		h.Observe(v)
+	}
+	var seed strings.Builder
+	if err := WritePrometheus(&seed, r.Snapshot()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.String())
+	f.Fuzz(func(t *testing.T, text string) {
+		s1, err := ParsePrometheus(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var w1, w2 strings.Builder
+		if err := WritePrometheus(&w1, s1); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := ParsePrometheus(strings.NewReader(w1.String()))
+		if err != nil {
+			t.Fatalf("written text does not parse: %v\n%s", err, w1.String())
+		}
+		if err := WritePrometheus(&w2, s2); err != nil {
+			t.Fatal(err)
+		}
+		if w1.String() != w2.String() {
+			t.Fatalf("write is not stable:\n%s\n---\n%s", w1.String(), w2.String())
+		}
+	})
 }
