@@ -170,7 +170,11 @@ var (
 // ParseIR parses IR source text into a verified module.
 func ParseIR(src string) (*Module, error) { return ir.Parse(src) }
 
-// ParseASM parses assembly source text.
+// ParseASM parses assembly source text. Parsing checks syntax only: an
+// instruction with an operand shape the machine does not execute (say
+// `leaq %rax, %rbx` or `pushq %xmm0`) parses, and loading the program
+// (Pipeline.NewMachine, Run or Campaign) rejects it with an error naming
+// the instruction.
 func ParseASM(src string) (*Program, error) { return asm.Parse(src) }
 
 // Programmatic IR construction.

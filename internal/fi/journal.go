@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -419,8 +420,8 @@ func LoadJournalData(data []byte, name string) (*JournalState, error) {
 			off += lineLen
 			continue
 		}
-		var r journalRecord
-		if err := json.Unmarshal(line, &r); err != nil || !validRecord(r) {
+		r, res, err := parseRecord(line)
+		if errors.Is(err, errMalformed) {
 			if len(data) == 0 {
 				// Torn tail: the process died mid-append. Drop it; the plan
 				// it described is re-run.
@@ -429,6 +430,9 @@ func LoadJournalData(data []byte, name string) (*JournalState, error) {
 			}
 			return nil, fmt.Errorf("fi: journal corrupt at line %d: %q", lineNo, line)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("fi: journal %s, line %d: %v", name, lineNo, err)
+		}
 		if !complete {
 			// Parsed, but the newline never made it to disk — treat the
 			// record as committed; the content is intact.
@@ -436,11 +440,6 @@ func LoadJournalData(data []byte, name string) (*JournalState, error) {
 		}
 		switch r.T {
 		case "meta":
-			if r.V != journalVersion {
-				return nil, fmt.Errorf("fi: journal %s uses schema v%d; this build reads v%d — "+
-					"finish it with the matching build, or re-run without -resume to record a fresh journal",
-					name, r.V, journalVersion)
-			}
 			st.Meta = *r.Meta
 			sawMeta = true
 		case "plan":
@@ -460,11 +459,7 @@ func LoadJournalData(data []byte, name string) (*JournalState, error) {
 				delete(c.PlanFB, r.I) // duplicate record without the flag wins whole
 			}
 		case "cell":
-			var res Result
-			if err := json.Unmarshal(r.Res, &res); err != nil {
-				return nil, fmt.Errorf("fi: journal cell record corrupt at line %d: %v", lineNo, err)
-			}
-			st.cell(r.C).Result = &res
+			st.cell(r.C).Result = res
 		}
 		off += lineLen
 	}
@@ -509,6 +504,36 @@ func (s *JournalState) Keys() []string {
 	return keys
 }
 
+// errMalformed marks a line that is not a journal record at all: garbled
+// JSON, an unknown record type or a missing field. At a journal's tail it
+// is a torn append.
+var errMalformed = errors.New("malformed journal record")
+
+// parseRecord decodes one journal line and applies the per-record checks
+// the loader and ValidateRecords share, so every chunk ValidateRecords
+// accepts also loads. Besides errMalformed it refuses a well-formed record
+// this build cannot use: a meta record of another schema version, or a
+// cell record whose result does not decode. res is a cell record's result.
+func parseRecord(line []byte) (r journalRecord, res *Result, err error) {
+	if json.Unmarshal(line, &r) != nil || !validRecord(r) {
+		return r, nil, errMalformed
+	}
+	switch r.T {
+	case "meta":
+		if r.V != journalVersion {
+			return r, nil, fmt.Errorf("uses schema v%d; this build reads v%d — "+
+				"finish it with the matching build, or re-run without -resume to record a fresh journal",
+				r.V, journalVersion)
+		}
+	case "cell":
+		res = new(Result)
+		if err := json.Unmarshal(r.Res, res); err != nil {
+			return r, nil, fmt.Errorf("cell record result does not decode: %v", err)
+		}
+	}
+	return r, res, nil
+}
+
 func validRecord(r journalRecord) bool {
 	switch r.T {
 	case "meta":
@@ -516,7 +541,7 @@ func validRecord(r journalRecord) bool {
 	case "plan":
 		return r.C != "" && r.I >= 0 && r.O < numOutcomes
 	case "cell":
-		return r.C != "" && len(r.Res) > 0
+		return r.C != "" && len(r.Res) > 0 && string(r.Res) != "null"
 	}
 	return false
 }
@@ -528,11 +553,12 @@ func ResumeStreamJournal(sink JournalSink) *Journal {
 	return &Journal{f: sink, w: bufio.NewWriter(sink), batch: defaultSyncBatch}
 }
 
-// ValidateRecords checks that data is a whole number of well-formed journal
-// records — the unit a streaming shard worker appends in one sync. The
-// fiserve coordinator runs it on every records upload before the bytes reach
-// the durable shard file, so a garbled or mid-record-truncated upload is
-// rejected whole rather than tearing the journal.
+// ValidateRecords checks that data is a whole number of journal records the
+// loader accepts — the unit a streaming shard worker appends in one sync.
+// The fiserve coordinator runs it on every records upload before the bytes
+// reach the durable shard file, so a garbled, mid-record-truncated or
+// unloadable upload (a foreign schema version, an undecodable cell result)
+// is rejected whole rather than making the journal unloadable.
 func ValidateRecords(data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -547,9 +573,8 @@ func ValidateRecords(data []byte) error {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var r journalRecord
-		if err := json.Unmarshal(line, &r); err != nil || !validRecord(r) {
-			return fmt.Errorf("fi: journal chunk corrupt at line %d: %q", lineNo, line)
+		if _, _, err := parseRecord(line); err != nil {
+			return fmt.Errorf("fi: journal chunk corrupt at line %d: %v: %q", lineNo, err, line)
 		}
 	}
 	return nil

@@ -72,22 +72,7 @@ func TestJournalRoundTrip(t *testing.T) {
 // accepts re-serialises byte-stably: WriteCanonical → LoadJournalData →
 // WriteCanonical writes the same bytes twice.
 func FuzzJournalLoad(f *testing.F) {
-	path := filepath.Join(f.TempDir(), "campaign.ndjson")
-	j, err := CreateJournal(path, testMeta)
-	if err != nil {
-		f.Fatal(err)
-	}
-	j.Plan("a", 0, Benign, 10, 128, true, false)
-	j.Plan("a", 3, SDC, 11, 0, false, false)
-	j.Plan("b", 1, Crash, 12, 7, true, true)
-	j.Cell("a", Result{Samples: 2, Counts: [numOutcomes]int{Benign: 1, SDC: 1}, DynSites: 9})
-	if err := j.Close(); err != nil {
-		f.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
+	data := sampleJournal(f)
 	f.Add(data)
 	f.Add(data[:len(data)*2/3])
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -108,6 +93,84 @@ func FuzzJournalLoad(f *testing.F) {
 		}
 		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
 			t.Fatalf("canonical form is not stable:\n%s\n---\n%s", w1.Bytes(), w2.Bytes())
+		}
+	})
+}
+
+// sampleJournal returns a small complete journal: a meta record, plan
+// records for two campaigns and one cell record.
+func sampleJournal(tb testing.TB) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "campaign.ndjson")
+	j, err := CreateJournal(path, testMeta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	j.Plan("a", 0, Benign, 10, 128, true, false)
+	j.Plan("a", 3, SDC, 11, 0, false, false)
+	j.Plan("b", 1, Crash, 12, 7, true, true)
+	j.Cell("a", Result{Samples: 2, Counts: [numOutcomes]int{Benign: 1, SDC: 1}, DynSites: 9})
+	if err := j.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// unloadableChunks are chunks of well-formed JSON lines the journal loader
+// refuses mid-stream: cell results that do not decode or are null, and a
+// meta record of another schema version.
+var unloadableChunks = []string{
+	`{"t":"cell","c":"x","res":1}` + "\n",
+	`{"t":"cell","c":"x","res":"oops"}` + "\n",
+	`{"t":"cell","c":"x","res":null}` + "\n",
+	`{"t":"meta","v":1,"meta":{"tool":"test","seed":42,"samples":80}}` + "\n",
+}
+
+// TestValidateRecordsMatchesLoader: ValidateRecords refuses every chunk
+// the loader would refuse after it, so a coordinator that appends only
+// validated chunks never makes its own shard journal unloadable; the
+// records of a real journal pass both.
+func TestValidateRecordsMatchesLoader(t *testing.T) {
+	data := sampleJournal(t)
+	meta, records, _ := bytes.Cut(data, []byte("\n"))
+	meta = append(meta, '\n')
+	if err := ValidateRecords(records); err != nil {
+		t.Fatalf("ValidateRecords refused a journal's own records: %v", err)
+	}
+	for _, chunk := range unloadableChunks {
+		// Followed by a plan record, so the loader cannot take the bad
+		// line for a torn tail.
+		appended := append(append(append([]byte(nil), meta...), chunk...), records...)
+		if _, err := LoadJournalData(appended, "appended"); err == nil {
+			t.Errorf("loader accepted %q mid-stream", chunk)
+		}
+		if err := ValidateRecords([]byte(chunk)); err == nil {
+			t.Errorf("ValidateRecords accepted %q, which makes the journal unloadable", chunk)
+		}
+	}
+}
+
+// FuzzValidateRecords: whatever chunk ValidateRecords accepts, appended to
+// a journal's meta record, loads.
+func FuzzValidateRecords(f *testing.F) {
+	data := sampleJournal(f)
+	meta, records, _ := bytes.Cut(data, []byte("\n"))
+	meta = append(meta, '\n')
+	f.Add(records)
+	for _, chunk := range unloadableChunks {
+		f.Add([]byte(chunk))
+	}
+	f.Fuzz(func(t *testing.T, chunk []byte) {
+		if ValidateRecords(chunk) != nil {
+			return
+		}
+		journal := append(append([]byte(nil), meta...), chunk...)
+		if _, err := LoadJournalData(journal, "fuzz"); err != nil {
+			t.Fatalf("validated chunk does not load: %v\n%s", err, chunk)
 		}
 	})
 }

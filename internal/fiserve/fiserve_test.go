@@ -359,6 +359,16 @@ func TestStaleEpochRejected(t *testing.T) {
 	if code := post(records(l.Epoch), chunk[:len(chunk)-1]); code != http.StatusBadRequest {
 		t.Errorf("torn upload (no trailing newline): %d, want 400", code)
 	}
+	// Well-formed records the journal loader refuses would make the shard
+	// journal unloadable once appended.
+	for _, bad := range []string{
+		`{"t":"cell","c":"x","res":"oops"}`,
+		`{"t":"meta","v":1,"meta":{"tool":"test"}}`,
+	} {
+		if code := post(records(l.Epoch), []byte(bad+"\n")); code != http.StatusBadRequest {
+			t.Errorf("unloadable upload %s: %d, want 400", bad, code)
+		}
+	}
 	if code := post(records(l.Epoch), chunk); code != http.StatusNoContent {
 		t.Errorf("current-epoch upload: %d, want 204", code)
 	}

@@ -27,13 +27,14 @@ import (
 // buildBlocks computes, for every instruction index, the exclusive end of
 // its enclosing basic block (blockEnd) and the number of fault-injection
 // sites from that index to the block end (siteSuffix). Leaders are the
-// program start, every label (any label is a potential slow-path jump
-// target), every resolved jump/call target, and the fall-through after any
-// instruction that can transfer control — including uSlow, whose generic
-// interpreter may perform arbitrary control flow. siteSuffix is defined for
+// program start, every function entry in fnEntries (so a block never spans
+// two functions, which the function-span observer relies on), every resolved
+// jump/call target, and the fall-through after any instruction that
+// transfers control. Decode resolves every transfer's target, so a label
+// that nothing jumps to does not start a block. siteSuffix is defined for
 // every index, not just leaders, so a run resumed mid-block (snapshot pcs
 // are per-instruction) still gets an exact fault-proximity bound.
-func (p *program) buildBlocks() {
+func (p *program) buildBlocks(fnEntries []int) {
 	n := len(p.uops)
 	p.blockEnd = make([]int32, n)
 	p.siteSuffix = make([]int32, n)
@@ -49,15 +50,15 @@ func (p *program) buildBlocks() {
 	}
 	mark(p.start)
 	mark(p.entry)
-	for _, idx := range p.labels {
-		mark(idx)
+	for _, i := range fnEntries {
+		mark(i)
 	}
 	for i := range p.uops {
 		switch p.uops[i].code {
 		case uJmp, uJcc, uCall:
 			mark(int(p.uops[i].target))
 			mark(i + 1)
-		case uRet, uHalt, uDetect, uSlow:
+		case uRet, uHalt, uDetect:
 			mark(i + 1)
 		}
 	}
@@ -257,8 +258,8 @@ func (o *observers) enter(m *Machine, pc int) {
 
 // charge records the instructions executed since the segment opened. When
 // crashed, the last of them faulted: it is profiled and traced but retired
-// no site. Every function entry is a label, hence a block leader, so the
-// executing function can only change at a segment that executed anything.
+// no site. Every function entry is a block leader, so the executing
+// function can only change at a segment that executed anything.
 func (o *observers) charge(m *Machine, crashed bool) {
 	end := o.segPC + int(m.dyn-o.segDyn)
 	o.segDyn = m.dyn

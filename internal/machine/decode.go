@@ -9,21 +9,21 @@ import (
 // ucode is the machine's dense internal opcode. Each value fuses an asm.Op
 // with the operand-kind shape and width of one concrete instruction, so the
 // interpreter's step dispatches exactly once per dynamic instruction
-// instead of re-switching through readOperand/writeOperand/widthMask per
-// operand. Decoding happens once, at load time (Decode), in the spirit of the
+// instead of re-switching through operand kinds and widths per operand.
+// Decoding happens once, at load time (Decode), in the spirit of the
 // paper's "pay the analysis cost statically" philosophy.
 //
-// uSlow is the escape hatch: operand shapes the fused cases do not cover
-// (memory-to-memory ALU forms, immediate destinations, SIMD operands in
-// scalar slots, non-label jump targets, statically out-of-range PINSRQ
-// lanes) fall back to the generic interpreter, which preserves the exact
-// legacy runtime semantics — including crash messages — for degenerate
-// programs. Compiled Rodinia programs decode with zero slow uops (see
-// decode_equiv_test.go).
+// Decode is total: every instruction shape it accepts becomes one of the
+// fused codes below, and every other shape (memory-to-memory forms,
+// immediate or SIMD operands where the instruction needs a register or
+// memory, non-label jump targets, statically out-of-range lanes) is a
+// load-time error. step therefore has no fallback case. The generic
+// per-operand interpreter survives only as the test oracle the fused
+// dispatch is checked against (reference_test.go).
 type ucode uint16
 
 const (
-	uSlow ucode = iota // generic fallback: full per-operand interpretation
+	uUndecoded ucode = iota // no fused form: decode rejects the instruction
 	uNop
 	uHalt
 	uDetect
@@ -169,7 +169,7 @@ const (
 // operand the fast path needs, sized well under a cache line so the inner
 // loop's working set stays small. The parallel flatInst array keeps the
 // cold data (original asm form, provenance, fault destination) that only
-// profiling, tracing, fault application and the slow path consult.
+// profiling, tracing and fault application consult.
 type uop struct {
 	code     ucode
 	r1       asm.Reg // source GPR
@@ -200,8 +200,9 @@ func normMem(mm asm.Mem) asm.Mem {
 
 // decodeSrcDst selects among the five fused src×dst forms of a two-operand
 // instruction: reg→reg, imm→reg, mem→reg, reg→mem and imm→mem. Immediates
-// are pre-masked to the operation width. Shapes outside these (mem→mem,
-// immediate or SIMD destinations) leave u.code at uSlow.
+// are pre-masked to the operation width. Any other pair (mem→mem, an
+// immediate, SIMD or label operand in the wrong slot) leaves u.code at
+// uUndecoded, so decode rejects it.
 func decodeSrcDst(u *uop, w asm.Width, src, dst asm.Operand, rr, ir, mr, rm, im ucode) {
 	switch dst.Kind {
 	case asm.KReg:
@@ -225,16 +226,72 @@ func decodeSrcDst(u *uop, w asm.Width, src, dst asm.Operand, rr, ir, mr, rm, im 
 	}
 }
 
+// decodeXMov selects among the movq GPR/XMM transfer forms (lane 0, upper
+// lane zeroed on write); other operand pairs stay uUndecoded.
+func decodeXMov(u *uop, src, dst asm.Operand) {
+	switch {
+	case src.Kind == asm.KXReg && dst.Kind == asm.KXReg:
+		u.code, u.x1, u.x2 = uMovXX, src.X, dst.X
+	case dst.Kind == asm.KXReg:
+		u.x2 = dst.X
+		switch src.Kind {
+		case asm.KReg:
+			u.code, u.r1 = uMovRX, src.Reg
+		case asm.KImm:
+			u.code, u.imm = uMovIX, uint64(src.Imm)
+		case asm.KMem:
+			u.code, u.mem = uMovMX, normMem(src.M)
+		}
+	default: // xmm -> gpr/mem
+		u.x1 = src.X
+		switch dst.Kind {
+		case asm.KReg:
+			u.code, u.r2 = uMovXR, dst.Reg
+		case asm.KMem:
+			u.code, u.mem = uMovXM, normMem(dst.M)
+		}
+	}
+}
+
+// decodeRM sets the register or memory form of a one-operand instruction
+// whose operand is read or written whole; other kinds stay uUndecoded.
+func decodeRM(u *uop, o asm.Operand, r, m ucode) {
+	switch o.Kind {
+	case asm.KReg:
+		u.code, u.r1 = r, o.Reg
+	case asm.KMem:
+		u.code, u.mem = m, normMem(o.M)
+	}
+}
+
+// staticLane reports the lane an immediate lane operand selects, and
+// whether it is one of the two 128/256-bit halves the SIMD inserts support.
+func staticLane(o asm.Operand) (int8, bool) {
+	if o.Kind != asm.KImm || o.Imm < 0 || o.Imm > 1 {
+		return 0, false
+	}
+	return int8(o.Imm), true
+}
+
+// allXRegs reports whether every operand is a SIMD register.
+func allXRegs(ops ...asm.Operand) bool {
+	for _, o := range ops {
+		if o.Kind != asm.KXReg {
+			return false
+		}
+	}
+	return true
+}
+
 // resolveTarget resolves a jump/call target label to an instruction index
-// at load time. Undefined labels are a load-time error here (Program.
-// Validate already rejects them on the public Decode path); non-label
-// operands keep the instruction on the slow path, where the legacy
-// "jump to undefined label" crash is reproduced at runtime.
-func (p *program) resolveTarget(u *uop, fi *flatInst, o asm.Operand, code ucode) error {
+// at load time. A non-label target leaves u.code at uUndecoded; an
+// undefined label is an error of its own (Program.Validate already rejects
+// it on the public Decode path).
+func resolveTarget(u *uop, fi *flatInst, labels map[string]int, o asm.Operand, code ucode) error {
 	if o.Kind != asm.KLabel {
 		return nil
 	}
-	idx, ok := p.labels[o.Label]
+	idx, ok := labels[o.Label]
 	if !ok {
 		return fmt.Errorf("machine: %s+%d: %s: undefined label %q",
 			fi.fn, fi.idx, fi.in.Op, o.Label)
@@ -245,13 +302,15 @@ func (p *program) resolveTarget(u *uop, fi *flatInst, o asm.Operand, code ucode)
 
 // decode compiles one flattened instruction into its fused uop form. It
 // runs once per static instruction at load time, after the label map is
-// built. Anything it cannot fuse stays at uSlow; decode itself only fails
-// on undefined control-flow labels.
-func (p *program) decode(u *uop, fi *flatInst) error {
-	u.code = uSlow
+// built. It is the one place that decides which operand shapes the machine
+// executes: a shape with no fused form leaves u.code at uUndecoded and is
+// rejected with an error naming the instruction.
+func decode(u *uop, fi *flatInst, labels map[string]int) error {
+	u.code = uUndecoded
 	u.destKind = fi.dest.Kind
 	in := &fi.in
 	a := in.A
+	var err error
 	switch in.Op {
 	case asm.NOP:
 		u.code = uNop
@@ -259,79 +318,48 @@ func (p *program) decode(u *uop, fi *flatInst) error {
 		u.code = uHalt
 	case asm.DETECT:
 		u.code = uDetect
+	case asm.CQTO:
+		u.code = uCqto
+	case asm.RET:
+		u.code = uRet
 
 	case asm.MOVQ, asm.MOVL, asm.MOVB:
 		if len(a) != 2 {
-			return nil
+			break
 		}
-		src, dst := a[0], a[1]
-		// GPR/XMM transfer forms (lane 0, upper lane zeroed on write).
-		if src.Kind == asm.KXReg || dst.Kind == asm.KXReg {
-			switch {
-			case src.Kind == asm.KXReg && dst.Kind == asm.KXReg:
-				u.code, u.x1, u.x2 = uMovXX, src.X, dst.X
-			case dst.Kind == asm.KXReg:
-				u.x2 = dst.X
-				switch src.Kind {
-				case asm.KReg:
-					u.code, u.r1 = uMovRX, src.Reg
-				case asm.KImm:
-					u.code, u.imm = uMovIX, uint64(src.Imm)
-				case asm.KMem:
-					u.code, u.mem = uMovMX, normMem(src.M)
-				}
-			default: // xmm -> gpr/mem
-				u.x1 = src.X
-				switch dst.Kind {
-				case asm.KReg:
-					u.code, u.r2 = uMovXR, dst.Reg
-				case asm.KMem:
-					u.code, u.mem = uMovXM, normMem(dst.M)
-				}
-			}
-			return nil
+		if a[0].Kind == asm.KXReg || a[1].Kind == asm.KXReg {
+			decodeXMov(u, a[0], a[1])
+			break
 		}
 		switch in.Op {
 		case asm.MOVQ:
-			decodeSrcDst(u, asm.W64, src, dst, uMovRR64, uMovIR64, uMovMR64, uMovRM64, uMovIM64)
+			decodeSrcDst(u, asm.W64, a[0], a[1], uMovRR64, uMovIR64, uMovMR64, uMovRM64, uMovIM64)
 		case asm.MOVL:
-			decodeSrcDst(u, asm.W32, src, dst, uMovRR32, uMovIR32, uMovMR32, uMovRM32, uMovIM32)
+			decodeSrcDst(u, asm.W32, a[0], a[1], uMovRR32, uMovIR32, uMovMR32, uMovRM32, uMovIM32)
 		default:
-			decodeSrcDst(u, asm.W8, src, dst, uMovRR8, uMovIR8, uMovMR8, uMovRM8, uMovIM8)
+			decodeSrcDst(u, asm.W8, a[0], a[1], uMovRR8, uMovIR8, uMovMR8, uMovRM8, uMovIM8)
 		}
 
 	case asm.MOVSLQ, asm.MOVZBQ:
 		if len(a) != 2 || a[1].Kind != asm.KReg {
-			return nil
+			break
 		}
 		u.r2 = a[1].Reg
-		switch a[0].Kind {
-		case asm.KReg:
-			u.r1 = a[0].Reg
-			if in.Op == asm.MOVSLQ {
-				u.code = uMovslqRR
-			} else {
-				u.code = uMovzbqRR
-			}
-		case asm.KMem:
-			u.mem = normMem(a[0].M)
-			if in.Op == asm.MOVSLQ {
-				u.code = uMovslqMR
-			} else {
-				u.code = uMovzbqMR
-			}
+		if in.Op == asm.MOVSLQ {
+			decodeRM(u, a[0], uMovslqRR, uMovslqMR)
+		} else {
+			decodeRM(u, a[0], uMovzbqRR, uMovzbqMR)
 		}
 
 	case asm.LEA:
-		if len(a) != 2 || a[0].Kind != asm.KMem || a[1].Kind != asm.KReg {
-			return nil
+		if len(a) == 2 && a[0].Kind == asm.KMem && a[1].Kind == asm.KReg {
+			u.code, u.mem, u.r2 = uLea, normMem(a[0].M), a[1].Reg
 		}
-		u.code, u.mem, u.r2 = uLea, normMem(a[0].M), a[1].Reg
 
 	case asm.ADDQ, asm.SUBQ, asm.IMULQ, asm.ANDQ, asm.ORQ, asm.XORQ,
 		asm.SHLQ, asm.SHRQ, asm.SARQ, asm.XORB:
 		if len(a) != 2 {
-			return nil
+			break
 		}
 		var rr ucode
 		w := asm.W64
@@ -362,32 +390,17 @@ func (p *program) decode(u *uop, fi *flatInst) error {
 		decodeSrcDst(u, w, a[0], a[1], rr, rr+1, rr+2, rr+3, rr+4)
 
 	case asm.NEGQ:
-		if len(a) != 1 {
-			return nil
+		if len(a) == 1 {
+			decodeRM(u, a[0], uNegR, uNegM)
 		}
-		switch a[0].Kind {
-		case asm.KReg:
-			u.code, u.r1 = uNegR, a[0].Reg
-		case asm.KMem:
-			u.code, u.mem = uNegM, normMem(a[0].M)
-		}
-
-	case asm.CQTO:
-		u.code = uCqto
 	case asm.IDIVQ:
-		if len(a) != 1 {
-			return nil
-		}
-		switch a[0].Kind {
-		case asm.KReg:
-			u.code, u.r1 = uIdivR, a[0].Reg
-		case asm.KMem:
-			u.code, u.mem = uIdivM, normMem(a[0].M)
+		if len(a) == 1 {
+			decodeRM(u, a[0], uIdivR, uIdivM)
 		}
 
 	case asm.CMPQ, asm.CMPL, asm.CMPB:
 		if len(a) != 2 {
-			return nil
+			break
 		}
 		switch in.Op {
 		case asm.CMPQ:
@@ -399,7 +412,7 @@ func (p *program) decode(u *uop, fi *flatInst) error {
 		}
 	case asm.TESTQ:
 		if len(a) != 2 || a[1].Kind != asm.KReg {
-			return nil
+			break
 		}
 		u.r2 = a[1].Reg
 		switch a[0].Kind {
@@ -409,97 +422,85 @@ func (p *program) decode(u *uop, fi *flatInst) error {
 			u.code, u.imm = uTestIR, uint64(a[0].Imm)
 		}
 
-	case asm.JMP:
-		if len(a) != 1 {
-			return nil
+	case asm.JMP, asm.CALL:
+		if len(a) == 1 {
+			code := uJmp
+			if in.Op == asm.CALL {
+				code = uCall
+			}
+			err = resolveTarget(u, fi, labels, a[0], code)
 		}
-		return p.resolveTarget(u, fi, a[0], uJmp)
 	case asm.JE, asm.JNE, asm.JL, asm.JLE, asm.JG, asm.JGE:
-		if len(a) != 1 {
-			return nil
+		if len(a) == 1 {
+			u.cc = asm.CondOf(in.Op)
+			err = resolveTarget(u, fi, labels, a[0], uJcc)
 		}
-		u.cc = asm.CondOf(in.Op)
-		return p.resolveTarget(u, fi, a[0], uJcc)
-	case asm.CALL:
-		if len(a) != 1 {
-			return nil
-		}
-		return p.resolveTarget(u, fi, a[0], uCall)
-	case asm.RET:
-		u.code = uRet
 
 	case asm.SETE, asm.SETNE, asm.SETL, asm.SETLE, asm.SETG, asm.SETGE:
-		if len(a) != 1 || a[0].Kind != asm.KReg {
-			return nil
+		if len(a) == 1 && a[0].Kind == asm.KReg {
+			u.code, u.cc, u.r2 = uSetccR, asm.CondOf(in.Op), a[0].Reg
 		}
-		u.code, u.cc, u.r2 = uSetccR, asm.CondOf(in.Op), a[0].Reg
 
 	case asm.PUSHQ:
 		if len(a) != 1 {
-			return nil
+			break
 		}
-		switch a[0].Kind {
-		case asm.KReg:
-			u.code, u.r1 = uPushR, a[0].Reg
-		case asm.KImm:
+		if a[0].Kind == asm.KImm {
 			u.code, u.imm = uPushI, uint64(a[0].Imm)
-		case asm.KMem:
-			u.code, u.mem = uPushM, normMem(a[0].M)
+		} else {
+			decodeRM(u, a[0], uPushR, uPushM)
 		}
 	case asm.POPQ:
-		if len(a) != 1 || a[0].Kind != asm.KReg {
-			return nil
+		if len(a) == 1 && a[0].Kind == asm.KReg {
+			u.code, u.r2 = uPopR, a[0].Reg
 		}
-		u.code, u.r2 = uPopR, a[0].Reg
 
 	case asm.PINSRQ:
-		if len(a) != 3 {
-			return nil
+		if len(a) != 3 || a[2].Kind != asm.KXReg {
+			break
 		}
-		lane := int(a[0].Imm)
-		if lane < 0 || lane > 1 {
-			return nil // statically doomed: slow path reproduces the crash
+		lane, ok := staticLane(a[0])
+		if !ok {
+			break
 		}
-		u.lane, u.x2 = int8(lane), a[2].X
-		switch a[1].Kind {
-		case asm.KReg:
-			u.code, u.r1 = uPinsrqR, a[1].Reg
-		case asm.KMem:
-			u.code, u.mem = uPinsrqM, normMem(a[1].M)
-		}
+		u.lane, u.x2 = lane, a[2].X
+		decodeRM(u, a[1], uPinsrqR, uPinsrqM)
 	case asm.VINSERTI128, asm.VINSERTI644:
-		if len(a) != 4 {
-			return nil
+		if len(a) != 4 || !allXRegs(a[1:]...) {
+			break
 		}
-		lane := int(a[0].Imm)
-		if lane < 0 || lane > 1 {
-			return nil
+		lane, ok := staticLane(a[0])
+		if !ok {
+			break
 		}
-		u.lane, u.x1, u.x2, u.x3 = int8(lane), a[1].X, a[2].X, a[3].X
+		u.lane, u.x1, u.x2, u.x3 = lane, a[1].X, a[2].X, a[3].X
 		if in.Op == asm.VINSERTI128 {
 			u.code = uVinserti128
 		} else {
 			u.code = uVinserti644
 		}
 	case asm.VPXOR:
-		if len(a) != 3 {
-			return nil
+		if len(a) == 3 && allXRegs(a...) {
+			u.code = uVpxor
+			u.x1, u.x2, u.x3 = a[0].X, a[1].X, a[2].X
+			u.lanes = int8(a[2].XW.Lanes())
 		}
-		u.code = uVpxor
-		u.x1, u.x2, u.x3 = a[0].X, a[1].X, a[2].X
-		u.lanes = int8(a[2].XW.Lanes())
 	case asm.VPTEST:
-		if len(a) != 2 {
-			return nil
+		if len(a) == 2 && allXRegs(a...) {
+			u.code, u.x1, u.x2 = uVptest, a[0].X, a[1].X
+			u.lanes = int8(a[1].XW.Lanes())
 		}
-		u.code, u.x1, u.x2 = uVptest, a[0].X, a[1].X
-		u.lanes = int8(a[1].XW.Lanes())
 
 	case asm.OUT:
-		if len(a) != 1 || a[0].Kind != asm.KReg {
-			return nil
+		if len(a) == 1 && a[0].Kind == asm.KReg {
+			u.code, u.r1 = uOutR, a[0].Reg
 		}
-		u.code, u.r1 = uOutR, a[0].Reg
+	}
+	if err != nil {
+		return err
+	}
+	if u.code == uUndecoded {
+		return fmt.Errorf("machine: %s+%d: %s: unsupported operand shape", fi.fn, fi.idx, in.String())
 	}
 	return nil
 }

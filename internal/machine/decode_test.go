@@ -1,10 +1,16 @@
 package machine
 
 import (
+	"fmt"
+	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"ferrum/internal/asm"
+	"ferrum/internal/backend"
+	"ferrum/internal/rodinia"
 )
 
 // TestUnknownCondCodeIsCrash: cond must refuse a condition code it does not
@@ -93,9 +99,9 @@ func TestUndefinedLabelRejectedAtLoad(t *testing.T) {
 	}
 }
 
-// TestRodiniaDecodesFully is in equiv_test.go; here we check a small parsed
-// program decodes every instruction off the slow path, so the decoded
-// dispatch actually covers the common shapes.
+// TestSmallProgramDecodesFully: a small parsed program of the common
+// shapes loads, and the block loop and the generic reference interpreter
+// run it to the same Result.
 func TestSmallProgramDecodesFully(t *testing.T) {
 	src := `
 	.globl	main
@@ -116,10 +122,162 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.uops {
-		if m.uops[i].code == uSlow {
-			t.Errorf("instruction %d (%s) decoded to the slow path",
-				i, m.insts[i].in.String())
-		}
+	got := m.Run(RunOpts{})
+	if got.Outcome != OutcomeOK || len(got.Output) != 1 || got.Output[0] != 42 {
+		t.Fatalf("Run = %+v", got)
 	}
+	if want := m.runReference(RunOpts{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Run = %+v, reference = %+v", got, want)
+	}
+}
+
+// unsupportedShapes are instructions asm.Parse and asm.Validate accept but
+// that have no meaning on the machine: mem→mem and immediate-destination
+// forms, SIMD or immediate operands where a register or memory operand
+// belongs, out-of-range or non-immediate lanes, a register jump target.
+var unsupportedShapes = []string{
+	"movq	(%rax), (%rbx)",
+	"movq	%rax, $5",
+	"addq	(%rax), (%rbx)",
+	"cmpq	$1, $2",
+	"testq	(%rax), %rbx",
+	"sete	(%rax)",
+	"popq	(%rax)",
+	"out	$5",
+	"out	(%rax)",
+	"out	%xmm0",
+	"pinsrq	$2, %rax, %xmm0",
+	"pinsrq	$0, $7, %xmm0",
+	"pinsrq	%rcx, %rax, %xmm0",
+	"pinsrq	$1, %rax, %rbx",
+	"jmp	%rax",
+	"leaq	%rax, %rbx",
+	"negq	$3",
+	"movslq	$3, %rax",
+	"pushq	%xmm0",
+	"vpxor	%rax, %rbx, %rcx",
+	"vptest	%rax, $1",
+	"vinserti128	$1, %rax, %rbx, %rcx",
+}
+
+// shapeProgram wraps one instruction as the second instruction of main.
+func shapeProgram(inst string) string {
+	return "\t.globl\tmain\nmain:\n\tnop\n\t" + inst + "\n\thlt\n"
+}
+
+// TestUnsupportedShapesRejectedAtLoad: every unsupported operand shape is
+// a load-time error from Decode and from New, naming the function, the
+// instruction's index and its text, so no machine is built that could meet
+// it at run time.
+func TestUnsupportedShapesRejectedAtLoad(t *testing.T) {
+	for _, shape := range unsupportedShapes {
+		p := mustParse(t, shapeProgram(shape))
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: asm.Validate rejects it (%v); the table wants shapes only the machine refuses", shape, err)
+		}
+		text := p.Funcs[0].Insts[1].String()
+		check := func(entry string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Errorf("%s accepted %q", entry, shape)
+				return
+			}
+			for _, want := range []string{"main+1", text, "unsupported operand shape"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s(%q) error = %q, want it to contain %q", entry, shape, err, want)
+				}
+			}
+		}
+		_, err := Decode(p)
+		check("Decode", err)
+		_, err = New(p, memSize)
+		check("New", err)
+	}
+}
+
+// fuzzMemSize and fuzzMaxSteps bound one FuzzDecodeEquiv execution.
+const (
+	fuzzMemSize  = 64 << 10
+	fuzzMaxSteps = 10_000
+)
+
+// edgePrograms returns the asm programs embedded in edge_test.go: every
+// raw string literal there that starts a program with a .globl directive.
+func edgePrograms(f *testing.F) []string {
+	src, err := os.ReadFile("edge_test.go")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var out []string
+	for _, m := range regexp.MustCompile("`(\\n\\t\\.globl[^`]*)`").FindAllStringSubmatch(string(src), -1) {
+		out = append(out, m[1])
+	}
+	if len(out) == 0 {
+		f.Fatal("no programs found in edge_test.go")
+	}
+	return out
+}
+
+// FuzzDecodeEquiv fuzzes the decode boundary: whatever asm text Decode
+// accepts, the block loop over its uops and the generic reference
+// interpreter return equal Results (outcome, crash message, output,
+// cycles, instruction and site counts) and leave the same architectural
+// state, on the golden run and with one fault drawn from the input.
+// Seeded with the unsupported shapes (which must stay rejected), the
+// edge-case programs and the eight raw Rodinia programs.
+func FuzzDecodeEquiv(f *testing.F) {
+	for _, shape := range unsupportedShapes {
+		f.Add(shapeProgram(shape), uint64(0), uint8(0))
+	}
+	for _, src := range edgePrograms(f) {
+		f.Add(src, uint64(1), uint8(7))
+	}
+	for _, b := range rodinia.All() {
+		inst, err := b.Instantiate(1, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		prog, err := backend.Compile(inst.Mod)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(prog.String(), uint64(100), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, src string, site uint64, bit uint8) {
+		p, err := asm.Parse(src)
+		if err != nil {
+			return
+		}
+		d, err := Decode(p)
+		if err != nil {
+			return
+		}
+		fast, err := d.Instantiate(fuzzMemSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fast.Release()
+		ref, err := d.Instantiate(fuzzMemSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Release()
+		opts := RunOpts{MaxSteps: fuzzMaxSteps}
+		compare := func(what string) Result {
+			want := ref.runReference(opts)
+			if got := fast.Run(opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Result differs:\nfast: %+v\nref:  %+v\n%s", what, got, want, src)
+			}
+			if fingerprint(fast) != fingerprint(ref) {
+				t.Fatalf("%s: terminal machine state differs\n%s", what, src)
+			}
+			return want
+		}
+		golden := compare("golden")
+		if golden.DynSites == 0 {
+			return
+		}
+		opts.Fault = &Fault{Site: site % golden.DynSites, Bit: uint(bit)}
+		compare(fmt.Sprintf("fault %+v", *opts.Fault))
+	})
 }

@@ -11,26 +11,15 @@ import (
 	"ferrum/internal/rodinia"
 )
 
-// The decode stage is pure representation: the decoded uop dispatch must be
-// observationally identical to the generic slow-path interpreter it
-// accelerates. These tests run every Rodinia benchmark under every
-// protection technique on both engines and require bit-identical Results;
-// they are part of the PR equivalence gate (go test -run 'Equiv|Snapshot').
+// The decode stage is pure representation: the block loop over decoded uops
+// must be observationally identical to the generic per-instruction
+// interpreter it replaced, which survives as the test oracle runReference.
+// These tests run every Rodinia benchmark under every protection technique
+// on both and require bit-identical Results; they are part of the
+// equivalence gate (go test -run 'Equiv|Snapshot').
 
 const equivMemSize = 1 << 20
 const equivMaxSteps = 1 << 20
-
-// forceSlow reroutes every decoded uop through the generic interpreter,
-// recovering the pre-decode execution engine. Cost and destination kind
-// stay as decoded, so only the dispatch path changes. Run through
-// runReference, this machine is the per-instruction reference the block
-// loop is measured against; run through Run, it is the block loop over the
-// generic interpreter.
-func forceSlow(m *Machine) {
-	for i := range m.uops {
-		m.uops[i].code = uSlow
-	}
-}
 
 // ckpt is what one OnCheckpoint delivery pins: the snapshot's site and
 // instruction counts and the digest of its whole state.
@@ -92,28 +81,17 @@ func equivMachine(t *testing.T, bench string, prog *asm.Program) (*Machine, []ui
 }
 
 // TestEquivDecodeVsSlowAsm runs every Rodinia cell × {raw, eddi, ferrum}
-// on both block-loop tiers — block dispatch over the decoded uops and the
-// block loop over the forced slow path — and on the per-instruction
-// reference engine, asserting an identical Result (outcome, output, cycles,
-// dynamic counts, per-site statics, function spans, profile and trace) for
-// the golden run, an identical checkpoint schedule, and identical Results
-// for a spread of fault injections. It also pins decode coverage: compiled
-// Rodinia programs must decode with no residual slow-path uops.
+// on the block loop over the decoded uops and on the per-instruction
+// reference engine over the generic interpreter, asserting an identical
+// Result (outcome, output, cycles, dynamic counts, per-site statics,
+// function spans, profile and trace) for the golden run, an identical
+// checkpoint schedule, and identical Results for a spread of fault
+// injections.
 func TestEquivDecodeVsSlowAsm(t *testing.T) {
 	for _, bench := range rodinia.Names() {
 		for tech, prog := range equivPrograms(t, bench) {
 			fast, args := equivMachine(t, bench, prog)
-			slow, _ := equivMachine(t, bench, prog)
 			ref, _ := equivMachine(t, bench, prog)
-			forceSlow(slow)
-			forceSlow(ref)
-
-			for i := range fast.uops {
-				if fast.uops[i].code == uSlow {
-					t.Errorf("%s/%s: instruction %d (%s) left on the slow path",
-						bench, tech, i, fast.insts[i].in.String())
-				}
-			}
 
 			base := RunOpts{Args: args, MaxSteps: equivMaxSteps}
 			// The traced variant is the debugging configuration; the
@@ -129,21 +107,18 @@ func TestEquivDecodeVsSlowAsm(t *testing.T) {
 			k := want.DynSites/5 + 1
 			wantCk, wantCks, _ := runCkpts(ref.runReference, observed, k)
 
-			tiers := map[string]*Machine{"fast": fast, "slow": slow}
-			for name, m := range tiers {
-				if got := m.Run(traced); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s: traced golden Result differs:\n%s: %+v\nref: %+v",
-						bench, tech, name, got, want)
-				}
-				if got := m.Run(observed); !reflect.DeepEqual(got, wantObs) {
-					t.Fatalf("%s/%s: observed golden Result differs:\n%s: %+v\nref: %+v",
-						bench, tech, name, got, wantObs)
-				}
-				got, cks, _ := runCkpts(m.Run, observed, k)
-				if !reflect.DeepEqual(got, wantCk) || !reflect.DeepEqual(cks, wantCks) {
-					t.Fatalf("%s/%s K=%d: checkpointed run differs:\n%s: %+v %v\nref: %+v %v",
-						bench, tech, k, name, got, cks, wantCk, wantCks)
-				}
+			if got := fast.Run(traced); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: traced golden Result differs:\nfast: %+v\nref: %+v",
+					bench, tech, got, want)
+			}
+			if got := fast.Run(observed); !reflect.DeepEqual(got, wantObs) {
+				t.Fatalf("%s/%s: observed golden Result differs:\nfast: %+v\nref: %+v",
+					bench, tech, got, wantObs)
+			}
+			got, cks, _ := runCkpts(fast.Run, observed, k)
+			if !reflect.DeepEqual(got, wantCk) || !reflect.DeepEqual(cks, wantCks) {
+				t.Fatalf("%s/%s K=%d: checkpointed run differs:\nfast: %+v %v\nref: %+v %v",
+					bench, tech, k, got, cks, wantCk, wantCks)
 			}
 
 			sites := want.DynSites
@@ -154,12 +129,9 @@ func TestEquivDecodeVsSlowAsm(t *testing.T) {
 						Fault: &Fault{Site: site, Bit: bit},
 					}
 					fw := ref.runReference(opts)
-					for name, m := range tiers {
-						fg := m.Run(opts)
-						if !reflect.DeepEqual(fg, fw) {
-							t.Errorf("%s/%s site=%d bit=%d: fault Result differs:\n%s: %+v\nref: %+v",
-								bench, tech, site, bit, name, fg, fw)
-						}
+					if fg := fast.Run(opts); !reflect.DeepEqual(fg, fw) {
+						t.Errorf("%s/%s site=%d bit=%d: fault Result differs:\nfast: %+v\nref: %+v",
+							bench, tech, site, bit, fg, fw)
 					}
 				}
 			}
@@ -168,15 +140,14 @@ func TestEquivDecodeVsSlowAsm(t *testing.T) {
 }
 
 // TestEquivSnapshotAcrossDecode checks that snapshots are engine-version
-// independent: a snapshot captured mid-run by the slow-path engine restores
-// into a decoded machine (and vice versa), and every resumed run reproduces
+// independent: a snapshot captured mid-run by the reference engine restores
+// into the block loop (and vice versa), and every resumed run reproduces
 // the uninterrupted run's terminal Result.
 func TestEquivSnapshotAcrossDecode(t *testing.T) {
 	for _, bench := range []string{"bfs", "lud"} {
 		prog := equivPrograms(t, bench)["ferrum"]
 		fast, args := equivMachine(t, bench, prog)
-		slow, _ := equivMachine(t, bench, prog)
-		forceSlow(slow)
+		ref, _ := equivMachine(t, bench, prog)
 
 		want := fast.Run(RunOpts{Args: args, MaxSteps: equivMaxSteps})
 		if want.Outcome != OutcomeOK {
@@ -185,14 +156,14 @@ func TestEquivSnapshotAcrossDecode(t *testing.T) {
 
 		pairs := []struct {
 			name     string
-			from, to *Machine
+			from, to func(RunOpts) Result
 		}{
-			{"slow->fast", slow, fast},
-			{"fast->slow", fast, slow},
+			{"ref->fast", ref.runReference, fast.Run},
+			{"fast->ref", fast.Run, ref.runReference},
 		}
 		for _, p := range pairs {
 			var snaps []*Snapshot
-			p.from.Run(RunOpts{
+			p.from(RunOpts{
 				Args: args, MaxSteps: equivMaxSteps,
 				CheckpointEvery: want.DynSites / 3,
 				OnCheckpoint:    func(s *Snapshot) { snaps = append(snaps, s) },
@@ -201,7 +172,7 @@ func TestEquivSnapshotAcrossDecode(t *testing.T) {
 				t.Fatalf("%s %s: no snapshots captured", bench, p.name)
 			}
 			for i, s := range snaps {
-				got := p.to.Run(RunOpts{Resume: s, MaxSteps: equivMaxSteps})
+				got := p.to(RunOpts{Resume: s, MaxSteps: equivMaxSteps})
 				if got.Outcome != want.Outcome || !reflect.DeepEqual(got.Output, want.Output) ||
 					got.Cycles != want.Cycles || got.DynInsts != want.DynInsts ||
 					got.DynSites != want.DynSites {

@@ -757,10 +757,6 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uDetect:
 		m.flushSpan()
 		return nextDetect, nil
-
-	default: // uSlow: generic per-operand interpretation
-		m.pc = pc // stepSlow computes its successor from m.pc
-		return m.stepSlow(&m.insts[pc])
 	}
 	m.pc = pcNext
 	return nextContinue, nil
@@ -773,12 +769,12 @@ func (m *Machine) uea(mm *asm.Mem) uint64 {
 	return uint64(mm.Disp) + m.gpr[mm.Base] + m.gpr[mm.Index]*uint64(mm.Scale)
 }
 
-// Width-specialised memory accessors for the fused cases; same bounds
-// conditions and crash messages as the generic loadMem/storeMem, folded
-// into a single unsigned comparison: ea-GuardSize wraps for ea < GuardSize
-// and exceeds len(mem)-GuardSize-width for any access crossing the top of
-// memory (len(mem) >= 2*GuardSize is enforced at construction, so the
-// right-hand side never underflows).
+// Width-specialised memory accessors. An access crashes when it touches the
+// guard region or runs past the top of memory (or wraps the address space);
+// the check is folded into a single unsigned comparison: ea-GuardSize
+// wraps for ea < GuardSize and exceeds len(mem)-GuardSize-width for any
+// access crossing the top of memory (len(mem) >= 2*GuardSize is enforced at
+// construction, so the right-hand side never underflows).
 func (m *Machine) load64(ea uint64) (uint64, error) {
 	if ea-GuardSize > uint64(len(m.mem.B))-(GuardSize+8) {
 		return 0, crashf("load of %d bytes at %#x out of range", 8, ea)
@@ -851,326 +847,6 @@ func (m *Machine) idiv(div uint64) error {
 	return nil
 }
 
-// stepSlow is the generic interpreter: full per-operand kind/width
-// dispatch. It executes the uSlow uops — operand shapes the fused decode
-// does not cover — preserving the legacy semantics (and crash messages)
-// exactly. The caller has already charged the instruction's cost spans.
-func (m *Machine) stepSlow(fi *flatInst) (nextAction, error) {
-	in := &fi.in
-	pcNext := m.pc + 1
-
-	switch in.Op {
-	case asm.NOP:
-
-	case asm.MOVQ:
-		if err := m.execMov(in, asm.W64); err != nil {
-			return 0, err
-		}
-	case asm.MOVL:
-		if err := m.execMov(in, asm.W32); err != nil {
-			return 0, err
-		}
-	case asm.MOVB:
-		if err := m.execMov(in, asm.W8); err != nil {
-			return 0, err
-		}
-
-	case asm.MOVSLQ:
-		v, err := m.readOperand(in.A[0], asm.W32)
-		if err != nil {
-			return 0, err
-		}
-		m.writeGPR(in.A[1].Reg, asm.W64, uint64(int64(int32(uint32(v)))))
-	case asm.MOVZBQ:
-		v, err := m.readOperand(in.A[0], asm.W8)
-		if err != nil {
-			return 0, err
-		}
-		m.writeGPR(in.A[1].Reg, asm.W64, v&0xff)
-
-	case asm.LEA:
-		m.writeGPR(in.A[1].Reg, asm.W64, m.ea(in.A[0].M))
-
-	case asm.ADDQ, asm.SUBQ, asm.IMULQ, asm.ANDQ, asm.ORQ, asm.XORQ,
-		asm.SHLQ, asm.SHRQ, asm.SARQ:
-		if err := m.execALU(in, asm.W64); err != nil {
-			return 0, err
-		}
-	case asm.XORB:
-		if err := m.execALU(in, asm.W8); err != nil {
-			return 0, err
-		}
-	case asm.NEGQ:
-		v, err := m.readOperand(in.A[0], asm.W64)
-		if err != nil {
-			return 0, err
-		}
-		r := -v
-		if err := m.writeOperand(in.A[0], asm.W64, r); err != nil {
-			return 0, err
-		}
-		m.setFlagsSub(0, v, asm.W64)
-
-	case asm.CQTO:
-		if int64(m.gpr[asm.RAX]) < 0 {
-			m.gpr[asm.RDX] = ^uint64(0)
-		} else {
-			m.gpr[asm.RDX] = 0
-		}
-	case asm.IDIVQ:
-		div, err := m.readOperand(in.A[0], asm.W64)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.idiv(div); err != nil {
-			return 0, err
-		}
-
-	case asm.CMPQ:
-		if err := m.execCmp(in, asm.W64); err != nil {
-			return 0, err
-		}
-	case asm.CMPL:
-		if err := m.execCmp(in, asm.W32); err != nil {
-			return 0, err
-		}
-	case asm.CMPB:
-		if err := m.execCmp(in, asm.W8); err != nil {
-			return 0, err
-		}
-	case asm.TESTQ:
-		a, err := m.readOperand(in.A[0], asm.W64)
-		if err != nil {
-			return 0, err
-		}
-		b, err := m.readOperand(in.A[1], asm.W64)
-		if err != nil {
-			return 0, err
-		}
-		m.setFlagsLogic(a&b, asm.W64)
-
-	case asm.JMP:
-		m.flushSpan()
-		return nextContinue, m.jumpTo(in.A[0].Label)
-	case asm.JE, asm.JNE, asm.JL, asm.JLE, asm.JG, asm.JGE:
-		taken, err := m.cond(asm.CondOf(in.Op))
-		if err != nil {
-			return 0, err
-		}
-		m.flushSpan()
-		if taken {
-			m.scalarSpan += fi.cost.takenExtra
-			return nextContinue, m.jumpTo(in.A[0].Label)
-		}
-		m.pc = pcNext
-		return nextContinue, nil
-
-	case asm.CALL:
-		if err := m.push(uint64(pcNext)); err != nil {
-			return 0, err
-		}
-		m.flushSpan()
-		return nextContinue, m.jumpTo(in.A[0].Label)
-	case asm.RET:
-		v, err := m.pop()
-		if err != nil {
-			return 0, err
-		}
-		if v >= uint64(len(m.insts)) {
-			return 0, crashf("ret to invalid address %d", v)
-		}
-		m.flushSpan()
-		m.pc = int(v)
-		return nextContinue, nil
-
-	case asm.SETE, asm.SETNE, asm.SETL, asm.SETLE, asm.SETG, asm.SETGE:
-		taken, err := m.cond(asm.CondOf(in.Op))
-		if err != nil {
-			return 0, err
-		}
-		var v uint64
-		if taken {
-			v = 1
-		}
-		if err := m.writeOperand(in.A[0], asm.W8, v); err != nil {
-			return 0, err
-		}
-
-	case asm.PUSHQ:
-		v, err := m.readOperand(in.A[0], asm.W64)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.push(v); err != nil {
-			return 0, err
-		}
-	case asm.POPQ:
-		v, err := m.pop()
-		if err != nil {
-			return 0, err
-		}
-		if err := m.writeOperand(in.A[0], asm.W64, v); err != nil {
-			return 0, err
-		}
-
-	case asm.PINSRQ:
-		lane := int(in.A[0].Imm)
-		if lane < 0 || lane > 1 {
-			return 0, crashf("pinsrq lane %d out of range", lane)
-		}
-		v, err := m.readOperand(in.A[1], asm.W64)
-		if err != nil {
-			return 0, err
-		}
-		m.x[in.A[2].X][lane] = v
-	case asm.VINSERTI128:
-		lane := int(in.A[0].Imm)
-		if lane < 0 || lane > 1 {
-			return 0, crashf("vinserti128 lane %d out of range", lane)
-		}
-		src := m.x[in.A[1].X]
-		base := m.x[in.A[2].X]
-		base[lane*2] = src[0]
-		base[lane*2+1] = src[1]
-		m.x[in.A[3].X] = base
-	case asm.VINSERTI644:
-		lane := int(in.A[0].Imm)
-		if lane < 0 || lane > 1 {
-			return 0, crashf("vinserti64x4 lane %d out of range", lane)
-		}
-		src := m.x[in.A[1].X]
-		base := m.x[in.A[2].X]
-		copy(base[lane*4:lane*4+4], src[0:4])
-		m.x[in.A[3].X] = base
-	case asm.VPXOR:
-		lanes := in.A[2].XW.Lanes()
-		a, b := m.x[in.A[0].X], m.x[in.A[1].X]
-		r := m.x[in.A[2].X]
-		for i := 0; i < lanes; i++ {
-			r[i] = a[i] ^ b[i]
-		}
-		m.x[in.A[2].X] = r
-	case asm.VPTEST:
-		lanes := in.A[1].XW.Lanes()
-		a, b := m.x[in.A[0].X], m.x[in.A[1].X]
-		var andAcc, andnAcc uint64
-		for i := 0; i < lanes; i++ {
-			andAcc |= a[i] & b[i]
-			andnAcc |= ^a[i] & b[i]
-		}
-		m.flags[asm.FlagZF] = andAcc == 0
-		m.flags[asm.FlagCF] = andnAcc == 0
-		m.flags[asm.FlagSF] = false
-		m.flags[asm.FlagOF] = false
-
-	case asm.OUT:
-		v, err := m.readOperand(in.A[0], asm.W64)
-		if err != nil {
-			return 0, err
-		}
-		m.output = append(m.output, v)
-
-	case asm.HALT:
-		m.flushSpan()
-		return nextHalt, nil
-	case asm.DETECT:
-		m.flushSpan()
-		return nextDetect, nil
-
-	default:
-		return 0, crashf("unimplemented opcode %s", in.Op)
-	}
-	m.pc = pcNext
-	return nextContinue, nil
-}
-
-func (m *Machine) execMov(in *asm.Inst, w asm.Width) error {
-	src, dst := in.A[0], in.A[1]
-	// GPR/XMM transfer forms of movq.
-	if src.Kind == asm.KXReg || dst.Kind == asm.KXReg {
-		switch {
-		case dst.Kind == asm.KXReg && src.Kind == asm.KXReg:
-			lane0 := m.x[src.X][0]
-			m.x[dst.X][0] = lane0
-			m.x[dst.X][1] = 0
-		case dst.Kind == asm.KXReg:
-			v, err := m.readOperand(src, asm.W64)
-			if err != nil {
-				return err
-			}
-			m.x[dst.X][0] = v
-			m.x[dst.X][1] = 0
-		default: // xmm -> gpr/mem
-			return m.writeOperand(dst, asm.W64, m.x[src.X][0])
-		}
-		return nil
-	}
-	v, err := m.readOperand(src, w)
-	if err != nil {
-		return err
-	}
-	return m.writeOperand(dst, w, v)
-}
-
-func (m *Machine) execALU(in *asm.Inst, w asm.Width) error {
-	src, dst := in.A[0], in.A[1]
-	b, err := m.readOperand(src, w)
-	if err != nil {
-		return err
-	}
-	a, err := m.readOperand(dst, w)
-	if err != nil {
-		return err
-	}
-	var r uint64
-	switch in.Op {
-	case asm.ADDQ:
-		r = a + b
-		m.setFlagsAdd(a, b, r, w)
-	case asm.SUBQ:
-		r = a - b
-		m.setFlagsSub(a, b, w)
-	case asm.IMULQ:
-		r = uint64(int64(a) * int64(b))
-		m.setFlagsLogic(r, w) // CF/OF modelled as cleared; ZF/SF from result
-	case asm.ANDQ:
-		r = a & b
-		m.setFlagsLogic(r, w)
-	case asm.ORQ:
-		r = a | b
-		m.setFlagsLogic(r, w)
-	case asm.XORQ, asm.XORB:
-		r = a ^ b
-		m.setFlagsLogic(r, w)
-	case asm.SHLQ:
-		r = a << (b & 63)
-		m.setFlagsLogic(r, w)
-	case asm.SHRQ:
-		r = a >> (b & 63)
-		m.setFlagsLogic(r, w)
-	case asm.SARQ:
-		r = uint64(int64(a) >> (b & 63))
-		m.setFlagsLogic(r, w)
-	default:
-		return crashf("execALU: bad op %s", in.Op)
-	}
-	return m.writeOperand(dst, w, r)
-}
-
-func (m *Machine) execCmp(in *asm.Inst, w asm.Width) error {
-	src, dst := in.A[0], in.A[1]
-	b, err := m.readOperand(src, w)
-	if err != nil {
-		return err
-	}
-	a, err := m.readOperand(dst, w)
-	if err != nil {
-		return err
-	}
-	m.setFlagsSub(a, b, w)
-	return nil
-}
-
 func widthMask(w asm.Width) uint64 {
 	if w == asm.W64 {
 		return ^uint64(0)
@@ -1234,15 +910,6 @@ func (m *Machine) cond(c asm.CC) (bool, error) {
 	return false, crashf("unknown condition code %d", c)
 }
 
-func (m *Machine) jumpTo(label string) error {
-	idx, ok := m.labels[label]
-	if !ok {
-		return crashf("jump to undefined label %q", label)
-	}
-	m.pc = idx
-	return nil
-}
-
 func (m *Machine) flushSpan() {
 	if m.vectorSpan > m.scalarSpan {
 		m.cycles += m.vectorSpan
@@ -1263,102 +930,9 @@ func (m *Machine) cyclesNow() float64 {
 	return m.cycles + m.scalarSpan
 }
 
-func (m *Machine) readReg(r asm.Reg, w asm.Width) uint64 {
-	return m.gpr[r] & widthMask(w)
-}
-
-func (m *Machine) writeGPR(r asm.Reg, w asm.Width, v uint64) {
-	switch w {
-	case asm.W64:
-		m.gpr[r] = v
-	case asm.W32:
-		m.gpr[r] = v & 0xffffffff // 32-bit writes zero-extend
-	case asm.W16:
-		m.gpr[r] = m.gpr[r]&^uint64(0xffff) | v&0xffff
-	case asm.W8:
-		m.gpr[r] = m.gpr[r]&^uint64(0xff) | v&0xff
-	}
-}
-
-func (m *Machine) ea(mem asm.Mem) uint64 {
-	ea := uint64(mem.Disp)
-	if mem.Base != asm.RNone {
-		ea += m.gpr[mem.Base]
-	}
-	if mem.Index != asm.RNone {
-		scale := uint64(mem.Scale)
-		if scale == 0 {
-			scale = 1
-		}
-		ea += m.gpr[mem.Index] * scale
-	}
-	return ea
-}
-
-func (m *Machine) loadMem(ea uint64, w asm.Width) (uint64, error) {
-	size := uint64(w)
-	if ea < GuardSize || ea+size > uint64(len(m.mem.B)) || ea+size < ea {
-		return 0, crashf("load of %d bytes at %#x out of range", size, ea)
-	}
-	switch w {
-	case asm.W64:
-		return binary.LittleEndian.Uint64(m.mem.B[ea:]), nil
-	case asm.W32:
-		return uint64(binary.LittleEndian.Uint32(m.mem.B[ea:])), nil
-	case asm.W16:
-		return uint64(binary.LittleEndian.Uint16(m.mem.B[ea:])), nil
-	default:
-		return uint64(m.mem.B[ea]), nil
-	}
-}
-
-func (m *Machine) storeMem(ea uint64, w asm.Width, v uint64) error {
-	size := uint64(w)
-	if ea < GuardSize || ea+size > uint64(len(m.mem.B)) || ea+size < ea {
-		return crashf("store of %d bytes at %#x out of range", size, ea)
-	}
-	m.mem.MarkDirty(ea, size)
-	switch w {
-	case asm.W64:
-		binary.LittleEndian.PutUint64(m.mem.B[ea:], v)
-	case asm.W32:
-		binary.LittleEndian.PutUint32(m.mem.B[ea:], uint32(v))
-	case asm.W16:
-		binary.LittleEndian.PutUint16(m.mem.B[ea:], uint16(v))
-	default:
-		m.mem.B[ea] = byte(v)
-	}
-	return nil
-}
-
-func (m *Machine) readOperand(o asm.Operand, w asm.Width) (uint64, error) {
-	switch o.Kind {
-	case asm.KReg:
-		return m.readReg(o.Reg, w), nil
-	case asm.KImm:
-		return uint64(o.Imm) & widthMask(w), nil
-	case asm.KMem:
-		return m.loadMem(m.ea(o.M), w)
-	case asm.KXReg:
-		return m.x[o.X][0], nil
-	}
-	return 0, crashf("unreadable operand %s", o)
-}
-
-func (m *Machine) writeOperand(o asm.Operand, w asm.Width, v uint64) error {
-	switch o.Kind {
-	case asm.KReg:
-		m.writeGPR(o.Reg, w, v)
-		return nil
-	case asm.KMem:
-		return m.storeMem(m.ea(o.M), w, v)
-	}
-	return crashf("unwritable operand %s", o)
-}
-
 func (m *Machine) push(v uint64) error {
 	sp := m.gpr[asm.RSP] - 8
-	if err := m.storeMem(sp, asm.W64, v); err != nil {
+	if err := m.store64(sp, v); err != nil {
 		return fmt.Errorf("push: %w", err)
 	}
 	m.gpr[asm.RSP] = sp
@@ -1367,7 +941,7 @@ func (m *Machine) push(v uint64) error {
 
 func (m *Machine) pop() (uint64, error) {
 	sp := m.gpr[asm.RSP]
-	v, err := m.loadMem(sp, asm.W64)
+	v, err := m.load64(sp)
 	if err != nil {
 		return 0, fmt.Errorf("pop: %w", err)
 	}

@@ -16,9 +16,9 @@ import (
 // archState is the machine's terminal architectural state: every general-
 // purpose register, every vector register, every flag, and a hash of the
 // full memory image. The dispatch-tier property below requires it to be
-// identical across tiers, not just the exported Result — a tier that
-// computed the right output through the wrong register or memory state
-// would pass a Result-only comparison.
+// identical between the block loop and the reference engine, not just the
+// exported Result — an engine that computed the right output through the
+// wrong register or memory state would pass a Result-only comparison.
 type archState struct {
 	gpr     [asm.NumReg]uint64
 	x       [asm.NumXReg][8]uint64
@@ -39,8 +39,9 @@ func fingerprint(m *Machine) archState {
 // Rodinia-cell equivalence suite: randomly generated branch-dense programs
 // (short basic blocks, nested diamonds and loops — the shapes that stress
 // block-formation boundaries) must produce a bit-identical Result AND
-// bit-identical terminal architectural state on both block-loop tiers and
-// on the per-instruction reference engine, for the golden run and for
+// bit-identical terminal architectural state on the block loop — its
+// whole-block fast path and its per-instruction runBlockSlow tier — and on
+// the per-instruction reference engine, for the golden run and for
 // injected faults. The plain runs carry no
 // observers, so the block-dispatch fast path is what actually executes;
 // the observed runs then pin the block-granularity observers against the
@@ -86,9 +87,7 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 				}
 				return m
 			}
-			fast, slow, ref := build(), build(), build()
-			forceSlow(slow)
-			forceSlow(ref)
+			fast, ref := build(), build()
 
 			want := ref.runReference(RunOpts{Args: args, MaxSteps: maxSteps})
 			if want.Outcome != OutcomeOK {
@@ -97,17 +96,13 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 			}
 			wantState := fingerprint(ref)
 
-			tiers := map[string]*Machine{"fast": fast, "slow": slow}
-			for name, m := range tiers {
-				got := m.Run(RunOpts{Args: args, MaxSteps: maxSteps})
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("iter %d/%s %s: golden Result differs:\n%s: %+v\nref: %+v",
-						i, tech, name, name, got, want)
-				}
-				if st := fingerprint(m); st != wantState {
-					t.Fatalf("iter %d/%s %s: terminal machine state differs from the reference",
-						i, tech, name)
-				}
+			if got := fast.Run(RunOpts{Args: args, MaxSteps: maxSteps}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d/%s: golden Result differs:\nfast: %+v\nref: %+v",
+					i, tech, got, want)
+			}
+			if st := fingerprint(fast); st != wantState {
+				t.Fatalf("iter %d/%s: terminal machine state differs from the reference",
+					i, tech)
 			}
 
 			if want.DynSites == 0 {
@@ -121,16 +116,13 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 					}
 					fw := ref.runReference(opts)
 					fwState := fingerprint(ref)
-					for name, m := range tiers {
-						fg := m.Run(opts)
-						if !reflect.DeepEqual(fg, fw) {
-							t.Errorf("iter %d/%s %s site=%d bit=%d: fault Result differs:\n%s: %+v\nref: %+v",
-								i, tech, name, site, bit, name, fg, fw)
-						}
-						if st := fingerprint(m); st != fwState {
-							t.Errorf("iter %d/%s %s site=%d bit=%d: terminal machine state differs",
-								i, tech, name, site, bit)
-						}
+					if fg := fast.Run(opts); !reflect.DeepEqual(fg, fw) {
+						t.Errorf("iter %d/%s site=%d bit=%d: fault Result differs:\nfast: %+v\nref: %+v",
+							i, tech, site, bit, fg, fw)
+					}
+					if st := fingerprint(fast); st != fwState {
+						t.Errorf("iter %d/%s site=%d bit=%d: terminal machine state differs",
+							i, tech, site, bit)
 					}
 				}
 			}
@@ -148,17 +140,15 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 			check := func(what string, opts RunOpts, k uint64) Result {
 				want, wantCks, _ := runCkpts(ref.runReference, opts, k)
 				wantState := fingerprint(ref)
-				for name, m := range tiers {
-					got, cks, _ := runCkpts(m.Run, opts, k)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s %s %s: Result differs:\ngot: %+v\nref: %+v", ctx, name, what, got, want)
-					}
-					if !reflect.DeepEqual(cks, wantCks) {
-						t.Errorf("%s %s %s: checkpoints differ:\ngot: %v\nref: %v", ctx, name, what, cks, wantCks)
-					}
-					if fingerprint(m) != wantState {
-						t.Errorf("%s %s %s: terminal machine state differs", ctx, name, what)
-					}
+				got, cks, _ := runCkpts(fast.Run, opts, k)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s: Result differs:\ngot: %+v\nref: %+v", ctx, what, got, want)
+				}
+				if !reflect.DeepEqual(cks, wantCks) {
+					t.Errorf("%s %s: checkpoints differ:\ngot: %v\nref: %v", ctx, what, cks, wantCks)
+				}
+				if fingerprint(fast) != wantState {
+					t.Errorf("%s %s: terminal machine state differs", ctx, what)
 				}
 				return want
 			}
@@ -206,12 +196,10 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 					// Observers make the run ignore a Golden schedule.
 					o.Golden = g
 					w := ref.runReference(o)
-					for name, m := range tiers {
-						before := m.Converged()
-						if got := m.Run(o); !reflect.DeepEqual(got, w) || m.Converged() != before {
-							t.Errorf("%s %s fault=%d/%d: observed run with Golden differs or converged:\n%+v\nref: %+v",
-								ctx, name, site, bit, got, w)
-						}
+					before := fast.Converged()
+					if got := fast.Run(o); !reflect.DeepEqual(got, w) || fast.Converged() != before {
+						t.Errorf("%s fault=%d/%d: observed run with Golden differs or converged:\n%+v\nref: %+v",
+							ctx, site, bit, got, w)
 					}
 				}
 			}
@@ -226,7 +214,7 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 // TestEquivFuzzGoldenConvergence: over randomly generated branch-dense
 // programs, raw and FERRUM-protected, an injected run given the golden
 // checkpoint schedule (RunOpts.Golden) returns a Result field-for-field
-// equal to the forced-slow reference run without one — from scratch and
+// equal to the reference run without one — from scratch and
 // resumed from the nearest checkpoint, for single- and multi-bit faults,
 // at K=1 and coarser spacings — and the schedule does end some runs early.
 // Continuations resumed from a faulty StopAtSites boundary (compositional
@@ -268,8 +256,7 @@ func TestEquivFuzzGoldenConvergence(t *testing.T) {
 				}
 				return m
 			}
-			fast, slow := build(), build()
-			forceSlow(slow)
+			fast, ref := build(), build()
 			golden := fast.Run(RunOpts{Args: args, MaxSteps: maxSteps})
 			if golden.Outcome != OutcomeOK || golden.DynSites < 4 {
 				continue
@@ -282,7 +269,7 @@ func TestEquivFuzzGoldenConvergence(t *testing.T) {
 						f.Extra = []uint{uint(rng.Intn(64)), uint(rng.Intn(64))}
 					}
 					opts := RunOpts{Args: args, MaxSteps: maxSteps, Fault: f}
-					want := slow.runReference(opts)
+					want := ref.runReference(opts)
 					var resume *Snapshot
 					for _, s := range g.Checkpoints {
 						if s.Sites() <= f.Site {
@@ -299,7 +286,7 @@ func TestEquivFuzzGoldenConvergence(t *testing.T) {
 							converged++
 						}
 						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("iter %d/%s K=%d fault=%+v resumed=%v: Result differs\ngolden: %+v\nslow:   %+v",
+							t.Fatalf("iter %d/%s K=%d fault=%+v resumed=%v: Result differs\ngolden: %+v\nref:    %+v",
 								i, tech, k, *f, from != nil, got, want)
 						}
 					}
@@ -314,10 +301,10 @@ func TestEquivFuzzGoldenConvergence(t *testing.T) {
 						continue
 					}
 					cont := RunOpts{MaxSteps: maxSteps, Resume: b.Boundary}
-					want = slow.runReference(cont)
+					want = ref.runReference(cont)
 					cont.Golden = g
 					if got := fast.Run(cont); !reflect.DeepEqual(got, want) {
-						t.Fatalf("iter %d/%s K=%d fault=%+v: boundary continuation differs\ngolden: %+v\nslow:   %+v",
+						t.Fatalf("iter %d/%s K=%d fault=%+v: boundary continuation differs\ngolden: %+v\nref:    %+v",
 							i, tech, k, *f, got, want)
 					}
 				}

@@ -188,10 +188,10 @@ type SiteLoc struct {
 }
 
 // flatInst is the cold side of a loaded instruction: the original asm form
-// plus provenance, used by profiling, tracing, fault application and the
-// generic slow path. The hot interpreter loop reads only the parallel
-// decoded uop array (Machine.uops; see decode.go), which is kept small so
-// the working set of a run fits closer to L1.
+// plus provenance, used by profiling, tracing and fault application. The
+// hot interpreter loop reads only the parallel decoded uop array
+// (Machine.uops; see decode.go), which is kept small so the working set of
+// a run fits closer to L1.
 type flatInst struct {
 	in   asm.Inst
 	dest asm.Dest
@@ -201,17 +201,16 @@ type flatInst struct {
 }
 
 // program is a decoded asm program: the flat instruction table, its
-// parallel uop array, the label map, the start and entry points and the
-// block-dispatch tables. It holds no memory, so one decoded program serves
-// machines of every memory size. A Machine embeds it by value: making a
-// machine copies the slice headers, and the execution loop reads the
-// tables straight off the Machine.
+// parallel uop array, the start and entry points and the block-dispatch
+// tables. It holds no memory, so one decoded program serves machines of
+// every memory size. A Machine embeds it by value: making a machine copies
+// the slice headers, and the execution loop reads the tables straight off
+// the Machine.
 type program struct {
-	insts  []flatInst
-	uops   []uop // decoded hot array, parallel to insts
-	labels map[string]int
-	entry  int
-	start  int
+	insts []flatInst
+	uops  []uop // decoded hot array, parallel to insts
+	entry int
+	start int
 
 	// Block-dispatch tables (indexed by instruction position; see
 	// block.go).
@@ -285,7 +284,9 @@ func New(p *asm.Program, memSize int) (*Machine, error) {
 	return d.Instantiate(memSize)
 }
 
-// Decode validates and decodes a program under the default cost model.
+// Decode validates and decodes a program under the default cost model. An
+// instruction whose operand shape the machine has no fused form for is an
+// error naming its function, index and text.
 func Decode(p *asm.Program) (*Decoded, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -294,22 +295,22 @@ func Decode(p *asm.Program) (*Decoded, error) {
 }
 
 // decodeProgram decodes a program without validating it first. It still
-// rejects undefined control-flow labels; tests use this entry to exercise
-// that guard directly.
+// rejects undefined control-flow labels and unsupported operand shapes;
+// tests use this entry to exercise those guards directly.
 func decodeProgram(p *asm.Program) (*Decoded, error) {
 	n := 0
 	for _, f := range p.Funcs {
 		n += len(f.Insts)
 	}
-	d := &Decoded{program{
-		insts:  make([]flatInst, 0, n),
-		labels: make(map[string]int),
-	}}
+	d := &Decoded{program{insts: make([]flatInst, 0, n)}}
+	labels := make(map[string]int)
+	fnEntries := make([]int, 0, len(p.Funcs))
 	for _, f := range p.Funcs {
-		d.labels[f.Name] = len(d.insts)
+		labels[f.Name] = len(d.insts)
+		fnEntries = append(fnEntries, len(d.insts))
 		for i, in := range f.Insts {
 			for _, l := range in.Labels {
-				d.labels[l] = len(d.insts)
+				labels[l] = len(d.insts)
 			}
 			d.insts = append(d.insts, flatInst{
 				in: in, dest: asm.DestOf(in), fn: f.Name, idx: i,
@@ -321,7 +322,7 @@ func decodeProgram(p *asm.Program) (*Decoded, error) {
 	for i := range d.insts {
 		d.insts[i].cost = costs.staticCost(d.insts[i].in)
 		d.uops[i].cost = d.insts[i].cost
-		if err := d.decode(&d.uops[i], &d.insts[i]); err != nil {
+		if err := decode(&d.uops[i], &d.insts[i], labels); err != nil {
 			return nil, err
 		}
 	}
@@ -329,14 +330,14 @@ func decodeProgram(p *asm.Program) (*Decoded, error) {
 	if entry == "" {
 		return nil, fmt.Errorf("machine: program has no entry")
 	}
-	start, ok := d.labels[asm.StartLabel]
+	start, ok := labels[asm.StartLabel]
 	if !ok {
 		// Without scaffolding, begin directly at the entry function.
-		start = d.labels[entry]
+		start = labels[entry]
 	}
 	d.start = start
-	d.entry = d.labels[entry]
-	d.buildBlocks()
+	d.entry = labels[entry]
+	d.buildBlocks(fnEntries)
 	return d, nil
 }
 
