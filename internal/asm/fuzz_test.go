@@ -10,11 +10,13 @@ import (
 
 // FuzzParseRoundTrip: whatever Parse accepts, its printed form parses again
 // and prints the same text, so a program survives any number of
-// print/parse trips. Seeded with the compiled raw Rodinia programs and a
-// label whose name ends in a colon, which used to print as an unparsable
-// "0::" line.
+// print/parse trips. Seeded with the compiled raw Rodinia programs and two
+// labels that used to print unparsably: one whose name ends in a colon
+// ("0::"), and one with a carriage return inside, which the directive
+// reader splits as whitespace.
 func FuzzParseRoundTrip(f *testing.F) {
 	f.Add("0::\nmovb 0,0")
+	f.Add("0\r0:\nmovb 0,0")
 	for _, b := range rodinia.All() {
 		inst, err := b.Instantiate(1, 1)
 		if err != nil {

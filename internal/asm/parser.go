@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Parse reads a program in the AT&T-style syntax Print/String emit.
@@ -61,7 +62,9 @@ func Parse(src string) (*Program, error) {
 		// Labels (possibly several per line position).
 		if strings.HasSuffix(line, ":") {
 			name := strings.TrimSuffix(line, ":")
-			if name == "" || strings.ContainsAny(name, " \t:") {
+			// A label is one field: whitespace of any kind would split it
+			// when the printed program is read back.
+			if name == "" || strings.ContainsRune(name, ':') || strings.IndexFunc(name, unicode.IsSpace) >= 0 {
 				return nil, fail("malformed label %q", line)
 			}
 			if name == pendingGlobl || cur == nil {

@@ -12,10 +12,11 @@ import (
 
 // campaign is one run of the campaign pipeline every runner shares —
 // RunAsmCampaign, RunIRCampaign, compose and ProfileProneness: Check, the
-// journaled-prior shortcut, build and golden run, the plan draw, the run
-// mode's plan stage, checkpoint recording, runPlans, Result assembly, and
-// the observe/journal tail. The engine seam (engine.go) supplies the
-// level-specific work.
+// journaled-prior shortcut, build and golden run (which also takes the
+// checkpoints of a converging asm campaign), the plan draw, the run mode's
+// plan stage, checkpoint recording for compose and IR campaigns, runPlans,
+// Result assembly, and the observe/journal tail. The engine seam
+// (engine.go) supplies the level-specific work.
 type campaign struct {
 	c       Campaign
 	irLevel bool
@@ -64,9 +65,12 @@ func (f *campaign) run() (Result, error) {
 	}
 	defer f.eng.release()
 	gsp := c.Obs.Span("golden")
-	f.g, err = f.eng.golden()
+	f.g, err = f.eng.golden(c.goldenCheckpoints(f.irLevel))
 	gsp.SetAttr("dyn_insts", f.g.insts)
 	gsp.SetAttr("dyn_sites", f.g.sites)
+	if s := f.g.sched; s != nil {
+		s.setAttrs(gsp)
+	}
 	gsp.End()
 	if err != nil {
 		return Result{}, err
@@ -96,10 +100,15 @@ func (f *campaign) run() (Result, error) {
 		}
 	}
 
-	// Compose recorded the checkpoints to cut its sections; otherwise they
-	// are recorded when some plan still has to execute.
+	f.eng.planned()
+
+	// Compose recorded the checkpoints to cut its sections, and a converging
+	// asm campaign took them in its golden run; an IR campaign records them
+	// now. Either way they serve only when some plan still has to execute.
 	if f.sched == nil && !c.NoCheckpoint && c.pendingPlans(f.plans) > 0 {
-		f.record()
+		if f.sched = f.g.sched; f.sched == nil {
+			f.record()
+		}
 	}
 	if f.sched != nil {
 		f.plans = slices.Clone(f.plans)
@@ -177,14 +186,13 @@ func (f *campaign) prune() error {
 	return nil
 }
 
-// record records the checkpoint schedule at the campaign's interval.
+// record records the checkpoint schedule of a compose or IR campaign in a
+// run of its own, at the campaign's interval.
 func (f *campaign) record() {
 	k := f.c.checkpointInterval(f.g.sites)
 	csp := f.c.Obs.Span("checkpoint.record")
 	f.sched = f.eng.record(k)
-	csp.SetAttr("k", k)
-	csp.SetAttr("snapshots", len(f.sched.sites))
-	csp.SetAttr("bytes", f.sched.bytes)
+	f.sched.setAttrs(csp)
 	csp.End()
 }
 

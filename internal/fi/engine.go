@@ -15,8 +15,14 @@ import (
 // mode stages, the worker pool, resume accounting and result assembly are
 // level-independent and live in the flow.
 type engine interface {
-	// golden runs the built template unfaulted.
-	golden() (goldenRun, error)
+	// golden runs the built template unfaulted. A non-nil ckpts also
+	// records the campaign's checkpoint schedule in the same run (asm
+	// only); the engine keeps the snapshots, goldenRun.sched says where
+	// they sit.
+	golden(ckpts *machine.Checkpoints) (goldenRun, error)
+	// planned tells the engine the plan is drawn: it drops what only the
+	// draw and its stages read.
+	planned()
 	// record replays the golden run with a snapshot every k sites. The
 	// engine keeps the snapshots; the flow gets where they sit.
 	record(k uint64) *schedule
@@ -48,6 +54,9 @@ type goldenRun struct {
 	// samples bits from, counting fallback draws into *fallbacks (see
 	// siteWidth). nil at IR level, where every site is 64 bits wide.
 	width func(fallbacks *int) func(uint64) uint
+	// sched is the checkpoint schedule the golden run recorded; nil when
+	// it recorded none.
+	sched *schedule
 }
 
 // schedule is a recorded checkpoint schedule as the flow sees it.
@@ -56,6 +65,13 @@ type schedule struct {
 	sites []uint64 // snapshot site counts, ascending
 	skips []int64  // instructions resuming from each snapshot skips
 	bytes int      // dirtied bytes captured across all snapshots
+}
+
+// setAttrs describes the schedule on the span that recorded it.
+func (s *schedule) setAttrs(sp *obs.ActiveSpan) {
+	sp.SetAttr("k", s.k)
+	sp.SetAttr("snapshots", len(s.sites))
+	sp.SetAttr("bytes", s.bytes)
 }
 
 func (s *schedule) add(sites, skip uint64, bytes int) {
@@ -88,14 +104,15 @@ type asmEngine struct {
 	res      machine.Result
 	// instrs is the template's StaticInstrs table, which res.SiteStatics
 	// index: each site's location and destination width. The per-site
-	// table is dropped when the checkpoints are recorded — the plan is
-	// drawn by then — unless keepSites asks for it (siteLoc).
+	// table is dropped once the plan is drawn (planned) unless keepSites
+	// asks for it (siteLoc).
 	instrs    []machine.StaticInstr
 	keepSites bool
-	// sched is the recorded checkpoint schedule. Plans resume from its
-	// snapshots and end at the first one their state rejoins
-	// (machine.RunOpts.Golden); its Result's FnSpans say which functions
-	// ran between the snapshots.
+	// sched is the checkpoint schedule, recorded by the golden run or by
+	// record. Plans resume from its snapshots and end at the first one
+	// their state rejoins (machine.RunOpts.Golden); a record run's Result
+	// also has FnSpans, which say which functions ran between the
+	// snapshots.
 	sched *machine.Golden
 }
 
@@ -114,17 +131,18 @@ func newAsmEngine(tgt AsmTarget, maxSteps uint64) (*asmEngine, error) {
 }
 
 // golden also records the run's per-site static ids.
-func (e *asmEngine) golden() (goldenRun, error) {
+func (e *asmEngine) golden(ckpts *machine.Checkpoints) (goldenRun, error) {
 	e.res = e.m0.Run(machine.RunOpts{
 		Args:              e.tgt.Args,
 		MaxSteps:          e.maxSteps,
 		RecordSiteStatics: true,
+		Checkpoints:       ckpts,
 	})
 	if e.res.Outcome != machine.OutcomeOK {
 		return goldenRun{}, fmt.Errorf("fi: golden run failed: %v (%s)", e.res.Outcome, e.res.CrashMsg)
 	}
 	e.instrs = e.m0.StaticInstrs()
-	return goldenRun{
+	g := goldenRun{
 		sites:  e.res.DynSites,
 		insts:  e.res.DynInsts,
 		output: e.res.Output,
@@ -132,28 +150,42 @@ func (e *asmEngine) golden() (goldenRun, error) {
 		width: func(fallbacks *int) func(uint64) uint {
 			return siteWidth(e.res.SiteStatics, e.instrs, fallbacks)
 		},
-	}, nil
+	}
+	if ckpts != nil {
+		end := e.res
+		end.SiteStatics = nil
+		g.sched = e.schedule(ckpts, end)
+	}
+	return g, nil
+}
+
+func (e *asmEngine) planned() {
+	if !e.keepSites {
+		e.res.SiteStatics = nil
+	}
 }
 
 // record also records function spans: on the block loop they cost one
 // compare per block entry, and compose's section keys hash them.
 func (e *asmEngine) record(k uint64) *schedule {
-	if !e.keepSites {
-		e.res.SiteStatics = nil
-	}
-	s := &schedule{k: k}
-	var snaps []*machine.Snapshot
+	ckpts := &machine.Checkpoints{Every: k}
 	end := e.m0.Run(machine.RunOpts{
-		Args:            e.tgt.Args,
-		MaxSteps:        e.maxSteps,
-		CheckpointEvery: k,
-		RecordFnSpans:   true,
-		OnCheckpoint: func(sn *machine.Snapshot) {
-			snaps = append(snaps, sn)
-			s.add(sn.Sites(), sn.DynInsts(), sn.MemBytes())
-		},
+		Args:          e.tgt.Args,
+		MaxSteps:      e.maxSteps,
+		Checkpoints:   ckpts,
+		RecordFnSpans: true,
 	})
-	e.sched = &machine.Golden{Checkpoints: snaps, End: end}
+	return e.schedule(ckpts, end)
+}
+
+// schedule keeps the snapshots of a golden run that ended with end as the
+// plans' resume points and convergence targets.
+func (e *asmEngine) schedule(ckpts *machine.Checkpoints, end machine.Result) *schedule {
+	e.sched = &machine.Golden{Checkpoints: ckpts.Snaps, End: end}
+	s := &schedule{k: ckpts.Every}
+	for _, sn := range ckpts.Snaps {
+		s.add(sn.Sites(), sn.DynInsts(), sn.MemBytes())
+	}
 	return s
 }
 
@@ -262,7 +294,7 @@ func newIREngine(tgt IRTarget, maxSteps uint64) (*irEngine, error) {
 	return &irEngine{tgt: tgt, maxSteps: maxSteps, ip0: ip}, nil
 }
 
-func (e *irEngine) golden() (goldenRun, error) {
+func (e *irEngine) golden(*machine.Checkpoints) (goldenRun, error) {
 	r := e.ip0.Run(ir.RunOpts{Args: e.tgt.Args, MaxSteps: e.maxSteps})
 	if r.Outcome != ir.OutcomeOK {
 		return goldenRun{}, fmt.Errorf("fi: golden IR run failed: %v (%s)", r.Outcome, r.CrashMsg)
@@ -302,6 +334,7 @@ func (e *irEngine) release() {
 	e.ip0.Release()
 }
 
+func (e *irEngine) planned()         {}
 func (e *irEngine) observe(*obs.Ctx) {}
 func (e *irEngine) unit() string     { return "insts" }
 

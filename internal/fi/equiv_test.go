@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,7 +91,10 @@ func equivIRTarget(t *testing.T, inst *rodinia.Instance, protect bool) IRTarget 
 // checkEquiv runs the direct path once and the checkpointed path across
 // K ∈ {1, auto, DynSites} × workers ∈ {1, 8}, requiring identical Counts
 // and identical per-outcome latency histograms (bucket counts, Sum, N).
-func checkEquiv(t *testing.T, name string, run func(Campaign) (Result, error)) {
+// thins marks a converging asm campaign, whose auto schedule is thinned in
+// the golden run: the programs and Samples here make it thin at least
+// twice, so the checked schedule is one the doubling produced.
+func checkEquiv(t *testing.T, name string, thins bool, run func(Campaign) (Result, error)) {
 	t.Helper()
 	base := Campaign{Samples: 80, Seed: 12345, MaxSteps: equivSteps, Workers: 2}
 
@@ -136,6 +140,9 @@ func checkEquiv(t *testing.T, name string, run func(Campaign) (Result, error)) {
 			if cp.Restores > 0 && cp.SkippedInsts == 0 {
 				t.Errorf("%s: restores but no instructions skipped", ctx)
 			}
+			if k == 0 && thins && (cp.Interval < 4 || bits.OnesCount64(cp.Interval) != 1) {
+				t.Errorf("%s: auto schedule ended at K=%d, want a power of two thinned at least twice", ctx, cp.Interval)
+			}
 		}
 	}
 }
@@ -162,7 +169,7 @@ func TestEquivAsmCampaigns(t *testing.T) {
 		inst := equivBench(t, bench)
 		for _, tech := range equivAsmTechs {
 			tgt := equivTechTarget(t, inst, tech)
-			checkEquiv(t, "asm/"+bench+"/"+tech, func(c Campaign) (Result, error) {
+			checkEquiv(t, "asm/"+bench+"/"+tech, true, func(c Campaign) (Result, error) {
 				return RunAsmCampaign(tgt, c)
 			})
 		}
@@ -258,7 +265,7 @@ func TestEquivIRCampaigns(t *testing.T) {
 		for _, protect := range []bool{false, true} {
 			tech := map[bool]string{false: "raw", true: "ir-eddi"}[protect]
 			tgt := equivIRTarget(t, inst, protect)
-			checkEquiv(t, "ir/"+bench+"/"+tech, func(c Campaign) (Result, error) {
+			checkEquiv(t, "ir/"+bench+"/"+tech, false, func(c Campaign) (Result, error) {
 				return RunIRCampaign(tgt, c)
 			})
 		}

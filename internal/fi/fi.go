@@ -110,7 +110,9 @@ type Campaign struct {
 	// for debugging and for the equivalence tests.
 	NoCheckpoint bool
 	// CheckpointEvery overrides the snapshot spacing K (dynamic sites
-	// between checkpoints). 0 auto-tunes via DefaultCheckpointInterval.
+	// between checkpoints). 0 auto-tunes: a converging asm campaign thins
+	// the schedule its golden run takes (goldenCheckpoints), and compose
+	// and IR campaigns use DefaultCheckpointInterval.
 	CheckpointEvery uint64
 	// CIWidth, if > 0, enables Wilson-interval early stopping: the campaign
 	// ends once the 95% confidence interval of the SDC rate over the
@@ -417,7 +419,7 @@ func FindExample(tgt AsmTarget, c Campaign, want Outcome) (machine.Fault, bool, 
 		return machine.Fault{}, false, err
 	}
 	defer e.release()
-	g, err := e.golden()
+	g, err := e.golden(nil)
 	if err != nil {
 		return machine.Fault{}, false, err
 	}

@@ -402,7 +402,7 @@ func LoadJournal(path string) (*JournalState, error) {
 func LoadJournalData(data []byte, name string) (*JournalState, error) {
 	st := &JournalState{cells: map[string]*CellState{}}
 	sawMeta := false
-	off := int64(0)
+	off, records := int64(0), 0
 	for lineNo := 1; len(data) > 0; lineNo++ {
 		nl := bytes.IndexByte(data, '\n')
 		var line []byte
@@ -440,6 +440,11 @@ func LoadJournalData(data []byte, name string) (*JournalState, error) {
 		}
 		switch r.T {
 		case "meta":
+			if records > 0 {
+				// Only the first record says which configuration the
+				// journal belongs to; a later one must not replace it.
+				return nil, fmt.Errorf("fi: journal %s, line %d: meta record after the first record", name, lineNo)
+			}
 			st.Meta = *r.Meta
 			sawMeta = true
 		case "plan":
@@ -461,6 +466,7 @@ func LoadJournalData(data []byte, name string) (*JournalState, error) {
 		case "cell":
 			st.cell(r.C).Result = res
 		}
+		records++
 		off += lineLen
 	}
 	if !sawMeta {
@@ -559,13 +565,19 @@ func ResumeStreamJournal(sink JournalSink) *Journal {
 // reach the durable shard file, so a garbled, mid-record-truncated or
 // unloadable upload (a foreign schema version, an undecodable cell result)
 // is rejected whole rather than making the journal unloadable.
-func ValidateRecords(data []byte) error {
+//
+// A meta record is accepted only as the chunk's first record, and returned:
+// it is the start of a journal, so the caller must check that the chunk
+// begins its file and that the meta is the configuration it expects.
+func ValidateRecords(data []byte) (*JournalMeta, error) {
 	if len(data) == 0 {
-		return nil
+		return nil, nil
 	}
 	if data[len(data)-1] != '\n' {
-		return fmt.Errorf("fi: journal chunk does not end at a record boundary")
+		return nil, fmt.Errorf("fi: journal chunk does not end at a record boundary")
 	}
+	var meta *JournalMeta
+	first := true
 	for lineNo := 1; len(data) > 0; lineNo++ {
 		nl := bytes.IndexByte(data, '\n')
 		line := data[:nl]
@@ -573,11 +585,19 @@ func ValidateRecords(data []byte) error {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if _, _, err := parseRecord(line); err != nil {
-			return fmt.Errorf("fi: journal chunk corrupt at line %d: %v: %q", lineNo, err, line)
+		r, _, err := parseRecord(line)
+		if err != nil {
+			return nil, fmt.Errorf("fi: journal chunk corrupt at line %d: %v: %q", lineNo, err, line)
 		}
+		if r.T == "meta" {
+			if !first {
+				return nil, fmt.Errorf("fi: journal chunk has a meta record after its first record, at line %d", lineNo)
+			}
+			meta = r.Meta
+		}
+		first = false
 	}
-	return nil
+	return meta, nil
 }
 
 // ResumeJournal loads a journal and reopens it for appending. If the file

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -138,8 +139,8 @@ func TestValidateRecordsMatchesLoader(t *testing.T) {
 	data := sampleJournal(t)
 	meta, records, _ := bytes.Cut(data, []byte("\n"))
 	meta = append(meta, '\n')
-	if err := ValidateRecords(records); err != nil {
-		t.Fatalf("ValidateRecords refused a journal's own records: %v", err)
+	if m, err := ValidateRecords(records); err != nil || m != nil {
+		t.Fatalf("ValidateRecords on a journal's own records = %v, %v", m, err)
 	}
 	for _, chunk := range unloadableChunks {
 		// Followed by a plan record, so the loader cannot take the bad
@@ -148,29 +149,71 @@ func TestValidateRecordsMatchesLoader(t *testing.T) {
 		if _, err := LoadJournalData(appended, "appended"); err == nil {
 			t.Errorf("loader accepted %q mid-stream", chunk)
 		}
-		if err := ValidateRecords([]byte(chunk)); err == nil {
+		if _, err := ValidateRecords([]byte(chunk)); err == nil {
 			t.Errorf("ValidateRecords accepted %q, which makes the journal unloadable", chunk)
 		}
 	}
 }
 
-// FuzzValidateRecords: whatever chunk ValidateRecords accepts, appended to
-// a journal's meta record, loads.
+// otherMeta is a well-formed meta record of another configuration: what a
+// chunk carrying it would swap a journal's configuration to.
+const otherMeta = `{"t":"meta","v":2,"meta":{"tool":"other","seed":1,"samples":5}}` + "\n"
+
+// TestJournalMetaOnlyFirst: a meta record anywhere but first cannot replace
+// the journal's configuration. The loader refuses the journal, and
+// ValidateRecords refuses a chunk with one past its first record; as the
+// first record it is returned for the caller to check.
+func TestJournalMetaOnlyFirst(t *testing.T) {
+	data := sampleJournal(t)
+	meta, records, _ := bytes.Cut(data, []byte("\n"))
+	meta = append(meta, '\n')
+	for name, journal := range map[string]string{
+		"appended":     string(data) + otherMeta,
+		"mid-stream":   string(meta) + otherMeta + string(records),
+		"after a plan": `{"t":"plan","c":"a","i":0,"o":0}` + "\n" + string(data),
+	} {
+		if st, err := LoadJournalData([]byte(journal), name); err == nil {
+			t.Errorf("%s: journal with a second meta loaded, meta %+v", name, st.Meta)
+		}
+	}
+	if _, err := ValidateRecords(append(append([]byte(nil), records...), otherMeta...)); err == nil {
+		t.Error("ValidateRecords accepted a meta record after a plan record")
+	}
+	m, err := ValidateRecords(append(append([]byte(nil), meta...), records...))
+	if err != nil || m == nil || m.Check(testMeta) != nil {
+		t.Errorf("ValidateRecords on a whole journal = %+v, %v; want its meta", m, err)
+	}
+}
+
+// FuzzValidateRecords: whatever chunk ValidateRecords accepts loads, and
+// keeps the configuration it starts under. A chunk without a meta record,
+// appended to a journal's meta record, loads with that meta; a chunk whose
+// first record is a meta loads on its own with the meta returned.
 func FuzzValidateRecords(f *testing.F) {
 	data := sampleJournal(f)
 	meta, records, _ := bytes.Cut(data, []byte("\n"))
 	meta = append(meta, '\n')
 	f.Add(records)
+	f.Add(data)
+	f.Add(append(append([]byte(nil), records...), otherMeta...))
 	for _, chunk := range unloadableChunks {
 		f.Add([]byte(chunk))
 	}
 	f.Fuzz(func(t *testing.T, chunk []byte) {
-		if ValidateRecords(chunk) != nil {
+		m, err := ValidateRecords(chunk)
+		if err != nil {
 			return
 		}
-		journal := append(append([]byte(nil), meta...), chunk...)
-		if _, err := LoadJournalData(journal, "fuzz"); err != nil {
+		journal, want := append(append([]byte(nil), meta...), chunk...), testMeta
+		if m != nil {
+			journal, want = chunk, *m
+		}
+		st, err := LoadJournalData(journal, "fuzz")
+		if err != nil {
 			t.Fatalf("validated chunk does not load: %v\n%s", err, chunk)
+		}
+		if !reflect.DeepEqual(st.Meta, want) {
+			t.Fatalf("loaded meta %+v, want %+v\n%s", st.Meta, want, chunk)
 		}
 	})
 }

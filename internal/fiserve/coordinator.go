@@ -1,6 +1,7 @@
 package fiserve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -356,16 +357,36 @@ func (co *Coordinator) resolveShard(id string, idx, epoch int) (*campaign, *shar
 }
 
 // appendRecords appends a validated NDJSON chunk to a shard journal, fsynced
-// before the 204 goes back — the worker's Journal.Sync contract.
+// before the 204 goes back — the worker's Journal.Sync contract. A shard
+// file's first chunk must open with the shard's own meta record, and no
+// later chunk may carry one: the meta is what a re-leased shard resumes
+// under.
 func (co *Coordinator) appendRecords(id string, idx, epoch int, chunk []byte) error {
-	if err := fi.ValidateRecords(chunk); err != nil {
+	meta, err := fi.ValidateRecords(chunk)
+	if err != nil {
 		return err
 	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	_, s, err := co.resolveShard(id, idx, epoch)
+	c, s, err := co.resolveShard(id, idx, epoch)
 	if err != nil {
 		return err
+	}
+	st, err := os.Stat(s.path)
+	fresh := errors.Is(err, os.ErrNotExist) || err == nil && st.Size() == 0
+	if err != nil && !fresh {
+		return err
+	}
+	switch {
+	case fresh && meta == nil && len(bytes.TrimSpace(chunk)) > 0:
+		return fmt.Errorf("fiserve: shard %d: the journal's first chunk must open with its meta record", idx)
+	case !fresh && meta != nil:
+		return fmt.Errorf("fiserve: shard %d: meta record in a chunk after the journal's first", idx)
+	case meta != nil:
+		want := shardMeta(c.spec, fi.ShardSpec{Index: s.index, Count: len(c.shards)})
+		if err := meta.Check(want); err != nil {
+			return fmt.Errorf("fiserve: shard %d: %w", idx, err)
+		}
 	}
 	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -388,6 +388,65 @@ func TestStaleEpochRejected(t *testing.T) {
 	}
 }
 
+// TestRecordsMetaOnlyFirst: a shard journal's configuration is its first
+// record. The first chunk must open with the lease's own meta, and no later
+// chunk may carry one, so an upload cannot swap the configuration a
+// re-leased shard resumes under.
+func TestRecordsMetaOnlyFirst(t *testing.T) {
+	co, err := Start(Config{Addr: "127.0.0.1:0", Dir: t.TempDir(), Shards: 2})
+	if err != nil {
+		t.Fatalf("start coordinator: %v", err)
+	}
+	defer co.Close()
+	id, err := co.Submit("t", testSpec("bfs", harness.Raw, 8))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	l, _, err := co.lease("w1")
+	if err != nil || l == nil {
+		t.Fatalf("lease: %v (lease %v)", err, l)
+	}
+	metaChunk := func(m fi.JournalMeta) []byte {
+		path := filepath.Join(t.TempDir(), "meta.ndjson")
+		j, err := fi.CreateJournal(path, m)
+		if err != nil {
+			t.Fatalf("create journal: %v", err)
+		}
+		j.Close()
+		return mustReadFile(t, path)
+	}
+	other := l.Meta
+	other.Seed++
+	plan := []byte(fmt.Sprintf(`{"t":"plan","c":%q,"i":0,"o":0}`+"\n", l.Key))
+	upload := func(chunk []byte) error { return co.appendRecords(id, l.Shard, l.Epoch, chunk) }
+
+	if err := upload(plan); err == nil {
+		t.Error("first chunk without a meta record accepted")
+	}
+	if err := upload(metaChunk(other)); err == nil {
+		t.Error("first chunk with another configuration's meta accepted")
+	}
+	if err := upload(metaChunk(l.Meta)); err != nil {
+		t.Fatalf("first chunk with the lease's meta: %v", err)
+	}
+	if err := upload(metaChunk(l.Meta)); err == nil {
+		t.Error("second meta record accepted")
+	}
+	if err := upload(append(plan, metaChunk(other)...)); err == nil {
+		t.Error("chunk with a meta record after a plan record accepted")
+	}
+	if err := upload(plan); err != nil {
+		t.Fatalf("plan chunk: %v", err)
+	}
+	st, err := fi.LoadJournalData(mustReadFile(t, co.campaigns[id].shards[l.Shard].path), "shard")
+	if err != nil {
+		t.Fatalf("shard journal does not load: %v", err)
+	}
+	if err := st.Meta.Check(l.Meta); err != nil {
+		t.Errorf("shard journal meta: %v", err)
+	}
+}
+
 // TestLeaseMetaCheckNamesField: a worker resuming a shard journal recorded
 // under a different configuration must fail with the first differing field
 // named — the service-level face of JournalMeta.Check.

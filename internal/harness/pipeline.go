@@ -177,7 +177,7 @@ type Options struct {
 	// (see fi.Campaign.NoCheckpoint); results are byte-identical either way.
 	NoCheckpoint bool
 	// CheckpointEvery overrides the per-campaign snapshot spacing K
-	// (0 = auto-tune per cell from DynSites/√Samples).
+	// (0 = auto-tune per cell; see fi.Campaign.CheckpointEvery).
 	CheckpointEvery uint64
 	// CellTimeout, if > 0, arms a per-cell watchdog: a cell still running
 	// after this long is cooperatively canceled (its campaign stops at the

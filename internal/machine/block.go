@@ -14,7 +14,7 @@ import (
 // bounds check, one watchdog check and one stop-site check at block entry.
 // Blocks whose execution could cross the step budget, contain the planned
 // fault site, or reach the next stop site (StopAtSites, the next
-// CheckpointEvery multiple, a golden convergence point) fall back to
+// checkpoint, a golden convergence point) fall back to
 // runBlockSlow, which applies those checks per instruction — so Result
 // (outcome, cycles, counters, crash messages) is identical either way.
 // Per-instruction observers (site recording, function spans, profiling,
@@ -181,12 +181,12 @@ func (m *Machine) runBlockSlow(opts *RunOpts, maxSteps uint64, pc, end int) (Out
 				m.injDyn = m.dyn
 			}
 			m.sites++
-			if k := opts.CheckpointEvery; k > 0 && m.sites%k == 0 {
-				opts.OnCheckpoint(m.Snapshot())
+			if c := opts.Checkpoints; c != nil && m.sites%c.Every == 0 {
+				c.take(m)
 			}
 			if opts.StopAtSites > 0 && m.sites == opts.StopAtSites {
 				// Capture before the epilogue's span flush so the boundary
-				// state matches a golden OnCheckpoint snapshot bit for bit.
+				// state matches a golden checkpoint snapshot bit for bit.
 				m.boundary = m.Snapshot()
 				return OutcomeBoundary, "", true
 			}

@@ -17,10 +17,7 @@ func TestEquivBoundaryStop(t *testing.T) {
 	if golden.Outcome != OutcomeOK || golden.DynSites == 0 {
 		t.Fatalf("golden = %+v", golden)
 	}
-	var snaps []*Snapshot
-	m.Run(RunOpts{CheckpointEvery: 5, OnCheckpoint: func(s *Snapshot) {
-		snaps = append(snaps, s)
-	}})
+	snaps := checkpoints(m, RunOpts{}, 5)
 	if len(snaps) < 2 {
 		t.Fatalf("only %d snapshots", len(snaps))
 	}
@@ -63,10 +60,7 @@ func TestEquivBoundaryFaulted(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := m.Run(RunOpts{})
-	var snaps []*Snapshot
-	m.Run(RunOpts{CheckpointEvery: 10, OnCheckpoint: func(s *Snapshot) {
-		snaps = append(snaps, s)
-	}})
+	snaps := checkpoints(m, RunOpts{}, 10)
 	stop := snaps[0].Sites()
 	for site := uint64(0); site < stop; site++ {
 		for _, bit := range []uint{0, 7, 31} {
@@ -121,10 +115,7 @@ func TestSnapshotDigestStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	record := func() []*Snapshot {
-		var snaps []*Snapshot
-		m.Run(RunOpts{CheckpointEvery: 7, OnCheckpoint: func(s *Snapshot) {
-			snaps = append(snaps, s)
-		}})
+		snaps := checkpoints(m, RunOpts{}, 7)
 		return snaps
 	}
 	a, b := record(), record()

@@ -45,20 +45,20 @@ func (m *Machine) goldenAhead(opts *RunOpts, maxSteps uint64) []*Snapshot {
 // observed reports whether the run records anything beyond its Result's
 // terminal fields: sites, spans, a profile, a trace or checkpoints.
 func (o *RunOpts) observed() bool {
-	return o.RecordSiteStatics || o.RecordFnSpans || o.Profile || o.Trace > 0 || o.CheckpointEvery > 0
+	return o.RecordSiteStatics || o.RecordFnSpans || o.Profile || o.Trace > 0 || o.Checkpoints != nil
 }
 
 // stopSite is the first site count at which the block loop must hand
 // control to runBlockSlow: the StopAtSites boundary, the next multiple of
-// CheckpointEvery, or, once the fault has been applied, the next golden
+// the checkpoint spacing, or, once the fault has been applied, the next golden
 // checkpoint. MaxUint64 means none.
 func (m *Machine) stopSite(opts *RunOpts) uint64 {
 	s := uint64(math.MaxUint64)
 	if opts.StopAtSites > 0 {
 		s = opts.StopAtSites
 	}
-	if k := opts.CheckpointEvery; k > 0 {
-		s = min(s, (m.sites/k+1)*k)
+	if c := opts.Checkpoints; c != nil {
+		s = min(s, (m.sites/c.Every+1)*c.Every)
 	}
 	if m.injected && len(m.conv) > 0 && m.conv[0].sites < s {
 		s = m.conv[0].sites
@@ -81,7 +81,7 @@ func (m *Machine) checkConverged() bool {
 }
 
 // matchesSnapshot reports whether the live state equals s bit for bit, at
-// the capture point OnCheckpoint uses. It allocates nothing after the
+// the capture point checkpoints use. It allocates nothing after the
 // machine's first compare. The scalar fields go first, so a run whose
 // control flow, timing or output has diverged is rejected before any
 // register or memory is read.

@@ -21,21 +21,20 @@ import (
 const equivMemSize = 1 << 20
 const equivMaxSteps = 1 << 20
 
-// ckpt is what one OnCheckpoint delivery pins: the snapshot's site and
-// instruction counts and the digest of its whole state.
+// ckpt is what one checkpoint pins: the snapshot's site and instruction
+// counts and the digest of its whole state.
 type ckpt struct{ sites, dyn, digest uint64 }
 
 // runCkpts runs opts through run with a checkpoint every k sites and
-// returns the Result with the schedule it delivered.
+// returns the Result with the schedule it kept.
 func runCkpts(run func(RunOpts) Result, opts RunOpts, k uint64) (Result, []ckpt, []*Snapshot) {
+	opts.Checkpoints = &Checkpoints{Every: k}
+	res := run(opts)
 	var cks []ckpt
-	var snaps []*Snapshot
-	opts.CheckpointEvery = k
-	opts.OnCheckpoint = func(s *Snapshot) {
+	for _, s := range opts.Checkpoints.Snaps {
 		cks = append(cks, ckpt{s.Sites(), s.DynInsts(), s.Digest()})
-		snaps = append(snaps, s)
 	}
-	return run(opts), cks, snaps
+	return res, cks, opts.Checkpoints.Snaps
 }
 
 func equivPrograms(t *testing.T, bench string) map[string]*asm.Program {
@@ -162,12 +161,7 @@ func TestEquivSnapshotAcrossDecode(t *testing.T) {
 			{"fast->ref", fast.Run, ref.runReference},
 		}
 		for _, p := range pairs {
-			var snaps []*Snapshot
-			p.from(RunOpts{
-				Args: args, MaxSteps: equivMaxSteps,
-				CheckpointEvery: want.DynSites / 3,
-				OnCheckpoint:    func(s *Snapshot) { snaps = append(snaps, s) },
-			})
+			_, _, snaps := runCkpts(p.from, RunOpts{Args: args, MaxSteps: equivMaxSteps}, want.DynSites/3)
 			if len(snaps) == 0 {
 				t.Fatalf("%s %s: no snapshots captured", bench, p.name)
 			}

@@ -91,7 +91,7 @@ type Result struct {
 	Trace []string
 	// Boundary holds the machine state at the stop point when the run ended
 	// with OutcomeBoundary (RunOpts.StopAtSites), captured at exactly the
-	// state an OnCheckpoint snapshot at the same site count would see.
+	// state a checkpoint snapshot at the same site count would see.
 	Boundary *Snapshot
 	// FnSpans records which functions executed over which dynamic-site
 	// intervals when RunOpts.RecordFnSpans was set, in execution order.
@@ -114,11 +114,9 @@ type RunOpts struct {
 	// provenance tags) in Result.Trace — a flight recorder for debugging
 	// fault outcomes. 0 disables tracing.
 	Trace int
-	// CheckpointEvery captures a Snapshot after every CheckpointEvery-th
-	// dynamic site and passes it to OnCheckpoint, recording a checkpoint
-	// schedule for later fast-forward resumes. 0 disables checkpointing.
-	CheckpointEvery uint64
-	OnCheckpoint    func(*Snapshot)
+	// Checkpoints, when non-nil, records a checkpoint schedule into it for
+	// later fast-forward resumes (see Checkpoints).
+	Checkpoints *Checkpoints
 	// Resume starts execution from a snapshot instead of the entry
 	// scaffolding. Args are ignored (register state comes from the
 	// snapshot) and all counters continue from the snapshot's values, so a
@@ -129,7 +127,7 @@ type RunOpts struct {
 	Resume *Snapshot
 	// StopAtSites, if > 0, ends the run with OutcomeBoundary the moment the
 	// dynamic site counter reaches it, capturing the machine state in
-	// Result.Boundary. The capture point is identical to OnCheckpoint's
+	// Result.Boundary. The capture point is identical to a checkpoint's
 	// (after the site instruction retires, before span flushing), so a
 	// boundary snapshot is digest-comparable with a golden checkpoint taken
 	// at the same site count. Runs that terminate first report their
@@ -155,7 +153,7 @@ type RunOpts struct {
 }
 
 // Golden is a fault-free reference run of the loaded program for
-// RunOpts.Golden: the snapshots its OnCheckpoint schedule delivered, in
+// RunOpts.Golden: the snapshots its checkpoint schedule kept, in
 // ascending Sites() order, and the Result it ended with. It must come from
 // a machine loaded with the same program, memory image and cost model.
 // Only a golden run that reached HALT is used, and only when the
@@ -453,10 +451,10 @@ func (m *Machine) Run(opts RunOpts) Result {
 
 // begin prepares the machine for a run — a reset with the entry arguments
 // installed, or a restore of opts.Resume — and returns its step budget. A
-// checkpoint spacing without a callback is cleared.
+// checkpoint schedule with no spacing is cleared.
 func (m *Machine) begin(opts *RunOpts) (uint64, error) {
-	if opts.OnCheckpoint == nil {
-		opts.CheckpointEvery = 0
+	if c := opts.Checkpoints; c != nil && c.Every == 0 {
+		opts.Checkpoints = nil
 	}
 	m.boundary = nil
 	if opts.Resume != nil {

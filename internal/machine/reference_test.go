@@ -81,8 +81,8 @@ loop:
 				siteStatics = append(siteStatics, int32(pc))
 			}
 			m.sites++
-			if opts.CheckpointEvery > 0 && m.sites%opts.CheckpointEvery == 0 && opts.OnCheckpoint != nil {
-				opts.OnCheckpoint(m.Snapshot())
+			if c := opts.Checkpoints; c != nil && m.sites%c.Every == 0 {
+				c.take(m)
 			}
 			if opts.StopAtSites > 0 && m.sites == opts.StopAtSites {
 				m.boundary = m.Snapshot()

@@ -48,18 +48,36 @@ func (s *Snapshot) DynInsts() uint64 { return s.dyn }
 func (s *Snapshot) MemBytes() int { return pagemem.Bytes(s.pages) }
 
 // Snapshot captures the machine's current state. Meaningful mid-run (via
-// RunOpts.OnCheckpoint) or immediately after a run; the capture is relative
+// RunOpts.Checkpoints) or immediately after a run; the capture is relative
 // to the current pristine image, so mutating the image afterwards
 // invalidates the snapshot.
 func (m *Machine) Snapshot() *Snapshot {
 	m.live("Snapshot")
-	return &Snapshot{
+	s := &Snapshot{}
+	m.captureSince(s, nil)
+	return s
+}
+
+// captureSince captures the machine's state into s, sharing the memory
+// pages of prev, an earlier snapshot of this run, that still hold the same
+// bytes. s may be a snapshot no one holds any more: its page list and
+// output buffer are reused, its page buffers are not.
+func (m *Machine) captureSince(s, prev *Snapshot) {
+	var prevPages []pagemem.Page
+	if prev != nil {
+		prevPages = prev.pages
+	}
+	var output []uint64
+	if len(m.output) > 0 {
+		output = append(s.output[:0], m.output...)
+	}
+	*s = Snapshot{
 		gpr: m.gpr, x: m.x, flags: m.flags,
 		pc: m.pc, dyn: m.dyn, sites: m.sites, injected: m.injected,
 		injCycles: m.injCycles, injDyn: m.injDyn,
-		output:     append([]uint64(nil), m.output...),
+		output:     output,
 		scalarSpan: m.scalarSpan, vectorSpan: m.vectorSpan, cycles: m.cycles,
-		pages:   m.mem.Capture(),
+		pages:   m.mem.CaptureSince(prevPages, s.pages),
 		memSize: len(m.mem.B),
 		nInsts:  len(m.insts),
 	}

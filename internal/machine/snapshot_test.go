@@ -53,10 +53,7 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	}
 
 	for _, every := range []uint64{1, 7, golden.DynSites} {
-		var snaps []*Snapshot
-		m.Run(RunOpts{CheckpointEvery: every, OnCheckpoint: func(s *Snapshot) {
-			snaps = append(snaps, s)
-		}})
+		snaps := checkpoints(m, RunOpts{}, every)
 		if len(snaps) == 0 {
 			t.Fatalf("K=%d: no snapshots", every)
 		}
@@ -101,10 +98,7 @@ func TestSnapshotResumeAfterAbnormalRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snaps []*Snapshot
-	m.Run(RunOpts{CheckpointEvery: 5, OnCheckpoint: func(s *Snapshot) {
-		snaps = append(snaps, s)
-	}})
+	snaps := checkpoints(m, RunOpts{}, 5)
 	golden := m.Run(RunOpts{})
 
 	snap := snaps[0]
@@ -139,10 +133,7 @@ func TestSnapshotMultiBitResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snaps []*Snapshot
-	m.Run(RunOpts{CheckpointEvery: 3, OnCheckpoint: func(s *Snapshot) {
-		snaps = append(snaps, s)
-	}})
+	snaps := checkpoints(m, RunOpts{}, 3)
 	snap := snaps[1]
 	for site := snap.Sites(); site < snap.Sites()+6; site++ {
 		f := &Fault{Site: site, Bit: 2, Extra: []uint{17, 33}}
@@ -157,10 +148,7 @@ func TestRestoreMismatch(t *testing.T) {
 	prog := mustParse(t, snapSrc)
 	m1, _ := New(prog, memSize)
 	m2, _ := New(prog, memSize*2)
-	var snaps []*Snapshot
-	m1.Run(RunOpts{CheckpointEvery: 1, OnCheckpoint: func(s *Snapshot) {
-		snaps = append(snaps, s)
-	}})
+	snaps := checkpoints(m1, RunOpts{}, 1)
 	if err := m2.Restore(snaps[0]); err == nil {
 		t.Fatal("restore across memory sizes accepted")
 	}
@@ -204,10 +192,7 @@ func TestSnapshotSharedAcrossMachines(t *testing.T) {
 	prog := mustParse(t, snapSrc)
 	m1, _ := New(prog, memSize)
 	m2, _ := New(prog, memSize)
-	var snaps []*Snapshot
-	m1.Run(RunOpts{CheckpointEvery: 4, OnCheckpoint: func(s *Snapshot) {
-		snaps = append(snaps, s)
-	}})
+	snaps := checkpoints(m1, RunOpts{}, 4)
 	golden := m1.Run(RunOpts{})
 	for _, snap := range snaps {
 		direct := m1.Run(RunOpts{Fault: &Fault{Site: snap.Sites(), Bit: 9}})
@@ -236,10 +221,18 @@ func TestSitesHintPrealloc(t *testing.T) {
 // and returns it as a RunOpts.Golden schedule.
 func recordGolden(m *Machine, opts RunOpts, k uint64) *Golden {
 	g := &Golden{}
-	opts.CheckpointEvery = k
-	opts.OnCheckpoint = func(s *Snapshot) { g.Checkpoints = append(g.Checkpoints, s) }
+	opts.Checkpoints = &Checkpoints{Every: k}
 	g.End = m.Run(opts)
+	g.Checkpoints = opts.Checkpoints.Snaps
 	return g
+}
+
+// checkpoints runs opts on m with a checkpoint every k sites and returns
+// the snapshots.
+func checkpoints(m *Machine, opts RunOpts, k uint64) []*Snapshot {
+	opts.Checkpoints = &Checkpoints{Every: k}
+	m.Run(opts)
+	return opts.Checkpoints.Snaps
 }
 
 // convergeRun runs opts with and without the golden schedule on m and

@@ -189,10 +189,25 @@ func (m *Mem) Reset() {
 }
 
 // Capture copies the dirty pages: the buffer's delta against the image.
-func (m *Mem) Capture() []Page {
-	pages := make([]Page, 0, len(m.dirtyPages))
-	for _, p := range m.dirtyPages {
+func (m *Mem) Capture() []Page { return m.CaptureSince(nil, nil) }
+
+// CaptureSince is Capture sharing the page buffers of prev, an earlier
+// capture, wherever a page still holds the same bytes, and appending to
+// buf[:0]. Page buffers are never written after capture, so captures may
+// share them. Within one run the dirty pages only grow, so prev's pages
+// line up with the current ones by position; a page that does not line
+// up is copied.
+func (m *Mem) CaptureSince(prev, buf []Page) []Page {
+	pages := buf[:0]
+	if pages == nil || cap(pages) < len(m.dirtyPages) {
+		pages = make([]Page, 0, len(m.dirtyPages))
+	}
+	for i, p := range m.dirtyPages {
 		lo, hi := pageRange(p, len(m.B))
+		if i < len(prev) && prev[i].Idx == p && bytes.Equal(prev[i].Data, m.B[lo:hi]) {
+			pages = append(pages, prev[i])
+			continue
+		}
 		pages = append(pages, Page{Idx: p, Data: append([]byte(nil), m.B[lo:hi]...)})
 	}
 	return pages

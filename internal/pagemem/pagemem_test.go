@@ -136,9 +136,14 @@ func FuzzPageMem(f *testing.F) {
 				i := pick()
 				fam.mems[i].Reset()
 				copy(fam.models[i], fam.image)
-			case 3: // capture
+			case 3: // capture, sharing unchanged pages with the latest capture
+				// of whichever memory took it
 				i := pick()
-				fam.snaps = append(fam.snaps, snap{fam.mems[i].Capture(), append([]byte(nil), fam.models[i]...)})
+				var prev []Page
+				if n := len(fam.snaps); n > 0 {
+					prev = fam.snaps[n-1].pages
+				}
+				fam.snaps = append(fam.snaps, snap{fam.mems[i].CaptureSince(prev, nil), append([]byte(nil), fam.models[i]...)})
 			case 4: // restore
 				i, k := pick(), next()
 				if len(fam.snaps) == 0 {
