@@ -10,7 +10,6 @@ package compose
 import (
 	"hash/fnv"
 
-	"ferrum/internal/asm"
 	"ferrum/internal/liveness"
 	"ferrum/internal/machine"
 )
@@ -48,10 +47,10 @@ func (v Verdict) String() string {
 
 // Classify maps a boundary diff to a composition verdict. deadRegs and
 // deadFlags are the state the downstream section provably never reads
-// (DeadSets at the boundary's static location); differences confined to them
-// are tolerated. exact reports that NO difference was tolerated — the
-// machine state matched golden bit for bit — which is what makes the verdict
-// robust to edits of the downstream sections (see Class).
+// (Keyer.DeadSets at the boundary's static location); differences confined
+// to them are tolerated. exact reports that NO difference was tolerated —
+// the machine state matched golden bit for bit — which is what makes the
+// verdict robust to edits of the downstream sections (see Class).
 func Classify(d machine.BoundaryDiff, deadRegs liveness.RegSet, deadFlags liveness.FlagSet) (verdict Verdict, exact bool) {
 	if !d.Comparable || d.PC || d.Dyn || d.Mem || d.XMM {
 		return VerdictFallback, false
@@ -71,55 +70,6 @@ func Classify(d machine.BoundaryDiff, deadRegs liveness.RegSet, deadFlags livene
 		return VerdictSDC, exact
 	}
 	return VerdictBenign, exact
-}
-
-// DeadSets computes the registers and flags whose corruption at the static
-// location (fn, idx) — the golden boundary pc — the downstream execution
-// provably never observes. A GPR is dead only when the intra-function
-// dataflow (CallPreserves: liveness flows through calls untouched, the safe
-// direction for deadness) reports it not live at idx, the function performs
-// no calls (so no callee could read it before redefinition), and no other
-// function in the program mentions it at all (so no later-executing code —
-// including the caller after ret — can read it). Flags need no such escape
-// condition: FlagsRead models call and ret as reading every flag, so a flag
-// that could cross the function boundary is already live.
-func DeadSets(prog *asm.Program, fn string, idx int) (liveness.RegSet, liveness.FlagSet) {
-	f := prog.Func(fn)
-	if f == nil {
-		return 0, 0
-	}
-	var deadR liveness.RegSet
-	hasCall := false
-	for _, in := range f.Insts {
-		if in.Op == asm.CALL {
-			hasCall = true
-			break
-		}
-	}
-	if !hasCall {
-		if live, ok := liveness.AnalyzeCalls(f, liveness.CallPreserves).LiveAt(idx); ok {
-			var others liveness.RegSet
-			for _, g := range prog.Funcs {
-				if g.Name != fn {
-					others.Union(liveness.UsedGPRs(g))
-				}
-			}
-			for r := asm.RNone + 1; r < asm.NumReg; r++ {
-				if !live.Has(r) && !others.Has(r) {
-					deadR.Add(r)
-				}
-			}
-		}
-	}
-	var deadF liveness.FlagSet
-	if live, ok := liveness.AnalyzeFlags(f).LiveAt(idx); ok {
-		for fb := asm.Flag(0); fb < asm.NumFlag; fb++ {
-			if !live.Has(fb) {
-				deadF.Add(fb)
-			}
-		}
-	}
-	return deadR, deadF
 }
 
 // Mix folds words into one fnv-64a digest; the building block for every
@@ -190,31 +140,6 @@ func Alloc(total int, weights []uint64) []int {
 		given++
 	}
 	return n
-}
-
-// CodeDigest fingerprints the code of the named functions: each function's
-// name followed by the rendered text of its instructions. Rendered text is
-// the right granularity — it captures opcodes, operands, labels and
-// provenance-free structure while staying stable across process runs.
-func CodeDigest(prog *asm.Program, fns []string) uint64 {
-	h := fnv.New64a()
-	for _, name := range fns {
-		f := prog.Func(name)
-		if f == nil {
-			continue
-		}
-		h.Write([]byte(f.Name))
-		h.Write([]byte{0})
-		for _, in := range f.Insts {
-			for _, l := range in.Labels {
-				h.Write([]byte(l))
-				h.Write([]byte{':'})
-			}
-			h.Write([]byte(in.String()))
-			h.Write([]byte{'\n'})
-		}
-	}
-	return h.Sum64()
 }
 
 // FnsInRange returns the (deduplicated, first-execution-ordered) names of

@@ -208,11 +208,14 @@ func newComposition(f *campaign) *composition {
 	prog, args := e.tgt.Prog, e.tgt.Args
 	imageDig := e.m0.ImageDigest()
 	argsDig := compose.Mix(append([]uint64{uint64(len(args))}, args...)...)
+	// The key parts that depend on the program alone are memoised for this
+	// campaign only: the program may be edited in place between campaigns.
+	keys := compose.NewKeyer(prog)
 	allFns := make([]string, len(prog.Funcs))
 	for i, fn := range prog.Funcs {
 		allFns[i] = fn.Name
 	}
-	progDig := compose.CodeDigest(prog, allFns)
+	progDig := keys.CodeDigest(allFns)
 	cs := &composition{f: f, e: e, secs: secs, outDig: compose.OutputDigest(g.output)}
 	cs.globalDig = compose.Mix(progDig, cs.outDig, g.sites,
 		math.Float64bits(g.cycles), imageDig, argsDig, c.MaxSteps, uint64(c.BitsPerFault))
@@ -223,6 +226,9 @@ func newComposition(f *campaign) *composition {
 	}
 	budgets := compose.Alloc(c.Samples, weights)
 	plans := make([]plannedFault, 0, c.Samples)
+	// A section's entry snapshot is usually the previous section's exit.
+	var prevExit *machine.Snapshot
+	var prevExitDig uint64
 	for i := range secs {
 		sec := &secs[i]
 		sec.base, sec.n = len(plans), budgets[i]
@@ -237,21 +243,26 @@ func newComposition(f *campaign) *composition {
 		}
 
 		entryDig := uint64(0)
-		if sec.entry != nil {
+		switch {
+		case sec.entry == nil:
+		case sec.entry == prevExit:
+			entryDig = prevExitDig
+		default:
 			entryDig = sec.entry.Digest()
 		}
 		var exitDig uint64
 		if sec.exit != nil {
 			exitDig = sec.exit.Digest()
+			prevExit, prevExitDig = sec.exit, exitDig
 			sec.exitCycles = sec.exit.CyclesNow()
 			if fn, idx, ok := e.m0.LocOf(sec.exit.PC()); ok {
-				sec.deadR, sec.deadF = compose.DeadSets(prog, fn, idx)
+				sec.deadR, sec.deadF = keys.DeadSets(fn, idx)
 			}
 		} else {
 			// The terminal section's "exit state" is the golden program end.
 			exitDig = compose.Mix(cs.outDig, g.sites, math.Float64bits(g.cycles))
 		}
-		secDig := compose.CodeDigest(prog, compose.FnsInRange(e.sched.End.FnSpans, sec.start, sec.end))
+		secDig := keys.CodeDigest(compose.FnsInRange(e.sched.End.FnSpans, sec.start, sec.end))
 		sec.key = compose.Mix(imageDig, argsDig, sec.start, sec.end, k,
 			entryDig, exitDig, secDig, uint64(sec.seed), uint64(sec.n),
 			uint64(c.BitsPerFault), c.MaxSteps)

@@ -202,3 +202,38 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
+
+// pinnedFingerprints are the section fingerprints of the campaign in
+// TestComposeFingerprintsPinned. Fingerprints are journaled in every
+// composed cell record and fistat's compose diff compares them across
+// journals, so a change to how sections are keyed must update this list
+// deliberately.
+var pinnedFingerprints = []string{
+	"4dbaedefee1c389b", "13efa335be9549b0", "5e0fff6f95f99479",
+	"616456242c256dd8", "a51ef9911463547b", "9ea8583cf0a5cc13",
+	"b36d6c1f6c2eb30c", "5712ab760713700c", "693499937c5d19f2",
+}
+
+// TestComposeFingerprintsPinned runs one fixed composed campaign (bfs/raw,
+// pinned K, seed and step budget) and compares its section fingerprints
+// and outcome counts with recorded values.
+func TestComposeFingerprintsPinned(t *testing.T) {
+	tgt := equivAsmTarget(t, equivBench(t, "bfs"), false)
+	res, err := RunAsmCampaign(tgt, Campaign{Samples: 120, Seed: 4242, MaxSteps: 1 << 20,
+		Workers: 2, Compose: ComposeOn, CheckpointEvery: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, row := range res.Composed.Rows {
+		got = append(got, row.Fingerprint)
+	}
+	if !reflect.DeepEqual(got, pinnedFingerprints) {
+		t.Errorf("section fingerprints changed\ngot  %q\nwant %q", got, pinnedFingerprints)
+	}
+	// The counts pin the boundary classification, which the dead sets at
+	// each section exit decide.
+	if want := [numOutcomes]int{40, 42, 0, 35, 3}; res.Counts != want || res.Composed.Fallbacks != 51 {
+		t.Errorf("counts %v with %d fallbacks, want %v with 51", res.Counts, res.Composed.Fallbacks, want)
+	}
+}

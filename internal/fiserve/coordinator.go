@@ -127,21 +127,11 @@ type Coordinator struct {
 
 // Start launches a coordinator: listener bound, watchdog running.
 func Start(cfg Config) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("fiserve: coordinator needs a journal directory")
+	co, err := newCoordinator(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("fiserve: %w", err)
-	}
-	co := &Coordinator{
-		cfg:       cfg,
-		ob:        obs.New(),
-		hub:       obs.NewHub(),
-		campaigns: map[string]*campaign{},
-		stop:      make(chan struct{}),
-	}
-	srv, err := obs.StartServerMux(cfg.Addr, co.snapshot, co.hub, co.routes)
+	srv, err := obs.StartServerMux(co.cfg.Addr, co.snapshot, co.hub, co.routes)
 	if err != nil {
 		return nil, err
 	}
@@ -149,6 +139,24 @@ func Start(cfg Config) (*Coordinator, error) {
 	co.wg.Add(1)
 	go co.watchdog()
 	return co, nil
+}
+
+// newCoordinator returns a coordinator with no listener and no watchdog.
+func newCoordinator(cfg Config) (*Coordinator, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("fiserve: coordinator needs a journal directory")
+	}
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("fiserve: %w", err)
+	}
+	return &Coordinator{
+		cfg:       cfg,
+		ob:        obs.New(),
+		hub:       obs.NewHub(),
+		campaigns: map[string]*campaign{},
+		stop:      make(chan struct{}),
+	}, nil
 }
 
 // Addr is the bound listen address.
@@ -638,8 +646,15 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(v); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	// One JSON value per body: anything but white space after it is an
+	// error, not something to drop silently.
+	if _, err := dec.Token(); err != io.EOF {
+		http.Error(w, "bad request body: data after the JSON value", http.StatusBadRequest)
 		return false
 	}
 	return true

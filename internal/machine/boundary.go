@@ -86,11 +86,7 @@ func (s *Snapshot) Digest() uint64 {
 // ImageDigest fingerprints the pristine memory image every run starts from.
 // Section fingerprints fold it in so cached propagation tables from a
 // program with different data never match.
-func (m *Machine) ImageDigest() uint64 {
-	h := fnv.New64a()
-	h.Write(m.mem.Image())
-	return h.Sum64()
-}
+func (m *Machine) ImageDigest() uint64 { return m.mem.ImageDigest() }
 
 // LocOf maps a flat program counter back to its static location (enclosing
 // function and index within it) — the coordinates the liveness analyses

@@ -167,6 +167,46 @@ func (m *Mem) WriteWordImage(addr uint64, v uint64) error {
 // Image returns the pristine image. Callers must not modify it.
 func (m *Mem) Image() []byte { return m.img.buf }
 
+// fnv-64a parameters, and the prime raised to PageSize: fnv-64a over n
+// zero bytes multiplies its state by prime^n.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+var fnvPagePrime = fnvPow(PageSize)
+
+func fnvPow(n int) uint64 {
+	p := uint64(1)
+	for range n {
+		p *= fnvPrime
+	}
+	return p
+}
+
+// ImageDigest returns the fnv-64a digest of Image() without reading the
+// pages no image write touched: they are all zero, so each costs one
+// multiply.
+func (m *Mem) ImageDigest() uint64 {
+	img := m.img
+	h := uint64(fnvOffset)
+	for p, w := range img.written {
+		lo, hi := pageRange(int32(p), len(img.buf))
+		switch {
+		case w:
+			for _, b := range img.buf[lo:hi] {
+				h ^= uint64(b)
+				h *= fnvPrime
+			}
+		case hi-lo == PageSize:
+			h *= fnvPagePrime
+		default:
+			h *= fnvPow(hi - lo)
+		}
+	}
+	return h
+}
+
 // MarkDirty records that [ea, ea+size) is about to be written. Callers have
 // already bounds-checked the access.
 func (m *Mem) MarkDirty(ea, size uint64) {

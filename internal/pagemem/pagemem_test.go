@@ -2,6 +2,7 @@ package pagemem
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 )
 
@@ -119,6 +120,7 @@ func FuzzPageMem(f *testing.F) {
 					copy(fam.image[addr:], data)
 					fam.snaps = nil // captures are deltas against the old image
 				}
+				checkImageDigest(t, fam.mems[0])
 			case 1: // store
 				i := pick()
 				addr := uint64(next()<<8|next()) % fuzzSize
@@ -248,4 +250,50 @@ func TestImageWriteWhileSharedPanics(t *testing.T) {
 		m.Release()
 	}()
 	_ = m.SetImage(GuardSize, []byte{1})
+}
+
+// checkImageDigest compares the zero-skipping ImageDigest with fnv-64a over
+// the whole image.
+func checkImageDigest(t *testing.T, m *Mem) {
+	t.Helper()
+	h := fnv.New64a()
+	h.Write(m.Image())
+	if got, want := m.ImageDigest(), h.Sum64(); got != want {
+		t.Fatalf("ImageDigest = %016x, fnv-64a over the image %016x", got, want)
+	}
+}
+
+// TestImageDigestSkipsZeroPages: the digest that multiplies through
+// unwritten pages equals fnv-64a over the image for an image with no
+// written pages, a written page holding only zeros, a short last page left
+// unwritten and one written, and sizes below and at one page.
+func TestImageDigestSkipsZeroPages(t *testing.T) {
+	writes := []struct {
+		name string
+		addr uint64
+		data []byte
+	}{
+		{"no written pages", 0, nil},
+		{"a written page of zeros", GuardSize + PageSize, make([]byte, PageSize)},
+		{"bytes across a page boundary", GuardSize + PageSize - 3, []byte{1, 2, 3, 4, 5, 6}},
+		{"the short last page", fuzzSize - 7, []byte{0xEE, 0, 0x11}},
+	}
+	for _, size := range []int{fuzzSize, 2 * GuardSize, GuardSize + 1} {
+		m := New(size)
+		if size%PageSize != 0 && len(m.img.written)*PageSize == size {
+			t.Fatalf("size %d: expected a short last page", size)
+		}
+		for _, w := range writes {
+			if w.addr+uint64(len(w.data)) > uint64(size) {
+				continue
+			}
+			if w.data != nil {
+				if err := m.SetImage(w.addr, w.data); err != nil {
+					t.Fatalf("size %d, %s: %v", size, w.name, err)
+				}
+			}
+			checkImageDigest(t, &m)
+		}
+		m.Release()
+	}
 }
