@@ -67,8 +67,6 @@ func run(argv []string, out io.Writer) error {
 	fs.IntVar(&o.CellWorkers, "cell-workers", 0, "concurrent campaign cells (0 = GOMAXPROCS); any value yields identical tables")
 	fs.BoolVar(&o.Optimize, "O1", false, "run builds through the peephole optimizer before protection")
 	fs.DurationVar(&o.CellTimeout, "cell-timeout", 0, "per-cell watchdog: cancel and record any cell still running after this long (0 = off)")
-	fs.IntVar(&o.MaxRetries, "max-retries", 0, "re-attempt a transiently failing cell up to this many extra times")
-	fs.DurationVar(&o.RetryBackoff, "retry-backoff", 0, "sleep before the first cell retry, doubled each further attempt")
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}

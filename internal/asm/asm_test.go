@@ -358,6 +358,11 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Error("Validate accepted duplicate function names")
 	}
+	bad := NewInst(NOP).WithTag(Tag(NumTags))
+	p = &Program{Funcs: []*Func{{Name: "f", Insts: []Inst{NewInst(NOP), bad}}}}
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "f+1") {
+		t.Errorf("Validate = %v, want an out-of-range tag error naming f+1", err)
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {

@@ -121,6 +121,9 @@ func (p *Program) Validate() error {
 			if err := checkShape(in); err != nil {
 				return fmt.Errorf("asm: %s+%d: %v", f.Name, i, err)
 			}
+			if int(in.Tag) >= NumTags {
+				return fmt.Errorf("asm: %s+%d: provenance tag %d out of range", f.Name, i, in.Tag)
+			}
 		}
 	}
 	if p.Entry != "" && !labels[p.Entry] {

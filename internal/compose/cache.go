@@ -34,18 +34,18 @@ const (
 // Site/Bit double-check plan identity — the section key already pins the
 // seeded plan sequence, so a mismatch means a bug, not a stale entry.
 type CachedPlan struct {
-	Site      uint64
-	Bit       uint16
-	Outcome   uint8
-	Lat       float64
-	HasLat    bool
-	Fallback  bool
+	Site     uint64
+	Bit      uint16
+	Outcome  uint8
+	Lat      float64
+	HasLat   bool
+	Fallback bool
 	// Boundary marks a plan resolved at the section boundary; Lat then
 	// stores only the injection→boundary distance, and the serving campaign
 	// adds the CURRENT golden tail (golden cycles − section exit cycles),
 	// because the tail depends on downstream code the entry stays valid
 	// across.
-	Boundary bool
+	Boundary  bool
 	Class     Class
 	OutDigest uint64
 }

@@ -229,13 +229,15 @@ func newComposition(f *campaign) *composition {
 	// A section's entry snapshot is usually the previous section's exit.
 	var prevExit *machine.Snapshot
 	var prevExitDig uint64
+	// One generator, reseeded per section: seeding resets it completely.
+	rng := rand.New(rand.NewSource(0))
 	for i := range secs {
 		sec := &secs[i]
 		sec.base, sec.n = len(plans), budgets[i]
 		// A section's plan sequence is a pure function of its identity, not
 		// of its ordinal or its neighbours.
 		sec.seed = compose.SectionSeed(c.Seed, sec.start, sec.end)
-		rng := rand.New(rand.NewSource(sec.seed))
+		rng.Seed(sec.seed)
 		for range sec.n {
 			p := drawFault(rng, sec.start, sec.end, width, c.BitsPerFault)
 			p.idx = len(plans)

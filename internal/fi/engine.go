@@ -198,7 +198,7 @@ func (e *asmEngine) clone() worker {
 }
 
 // observe publishes the lifetime counters of the template and every clone:
-// basic blocks entered and the plans that ended at a golden checkpoint.
+// block segments entered and the plans that ended at a golden checkpoint.
 // Like the ckpt.* counters, these count work this process did or avoided,
 // so journal-answered campaigns never replay them.
 func (e *asmEngine) observe(o *obs.Ctx) {

@@ -384,9 +384,8 @@ func (s *JournalState) Cells() (complete, partial int) {
 // LoadJournal parses a journal file. A torn trailing record — truncated
 // JSON, or a final line without its newline — is dropped and reported via
 // TornDropped; corruption anywhere else is an error, because records after
-// it cannot be trusted. Duplicate plan records (a cell retried within one
-// process) keep the last occurrence; outcomes are deterministic, so
-// duplicates agree anyway.
+// it cannot be trusted. Duplicate plan records keep the last occurrence;
+// outcomes are deterministic, so duplicates agree anyway.
 func LoadJournal(path string) (*JournalState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

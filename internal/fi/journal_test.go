@@ -361,8 +361,8 @@ func TestJournalNoMeta(t *testing.T) {
 	}
 }
 
-// TestJournalDuplicatePlans: a retried cell may journal the same plan twice
-// in one file; the last record wins (outcomes are deterministic, so they
+// TestJournalDuplicatePlans: a journal may hold the same plan twice in
+// one file; the last record wins (outcomes are deterministic, so they
 // agree anyway) and the plan is counted once.
 func TestJournalDuplicatePlans(t *testing.T) {
 	path := journalPath(t)

@@ -3,7 +3,6 @@ package harness
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,11 +50,11 @@ func TestCellWatchdogTimeout(t *testing.T) {
 	}
 }
 
-// TestCellTimeoutNotRetried: a watchdog-canceled cell is not retried — a
-// wedged cell would wedge again and hold its worker for another timeout.
-func TestCellTimeoutNotRetried(t *testing.T) {
+// TestCellTimeoutRunsOnce: a watchdog-canceled cell runs once and is
+// counted as one timeout.
+func TestCellTimeoutRunsOnce(t *testing.T) {
 	ob := obs.New()
-	opts := Options{CellWorkers: 1, CellTimeout: 20 * time.Millisecond, MaxRetries: 3, Obs: ob}.withDefaults()
+	opts := Options{CellWorkers: 1, CellTimeout: 20 * time.Millisecond, Obs: ob}.withDefaults()
 	s := newScheduler("wd", opts)
 	attempts := 0
 	err := s.run([]cellSpec{{name: "wedged", run: func(cc *cellCtx) error {
@@ -69,56 +68,8 @@ func TestCellTimeoutNotRetried(t *testing.T) {
 	if attempts != 1 {
 		t.Errorf("timed-out cell ran %d attempts, want 1", attempts)
 	}
-	snap := ob.Reg.Snapshot()
-	if n := snap.Counters[obs.MSchedRetries]; n != 0 {
-		t.Errorf("sched.retries = %d, want 0 for a timeout", n)
-	}
-	if n := snap.Counters[obs.MSchedTimeouts]; n != 1 {
+	if n := ob.Reg.Snapshot().Counters[obs.MSchedTimeouts]; n != 1 {
 		t.Errorf("sched.timeouts = %d, want 1", n)
-	}
-}
-
-// TestCellRetry: a transiently failing cell is re-attempted up to MaxRetries
-// times; success on a later attempt is success, exhaustion surfaces the
-// error.
-func TestCellRetry(t *testing.T) {
-	ob := obs.New()
-	opts := Options{CellWorkers: 1, MaxRetries: 2, RetryBackoff: time.Millisecond, Obs: ob}.withDefaults()
-	s := newScheduler("retry", opts)
-	tries := 0
-	err := s.run([]cellSpec{{name: "flaky", run: func(cc *cellCtx) error {
-		tries++
-		if tries < 3 {
-			return fmt.Errorf("transient failure %d", tries)
-		}
-		return nil
-	}}})
-	if err != nil {
-		t.Fatalf("flaky cell failed despite retry budget: %v", err)
-	}
-	if tries != 3 {
-		t.Errorf("flaky cell ran %d attempts, want 3", tries)
-	}
-	if n := ob.Reg.Snapshot().Counters[obs.MSchedRetries]; n != 2 {
-		t.Errorf("sched.retries = %d, want 2", n)
-	}
-
-	ob2 := obs.New()
-	opts2 := Options{CellWorkers: 1, MaxRetries: 1, Obs: ob2}.withDefaults()
-	s2 := newScheduler("retry", opts2)
-	attempts := 0
-	err = s2.run([]cellSpec{{name: "dead", run: func(cc *cellCtx) error {
-		attempts++
-		return fmt.Errorf("permanent failure")
-	}}})
-	if err == nil || !strings.Contains(err.Error(), "permanent failure") {
-		t.Fatalf("exhausted retries returned %v", err)
-	}
-	if attempts != 2 {
-		t.Errorf("dead cell ran %d attempts, want 2 (1 + MaxRetries)", attempts)
-	}
-	if n := ob2.Reg.Snapshot().Counters[obs.MSchedRetries]; n != 1 {
-		t.Errorf("sched.retries = %d, want 1", n)
 	}
 }
 

@@ -34,8 +34,6 @@ func TestOptionsMetaFields(t *testing.T) {
 		"NoCheckpoint":    func(o *Options) { o.NoCheckpoint = true },
 		"CheckpointEvery": func(o *Options) { o.CheckpointEvery = 100 },
 		"CellTimeout":     func(o *Options) { o.CellTimeout = time.Second },
-		"MaxRetries":      func(o *Options) { o.MaxRetries = 2 },
-		"RetryBackoff":    func(o *Options) { o.RetryBackoff = time.Second },
 		"SectionCache":    func(o *Options) { o.SectionCache = compose.NewCache() },
 		"Journal":         func(o *Options) { o.Journal = &fi.Journal{} },
 		"Resume":          func(o *Options) { o.Resume = &fi.JournalState{} },

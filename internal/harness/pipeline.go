@@ -185,14 +185,6 @@ type Options struct {
 	// sched.timeouts, while sibling cells keep running. Journaled plans the
 	// cell completed before the deadline remain resumable.
 	CellTimeout time.Duration
-	// MaxRetries re-attempts a transiently failing cell up to this many
-	// extra times (sched.retries counts them). Watchdog timeouts are never
-	// retried. Retries are deterministic re-runs: results and journal
-	// records are identical, so no double counting occurs.
-	MaxRetries int
-	// RetryBackoff is the sleep before the first retry, doubled each
-	// further attempt. Zero retries immediately.
-	RetryBackoff time.Duration
 	// CIWidth, if > 0, enables Wilson-interval early stopping in every
 	// campaign cell (see fi.Campaign.CIWidth): a campaign ends once the 95%
 	// CI of its SDC rate over the completed plan prefix is no wider than

@@ -136,28 +136,6 @@ func (s *scheduler) attempt(cx *obs.Ctx, c cellSpec) error {
 	return err
 }
 
-// attempts runs the cell with bounded retry: a transiently failing cell is
-// re-attempted up to MaxRetries times (with exponentially doubling
-// RetryBackoff between attempts). Watchdog timeouts are not retried — a
-// wedged cell would wedge again and hold its worker for another full
-// timeout. Retries are invisible to Progress (one start, one done event per
-// cell); the sched.retries counter records them. Re-running a cell is safe:
-// campaigns are deterministic and results land in caller-owned slots, so a
-// retry overwrites equal values, and duplicate journal records resolve to
-// the identical last occurrence on load.
-func (s *scheduler) attempts(cx *obs.Ctx, c cellSpec) error {
-	for try := 0; ; try++ {
-		err := s.attempt(cx, c)
-		if err == nil || errors.Is(err, ErrCellTimeout) || try >= s.opts.MaxRetries {
-			return err
-		}
-		s.opts.Obs.Counter(obs.MSchedRetries).Add(1)
-		if s.opts.RetryBackoff > 0 {
-			time.Sleep(s.opts.RetryBackoff << try)
-		}
-	}
-}
-
 // asmCampaignCell runs one (benchmark × technique) assembly-level campaign
 // cell: memoised build, then RunAsmCampaign.
 func (s *scheduler) asmCampaignCell(cc *cellCtx, inst instanceAt, tech Technique) (fi.Result, error) {
@@ -249,7 +227,7 @@ func (s *scheduler) run(cells []cellSpec) error {
 		s.emit(CellEvent{Experiment: s.exp, Cell: c.name, Index: i, Total: n})
 		sp := cx.Span("cell")
 		start := time.Now()
-		err := s.attempts(cx, c)
+		err := s.attempt(cx, c)
 		wall := time.Since(start)
 		sp.SetAttr("experiment", s.exp)
 		sp.SetAttr("injections", c.inj)

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // This file is the interpreter's load-time decode stage. NewInterp runs a
 // register-numbering pass over every function: each parameter and each named
@@ -43,50 +46,54 @@ type dblock struct {
 	name  string
 	insts []dinst
 	// siteSuffix[i] is the number of fault-injection sites from instruction
-	// i to the end of the block. Block dispatch compares it against the
-	// planned fault's site index to prove the fault cannot land inside the
-	// remaining straight-line segment, letting the fast loop skip the
-	// per-instruction site comparison entirely.
+	// i to the end of the block. The segment loop compares it against the
+	// next event site to end a segment just after that site (siteEnd), so
+	// the inner loop makes no per-instruction site comparison.
 	siteSuffix []int32
 }
 
+// siteEnd returns the end of the segment entered at idx that retires the
+// k-th site after idx (counting from 0, k < siteSuffix[idx]): one past
+// that site instruction, the first index after idx whose suffix count has
+// dropped to siteSuffix[idx]-k-1. The block end counts as 0.
+func (b *dblock) siteEnd(idx int32, k uint64) int32 {
+	want := b.siteSuffix[idx] - int32(k) - 1
+	n := len(b.siteSuffix) - int(idx) - 1
+	return idx + 1 + int32(sort.Search(n, func(j int) bool { return b.siteSuffix[int(idx)+1+j] <= want }))
+}
+
 // dfunc is a decoded function: its blocks, the frame size the numbering
-// pass assigned, and the name<->slot correspondence Snapshot/Restore use to
-// convert frames to and from the engine-independent name-keyed form.
+// pass assigned, and its index in Interp.dfuncs (what snapshots record).
 type dfunc struct {
-	fn       *Func
-	blocks   []dblock
-	nregs    int
-	nparams  int
-	names    []string         // slot -> value name
-	slotOf   map[string]int32 // value name -> slot
-	blockIdx map[string]int32 // block name -> index into blocks
+	fn      *Func
+	idx     int32
+	blocks  []dblock
+	nregs   int
+	nparams int
 }
 
 // decodeFunc numbers the function's values and decodes every instruction.
-// funcIdx maps function names to their Interp.dfuncs index.
-func decodeFunc(f *Func, funcIdx map[string]int32) (*dfunc, error) {
+// idx is the function's Interp.dfuncs index and funcIdx maps function
+// names to those indices.
+func decodeFunc(f *Func, idx int32, funcIdx map[string]int32) (*dfunc, error) {
 	df := &dfunc{
-		fn:       f,
-		blocks:   make([]dblock, len(f.Blocks)),
-		nparams:  len(f.Params),
-		slotOf:   make(map[string]int32, len(f.Params)+f.InstCount()),
-		blockIdx: make(map[string]int32, len(f.Blocks)),
+		fn:      f,
+		idx:     idx,
+		blocks:  make([]dblock, len(f.Blocks)),
+		nparams: len(f.Params),
 	}
+	blockIdx := make(map[string]int32, len(f.Blocks))
 	for i, b := range f.Blocks {
-		df.blockIdx[b.Name] = int32(i)
+		blockIdx[b.Name] = int32(i)
 	}
 	// Slot numbering: parameters first (so call argument i lands in slot i),
 	// then instruction results in layout order. Verify has already rejected
 	// redefinitions, so every name gets exactly one slot.
-	assign := func(name string) int32 {
-		if s, ok := df.slotOf[name]; ok {
-			return s
+	slotOf := make(map[string]int32, len(f.Params)+f.InstCount())
+	assign := func(name string) {
+		if _, ok := slotOf[name]; !ok {
+			slotOf[name] = int32(len(slotOf))
 		}
-		s := int32(len(df.names))
-		df.slotOf[name] = s
-		df.names = append(df.names, name)
-		return s
 	}
 	for _, p := range f.Params {
 		assign(p.Name)
@@ -100,7 +107,7 @@ func decodeFunc(f *Func, funcIdx map[string]int32) (*dfunc, error) {
 			nargs += len(in.Args)
 		}
 	}
-	df.nregs = len(df.names)
+	df.nregs = len(slotOf)
 
 	// One contiguous operand arena for the whole function keeps decoded
 	// blocks cache-friendly.
@@ -110,11 +117,11 @@ func decodeFunc(f *Func, funcIdx map[string]int32) (*dfunc, error) {
 		case Const:
 			return dval{slot: -1, c: uint64(int64(x))}
 		case *Param:
-			if s, ok := df.slotOf[x.Name]; ok {
+			if s, ok := slotOf[x.Name]; ok {
 				return dval{slot: s}
 			}
 		case *Inst:
-			if s, ok := df.slotOf[x.Name]; ok {
+			if s, ok := slotOf[x.Name]; ok {
 				return dval{slot: s}
 			}
 		}
@@ -133,7 +140,7 @@ func decodeFunc(f *Func, funcIdx map[string]int32) (*dfunc, error) {
 			di.site = isSite(in)
 			di.dst = -1
 			if in.Name != "" {
-				di.dst = df.slotOf[in.Name]
+				di.dst = slotOf[in.Name]
 			}
 			lo := len(arena)
 			for _, a := range in.Args {
@@ -142,15 +149,15 @@ func decodeFunc(f *Func, funcIdx map[string]int32) (*dfunc, error) {
 			di.args = arena[lo:len(arena):len(arena)]
 			switch in.Op {
 			case OpBr:
-				t, ok := df.blockIdx[in.Targets[0]]
+				t, ok := blockIdx[in.Targets[0]]
 				if !ok {
 					return nil, fmt.Errorf("ir: @%s/%s+%d: br to undefined block %q",
 						f.Name, b.Name, ii, in.Targets[0])
 				}
 				di.t0 = t
 			case OpCondBr:
-				t0, ok0 := df.blockIdx[in.Targets[0]]
-				t1, ok1 := df.blockIdx[in.Targets[1]]
+				t0, ok0 := blockIdx[in.Targets[0]]
+				t1, ok1 := blockIdx[in.Targets[1]]
 				if !ok0 || !ok1 {
 					return nil, fmt.Errorf("ir: @%s/%s+%d: br to undefined block %v",
 						f.Name, b.Name, ii, in.Targets)

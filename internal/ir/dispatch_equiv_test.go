@@ -10,13 +10,15 @@ import (
 )
 
 // The IR interpreter's block-segment loop hoists the step budget, fault
-// site and checkpoint tests to segment entry. This property test pins it
-// bit-identical to the per-instruction reference loop (RunReference) on
-// randomly generated branch-dense programs — golden runs, injected faults,
-// step budgets chosen to expire at every interesting point, including
-// inside a block segment (the case the hoisted hang check must hand to the
-// single-step path), and checkpoint schedules, whose snapshots and the runs
-// resumed from them must match too.
+// site and checkpoint tests to segment entry and ends a segment where the
+// budget runs out or just after its next event site. This property test
+// pins it bit-identical to the per-instruction reference loop
+// (RunReference) on randomly generated branch-dense programs — golden runs,
+// injected faults, step budgets chosen to expire at every interesting
+// point, including inside a block segment, checkpoint schedules, whose
+// snapshots and the runs resumed from them must match too, and the event
+// coincidences: a fault completing a checkpoint multiple, on its block's
+// last site, where the budget runs out, and right after a mid-block resume.
 
 func newFuzzInterp(t *testing.T, mod *ir.Module) *ir.Interp {
 	t.Helper()
@@ -48,6 +50,7 @@ func TestEquivIRDispatchTiers(t *testing.T) {
 		iters = 5
 	}
 	const maxSteps = 5_000_000
+	sameBlock := 0
 	for i := 0; i < iters; i++ {
 		mod, err := progen.Generate(rng, progen.Options{
 			Stmts: 30, Calls: i%3 == 0, BranchDensity: 7,
@@ -81,6 +84,37 @@ func TestEquivIRDispatchTiers(t *testing.T) {
 						t.Errorf("iter %d site=%d bit=%d: fault RunResult differs:\nblock:  %+v\nlegacy: %+v",
 							i, site, bit, fg, fw)
 					}
+				}
+			}
+		}
+
+		// Event coincidences the segment loop must order exactly, plain and
+		// under a K=5 schedule: a fault that completes a checkpoint
+		// multiple, a fault on its block's last site, and a fault on the
+		// instruction where the budget runs out.
+		if s := want.Sites; s >= 10 {
+			last := s / 2
+			for _, l := range legacy.BlockLastSites(base) {
+				if l >= s/2 {
+					last = l
+					break
+				}
+			}
+			atLast := base
+			atLast.Fault = &ir.Fault{Site: last, Bit: 5}
+			budgetOut := atLast
+			budgetOut.MaxSteps = legacy.RunReference(atLast).FaultStep
+			onMultiple := base
+			onMultiple.Fault = &ir.Fault{Site: s/2/5*5 - 1, Bit: 11}
+			for what, opts := range map[string]ir.RunOpts{"fault on a block's last site": atLast,
+				"budget out on the fault site": budgetOut, "fault on a checkpoint multiple": onMultiple} {
+				if fw, fg := legacy.RunReference(opts), block.Run(opts); !reflect.DeepEqual(fg, fw) || !fw.Injected {
+					t.Errorf("iter %d %s: RunResult differs or not injected:\nblock:  %+v\nlegacy: %+v", i, what, fg, fw)
+				}
+				wantK, wantSnaps := runCkpts(legacy.RunReference, opts, 5)
+				gotK, gotSnaps := runCkpts(block.Run, opts, 5)
+				if !reflect.DeepEqual(gotK, wantK) || !reflect.DeepEqual(gotSnaps, wantSnaps) {
+					t.Errorf("iter %d %s K=5: checkpointed run differs:\nblock:  %+v\nlegacy: %+v", i, what, gotK, wantK)
 				}
 			}
 		}
@@ -131,13 +165,21 @@ func TestEquivIRDispatchTiers(t *testing.T) {
 			if k != 5 {
 				continue
 			}
-			for j := 0; j < len(wantSnaps); j += len(wantSnaps)/3 + 1 {
-				s := wantSnaps[j]
-				for _, opts := range []ir.RunOpts{
-					{Resume: s, MaxSteps: maxSteps},
-					{Resume: s, MaxSteps: maxSteps, Fault: &ir.Fault{Site: s.Sites() + 2, Bit: 7}},
-					{Resume: s, MaxSteps: s.Steps() + (want.Steps-s.Steps())/2},
-				} {
+			for j, s := range wantSnaps {
+				// A mid-block resume whose next site, faulted, lies in the
+				// same block.
+				var grid []ir.RunOpts
+				if j%(len(wantSnaps)/8+1) == 0 && legacy.NextSiteInBlock(s) {
+					grid = append(grid, ir.RunOpts{Resume: s, MaxSteps: maxSteps, Fault: &ir.Fault{Site: s.Sites(), Bit: 2}})
+					sameBlock++
+				}
+				if j%(len(wantSnaps)/3+1) == 0 {
+					grid = append(grid,
+						ir.RunOpts{Resume: s, MaxSteps: maxSteps},
+						ir.RunOpts{Resume: s, MaxSteps: maxSteps, Fault: &ir.Fault{Site: s.Sites() + 2, Bit: 7}},
+						ir.RunOpts{Resume: s, MaxSteps: s.Steps() + (want.Steps-s.Steps())/2})
+				}
+				for _, opts := range grid {
 					rw, rws := runCkpts(legacy.RunReference, opts, k)
 					rg, rgs := runCkpts(block.Run, opts, k)
 					if !reflect.DeepEqual(rg, rw) || !reflect.DeepEqual(rgs, rws) {
@@ -153,5 +195,9 @@ func TestEquivIRDispatchTiers(t *testing.T) {
 		if got := block.Clone().Run(base); !reflect.DeepEqual(got, want) {
 			t.Errorf("iter %d: cloned interpreter RunResult differs:\nclone:  %+v\nlegacy: %+v", i, got, want)
 		}
+	}
+	t.Logf("%d resumes with the next site in the same block", sameBlock)
+	if sameBlock == 0 {
+		t.Error("no resume had its next site in the same block")
 	}
 }

@@ -103,10 +103,9 @@ type frame struct {
 type Interp struct {
 	mod *Module
 
-	dfuncs  []*dfunc         // decoded functions, parallel to mod.Funcs
-	funcIdx map[string]int32 // function name -> dfuncs index
-	entry   int32            // dfuncs index of the entry function
-	regPool [][]uint64       // retired register frames for reuse
+	dfuncs  []*dfunc   // decoded functions, parallel to mod.Funcs
+	entry   int32      // dfuncs index of the entry function
+	regPool [][]uint64 // retired register frames for reuse
 
 	// mem is the working memory over the pristine image, shared with
 	// clones; it tracks the pages a run dirties, so per-run resets,
@@ -146,28 +145,25 @@ func NewInterp(mod *Module, memSize int) (*Interp, error) {
 	if memSize < GuardSize*2 {
 		return nil, fmt.Errorf("ir: memory size %d too small", memSize)
 	}
-	ip := &Interp{
-		mod:     mod,
-		dfuncs:  make([]*dfunc, len(mod.Funcs)),
-		funcIdx: make(map[string]int32, len(mod.Funcs)),
+	ip := &Interp{mod: mod, dfuncs: make([]*dfunc, len(mod.Funcs))}
+	funcIdx := make(map[string]int32, len(mod.Funcs))
+	for i, f := range mod.Funcs {
+		funcIdx[f.Name] = int32(i)
 	}
 	for i, f := range mod.Funcs {
-		ip.funcIdx[f.Name] = int32(i)
-	}
-	for i, f := range mod.Funcs {
-		df, err := decodeFunc(f, ip.funcIdx)
+		df, err := decodeFunc(f, int32(i), funcIdx)
 		if err != nil {
 			return nil, err
 		}
 		ip.dfuncs[i] = df
 	}
-	ip.entry = ip.funcIdx[mod.Entry]
+	ip.entry = funcIdx[mod.Entry]
 	ip.mem = pagemem.New(memSize)
 	return ip, nil
 }
 
 // Clone returns an interpreter that shares this one's immutable decoded
-// program (module, decoded functions, function index) and pristine memory
+// program (module and decoded functions) and pristine memory
 // image, but owns all mutable run state — memory, dirty tracking, frames
 // and the register pool. Campaign workers clone one fully-loaded template
 // instead of re-verifying, re-decoding and re-copying the data image per
@@ -177,11 +173,10 @@ func NewInterp(mod *Module, memSize int) (*Interp, error) {
 func (ip *Interp) Clone() *Interp {
 	ip.live("Clone")
 	return &Interp{
-		mod:     ip.mod,
-		dfuncs:  ip.dfuncs,
-		funcIdx: ip.funcIdx,
-		entry:   ip.entry,
-		mem:     ip.mem.Clone(),
+		mod:    ip.mod,
+		dfuncs: ip.dfuncs,
+		entry:  ip.entry,
+		mem:    ip.mem.Clone(),
 	}
 }
 
@@ -367,16 +362,16 @@ func (ip *Interp) controlFlow(in *dinst, fr *frame) (done bool, err error) {
 // dynamic instruction is decoded: block and function targets are indices,
 // operands are frame slots or inline constants.
 //
-// The loop dispatches a basic-block segment at a time: one step-budget
-// check and one site-proximity check at segment entry cover every
-// instruction up to the next control transfer, so the hot loop runs with
-// no per-instruction watchdog, site comparison or checkpoint test. When a
-// check cannot be hoisted — the budget could expire inside the segment, or
-// the planned fault site or the next checkpoint site could land on one of
-// its remaining sites — the loop executes exactly one instruction with the
-// per-instruction checks, delivers a checkpoint the instruction reached,
-// and re-evaluates.
+// The loop dispatches a block segment at a time, and it is the only loop
+// that executes instructions. A segment runs from the frame's next
+// instruction to the earliest of the next control transfer, the
+// instruction where the step budget runs out, and just after the
+// instruction that retires the next event site (the pending fault or the
+// next checkpoint), so the hot loop runs with no per-instruction
+// watchdog, site comparison or checkpoint test. A segment that ends on its
+// event site is followed by one event step.
 func (ip *Interp) run() error {
+	ev := ip.nextEvent()
 outer:
 	for {
 		fr := &ip.frames[len(ip.frames)-1]
@@ -385,45 +380,27 @@ outer:
 		if fr.idx >= n {
 			return irCrash{fmt.Sprintf("@%s/%s: fell off block end", fr.df.fn.Name, bl.name)}
 		}
-		// The segment executes at most n-idx instructions before a control
-		// transfer returns to this header, so steps can never exceed the
-		// budget inside it; likewise neither the fault site nor the next
-		// checkpoint can be reached if it lies beyond the block's remaining
-		// sites. (exec keeps its internal injection check, but it can never
-		// fire inside a fast segment.)
-		if rest := ip.sites + uint64(bl.siteSuffix[fr.idx]); ip.steps+uint64(n-fr.idx) > ip.maxSteps ||
-			(ip.fault != nil && !ip.injected && ip.fault.Site < rest) || ip.nextCkpt <= rest {
-			// Checked single step: budget before the instruction, fault
-			// applied by exec on the matching site, checkpoint after it.
-			in := &bl.insts[fr.idx]
-			ip.steps++
-			if ip.steps > ip.maxSteps {
+		// The budget is counted before every instruction, so a hung run
+		// reports one step past it.
+		end := n
+		if ip.steps+uint64(n-fr.idx) > ip.maxSteps {
+			if ip.steps >= ip.maxSteps {
+				ip.steps++
 				return errHang
 			}
-			switch in.op {
-			case OpBr, OpCondBr, OpRet, OpCall:
-				done, err := ip.controlFlow(in, fr)
-				if err != nil {
-					return err
-				}
-				if done {
-					return nil
-				}
-				continue
+			end = fr.idx + int32(ip.maxSteps-ip.steps)
+		}
+		// A call ends the segment before any site after it, so the block's
+		// own suffix counts locate the event site exactly.
+		event := false
+		if k := ev - ip.sites; k < uint64(bl.siteSuffix[fr.idx]) {
+			if e := bl.siteEnd(fr.idx, k); e <= end {
+				end, event = e, true
 			}
-			if err := ip.exec(in, fr.regs); err != nil {
-				return err
-			}
-			fr.idx++
-			if ip.sites == ip.nextCkpt {
-				ip.nextCkpt += ip.checkpointEvery
-				ip.onCheckpoint(ip.Snapshot())
-			}
-			continue
 		}
 		insts := bl.insts
 		regs := fr.regs
-		for fr.idx < n {
+		for fr.idx < end {
 			in := &insts[fr.idx]
 			ip.steps++
 			switch in.op {
@@ -442,6 +419,37 @@ outer:
 			}
 			fr.idx++
 		}
+		if event {
+			ip.event(&insts[end-1], regs)
+			ev = ip.nextEvent()
+		}
+	}
+}
+
+// nextEvent returns the index (counting sites from 0) of the next site
+// whose retirement is an event: the pending fault site or the site that
+// completes the next checkpoint. A run without checkpoints and without a
+// pending fault gets MaxUint64-1, which no run reaches.
+func (ip *Interp) nextEvent() uint64 {
+	e := ip.nextCkpt - 1
+	if f := ip.fault; f != nil && !ip.injected && f.Site >= ip.sites {
+		e = min(e, f.Site)
+	}
+	return e
+}
+
+// event is the event step, run after a segment retired the site
+// instruction in that nextEvent named: it flips the fault bit in in's
+// result, then delivers the checkpoint.
+func (ip *Interp) event(in *dinst, regs []uint64) {
+	if f := ip.fault; f != nil && !ip.injected && f.Site == ip.sites-1 {
+		regs[in.dst] ^= 1 << (f.Bit % 64)
+		ip.injected = true
+		ip.injStep = ip.steps
+	}
+	if ip.sites == ip.nextCkpt {
+		ip.nextCkpt += ip.checkpointEvery
+		ip.onCheckpoint(ip.Snapshot())
 	}
 }
 
@@ -495,11 +503,6 @@ func (ip *Interp) exec(in *dinst, regs []uint64) error {
 	}
 
 	if in.site {
-		if ip.fault != nil && ip.sites == ip.fault.Site {
-			result ^= 1 << (ip.fault.Bit % 64)
-			ip.injected = true
-			ip.injStep = ip.steps
-		}
 		ip.sites++
 	}
 	if in.dst >= 0 {

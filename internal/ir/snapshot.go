@@ -6,21 +6,19 @@ import (
 	"ferrum/internal/pagemem"
 )
 
-// snapFrame is one serialised activation record: function and block are
-// stored by name, and the register file is stored as a name-keyed value
-// map, so a snapshot is independent of the decode stage's slot numbering
-// and can be restored into any interpreter built from an equal module —
-// including one whose engine version assigns slots differently.
+// snapFrame is one captured activation record in decoded form: the
+// function's index in the interpreter's decoded functions, the block and
+// instruction indices, and a copy of the register file. Snapshots never
+// leave the process; they restore into the interpreter that took them or
+// its clones, which share its decoding.
 type snapFrame struct {
-	fn      string
-	block   string
-	idx     int
-	env     map[string]uint64
-	savedSP uint64
+	fn, block, idx int32
+	regs           []uint64
+	savedSP        uint64
 }
 
 // Snapshot is a self-contained copy of an Interp's mid-run state: the call
-// stack (with per-frame environments), sp, counters, output, and the memory
+// stack (with per-frame register files), sp, counters, output, and the memory
 // pages dirtied since the run began (a delta against the pristine image).
 // It is immutable after capture and safe to restore concurrently into
 // different interpreters sharing the same module and image.
@@ -68,15 +66,11 @@ func (ip *Interp) Snapshot() *Snapshot {
 	}
 	for i := range ip.frames {
 		fr := &ip.frames[i]
-		env := make(map[string]uint64, len(fr.regs))
-		for slot, name := range fr.df.names {
-			env[name] = fr.regs[slot]
-		}
 		s.frames[i] = snapFrame{
-			fn:      fr.df.fn.Name,
-			block:   fr.df.blocks[fr.block].name,
-			idx:     int(fr.idx),
-			env:     env,
+			fn:      fr.df.idx,
+			block:   fr.block,
+			idx:     fr.idx,
+			regs:    append([]uint64(nil), fr.regs...),
 			savedSP: fr.savedSP,
 		}
 	}
@@ -84,43 +78,35 @@ func (ip *Interp) Snapshot() *Snapshot {
 }
 
 // Restore replaces the interpreter's state with a previously captured
-// snapshot. Frame value maps are decoded back into dense register files so
-// the snapshot stays immutable, and function/block names are resolved
-// against this interpreter's module; after Restore a resumed Run matches a
-// from-scratch run that reached the same point.
+// snapshot. Register files are copied into fresh frames so the snapshot
+// stays immutable; a frame whose function, block or instruction index is
+// out of range for this interpreter, or whose register file has the wrong
+// length, is rejected. After Restore a resumed Run matches a from-scratch
+// run that reached the same point.
 func (ip *Interp) Restore(s *Snapshot) error {
 	ip.live("Restore")
 	if s.memSize != len(ip.mem.B) {
 		return fmt.Errorf("ir: snapshot mismatch (mem %d vs %d)", s.memSize, len(ip.mem.B))
 	}
-	frames := make([]frame, len(s.frames))
 	for i, sf := range s.frames {
-		fi, ok := ip.funcIdx[sf.fn]
-		if !ok {
-			return fmt.Errorf("ir: snapshot frame %d: function %q not found", i, sf.fn)
+		if sf.fn < 0 || int(sf.fn) >= len(ip.dfuncs) {
+			return fmt.Errorf("ir: snapshot frame %d: function index %d out of range", i, sf.fn)
 		}
-		df := ip.dfuncs[fi]
-		bi, ok := df.blockIdx[sf.block]
-		if !ok {
-			return fmt.Errorf("ir: snapshot frame %d: block %q not found in @%s", i, sf.block, sf.fn)
-		}
-		regs := make([]uint64, df.nregs)
-		for name, v := range sf.env {
-			if slot, ok := df.slotOf[name]; ok {
-				regs[slot] = v
-			}
-		}
-		frames[i] = frame{
-			df:      df,
-			block:   bi,
-			idx:     int32(sf.idx),
-			regs:    regs,
-			savedSP: sf.savedSP,
+		df := ip.dfuncs[sf.fn]
+		if sf.block < 0 || int(sf.block) >= len(df.blocks) || sf.idx < 0 ||
+			int(sf.idx) >= len(df.blocks[sf.block].insts) || len(sf.regs) != df.nregs {
+			return fmt.Errorf("ir: snapshot frame %d does not fit @%s (block %d, instruction %d, %d registers)",
+				i, df.fn.Name, sf.block, sf.idx, len(sf.regs))
 		}
 	}
 	ip.mem.Restore(s.pages)
 	ip.recycleFrames()
-	ip.frames = append(ip.frames, frames...)
+	for _, sf := range s.frames {
+		df := ip.dfuncs[sf.fn]
+		regs := ip.acquireRegs(df.nregs)
+		copy(regs, sf.regs)
+		ip.frames = append(ip.frames, frame{df: df, block: sf.block, idx: sf.idx, regs: regs, savedSP: sf.savedSP})
+	}
 	ip.sp = s.sp
 	ip.output = append(ip.output[:0], s.output...)
 	ip.steps, ip.sites, ip.injected = s.steps, s.sites, s.injected

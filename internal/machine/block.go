@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"ferrum/internal/asm"
 )
@@ -10,15 +11,16 @@ import (
 // Basic-block threaded dispatch: the machine's only execution loop.
 //
 // A block former (buildBlocks) partitions the decoded uop array into basic
-// blocks at load time, and runBlocks executes a whole block after one
-// bounds check, one watchdog check and one stop-site check at block entry.
-// Blocks whose execution could cross the step budget, contain the planned
-// fault site, or reach the next stop site (StopAtSites, the next
-// checkpoint, a golden convergence point) fall back to
-// runBlockSlow, which applies those checks per instruction — so Result
-// (outcome, cycles, counters, crash messages) is identical either way.
+// blocks at load time, and runBlocks executes a block segment after one
+// bounds check, one budget check and one event check at segment entry. A
+// run has few events among its instructions: the planned fault, checkpoint
+// captures, the StopAtSites boundary and golden convergence compares. The
+// segment simply ends where the budget runs out or just after the
+// instruction that retires the next event site, and one event step does
+// that event's work — so Result (outcome, cycles, counters, crash
+// messages) is that of a run checked before and after every instruction.
 // Per-instruction observers (site recording, function spans, profiling,
-// tracing) are charged at block granularity by the observers hook.
+// tracing) are charged at segment granularity by the observers hook.
 //
 // All tables are indexed by instruction position: block formation never
 // renumbers insts/uops, so fault-site indexing, DestBits, snapshots and
@@ -82,16 +84,22 @@ func (p *program) buildBlocks(fnEntries []int) {
 }
 
 // runBlocks is the execution loop. It returns the terminal outcome and
-// crash message; Run flushes spans and assembles the Result. ob, when
-// non-nil, is charged with each block segment at the next block entry;
-// that one branch is all an observer-free run pays for it.
+// crash message; Run flushes spans and assembles the Result. It runs one
+// block segment at a time. A segment entered at pc ends at the earliest of
+// three points: the block end, the instruction where the step budget runs
+// out, and just after the instruction that retires the next event site
+// (nextEvent). The inner loop therefore runs with no per-instruction
+// budget, fault or stop test; a segment that ends on its event site is
+// followed by one event step. ob, when non-nil, is charged with each
+// segment at the next segment entry; that one branch is all an
+// observer-free run pays for it.
 func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outcome, string) {
 	// The dispatch tables are loop-invariant; locals keep their headers in
 	// registers instead of reloading them through m on every instruction.
 	uops := m.uops
 	blockEnd := m.blockEnd
-	fault := opts.Fault
-	stop := m.stopSite(opts)
+	siteSuffix := m.siteSuffix
+	ev := m.nextEvent(opts)
 	for {
 		pc := m.pc
 		if ob != nil {
@@ -102,21 +110,20 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 		}
 		m.nBlocks++
 		end := int(blockEnd[pc])
-		// Fall back to exact per-instruction execution when the step
-		// budget could expire inside the block (the budget is checked
-		// before every instruction), the planned fault site could land
-		// on one of the block's remaining destinations, or the next stop
-		// site falls within the block.
-		if m.dyn+uint64(end-pc) > maxSteps ||
-			(fault != nil && !m.injected && fault.Site < m.sites+uint64(m.siteSuffix[pc])) ||
-			stop <= m.sites+uint64(m.siteSuffix[pc]) {
-			if out, msg, done := m.runBlockSlow(opts, maxSteps, pc, end); done {
-				return out, msg
+		// The budget is checked before every instruction: a segment entered
+		// with none left ends the run, and one entered with some stops
+		// where it runs out.
+		if m.dyn+uint64(end-pc) > maxSteps {
+			if m.dyn >= maxSteps {
+				return OutcomeHang, ""
 			}
-			// The slow block may have applied the fault or passed a stop
-			// site.
-			stop = m.stopSite(opts)
-			continue
+			end = pc + int(maxSteps-m.dyn)
+		}
+		event := false
+		if k := ev - m.sites; k < uint64(siteSuffix[pc]) {
+			if e := m.siteEnd(pc, k); e <= end {
+				end, event = e, true
+			}
 		}
 		i := pc
 		for i < end {
@@ -139,73 +146,64 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 			}
 			// A backward transfer can re-enter this same block (a
 			// one-block self loop): return to the outer loop so the
-			// watchdog and fault-proximity checks run per block entry.
-			// Forward targets are always leaders, so any in-range forward
-			// pc is the sequential successor.
+			// budget and event checks run per segment entry. Forward
+			// targets are always leaders, so any in-range forward pc is
+			// the sequential successor. Only a block's last instruction
+			// transfers control, so leaving the loop here means
+			// instruction end-1 retired.
 			if m.pc <= i || m.pc >= end {
 				break
 			}
 			i = m.pc
 		}
+		if event {
+			if out, done := m.event(opts, end-1); done {
+				return out, ""
+			}
+			ev = m.nextEvent(opts)
+		}
 	}
 }
 
-// runBlockSlow executes one basic block with per-instruction checks: step
-// budget before each instruction, fault application on the matching site,
-// per-site counting, the checkpoint schedule, the StopAtSites boundary and
-// the golden convergence compare. It reports done=false when control left
-// the block with the run still live.
-func (m *Machine) runBlockSlow(opts *RunOpts, maxSteps uint64, pc, end int) (Outcome, string, bool) {
-	fault := opts.Fault
-	i := pc
-	for i < end {
-		if m.dyn >= maxSteps {
-			return OutcomeHang, "", true
+// siteEnd returns the end of the segment entered at pc that retires the
+// k-th site after pc (counting from 0, k < siteSuffix[pc]): one past that
+// site instruction, the first index after pc whose suffix count has
+// dropped to siteSuffix[pc]-k-1. The block end counts as 0.
+func (p *program) siteEnd(pc int, k uint64) int {
+	want := p.siteSuffix[pc] - int32(k) - 1
+	n := int(p.blockEnd[pc]) - pc - 1
+	return pc + 1 + sort.Search(n, func(j int) bool { return p.siteSuffix[pc+1+j] <= want })
+}
+
+// event is the event step, run after a segment retired the site
+// instruction i that nextEvent named. In this order it applies the
+// pending fault (with its Extra bits) to i's destination, captures the
+// checkpoint, stops at the StopAtSites boundary and runs the convergence
+// compare. It reports done with the outcome when the run ends there.
+func (m *Machine) event(opts *RunOpts, i int) (Outcome, bool) {
+	if f := opts.Fault; f != nil && !m.injected && f.Site == m.sites-1 {
+		dest := m.insts[i].dest
+		m.applyFault(dest, f.Bit)
+		for _, b := range f.Extra {
+			m.applyFault(dest, b)
 		}
-		u := &m.uops[i]
-		m.pc = i
-		m.dyn++
-		next, err := m.step(u, i)
-		if err != nil {
-			return OutcomeCrash, err.Error(), true
-		}
-		if u.destKind != asm.DestNone {
-			if fault != nil && m.sites == fault.Site {
-				dest := m.insts[i].dest
-				m.applyFault(dest, fault.Bit)
-				for _, b := range fault.Extra {
-					m.applyFault(dest, b)
-				}
-				m.injected = true
-				m.injCycles = m.cyclesNow()
-				m.injDyn = m.dyn
-			}
-			m.sites++
-			if c := opts.Checkpoints; c != nil && m.sites%c.Every == 0 {
-				c.take(m)
-			}
-			if opts.StopAtSites > 0 && m.sites == opts.StopAtSites {
-				// Capture before the epilogue's span flush so the boundary
-				// state matches a golden checkpoint snapshot bit for bit.
-				m.boundary = m.Snapshot()
-				return OutcomeBoundary, "", true
-			}
-			if m.checkConverged() {
-				return outcomeConverged, "", true
-			}
-		}
-		switch next {
-		case nextHalt:
-			return OutcomeOK, "", true
-		case nextDetect:
-			return OutcomeDetected, "", true
-		}
-		if m.pc <= i || m.pc >= end {
-			return 0, "", false
-		}
-		i = m.pc
+		m.injected = true
+		m.injCycles = m.cyclesNow()
+		m.injDyn = m.dyn
 	}
-	return 0, "", false
+	if c := opts.Checkpoints; c != nil && m.sites%c.Every == 0 {
+		c.take(m)
+	}
+	if opts.StopAtSites > 0 && m.sites == opts.StopAtSites {
+		// Capture before the epilogue's span flush so the boundary state
+		// matches a golden checkpoint snapshot bit for bit.
+		m.boundary = m.Snapshot()
+		return OutcomeBoundary, true
+	}
+	if m.checkConverged() {
+		return outcomeConverged, true
+	}
+	return 0, false
 }
 
 // observers charges a run's per-instruction observers — site recording,
@@ -215,7 +213,7 @@ func (m *Machine) runBlockSlow(opts *RunOpts, maxSteps uint64, pc, end int) (Out
 // observers are charged from the static tables over that range, in
 // execution order, when the next segment is entered or the run ends. The
 // profile's float sums therefore accumulate in the same order as a
-// per-instruction recorder would, and one hook serves both dispatch tiers.
+// per-instruction recorder would.
 type observers struct {
 	record    bool      // RecordSiteStatics
 	statics   []int32   // the site-static buffer being filled
@@ -326,6 +324,7 @@ func (o *observers) end(m *Machine, crashed bool, res *Result) {
 	res.Profile, res.Trace = o.prof.export(), o.trace.dump()
 }
 
-// DispatchStats reports the basic blocks this machine entered in its
-// lifetime.
+// DispatchStats reports the block segments this machine entered in its
+// lifetime: one per basic block entered, plus one more for each event
+// (fault, checkpoint, convergence compare) that split a block.
 func (m *Machine) DispatchStats() (blocksEntered uint64) { return m.nBlocks }

@@ -48,27 +48,31 @@ func (o *RunOpts) observed() bool {
 	return o.RecordSiteStatics || o.RecordFnSpans || o.Profile || o.Trace > 0 || o.Checkpoints != nil
 }
 
-// stopSite is the first site count at which the block loop must hand
-// control to runBlockSlow: the StopAtSites boundary, the next multiple of
-// the checkpoint spacing, or, once the fault has been applied, the next golden
-// checkpoint. MaxUint64 means none.
-func (m *Machine) stopSite(opts *RunOpts) uint64 {
-	s := uint64(math.MaxUint64)
-	if opts.StopAtSites > 0 {
-		s = opts.StopAtSites
+// nextEvent returns the index (counting sites from 0) of the next site
+// whose retirement is an event for the block loop: the pending fault
+// site, the StopAtSites boundary, the next multiple of the checkpoint
+// spacing, or, once the fault has been applied, the next golden
+// checkpoint. MaxUint64 means none. It is never below m.sites.
+func (m *Machine) nextEvent(opts *RunOpts) uint64 {
+	e := uint64(math.MaxUint64)
+	if f := opts.Fault; f != nil && !m.injected && f.Site >= m.sites {
+		e = f.Site
+	}
+	if s := opts.StopAtSites; s > m.sites {
+		e = min(e, s-1)
 	}
 	if c := opts.Checkpoints; c != nil {
-		s = min(s, (m.sites/c.Every+1)*c.Every)
+		e = min(e, (m.sites/c.Every+1)*c.Every-1)
 	}
-	if m.injected && len(m.conv) > 0 && m.conv[0].sites < s {
-		s = m.conv[0].sites
+	if m.injected && len(m.conv) > 0 {
+		e = min(e, m.conv[0].sites-1)
 	}
-	return s
+	return e
 }
 
-// checkConverged runs at each retired site on the slow block path. At the
-// next golden checkpoint's site count it reports whether the live state
-// equals that checkpoint; on a mismatch it moves on to the next one.
+// checkConverged runs in the event step. At the next golden checkpoint's
+// site count it reports whether the live state equals that checkpoint; on
+// a mismatch it moves on to the next one.
 func (m *Machine) checkConverged() bool {
 	if !m.injected || len(m.conv) == 0 || m.sites != m.conv[0].sites {
 		return false

@@ -193,6 +193,19 @@ func TestUnsupportedShapesRejectedAtLoad(t *testing.T) {
 		_, err = New(p, memSize)
 		check("New", err)
 	}
+	// A hand-built instruction whose provenance tag is out of range, which
+	// the profile's dense per-tag arrays could not count.
+	p := mustParse(t, shapeProgram("nop"))
+	p.Funcs[0].Insts[1].Tag = asm.Tag(asm.NumTags)
+	for entry, load := range map[string]func() error{
+		"Decode": func() error { _, err := Decode(p); return err },
+		"New":    func() error { _, err := New(p, memSize); return err },
+	} {
+		if err := load(); err == nil || !strings.Contains(err.Error(), "main+1") ||
+			!strings.Contains(err.Error(), "tag") {
+			t.Errorf("%s of an out-of-range tag: error = %v, want it to name main+1 and the tag", entry, err)
+		}
+	}
 }
 
 // fuzzMemSize and fuzzMaxSteps bound one FuzzDecodeEquiv execution.

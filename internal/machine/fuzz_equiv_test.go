@@ -39,17 +39,17 @@ func fingerprint(m *Machine) archState {
 // Rodinia-cell equivalence suite: randomly generated branch-dense programs
 // (short basic blocks, nested diamonds and loops — the shapes that stress
 // block-formation boundaries) must produce a bit-identical Result AND
-// bit-identical terminal architectural state on the block loop — its
-// whole-block fast path and its per-instruction runBlockSlow tier — and on
-// the per-instruction reference engine, for the golden run and for
-// injected faults. The plain runs carry no
-// observers, so the block-dispatch fast path is what actually executes;
-// the observed runs then pin the block-granularity observers against the
-// reference: site statics, function spans, profile, trace and checkpoint
-// schedules at K=1 and coarser, runs resumed from mid-block snapshots,
-// budgets and crashes that end a run mid-block, StopAtSites on a
-// checkpoint's own site count, and a Golden schedule that observers must
-// make the run ignore.
+// bit-identical terminal architectural state on the block-segment loop and
+// on the per-instruction reference engine, for the golden run and for
+// injected faults. The plain runs carry no observers; the observed runs
+// then pin the segment-granularity observers against the reference: site
+// statics, function spans, profile, trace and checkpoint schedules at K=1
+// and coarser, runs resumed from mid-block snapshots, budgets and crashes
+// that end a run mid-block, StopAtSites on a checkpoint's own site count,
+// event coincidences (a fault completing a checkpoint multiple, on its
+// block's last site, where the budget runs out, just before StopAtSites,
+// and right after a mid-block resume), and a Golden schedule that
+// observers must make the run ignore.
 func TestEquivFuzzDispatchTiers(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	iters := 12
@@ -57,7 +57,7 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 		iters = 4
 	}
 	const maxSteps = 5_000_000
-	var midResumes, crashes int
+	var midResumes, crashes, sameBlockEvents int
 	for i := 0; i < iters; i++ {
 		mod, err := progen.Generate(rng, progen.Options{
 			Stmts: 30, Calls: i%2 == 0, BranchDensity: 7,
@@ -185,6 +185,48 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 				o.MaxSteps = ms
 				check(fmt.Sprintf("maxsteps=%d", ms), o, 13)
 			}
+			// Event coincidences the segment loop must order exactly, each
+			// run observed at K=13 and plain: a fault that completes a
+			// checkpoint multiple, a fault on its block's last site, a fault
+			// on the instruction where the budget runs out, StopAtSites just
+			// after the fault site, and resumes from mid-block snapshots
+			// whose next site, faulted, lies in the same block.
+			statics := ref.runReference(RunOpts{Args: args, MaxSteps: maxSteps, RecordSiteStatics: true}).SiteStatics
+			last := want.DynSites / 2
+			for last < want.DynSites-1 && fast.siteSuffix[statics[last]] != 1 {
+				last++
+			}
+			atLast := RunOpts{Args: args, MaxSteps: maxSteps, Fault: &Fault{Site: last, Bit: 3}}
+			budgetOut := atLast
+			budgetOut.MaxSteps = ref.runReference(atLast).FaultDyn
+			stopAfter := atLast
+			stopAfter.StopAtSites = last + 1
+			cases := map[string]RunOpts{"fault on a block's last site": atLast,
+				"budget out on the fault site": budgetOut, "stop just after the fault": stopAfter}
+			if c := want.DynSites / 2 / 13; c > 0 {
+				cases["fault on a checkpoint multiple"] = RunOpts{Args: args, MaxSteps: maxSteps,
+					Fault: &Fault{Site: 13*c - 1, Bit: 9, Extra: []uint{40}}}
+			}
+			for j := 0; j < len(snaps); j += len(snaps)/8 + 1 {
+				s := snaps[j]
+				if pc := s.PC(); pc > 0 && fast.blockEnd[pc-1] == fast.blockEnd[pc] && fast.siteSuffix[pc] > 0 {
+					cases[fmt.Sprintf("resume@%d with its next site faulted", s.Sites())] = RunOpts{
+						Resume: s, MaxSteps: maxSteps, Fault: &Fault{Site: s.Sites(), Bit: 1}}
+					sameBlockEvents++
+				}
+			}
+			for what, o := range cases {
+				plain := o
+				o.RecordSiteStatics, o.RecordFnSpans, o.Profile, o.Trace = true, true, true, 8
+				if r := check(what, o, 13); o.Fault.Site == last && !r.Injected {
+					t.Errorf("%s %s: reference did not inject: %+v", ctx, what, r)
+				}
+				w := ref.runReference(plain)
+				wState := fingerprint(ref)
+				if got := fast.Run(plain); !reflect.DeepEqual(got, w) || fingerprint(fast) != wState {
+					t.Errorf("%s %s, unobserved: Result or state differs:\ngot: %+v\nref: %+v", ctx, what, got, w)
+				}
+			}
 			g := recordGolden(fast, RunOpts{Args: args, MaxSteps: maxSteps}, 3)
 			for _, site := range []uint64{0, want.DynSites / 3, want.DynSites / 2} {
 				for _, bit := range []uint{5, 44} {
@@ -205,9 +247,11 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d mid-block resumes, %d crashes with recorders on", midResumes, crashes)
-	if midResumes == 0 || crashes == 0 {
-		t.Errorf("observer cases went unexercised: %d mid-block resumes, %d crashes", midResumes, crashes)
+	t.Logf("%d mid-block resumes, %d crashes with recorders on, %d same-block resume events",
+		midResumes, crashes, sameBlockEvents)
+	if midResumes == 0 || crashes == 0 || sameBlockEvents == 0 {
+		t.Errorf("observer cases went unexercised: %d mid-block resumes, %d crashes, %d same-block resume events",
+			midResumes, crashes, sameBlockEvents)
 	}
 }
 

@@ -229,7 +229,7 @@ type Machine struct {
 
 	lastSites uint64 // previous run's site count (RecordSiteStatics capacity hint)
 
-	nBlocks uint64 // basic blocks entered (lifetime)
+	nBlocks uint64 // block segments entered (lifetime)
 
 	// Architectural state (reset per run).
 	gpr   [asm.NumReg]uint64
@@ -247,9 +247,8 @@ type Machine struct {
 	injected bool
 
 	// Injection instant, captured when the planned fault is applied (cycle
-	// clock and retired instructions); zero until then. Only the two
-	// injection points write these — the fast block path never does, because
-	// blocks containing the fault site always fall back to runBlockSlow.
+	// clock and retired instructions); zero until then. Only the event step
+	// writes these.
 	injCycles float64
 	injDyn    uint64
 
@@ -258,8 +257,7 @@ type Machine struct {
 	cycles     float64
 
 	// boundary holds the StopAtSites capture for the current run; cleared at
-	// the top of Run. Both dispatch tiers write it (runBlockSlow cannot
-	// return a snapshot through the block loop's plumbing).
+	// the top of Run and written by the event step.
 	boundary *Snapshot
 
 	// conv holds the RunOpts.Golden checkpoints still ahead of the current

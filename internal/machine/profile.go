@@ -26,51 +26,22 @@ type Profile struct {
 // profile is the run-time recorder behind the exported Profile. The hot
 // path indexes dense arrays by opcode and provenance tag — no map
 // operations per dynamic instruction — and export converts to the exported
-// map form once, when the run finishes. Opcode or tag values outside the
-// defined enums (constructible only by hand-built programs; such runs crash
-// on the unimplemented opcode anyway) spill into lazily allocated overflow
-// maps so the recorder never panics where the old map-based one did not.
+// map form once, when the run finishes. Decode admits only opcodes with a
+// fused form and asm.Validate only tags below asm.NumTags, so every index
+// is in range.
 type profile struct {
 	opCount   [asm.NumOps]uint64
 	tagCount  [asm.NumTags]uint64
 	tagScalar [asm.NumTags]float64
 	tagVector [asm.NumTags]float64
-
-	opOver  map[asm.Op]uint64
-	tagOver map[asm.Tag]*tagWork
-}
-
-type tagWork struct {
-	count          uint64
-	scalar, vector float64
 }
 
 func (p *profile) record(fi *flatInst) {
-	if op := fi.in.Op; int(op) < len(p.opCount) {
-		p.opCount[op]++
-	} else {
-		if p.opOver == nil {
-			p.opOver = map[asm.Op]uint64{}
-		}
-		p.opOver[op]++
-	}
-	if t := fi.in.Tag; int(t) < len(p.tagCount) {
-		p.tagCount[t]++
-		p.tagScalar[t] += fi.cost.scalar
-		p.tagVector[t] += fi.cost.vector
-	} else {
-		if p.tagOver == nil {
-			p.tagOver = map[asm.Tag]*tagWork{}
-		}
-		w := p.tagOver[t]
-		if w == nil {
-			w = &tagWork{}
-			p.tagOver[t] = w
-		}
-		w.count++
-		w.scalar += fi.cost.scalar
-		w.vector += fi.cost.vector
-	}
+	p.opCount[fi.in.Op]++
+	t := fi.in.Tag
+	p.tagCount[t]++
+	p.tagScalar[t] += fi.cost.scalar
+	p.tagVector[t] += fi.cost.vector
 }
 
 // export converts the dense counters to the exported map form. A nil
@@ -83,7 +54,7 @@ func (p *profile) export() *Profile {
 	// every profiled run (every campaign golden run, every overhead-profile
 	// iteration), and growing four maps from zero rehashed each one several
 	// times on that path.
-	nOps, nTags := len(p.opOver), len(p.tagOver)
+	nOps, nTags := 0, 0
 	for _, c := range p.opCount {
 		if c != 0 {
 			nOps++
@@ -111,14 +82,6 @@ func (p *profile) export() *Profile {
 			out.TagScalar[asm.Tag(t)] = p.tagScalar[t]
 			out.TagVector[asm.Tag(t)] = p.tagVector[t]
 		}
-	}
-	for op, c := range p.opOver {
-		out.OpCount[op] += c
-	}
-	for t, w := range p.tagOver {
-		out.TagCount[t] += w.count
-		out.TagScalar[t] += w.scalar
-		out.TagVector[t] += w.vector
 	}
 	return out
 }

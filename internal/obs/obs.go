@@ -111,7 +111,6 @@ const (
 	MCellErrs      = "sched.cell_errors"  // cells that returned an error
 	MInjections    = "sched.injections"   // injections attributed to completed cells
 	MCellWallUS    = "sched.cell_wall_us" // summed cell wall-clock, µs
-	MSchedRetries  = "sched.retries"      // cell attempts repeated after a transient failure
 	MSchedTimeouts = "sched.timeouts"     // cells canceled by the per-cell watchdog
 
 	// Build-cache adapters (supersede harness.CacheStats).
@@ -150,7 +149,7 @@ const (
 
 	// Dispatch-tier counters, reported by internal/fi from the machines a
 	// campaign executed on (golden template plus per-worker clones).
-	MBlocksEntered = "machine.blocks_entered" // basic blocks dispatched by the block loop
+	MBlocksEntered = "machine.blocks_entered" // block segments dispatched by the block loop
 	MFusedUops     = "machine.fused_uops"     // nothing increments it now; always 0
 
 	// Compositional campaigns (internal/fi driven by fi.Campaign.Compose,

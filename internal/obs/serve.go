@@ -25,7 +25,7 @@ import (
 // SanitizeMetricName maps a registry metric name onto the Prometheus data
 // model: [a-zA-Z_:][a-zA-Z0-9_:]*. Dots (the registry's namespace
 // separator) and any other invalid rune become underscores; a leading
-// digit gains an underscore prefix. "sched.retries" → "sched_retries".
+// digit gains an underscore prefix. "sched.timeouts" → "sched_timeouts".
 func SanitizeMetricName(name string) string {
 	var b strings.Builder
 	for i, r := range name {

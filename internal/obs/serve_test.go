@@ -16,7 +16,7 @@ import (
 // the Prometheus data model [a-zA-Z_:][a-zA-Z0-9_:]*.
 func TestSanitizeMetricName(t *testing.T) {
 	cases := map[string]string{
-		"sched.retries":                "sched_retries",
+		"sched.timeouts":               "sched_timeouts",
 		"fi.detect_latency.cycles.sdc": "fi_detect_latency_cycles_sdc",
 		"machine.fusion.vpxor+vptest":  "machine_fusion_vpxor_vptest",
 		"9lives":                       "_9lives",
@@ -92,7 +92,7 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 func TestPrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("fi.plans").Add(123)
-	r.Counter("sched.retries").Add(4)
+	r.Counter("sched.timeouts").Add(4)
 	r.Gauge("sched.workers").Set(8)
 	h := r.Histogram("fi.detect_latency.insts.sdc", []float64{1, 2, 4, 8, 16})
 	for _, v := range []float64{1, 3, 3, 7, 40, 40, 40} {
@@ -108,7 +108,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePrometheus: %v\ninput:\n%s", err, b.String())
 	}
-	if got.Counters["fi_plans"] != 123 || got.Counters["sched_retries"] != 4 {
+	if got.Counters["fi_plans"] != 123 || got.Counters["sched_timeouts"] != 4 {
 		t.Errorf("counters = %v", got.Counters)
 	}
 	if got.Gauges["sched_workers"] != 8 {
