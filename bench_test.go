@@ -453,17 +453,16 @@ func BenchmarkAsmCampaign(b *testing.B) {
 }
 
 // composeSamples is BenchmarkCompose's per-campaign budget. The reuse side's
-// cost is sample-independent (golden + recording runs only), so the paper-
-// scale budget is what makes the headline ratio honest.
+// cost is sample-independent (the golden run only), so the paper-scale
+// budget is what makes the headline ratio honest.
 const composeSamples = 1000
 
 // BenchmarkCompose measures the compositional campaign's section-reuse
 // speedup, which the compose gate of BENCH_micro.json (scripts/bench) holds
 // at 3x or more: 'full' runs the composed campaign cold (fresh section cache
-// every iteration — golden run, recording run, and every plan executed),
-// 'reuse' runs the identical
-// campaign against warm tables (every plan served from cache; only the
-// golden and recording runs execute). The ratio is the wall-clock saving a
+// every iteration — the golden run and every plan executed), 'reuse' runs
+// the identical campaign against warm tables (every plan served from
+// cache; only the golden run executes). The ratio is the wall-clock saving a
 // re-run pays after an edit that reaches no section. The cell is the raw
 // (unprotected) bfs campaign — the fault-space measurement a protection
 // developer re-runs most, and the one whose plans run longest (no detector

@@ -53,7 +53,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.Int64Var(&o.Seed, "seed", harness.DefaultSeed, "RNG seed (any value, including 0, is honoured)")
 	fs.IntVar(&o.Scale, "scale", 1, "benchmark scale factor")
 	fs.BoolVar(&o.NoCheckpoint, "no-checkpoint", false, "disable checkpointed fast-forwarding (identical results, slower campaigns)")
-	fs.Uint64Var(&o.CheckpointEvery, "checkpoint-every", 0, "snapshot spacing K in dynamic sites (0 = auto: asm campaigns keep 4·√samples to 8·√samples snapshots of their golden run, composed and IR campaigns use DynSites/√samples)")
+	fs.Uint64Var(&o.CheckpointEvery, "checkpoint-every", 0, "snapshot spacing K in dynamic sites (0 = auto: the golden run keeps 4·√samples to 8·√samples snapshots for asm campaigns, √samples to 2·√samples for composed and IR campaigns)")
 	fs.Float64Var(&o.CIWidth, "ci-width", 0, "stop each campaign early once the 95% CI of its SDC rate is no wider than this (0 = off)")
 	fs.Var(&o.Prune, "prune", "static fault-site pruning for asm campaigns: off, dead (exact), exact (dead+masked), full (adds class dedup, statistical)")
 	fs.Var(&o.Compose, "compose", "compositional asm campaigns: off, on (sectioned at checkpoint boundaries), validate (also run the monolithic campaign and gate the composed rates against it)")

@@ -12,9 +12,8 @@ import (
 
 // campaign is one run of the campaign pipeline every runner shares —
 // RunAsmCampaign, RunIRCampaign, compose and ProfileProneness: Check, the
-// journaled-prior shortcut, build and golden run (which also takes the
-// checkpoints of a converging asm campaign), the plan draw, the run mode's
-// plan stage, checkpoint recording for compose and IR campaigns, runPlans,
+// journaled-prior shortcut, build and the golden run (which also takes the
+// checkpoint schedule), the plan draw, the run mode's plan stage, runPlans,
 // Result assembly, and the observe/journal tail. The engine seam
 // (engine.go) supplies the level-specific work.
 type campaign struct {
@@ -65,7 +64,7 @@ func (f *campaign) run() (Result, error) {
 	}
 	defer f.eng.release()
 	gsp := c.Obs.Span("golden")
-	f.g, err = f.eng.golden(c.goldenCheckpoints(f.irLevel))
+	f.g, err = f.eng.golden(c)
 	gsp.SetAttr("dyn_insts", f.g.insts)
 	gsp.SetAttr("dyn_sites", f.g.sites)
 	if s := f.g.sched; s != nil {
@@ -102,13 +101,10 @@ func (f *campaign) run() (Result, error) {
 
 	f.eng.planned()
 
-	// Compose recorded the checkpoints to cut its sections, and a converging
-	// asm campaign took them in its golden run; an IR campaign records them
-	// now. Either way they serve only when some plan still has to execute.
-	if f.sched == nil && !c.NoCheckpoint && c.pendingPlans(f.plans) > 0 {
-		if f.sched = f.g.sched; f.sched == nil {
-			f.record()
-		}
+	// The golden run took the checkpoints. Compose cut its sections at them;
+	// otherwise they serve only when some plan still has to execute.
+	if f.comp != nil || c.pendingPlans(f.plans) > 0 {
+		f.sched = f.g.sched
 	}
 	if f.sched != nil {
 		f.plans = slices.Clone(f.plans)
@@ -184,16 +180,6 @@ func (f *campaign) prune() error {
 		orig(answered)
 	}
 	return nil
-}
-
-// record records the checkpoint schedule of a compose or IR campaign in a
-// run of its own, at the campaign's interval.
-func (f *campaign) record() {
-	k := f.c.checkpointInterval(f.g.sites)
-	csp := f.c.Obs.Span("checkpoint.record")
-	f.sched = f.eng.record(k)
-	f.sched.setAttrs(csp)
-	csp.End()
 }
 
 // newWorker is runPlans' worker factory: an engine clone behind the

@@ -6,71 +6,51 @@ import (
 	"slices"
 	"sort"
 
-	"ferrum/internal/machine"
+	"ferrum/internal/pagemem"
 )
 
-// DefaultCheckpointInterval is the auto checkpoint spacing K of compose and
-// IR campaigns: DynSites/√Samples balances the one-off cost of recording
-// DynSites/K snapshots against the per-plan cost of replaying on average
-// K/2 sites, which is minimised (to first order) at K ≈ DynSites/√Samples.
-// Always at least 1. Compose keeps this rule because its K cuts the
-// sections a composed journal resumes under; converging asm campaigns use
-// the denser goldenCheckpoints schedule.
-func DefaultCheckpointInterval(dynSites uint64, samples int) uint64 {
-	if samples <= 0 {
-		return dynSites + 1 // no plans: never checkpoint
-	}
-	k := uint64(float64(dynSites) / math.Sqrt(float64(samples)))
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-// The auto schedule of a converging asm campaign targets
+// The dense auto schedule of a converging asm campaign targets
 // ckptPerRootSample·√Samples snapshots, and holds at most ckptMaxBytes of
-// them (machine.Checkpoints.MaxBytes). A benign plan ends at the first
-// checkpoint its state rejoins, so denser checkpoints shorten both
-// the replay to the fault site and the suffix after it. Memory sets the
-// limit: each doubling of the golden run's schedule captures about n
-// snapshots that the next one drops, and that churn raises the peak heap
-// more than the kept snapshots do. The constants come from the sweep in
-// EXPERIMENTS.md.
+// them. A benign plan ends at the first checkpoint its state rejoins, so
+// denser checkpoints shorten both the replay to the fault site and the
+// suffix after it. Memory sets the limit: each doubling of the golden run's
+// schedule captures about n snapshots that the next one drops, and that
+// churn raises the peak heap more than the kept snapshots do. The constants
+// come from the sweep in EXPERIMENTS.md.
 const (
 	ckptPerRootSample = 4
 	ckptMaxBytes      = 1 << 20
 )
 
-// checkpointInterval resolves the effective K of a campaign that records
-// its checkpoints in a run of their own: compose and IR.
-func (c Campaign) checkpointInterval(dynSites uint64) uint64 {
-	if c.CheckpointEvery > 0 {
-		return c.CheckpointEvery
-	}
-	return DefaultCheckpointInterval(dynSites, c.Samples)
-}
-
-// goldenCheckpoints is the checkpoint schedule the golden run of a
-// converging asm campaign records; nil for campaigns that record theirs
-// separately (compose, IR) or not at all. An explicit K is taken as is.
-// Otherwise n = ckptPerRootSample·√Samples: the schedule starts at K = 1
-// and doubles K whenever it would keep more than 2n snapshots (or more
-// than ckptMaxBytes), so it ends with between n and 2n at a power-of-two
-// K. For these campaigns any K yields the same table, because resume and
-// convergence are exact.
-func (c Campaign) goldenCheckpoints(irLevel bool) *machine.Checkpoints {
-	if irLevel || c.NoCheckpoint || c.Compose != ComposeOff || c.Samples <= 0 {
+// goldenCheckpoints is the one K rule of every mode: the schedule c's
+// golden run takes on the engine whose snapshots are T, nil without
+// checkpointing. An explicit K is taken as is. Otherwise the schedule
+// starts at K = 1 and thins at 2n snapshots, so it ends at a power-of-two
+// K with between n and 2n of them:
+//
+//   - dense, for a converging asm campaign: n = ckptPerRootSample·√Samples,
+//     with at most ckptMaxBytes of snapshots. Any K yields the same table,
+//     because resume and convergence are exact.
+//   - sparse, for compose and IR: n = ⌈√Samples⌉ and no byte bound, which
+//     balances the snapshots taken against the replay to each plan's site.
+//     Compose's K cuts its sections, so it must not depend on snapshot
+//     sizes.
+func goldenCheckpoints[T any, S pagemem.Capture[T]](c Campaign, irLevel bool) *pagemem.Schedule[T, S] {
+	switch {
+	case c.NoCheckpoint:
 		return nil
+	case c.CheckpointEvery > 0:
+		return &pagemem.Schedule[T, S]{Every: c.CheckpointEvery}
+	case irLevel || c.Compose != ComposeOff:
+		return &pagemem.Schedule[T, S]{Every: 1, Max: 2 * autoSnapshots(1, c.Samples)}
 	}
-	if c.CheckpointEvery > 0 {
-		return &machine.Checkpoints{Every: c.CheckpointEvery}
-	}
-	return &machine.Checkpoints{Every: 1, Max: 2 * autoSnapshots(c.Samples), MaxBytes: ckptMaxBytes}
+	return &pagemem.Schedule[T, S]{Every: 1, Max: 2 * autoSnapshots(ckptPerRootSample, c.Samples), MaxBytes: ckptMaxBytes}
 }
 
-// autoSnapshots is the auto schedule's target snapshot count n.
-func autoSnapshots(samples int) int {
-	return int(math.Ceil(ckptPerRootSample * math.Sqrt(float64(samples))))
+// autoSnapshots is an auto schedule's target snapshot count n =
+// ⌈perRoot·√Samples⌉.
+func autoSnapshots(perRoot float64, samples int) int {
+	return int(math.Ceil(perRoot * math.Sqrt(float64(max(samples, 1)))))
 }
 
 // CheckpointSummary describes one campaign's checkpointing activity.
@@ -96,8 +76,8 @@ func sortPlansBySite(plans []plannedFault) {
 }
 
 // nearestSnapshot returns the latest snapshot taken at or before site, or
-// -1 if the site precedes the first snapshot. snaps must be ordered by
-// ascending Sites(), which the recording run guarantees.
+// -1 if the site precedes the first snapshot. sites must be ascending,
+// which a golden run's schedule guarantees.
 func nearestSnapshot(sites []uint64, site uint64) int {
 	return sort.Search(len(sites), func(i int) bool { return sites[i] > site }) - 1
 }

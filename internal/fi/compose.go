@@ -181,22 +181,20 @@ type composition struct {
 }
 
 // newComposition is compose's plan stage in place of the uniform draw: it
-// records the checkpoint schedule, cuts it into sections, keys each
+// cuts the golden run's checkpoint schedule into sections, keys each
 // section and draws its stratified plan slice.
 //
-// The checkpoint replay doubles as the section scaffold: its snapshots
-// delimit sections and its function spans pin each section's fingerprint
-// to the code that actually executed inside it (including zero-site
-// functions, which a site-range mapping alone would miss). It is a golden
-// run too: fallback continuations end at the first later section exit
-// their state rejoins.
+// The golden run is the section scaffold: its snapshots delimit sections
+// and its function spans pin each section's fingerprint to the code that
+// actually executed inside it (including zero-site functions, which a
+// site-range mapping alone would miss). Fallback continuations end at the
+// first later section exit their state rejoins.
 func newComposition(f *campaign) *composition {
 	c, g := f.c, f.g
 	e := f.eng.(*asmEngine)
 	var widthFallbacks int
-	width := g.width(&widthFallbacks) // taken before recording drops the site table
-	f.record()
-	k := f.sched.k
+	width := g.width(&widthFallbacks) // taken before planned drops the site table
+	k := g.sched.k
 	secs := buildSections(e.sched.Checkpoints, g.sites)
 
 	// Whole-program and per-section fingerprints. The section key pins

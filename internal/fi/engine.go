@@ -15,17 +15,13 @@ import (
 // mode stages, the worker pool, resume accounting and result assembly are
 // level-independent and live in the flow.
 type engine interface {
-	// golden runs the built template unfaulted. A non-nil ckpts also
-	// records the campaign's checkpoint schedule in the same run (asm
-	// only); the engine keeps the snapshots, goldenRun.sched says where
-	// they sit.
-	golden(ckpts *machine.Checkpoints) (goldenRun, error)
+	// golden runs the built template unfaulted, taking c's checkpoint
+	// schedule (goldenCheckpoints) in the same run; the engine keeps the
+	// snapshots, goldenRun.sched says where they sit.
+	golden(c Campaign) (goldenRun, error)
 	// planned tells the engine the plan is drawn: it drops what only the
 	// draw and its stages read.
 	planned()
-	// record replays the golden run with a snapshot every k sites. The
-	// engine keeps the snapshots; the flow gets where they sit.
-	record(k uint64) *schedule
 	// clone returns a worker over its own copy of the template's mutable
 	// state. Safe for concurrent use.
 	clone() worker
@@ -54,12 +50,12 @@ type goldenRun struct {
 	// samples bits from, counting fallback draws into *fallbacks (see
 	// siteWidth). nil at IR level, where every site is 64 bits wide.
 	width func(fallbacks *int) func(uint64) uint
-	// sched is the checkpoint schedule the golden run recorded; nil when
-	// it recorded none.
+	// sched is the checkpoint schedule the golden run took; nil when it
+	// took none.
 	sched *schedule
 }
 
-// schedule is a recorded checkpoint schedule as the flow sees it.
+// schedule is a golden run's checkpoint schedule as the flow sees it.
 type schedule struct {
 	k     uint64
 	sites []uint64 // snapshot site counts, ascending
@@ -67,7 +63,7 @@ type schedule struct {
 	bytes int      // dirtied bytes captured across all snapshots
 }
 
-// setAttrs describes the schedule on the span that recorded it.
+// setAttrs describes the schedule on the golden span that took it.
 func (s *schedule) setAttrs(sp *obs.ActiveSpan) {
 	sp.SetAttr("k", s.k)
 	sp.SetAttr("snapshots", len(s.sites))
@@ -108,11 +104,10 @@ type asmEngine struct {
 	// asks for it (siteLoc).
 	instrs    []machine.StaticInstr
 	keepSites bool
-	// sched is the checkpoint schedule, recorded by the golden run or by
-	// record. Plans resume from its snapshots and end at the first one
-	// their state rejoins (machine.RunOpts.Golden); a record run's Result
-	// also has FnSpans, which say which functions ran between the
-	// snapshots.
+	// sched is the checkpoint schedule the golden run took. Plans resume
+	// from its snapshots and end at the first one their state rejoins
+	// (machine.RunOpts.Golden); under compose its End also has FnSpans,
+	// which say which functions ran between the snapshots.
 	sched *machine.Golden
 }
 
@@ -130,12 +125,16 @@ func newAsmEngine(tgt AsmTarget, maxSteps uint64) (*asmEngine, error) {
 	return &asmEngine{tgt: tgt, maxSteps: maxSteps, m0: m}, nil
 }
 
-// golden also records the run's per-site static ids.
-func (e *asmEngine) golden(ckpts *machine.Checkpoints) (goldenRun, error) {
+// golden also records the run's per-site static ids, and under compose
+// its function spans: on the block loop they cost one compare per block
+// entry, and compose's section keys hash them.
+func (e *asmEngine) golden(c Campaign) (goldenRun, error) {
+	ckpts := goldenCheckpoints[machine.Snapshot](c, false)
 	e.res = e.m0.Run(machine.RunOpts{
 		Args:              e.tgt.Args,
 		MaxSteps:          e.maxSteps,
 		RecordSiteStatics: true,
+		RecordFnSpans:     c.Compose != ComposeOff,
 		Checkpoints:       ckpts,
 	})
 	if e.res.Outcome != machine.OutcomeOK {
@@ -154,7 +153,11 @@ func (e *asmEngine) golden(ckpts *machine.Checkpoints) (goldenRun, error) {
 	if ckpts != nil {
 		end := e.res
 		end.SiteStatics = nil
-		g.sched = e.schedule(ckpts, end)
+		e.sched = &machine.Golden{Checkpoints: ckpts.Snaps, End: end}
+		g.sched = &schedule{k: ckpts.Every}
+		for _, sn := range ckpts.Snaps {
+			g.sched.add(sn.Sites(), sn.DynInsts(), sn.MemBytes())
+		}
 	}
 	return g, nil
 }
@@ -163,30 +166,6 @@ func (e *asmEngine) planned() {
 	if !e.keepSites {
 		e.res.SiteStatics = nil
 	}
-}
-
-// record also records function spans: on the block loop they cost one
-// compare per block entry, and compose's section keys hash them.
-func (e *asmEngine) record(k uint64) *schedule {
-	ckpts := &machine.Checkpoints{Every: k}
-	end := e.m0.Run(machine.RunOpts{
-		Args:          e.tgt.Args,
-		MaxSteps:      e.maxSteps,
-		Checkpoints:   ckpts,
-		RecordFnSpans: true,
-	})
-	return e.schedule(ckpts, end)
-}
-
-// schedule keeps the snapshots of a golden run that ended with end as the
-// plans' resume points and convergence targets.
-func (e *asmEngine) schedule(ckpts *machine.Checkpoints, end machine.Result) *schedule {
-	e.sched = &machine.Golden{Checkpoints: ckpts.Snaps, End: end}
-	s := &schedule{k: ckpts.Every}
-	for _, sn := range ckpts.Snaps {
-		s.add(sn.Sites(), sn.DynInsts(), sn.MemBytes())
-	}
-	return s
 }
 
 func (e *asmEngine) clone() worker {
@@ -294,27 +273,22 @@ func newIREngine(tgt IRTarget, maxSteps uint64) (*irEngine, error) {
 	return &irEngine{tgt: tgt, maxSteps: maxSteps, ip0: ip}, nil
 }
 
-func (e *irEngine) golden(*machine.Checkpoints) (goldenRun, error) {
-	r := e.ip0.Run(ir.RunOpts{Args: e.tgt.Args, MaxSteps: e.maxSteps})
+func (e *irEngine) golden(c Campaign) (goldenRun, error) {
+	ckpts := goldenCheckpoints[ir.Snapshot](c, true)
+	r := e.ip0.Run(ir.RunOpts{Args: e.tgt.Args, MaxSteps: e.maxSteps, Checkpoints: ckpts})
 	if r.Outcome != ir.OutcomeOK {
 		return goldenRun{}, fmt.Errorf("fi: golden IR run failed: %v (%s)", r.Outcome, r.CrashMsg)
 	}
 	e.output = r.Output
-	return goldenRun{sites: r.Sites, insts: r.Steps, output: r.Output}, nil
-}
-
-func (e *irEngine) record(k uint64) *schedule {
-	s := &schedule{k: k}
-	e.ip0.Run(ir.RunOpts{
-		Args:            e.tgt.Args,
-		MaxSteps:        e.maxSteps,
-		CheckpointEvery: k,
-		OnCheckpoint: func(sn *ir.Snapshot) {
-			e.snaps = append(e.snaps, sn)
-			s.add(sn.Sites(), sn.Steps(), sn.MemBytes())
-		},
-	})
-	return s
+	g := goldenRun{sites: r.Sites, insts: r.Steps, output: r.Output}
+	if ckpts != nil {
+		e.snaps = ckpts.Snaps
+		g.sched = &schedule{k: ckpts.Every}
+		for _, sn := range ckpts.Snaps {
+			g.sched.add(sn.Sites(), sn.Steps(), sn.MemBytes())
+		}
+	}
+	return g, nil
 }
 
 func (e *irEngine) clone() worker {

@@ -110,9 +110,9 @@ type Campaign struct {
 	// for debugging and for the equivalence tests.
 	NoCheckpoint bool
 	// CheckpointEvery overrides the snapshot spacing K (dynamic sites
-	// between checkpoints). 0 auto-tunes: a converging asm campaign thins
-	// the schedule its golden run takes (goldenCheckpoints), and compose
-	// and IR campaigns use DefaultCheckpointInterval.
+	// between checkpoints). 0 auto-tunes: the golden run thins the
+	// schedule it takes, densely for a converging asm campaign and
+	// sparsely for compose and IR (goldenCheckpoints).
 	CheckpointEvery uint64
 	// CIWidth, if > 0, enables Wilson-interval early stopping: the campaign
 	// ends once the 95% confidence interval of the SDC rate over the
@@ -419,7 +419,8 @@ func FindExample(tgt AsmTarget, c Campaign, want Outcome) (machine.Fault, bool, 
 		return machine.Fault{}, false, err
 	}
 	defer e.release()
-	g, err := e.golden(nil)
+	c.NoCheckpoint = true // every plan below cold-starts
+	g, err := e.golden(c)
 	if err != nil {
 		return machine.Fault{}, false, err
 	}

@@ -25,7 +25,7 @@ import (
 //
 // Record stream (one JSON object per line):
 //
-//	{"t":"meta","v":2,"meta":{...}}           — first line; config fingerprint
+//	{"t":"meta","v":3,"meta":{...}}           — first line; config fingerprint
 //	{"t":"plan","c":"<key>","i":17,"o":1,
 //	 "s":204,"l":96}                          — plan i of campaign <key> had outcome o;
 //	                                            it hit dynamic site s and its fault ran
@@ -38,10 +38,14 @@ import (
 // dropped, and truncated away before appending resumes; the plan it described
 // is simply re-run.
 
-// journalVersion is bumped when the record schema changes incompatibly.
-// v2 added the per-plan fault site ("s") and detection latency ("l") fields
-// and the Result.Latency summary inside cell records.
-const journalVersion = 2
+// journalVersion is bumped when the record schema, or the plans its
+// records index, change incompatibly. v2 added the per-plan fault site
+// ("s") and detection latency ("l") fields and the Result.Latency summary
+// inside cell records. v3 moved the sections of auto-K composed campaigns:
+// their K now comes from the golden run's schedule, so their stratified
+// plan indices name other plans, and a v2 composed journal must be refused
+// loudly, never resumed into the new sections.
+const journalVersion = 3
 
 // defaultSyncBatch is how many records may accumulate before the journal
 // flushes and fsyncs. Batching amortises fsync latency across plans; a crash

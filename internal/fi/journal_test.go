@@ -2,6 +2,7 @@ package fi
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -122,13 +123,15 @@ func sampleJournal(tb testing.TB) []byte {
 }
 
 // unloadableChunks are chunks of well-formed JSON lines the journal loader
-// refuses mid-stream: cell results that do not decode or are null, and a
-// meta record of another schema version.
+// refuses mid-stream: cell results that do not decode or are null, and
+// meta records of older schema versions — v2 among them, whose auto-K
+// composed sections the current build cuts elsewhere.
 var unloadableChunks = []string{
 	`{"t":"cell","c":"x","res":1}` + "\n",
 	`{"t":"cell","c":"x","res":"oops"}` + "\n",
 	`{"t":"cell","c":"x","res":null}` + "\n",
 	`{"t":"meta","v":1,"meta":{"tool":"test","seed":42,"samples":80}}` + "\n",
+	`{"t":"meta","v":2,"meta":{"tool":"test","seed":42,"samples":80,"compose":"on"}}` + "\n",
 }
 
 // TestValidateRecordsMatchesLoader: ValidateRecords refuses every chunk
@@ -157,7 +160,7 @@ func TestValidateRecordsMatchesLoader(t *testing.T) {
 
 // otherMeta is a well-formed meta record of another configuration: what a
 // chunk carrying it would swap a journal's configuration to.
-const otherMeta = `{"t":"meta","v":2,"meta":{"tool":"other","seed":1,"samples":5}}` + "\n"
+const otherMeta = `{"t":"meta","v":3,"meta":{"tool":"other","seed":1,"samples":5}}` + "\n"
 
 // TestJournalMetaOnlyFirst: a meta record anywhere but first cannot replace
 // the journal's configuration. The loader refuses the journal, and
@@ -388,33 +391,38 @@ func TestJournalDuplicatePlans(t *testing.T) {
 // TestJournalVersionRefused: a journal from an older schema must be refused
 // with an actionable error naming both versions — never decoded on a guess
 // and never a panic. (v1 lacked the per-plan "s"/"l" fields and latency in
-// cell results; replaying it would silently drop telemetry.)
+// cell results; replaying it would silently drop telemetry. A v2 composed
+// journal indexes plans of sections cut at the old auto K; resuming it
+// would merge outcomes of other plans.)
 func TestJournalVersionRefused(t *testing.T) {
-	path := journalPath(t)
-	v1 := `{"t":"meta","v":1,"meta":{"tool":"test","seed":42,"samples":80}}
-{"t":"plan","c":"a","i":0,"o":0}
-`
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadJournal(path)
-	if err == nil {
-		t.Fatal("v1 journal loaded without error")
-	}
-	for _, needle := range []string{"schema v1", "v2", "re-run"} {
-		if !strings.Contains(err.Error(), needle) {
-			t.Errorf("version error %q missing %q", err, needle)
+	for v, meta := range map[int]string{
+		1: `{"t":"meta","v":1,"meta":{"tool":"test","seed":42,"samples":80}}`,
+		2: `{"t":"meta","v":2,"meta":{"tool":"test","seed":42,"samples":80,"compose":"on"}}`,
+	} {
+		path := journalPath(t)
+		old := meta + "\n" + `{"t":"plan","c":"a","i":0,"o":0}` + "\n"
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, _, err := ResumeJournal(path); err == nil {
-		t.Error("v1 journal resumed without error")
+		_, err := LoadJournal(path)
+		if err == nil {
+			t.Fatalf("v%d journal loaded without error", v)
+		}
+		for _, needle := range []string{fmt.Sprintf("schema v%d", v), fmt.Sprintf("reads v%d", journalVersion), "re-run"} {
+			if !strings.Contains(err.Error(), needle) {
+				t.Errorf("version error %q missing %q", err, needle)
+			}
+		}
+		if _, _, err := ResumeJournal(path); err == nil {
+			t.Errorf("v%d journal resumed without error", v)
+		}
 	}
 }
 
-// TestJournalV2ResumeByteIdentical: closing and resuming a v2 journal, then
-// appending nothing, must leave the file byte-identical — resume truncates
-// only torn tails, never rewrites committed records (latency fields
-// included).
+// TestJournalV2ResumeByteIdentical: closing and resuming a journal with the
+// latency fields schema v2 added, then appending nothing, must leave the
+// file byte-identical — resume truncates only torn tails, never rewrites
+// committed records (latency fields included).
 func TestJournalV2ResumeByteIdentical(t *testing.T) {
 	path := journalPath(t)
 	j, err := CreateJournal(path, testMeta)

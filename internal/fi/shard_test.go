@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -50,45 +51,71 @@ func TestJournalMetaCheckNamesField(t *testing.T) {
 	}
 }
 
-// failSink is a JournalSink whose writes start failing after allow bytes
-// worth of calls have gone through — a full disk, from the journal's side.
+// failSink is a JournalSink that fails at call N, from the journal's side
+// a full disk or a lost device: a Write error after allow writes went
+// through, a short write at Write call shortAt, or an error from Sync call
+// syncAt (calls count from 1; 0 leaves that fault off).
 type failSink struct {
-	allow int // writes to accept before failing
-	wrote int
+	allow           int // writes to accept before failing; 0 accepts all
+	shortAt, syncAt int
+	wrote, synced   int
 }
 
-var errSinkFull = errors.New("sink full")
+var (
+	errSinkFull = errors.New("sink full")
+	errSyncLost = errors.New("sync lost")
+)
 
 func (s *failSink) Write(p []byte) (int, error) {
-	if s.wrote >= s.allow {
+	if s.allow > 0 && s.wrote >= s.allow {
 		return 0, errSinkFull
 	}
 	s.wrote++
+	if s.wrote == s.shortAt {
+		return len(p) / 2, nil
+	}
 	return len(p), nil
 }
-func (s *failSink) Sync() error  { return nil }
+
+func (s *failSink) Sync() error {
+	if s.synced++; s.synced == s.syncAt {
+		return errSyncLost
+	}
+	return nil
+}
+
 func (s *failSink) Close() error { return nil }
 
-// TestJournalWriteErrorFailsCampaign pins the swallowed-write-error fix: a
-// journaled campaign whose journal latched a write failure must fail with a
-// wrapped error, not return success over a silently truncated journal.
+// TestJournalWriteErrorFailsCampaign pins that a journaled campaign whose
+// journal latched a write failure fails with a wrapped error and never
+// returns success over a silently truncated journal: a write error, a
+// short write and an fsync error, each past the meta record.
 func TestJournalWriteErrorFailsCampaign(t *testing.T) {
-	sink := &failSink{allow: 1} // meta record goes through, everything after fails
-	j, err := NewStreamJournal(sink, testMeta)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tgt := asmTarget(t, false)
-	c := Campaign{Samples: 40, Seed: 3, Workers: 1, Journal: j, Key: "cell"}
-	_, err = RunAsmCampaign(tgt, c)
-	if err == nil {
-		t.Fatal("campaign with a failing journal returned success")
-	}
-	if !errors.Is(err, errSinkFull) {
-		t.Errorf("campaign error %v does not wrap the sink error", err)
-	}
-	if !strings.Contains(err.Error(), "journal write failed") {
-		t.Errorf("campaign error %q does not identify the journal", err)
+	for _, tc := range []struct {
+		name string
+		sink *failSink
+		want error
+	}{
+		{"write error", &failSink{allow: 1}, errSinkFull},
+		{"short write", &failSink{shortAt: 2}, io.ErrShortWrite},
+		{"sync error", &failSink{syncAt: 2}, errSyncLost},
+	} {
+		j, err := NewStreamJournal(tc.sink, testMeta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Campaign{Samples: 40, Seed: 3, Workers: 1, Journal: j, Key: "cell"}
+		_, err = RunAsmCampaign(tgt, c)
+		if err == nil {
+			t.Fatalf("%s: campaign with a failing journal returned success", tc.name)
+		}
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: campaign error %v does not wrap %v", tc.name, err, tc.want)
+		}
+		if !strings.Contains(err.Error(), "journal write failed") {
+			t.Errorf("%s: campaign error %q does not identify the journal", tc.name, err)
+		}
 	}
 }
 

@@ -37,10 +37,8 @@ func newFuzzInterp(t *testing.T, mod *ir.Module) *ir.Interp {
 // runCkpts runs opts through run with a checkpoint every k sites and
 // returns the RunResult with the snapshots the schedule delivered.
 func runCkpts(run func(ir.RunOpts) ir.RunResult, opts ir.RunOpts, k uint64) (ir.RunResult, []*ir.Snapshot) {
-	var snaps []*ir.Snapshot
-	opts.CheckpointEvery = k
-	opts.OnCheckpoint = func(s *ir.Snapshot) { snaps = append(snaps, s) }
-	return run(opts), snaps
+	opts.Checkpoints = &ir.Checkpoints{Every: k}
+	return run(opts), opts.Checkpoints.Snaps
 }
 
 func TestEquivIRDispatchTiers(t *testing.T) {

@@ -60,10 +60,9 @@ type RunOpts struct {
 	Args     []uint64
 	MaxSteps uint64
 	Fault    *Fault
-	// CheckpointEvery captures a Snapshot after every CheckpointEvery-th
-	// dynamic site and passes it to OnCheckpoint. 0 disables.
-	CheckpointEvery uint64
-	OnCheckpoint    func(*Snapshot)
+	// Checkpoints, when non-nil, records a checkpoint schedule into it for
+	// later fast-forward resumes (see Checkpoints).
+	Checkpoints *Checkpoints
 	// Resume starts execution from a snapshot instead of the entry
 	// function; Args are ignored and all counters continue from the
 	// snapshot's values, so a resumed run's RunResult is bit-identical to
@@ -109,7 +108,7 @@ type Interp struct {
 
 	// mem is the working memory over the pristine image, shared with
 	// clones; it tracks the pages a run dirties, so per-run resets,
-	// Snapshot and Restore copy only what the run touched.
+	// checkpoints and Restore copy only what the run touched.
 	mem pagemem.Mem
 
 	frames   []frame
@@ -125,11 +124,8 @@ type Interp struct {
 	// detection latency in retired IR instructions.
 	injStep uint64
 
-	checkpointEvery uint64
-	onCheckpoint    func(*Snapshot)
-	// nextCkpt is the site count of the next checkpoint, MaxUint64 when
-	// the run takes none.
-	nextCkpt uint64
+	// ckpts is the run's checkpoint schedule, nil when it takes none.
+	ckpts *Checkpoints
 }
 
 // NewInterp builds an interpreter for a verified module. Release it when
@@ -181,9 +177,8 @@ func (ip *Interp) Clone() *Interp {
 }
 
 // Release returns the interpreter's memory to the pool of zero buffers,
-// and the shared image too when no clone still holds it. Run, Restore,
-// Snapshot and Clone panic on a released interpreter; releasing it again
-// does nothing.
+// and the shared image too when no clone still holds it. Run, Restore and
+// Clone panic on a released interpreter; releasing it again does nothing.
 func (ip *Interp) Release() { ip.mem.Release() }
 
 // live panics when the interpreter was released: only a bug reaches op
@@ -257,11 +252,9 @@ func (ip *Interp) begin(opts *RunOpts) error {
 	if ip.maxSteps == 0 {
 		ip.maxSteps = DefaultMaxSteps
 	}
-	ip.checkpointEvery = opts.CheckpointEvery
-	ip.onCheckpoint = opts.OnCheckpoint
-	ip.nextCkpt = math.MaxUint64
-	if k := opts.CheckpointEvery; k > 0 && opts.OnCheckpoint != nil {
-		ip.nextCkpt = (ip.sites/k + 1) * k
+	ip.ckpts = opts.Checkpoints
+	if c := ip.ckpts; c != nil && c.Every == 0 {
+		ip.ckpts = nil
 	}
 	return nil
 }
@@ -428,12 +421,16 @@ outer:
 
 // nextEvent returns the index (counting sites from 0) of the next site
 // whose retirement is an event: the pending fault site or the site that
-// completes the next checkpoint. A run without checkpoints and without a
-// pending fault gets MaxUint64-1, which no run reaches.
+// completes the next multiple of the checkpoint spacing. A run without
+// checkpoints and without a pending fault gets MaxUint64, which no run
+// reaches.
 func (ip *Interp) nextEvent() uint64 {
-	e := ip.nextCkpt - 1
+	e := uint64(math.MaxUint64)
 	if f := ip.fault; f != nil && !ip.injected && f.Site >= ip.sites {
-		e = min(e, f.Site)
+		e = f.Site
+	}
+	if c := ip.ckpts; c != nil {
+		e = min(e, (ip.sites/c.Every+1)*c.Every-1)
 	}
 	return e
 }
@@ -447,9 +444,8 @@ func (ip *Interp) event(in *dinst, regs []uint64) {
 		ip.injected = true
 		ip.injStep = ip.steps
 	}
-	if ip.sites == ip.nextCkpt {
-		ip.nextCkpt += ip.checkpointEvery
-		ip.onCheckpoint(ip.Snapshot())
+	if c := ip.ckpts; c != nil && ip.sites%c.Every == 0 {
+		ip.checkpoint(c)
 	}
 }
 

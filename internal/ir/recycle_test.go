@@ -68,11 +68,10 @@ type memRun struct {
 func runMemRun(ip *Interp) memRun {
 	opts := RunOpts{Args: []uint64{recycleBase, recycleWords}, MaxSteps: stepCap * 10}
 	r := memRun{golden: ip.Run(opts)}
-	var snaps []*Snapshot
 	o := opts
-	o.CheckpointEvery = max(1, r.golden.Sites/12)
-	o.OnCheckpoint = func(s *Snapshot) { snaps = append(snaps, s) }
+	o.Checkpoints = &Checkpoints{Every: max(1, r.golden.Sites/12)}
 	ip.Run(o)
+	snaps := o.Checkpoints.Snaps
 	for _, s := range snaps {
 		r.pages = append(r.pages, s.pages)
 	}
@@ -253,20 +252,20 @@ func TestEquivRecycledMemory(t *testing.T) {
 	})
 }
 
-// TestRecycledMemoryUseAfterRelease: running, restoring, snapshotting or
-// cloning a released interpreter is a bug and panics with a message saying
-// so; a second Release does nothing.
+// TestRecycledMemoryUseAfterRelease: running, restoring or cloning a
+// released interpreter is a bug and panics with a message saying so; a
+// second Release does nothing.
 func TestRecycledMemoryUseAfterRelease(t *testing.T) {
 	ip := newTestInterp(t, sumSrc)
-	ip.Run(RunOpts{Args: []uint64{5}})
-	s := ip.Snapshot()
+	c := &Checkpoints{Every: 1}
+	ip.Run(RunOpts{Args: []uint64{5}, Checkpoints: c})
+	s := c.Snaps[0]
 	ip.Release()
 	ip.Release()
 	for op, use := range map[string]func(){
-		"Run":      func() { ip.Run(RunOpts{Args: []uint64{5}}) },
-		"Restore":  func() { _ = ip.Restore(s) },
-		"Snapshot": func() { ip.Snapshot() },
-		"Clone":    func() { ip.Clone() },
+		"Run":     func() { ip.Run(RunOpts{Args: []uint64{5}}) },
+		"Restore": func() { _ = ip.Restore(s) },
+		"Clone":   func() { ip.Clone() },
 	} {
 		func() {
 			defer func() {

@@ -79,9 +79,8 @@ func (ip *Interp) runReference(onSite func(bl *dblock, idx int32)) error {
 			onSite(bl, fr.idx)
 		}
 		fr.idx++
-		if ip.checkpointEvery > 0 && ip.sites != sitesBefore &&
-			ip.sites%ip.checkpointEvery == 0 && ip.onCheckpoint != nil {
-			ip.onCheckpoint(ip.Snapshot())
+		if c := ip.ckpts; c != nil && ip.sites != sitesBefore && ip.sites%c.Every == 0 {
+			ip.checkpoint(c)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"unsafe"
 
 	"ferrum/internal/pagemem"
 )
@@ -48,12 +49,22 @@ func (s *Snapshot) Steps() uint64 { return s.steps }
 // dominant cost of a restore.
 func (s *Snapshot) MemBytes() int { return pagemem.Bytes(s.pages) }
 
-// Snapshot captures the interpreter's current state. Meaningful mid-run
-// (via RunOpts.OnCheckpoint); the capture is relative to the current
-// pristine image, so mutating the image afterwards invalidates it.
-func (ip *Interp) Snapshot() *Snapshot {
-	ip.live("Snapshot")
-	s := &Snapshot{
+// Checkpoints collects a run's checkpoint schedule (RunOpts.Checkpoints),
+// the only way to take a Snapshot: one after every Every-th dynamic site,
+// thinned under the Max and MaxBytes bounds as pagemem.Schedule describes.
+type Checkpoints = pagemem.Schedule[Snapshot, *Snapshot]
+
+// checkpoint captures the interpreter state at a multiple of c.Every into
+// the snapshot the schedule hands out, and offers it to the schedule. The
+// capture is relative to the current pristine image, so mutating the image
+// afterwards invalidates it.
+func (ip *Interp) checkpoint(c *Checkpoints) {
+	s, prev := c.Next()
+	var prevPages []pagemem.Page
+	if prev != nil {
+		prevPages = prev.pages
+	}
+	*s = Snapshot{
 		frames:   make([]snapFrame, len(ip.frames)),
 		sp:       ip.sp,
 		output:   append([]uint64(nil), ip.output...),
@@ -61,7 +72,7 @@ func (ip *Interp) Snapshot() *Snapshot {
 		sites:    ip.sites,
 		injected: ip.injected,
 		injStep:  ip.injStep,
-		pages:    ip.mem.Capture(),
+		pages:    ip.mem.CaptureSince(prevPages, s.pages),
 		memSize:  len(ip.mem.B),
 	}
 	for i := range ip.frames {
@@ -74,8 +85,23 @@ func (ip *Interp) Snapshot() *Snapshot {
 			savedSP: fr.savedSP,
 		}
 	}
-	return s
+	c.Keep(s)
 }
+
+// Size reports the memory the snapshot holds (pagemem.Capture): its fixed
+// fields, frames and register files, the output stream, and the page
+// headers and bytes of its delta.
+func (s *Snapshot) Size() int {
+	n := int(unsafe.Sizeof(*s)) + int(unsafe.Sizeof(snapFrame{}))*len(s.frames) +
+		8*len(s.output) + int(unsafe.Sizeof(pagemem.Page{}))*len(s.pages) + s.MemBytes()
+	for _, f := range s.frames {
+		n += 8 * len(f.regs)
+	}
+	return n
+}
+
+// DropPages is called by a schedule on a snapshot it dropped (pagemem.Capture).
+func (s *Snapshot) DropPages() { clear(s.pages[:cap(s.pages)]) }
 
 // Restore replaces the interpreter's state with a previously captured
 // snapshot. Register files are copied into fresh frames so the snapshot

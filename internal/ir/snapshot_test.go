@@ -58,10 +58,9 @@ func TestIRSnapshotResumeEquivalence(t *testing.T) {
 		t.Fatalf("golden = %+v", golden)
 	}
 	for _, every := range []uint64{1, 5, golden.Sites} {
-		var snaps []*Snapshot
-		ip.Run(RunOpts{Args: args, MaxSteps: stepCap, CheckpointEvery: every, OnCheckpoint: func(s *Snapshot) {
-			snaps = append(snaps, s)
-		}})
+		ckpts := &Checkpoints{Every: every}
+		ip.Run(RunOpts{Args: args, MaxSteps: stepCap, Checkpoints: ckpts})
+		snaps := ckpts.Snaps
 		if len(snaps) == 0 {
 			t.Fatalf("K=%d: no snapshots", every)
 		}
@@ -94,10 +93,9 @@ func TestIRSnapshotRecursion(t *testing.T) {
 	if golden.Outcome != OutcomeOK || golden.Output[0] != 34 {
 		t.Fatalf("golden = %+v", golden)
 	}
-	var snaps []*Snapshot
-	ip.Run(RunOpts{Args: args, MaxSteps: stepCap, CheckpointEvery: 3, OnCheckpoint: func(s *Snapshot) {
-		snaps = append(snaps, s)
-	}})
+	ckpts := &Checkpoints{Every: 3}
+	ip.Run(RunOpts{Args: args, MaxSteps: stepCap, Checkpoints: ckpts})
+	snaps := ckpts.Snaps
 	// Restore into a *different* interpreter instance (the worker-pool
 	// pattern) and check clean and faulted resumes.
 	ip2 := newTestInterp(t, fibSrc)
@@ -120,10 +118,9 @@ func TestIRSnapshotRecursion(t *testing.T) {
 func TestIRSnapshotImmutable(t *testing.T) {
 	ip := newTestInterp(t, sumSrc)
 	args := []uint64{20}
-	var snaps []*Snapshot
-	ip.Run(RunOpts{Args: args, MaxSteps: stepCap, CheckpointEvery: 10, OnCheckpoint: func(s *Snapshot) {
-		snaps = append(snaps, s)
-	}})
+	ckpts := &Checkpoints{Every: 10}
+	ip.Run(RunOpts{Args: args, MaxSteps: stepCap, Checkpoints: ckpts})
+	snaps := ckpts.Snaps
 	snap := snaps[0]
 	f := &Fault{Site: snap.Sites() + 2, Bit: 60}
 	first := ip.Run(RunOpts{Fault: f, Resume: snap, MaxSteps: stepCap})
@@ -134,10 +131,9 @@ func TestIRSnapshotImmutable(t *testing.T) {
 // TestIRRestoreMismatch rejects snapshots from a different configuration.
 func TestIRRestoreMismatch(t *testing.T) {
 	ip := newTestInterp(t, sumSrc)
-	var snaps []*Snapshot
-	ip.Run(RunOpts{Args: []uint64{6}, MaxSteps: stepCap, CheckpointEvery: 1, OnCheckpoint: func(s *Snapshot) {
-		snaps = append(snaps, s)
-	}})
+	ckpts := &Checkpoints{Every: 1}
+	ip.Run(RunOpts{Args: []uint64{6}, MaxSteps: stepCap, Checkpoints: ckpts})
+	snaps := ckpts.Snaps
 	other, err := NewInterp(mustParse(t, sumSrc), memSize*2)
 	if err != nil {
 		t.Fatal(err)

@@ -192,7 +192,7 @@ func (m *Machine) event(opts *RunOpts, i int) (Outcome, bool) {
 		m.injDyn = m.dyn
 	}
 	if c := opts.Checkpoints; c != nil && m.sites%c.Every == 0 {
-		c.take(m)
+		m.checkpoint(c)
 	}
 	if opts.StopAtSites > 0 && m.sites == opts.StopAtSites {
 		// Capture before the epilogue's span flush so the boundary state

@@ -43,7 +43,7 @@ func TestSnapshotThinningMatchesFixedK(t *testing.T) {
 			if b.maxBytes > 0 && len(c.Snaps) > 1 {
 				total := 0
 				for _, s := range c.Snaps {
-					total += s.size()
+					total += s.Size()
 				}
 				if total > b.maxBytes {
 					t.Errorf("%s %+v: kept %d bytes", tech, b, total)

@@ -94,7 +94,7 @@ func TestEquivDecodeVsSlowAsm(t *testing.T) {
 
 			base := RunOpts{Args: args, MaxSteps: equivMaxSteps}
 			// The traced variant is the debugging configuration; the
-			// untraced one is what campaign golden and recording runs use.
+			// untraced one is what campaign golden runs use.
 			traced, observed := base, base
 			traced.RecordSiteStatics, traced.Profile, traced.Trace = true, true, 16
 			observed.RecordSiteStatics, observed.Profile, observed.RecordFnSpans = true, true, true

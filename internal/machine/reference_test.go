@@ -82,7 +82,7 @@ loop:
 			}
 			m.sites++
 			if c := opts.Checkpoints; c != nil && m.sites%c.Every == 0 {
-				c.take(m)
+				m.checkpoint(c)
 			}
 			if opts.StopAtSites > 0 && m.sites == opts.StopAtSites {
 				m.boundary = m.Snapshot()

@@ -205,7 +205,7 @@ func TestSnapshotSharedAcrossMachines(t *testing.T) {
 	}
 }
 
-// TestSitesHintPrealloc checks that a recording run preallocates its site
+// TestSitesHintPrealloc checks that a site-recording run preallocates its site
 // slice at the previous run's site count.
 func TestSitesHintPrealloc(t *testing.T) {
 	prog := mustParse(t, snapSrc)

@@ -228,15 +228,12 @@ func (m *Mem) Reset() {
 	m.dirtyPages = m.dirtyPages[:0]
 }
 
-// Capture copies the dirty pages: the buffer's delta against the image.
-func (m *Mem) Capture() []Page { return m.CaptureSince(nil, nil) }
-
-// CaptureSince is Capture sharing the page buffers of prev, an earlier
-// capture, wherever a page still holds the same bytes, and appending to
-// buf[:0]. Page buffers are never written after capture, so captures may
-// share them. Within one run the dirty pages only grow, so prev's pages
-// line up with the current ones by position; a page that does not line
-// up is copied.
+// CaptureSince copies the dirty pages, the buffer's delta against the
+// image, appending to buf[:0]. It shares the page buffers of prev, an
+// earlier capture, wherever a page still holds the same bytes. Page
+// buffers are never written after capture, so captures may share them.
+// Within one run the dirty pages only grow, so prev's pages line up with
+// the current ones by position; a page that does not line up is copied.
 func (m *Mem) CaptureSince(prev, buf []Page) []Page {
 	pages := buf[:0]
 	if pages == nil || cap(pages) < len(m.dirtyPages) {
