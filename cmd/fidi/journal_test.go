@@ -152,7 +152,7 @@ func TestRunRejectsBeforeJournal(t *testing.T) {
 		{"-technique", "bogus"},
 		{"-level", "bogus"},
 		{"-level", "ir", "-technique", "ferrum"},
-		{"-prune", "dead", "-compose", "on"},
+		{"-prune", "exact", "-compose", "on"},
 		{"-level", "ir", "-technique", "raw", "-bits", "2"},
 	} {
 		argv := append([]string{"-bench", "bfs", "-samples", "60", "-journal", path}, bad...)

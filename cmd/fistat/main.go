@@ -110,21 +110,18 @@ func aggregate(st *fi.JournalState) []*cellAgg {
 			// unknown without the cell record; the per-plan latencies still
 			// bucket on the shared geometry.
 			a.samples = len(cs.Plans)
-			for idx, o := range cs.Plans {
-				a.counts[o]++
-				if lat, ok := cs.PlanLats[idx]; ok {
-					a.lat.Observe(o, lat)
+			for _, r := range cs.Plans {
+				a.counts[r.Outcome]++
+				if r.HasLat {
+					a.lat.Observe(r.Outcome, r.Lat)
 				}
 			}
 		}
-		for idx, site := range cs.PlanSites {
-			o := cs.Plans[idx]
-			row := a.sites[site]
-			row[o]++
-			a.sites[site] = row
-			if site > a.maxSite {
-				a.maxSite = site
-			}
+		for _, r := range cs.Plans {
+			row := a.sites[r.Site]
+			row[r.Outcome]++
+			a.sites[r.Site] = row
+			a.maxSite = max(a.maxSite, r.Site)
 		}
 		aggs = append(aggs, a)
 	}
@@ -296,10 +293,10 @@ func report(out io.Writer, path string, st *fi.JournalState, top int) {
 		for _, a := range aggs {
 			cs := st.Cell(a.key)
 			perSiteLat := map[uint64][2]float64{} // site -> {sum, n}
-			for idx, lat := range cs.PlanLats {
-				if site, ok := cs.PlanSites[idx]; ok {
-					v := perSiteLat[site]
-					perSiteLat[site] = [2]float64{v[0] + lat, v[1] + 1}
+			for _, r := range cs.Plans {
+				if r.HasLat {
+					v := perSiteLat[r.Site]
+					perSiteLat[r.Site] = [2]float64{v[0] + r.Lat, v[1] + 1}
 				}
 			}
 			for site, row := range a.sites {

@@ -19,10 +19,10 @@ func writeJournal(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Plan("bfs/ferrum/asm", 0, fi.Detected, 10, 8, true, false)
-	j.Plan("bfs/ferrum/asm", 1, fi.Benign, 20, 4000, true, false)
-	j.Plan("bfs/ferrum/asm", 2, fi.Detected, 30, 16, true, false)
-	j.Plan("bfs/ferrum/asm", 3, fi.Crash, 40, 2, true, false)
+	j.Plan("bfs/ferrum/asm", 0, fi.PlanRecord{Outcome: fi.Detected, Site: 10, Lat: 8, HasLat: true})
+	j.Plan("bfs/ferrum/asm", 1, fi.PlanRecord{Outcome: fi.Benign, Site: 20, Lat: 4000, HasLat: true})
+	j.Plan("bfs/ferrum/asm", 2, fi.PlanRecord{Outcome: fi.Detected, Site: 30, Lat: 16, HasLat: true})
+	j.Plan("bfs/ferrum/asm", 3, fi.PlanRecord{Outcome: fi.Crash, Site: 40, Lat: 2, HasLat: true})
 	var res fi.Result
 	res.Samples = 4
 	res.Counts[fi.Benign] = 1
@@ -34,8 +34,8 @@ func writeJournal(t *testing.T, path string) {
 	res.Latency.Observe(fi.Crash, 2)
 	res.Latency.Unit = "cycles"
 	j.Cell("bfs/ferrum/asm", res)
-	j.Plan("bfs/raw/asm", 0, fi.SDC, 11, 100, true, false)
-	j.Plan("bfs/raw/asm", 1, fi.Crash, 12, 3, true, false)
+	j.Plan("bfs/raw/asm", 0, fi.PlanRecord{Outcome: fi.SDC, Site: 11, Lat: 100, HasLat: true})
+	j.Plan("bfs/raw/asm", 1, fi.PlanRecord{Outcome: fi.Crash, Site: 12, Lat: 3, HasLat: true})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +178,9 @@ func TestDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Plan("bfs/raw/asm", 0, fi.Detected, 11, 90, true, false)
-	j.Plan("bfs/raw/asm", 1, fi.Crash, 12, 3, true, false)
-	j.Plan("only-in-b", 0, fi.Benign, 1, 5, true, false)
+	j.Plan("bfs/raw/asm", 0, fi.PlanRecord{Outcome: fi.Detected, Site: 11, Lat: 90, HasLat: true})
+	j.Plan("bfs/raw/asm", 1, fi.PlanRecord{Outcome: fi.Crash, Site: 12, Lat: 3, HasLat: true})
+	j.Plan("only-in-b", 0, fi.PlanRecord{Outcome: fi.Benign, Site: 1, Lat: 5, HasLat: true})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&o.NoCheckpoint, "no-checkpoint", false, "disable checkpointed fast-forwarding (identical results, slower campaigns)")
 	fs.Uint64Var(&o.CheckpointEvery, "checkpoint-every", 0, "snapshot spacing K in dynamic sites (0 = auto: the golden run keeps 4·√samples to 8·√samples snapshots for asm campaigns, √samples to 2·√samples for composed and IR campaigns)")
 	fs.Float64Var(&o.CIWidth, "ci-width", 0, "stop each campaign early once the 95% CI of its SDC rate is no wider than this (0 = off)")
-	fs.Var(&o.Prune, "prune", "static fault-site pruning for asm campaigns: off, dead (exact), exact (dead+masked), full (adds class dedup, statistical)")
+	fs.Var(&o.Prune, "prune", "static fault-site pruning for asm campaigns: off, exact (answers dead and masked plans, bit-identical), full (adds class dedup, statistical)")
 	fs.Var(&o.Compose, "compose", "compositional asm campaigns: off, on (sectioned at checkpoint boundaries), validate (also run the monolithic campaign and gate the composed rates against it)")
 	fs.BoolVar(&f.Progress, "progress", false, "stream live progress to stderr")
 	fs.StringVar(&f.journal, "journal", "", "write a crash-safe campaign journal (NDJSON) to this file; resume an interrupted run with -resume")

@@ -52,7 +52,7 @@ func TestRunReportsJournalCloseError(t *testing.T) {
 	for _, freeze := range []bool{false, true} {
 		f := parse(t, "-journal", filepath.Join(t.TempDir(), "j.ndjson"))
 		err := f.Run("test", nil, &bytes.Buffer{}, fi.JournalMeta{Tool: "test"}, func(s *Session) error {
-			s.Journal.Plan("k", 0, fi.Benign, 1, 0, false, false)
+			s.Journal.Plan("k", 0, fi.PlanRecord{Outcome: fi.Benign, Site: 1})
 			if freeze {
 				return s.Freeze()
 			}
@@ -77,7 +77,7 @@ func TestRunJournalLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.ndjson")
 	meta := fi.JournalMeta{Tool: "test", Seed: 7, Samples: 10}
 	if err := parse(t, "-journal", path).Run("test", nil, &bytes.Buffer{}, meta, func(s *Session) error {
-		s.Journal.Plan("k", 0, fi.SDC, 1, 0, false, false)
+		s.Journal.Plan("k", 0, fi.PlanRecord{Outcome: fi.SDC, Site: 1})
 		return nil
 	}, nil); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestRunJournalLifecycle(t *testing.T) {
 	}
 	var stderr bytes.Buffer
 	if err := parse(t, "-journal", path, "-resume").Run("test", nil, &stderr, meta, func(s *Session) error {
-		if o := s.Resume.Cell("k").Plans[0]; o != fi.SDC {
+		if o := s.Resume.Cell("k").Plans[0].Outcome; o != fi.SDC {
 			t.Errorf("resumed plan 0 = %v, want sdc", o)
 		}
 		return nil

@@ -82,7 +82,7 @@ func (f *campaign) run() (Result, error) {
 	// mutually exclusive: sharding keeps a residue class of the uniform
 	// draw, pruning answers part of it statically, and compose replaces it
 	// with a per-section stratified draw.
-	var cached map[int]planResult
+	var cached map[int]PlanRecord
 	if c.Compose != ComposeOff {
 		f.comp = newComposition(f)
 		cached = f.comp.serve()
@@ -186,13 +186,13 @@ func (f *campaign) prune() error {
 // resume lookup, which starts each plan from the latest snapshot at or
 // before its site and counts restores, cold starts and skipped
 // instructions. Under compose that snapshot is the plan's section entry.
-func (f *campaign) newWorker() func(plannedFault) planResult {
+func (f *campaign) newWorker() func(plannedFault) PlanRecord {
 	w := f.eng.clone()
 	if f.comp != nil {
 		w = f.comp.worker(w)
 	}
 	s := f.sched
-	return func(p plannedFault) planResult {
+	return func(p plannedFault) PlanRecord {
 		i := -1
 		if s != nil {
 			if i = nearestSnapshot(s.sites, p.site); i >= 0 {
@@ -221,7 +221,7 @@ func (f *campaign) result() (Result, error) {
 		// generation order for plain campaigns (truncated on early stop),
 		// the dense representative set under pruning — expanded outcomes
 		// never executed, so they carry no latency.
-		Latency: aggregateLatency(f.eng.unit(), po.samples, po.outcomes, po.lats, po.hasLat),
+		Latency: aggregateLatency(f.eng.unit(), po.recs[:po.samples]),
 	}
 	if s := f.sched; s != nil {
 		res.Checkpoint = CheckpointSummary{
@@ -238,9 +238,9 @@ func (f *campaign) result() (Result, error) {
 		// The dense executed outcomes expand back onto the full plan space,
 		// so Samples and Counts aggregate every planned fault exactly as an
 		// unpruned campaign's would.
-		n, outcomes := f.expandedOutcomes()
-		res.Samples, res.EarlyStopped, res.Counts = n, false, [numOutcomes]int{}
-		for _, o := range outcomes[:n] {
+		outcomes := f.expandedOutcomes()
+		res.Samples, res.EarlyStopped, res.Counts = len(outcomes), false, [numOutcomes]int{}
+		for _, o := range outcomes {
 			res.Counts[o]++
 		}
 		res.Pruned = f.part.summary

@@ -279,12 +279,12 @@ func newComposition(f *campaign) *composition {
 // plan whose validity class allows it: local and output-class plans on the
 // key alone, global-class plans only under an unchanged whole-program
 // digest — a partial hit re-executes just the stale global plans.
-func (cs *composition) serve() map[int]planResult {
+func (cs *composition) serve() map[int]PlanRecord {
 	cache := cs.f.c.SectionCache
 	if cache == nil {
 		return nil
 	}
-	cached := map[int]planResult{}
+	cached := map[int]PlanRecord{}
 	for i := range cs.secs {
 		sec := &cs.secs[i]
 		if sec.n == 0 {
@@ -306,24 +306,24 @@ func (cs *composition) serve() map[int]planResult {
 				continue
 			}
 			idx := sec.base + j
-			r := planResult{o: Outcome(cp.Outcome), fb: cp.Fallback}
+			r := PlanRecord{Outcome: Outcome(cp.Outcome), Fallback: cp.Fallback}
 			if cp.Class == compose.ClassOutput {
 				// Early program exit inside the section: the stored
 				// faulty-output digest reclassifies against the CURRENT
 				// golden output, so the entry survives golden changes.
 				if cp.OutDigest == cs.outDig {
-					r.o = Benign
+					r.Outcome = Benign
 				} else {
-					r.o = SDC
+					r.Outcome = SDC
 				}
 			}
 			if cp.HasLat {
-				r.lat, r.hasLat = cp.Lat, true
+				r.Lat, r.HasLat = cp.Lat, true
 				if cp.Boundary {
 					// Boundary plans store the injection→boundary part;
 					// the golden tail is this program's, not the one the
 					// table was measured under.
-					r.lat += cs.f.g.cycles - sec.exitCycles
+					r.Lat += cs.f.g.cycles - sec.exitCycles
 				}
 			}
 			cached[idx] = r
@@ -349,7 +349,7 @@ type composeWorker struct {
 	w  *asmWorker
 }
 
-func (cw composeWorker) run(p plannedFault, i int) planResult {
+func (cw composeWorker) run(p plannedFault, i int) PlanRecord {
 	cs, w := cw.cs, cw.w
 	si := sort.Search(len(cs.secs), func(i int) bool { return cs.secs[i].end > p.site })
 	sec := &cs.secs[si]
@@ -359,14 +359,14 @@ func (cw composeWorker) run(p plannedFault, i int) planResult {
 	}
 	r := w.m.Run(opts)
 	if r.Outcome != machine.OutcomeBoundary {
-		pr := w.e.planResult(r)
+		rec := w.e.record(r)
 		meta := planMeta{set: true, class: compose.ClassLocal}
 		if r.Outcome == machine.OutcomeOK {
 			meta.class = compose.ClassOutput
 			meta.outDig = compose.OutputDigest(r.Output)
 		}
 		cs.metas[p.idx] = meta
-		return pr
+		return rec
 	}
 	d := w.m.DiffSnapshots(r.Boundary, sec.exit)
 	v, exact := compose.Classify(d, sec.deadR, sec.deadF)
@@ -374,15 +374,15 @@ func (cw composeWorker) run(p plannedFault, i int) planResult {
 		// Ambiguous boundary: continue the same run end-to-end. The
 		// boundary snapshot carries the injection bookkeeping, so outcome
 		// and latency match a monolithic full run.
-		pr := w.e.planResult(w.m.Run(machine.RunOpts{Args: w.e.tgt.Args, MaxSteps: w.e.maxSteps,
+		rec := w.e.record(w.m.Run(machine.RunOpts{Args: w.e.tgt.Args, MaxSteps: w.e.maxSteps,
 			Resume: r.Boundary, Golden: w.e.sched}))
-		pr.fb = true
+		rec.Fallback = true
 		cs.metas[p.idx] = planMeta{set: true, class: compose.ClassGlobal}
-		return pr
+		return rec
 	}
-	pr := planResult{o: Benign}
+	rec := PlanRecord{Outcome: Benign}
 	if v == compose.VerdictSDC {
-		pr.o = SDC
+		rec.Outcome = SDC
 	}
 	meta := planMeta{set: true, boundary: true, class: compose.ClassGlobal}
 	if exact {
@@ -390,10 +390,10 @@ func (cw composeWorker) run(p plannedFault, i int) planResult {
 	}
 	if r.Injected {
 		meta.localLat = r.Boundary.CyclesNow() - r.FaultCycles
-		pr.lat, pr.hasLat = meta.localLat+(cs.f.g.cycles-sec.exitCycles), true
+		rec.Lat, rec.HasLat = meta.localLat+(cs.f.g.cycles-sec.exitCycles), true
 	}
 	cs.metas[p.idx] = meta
-	return pr
+	return rec
 }
 
 // finish adds the composed ledger to the flow's Result, stores every
@@ -410,9 +410,9 @@ func (cs *composition) finish(res *Result) error {
 			Fingerprint: fmt.Sprintf("%016x", sec.key),
 			Plans:       sec.n,
 		}
-		for j := 0; j < sec.n; j++ {
-			row.Counts[po.outcomes[sec.base+j]]++
-			if po.fbs[sec.base+j] {
+		for _, r := range po.recs[sec.base : sec.base+sec.n] {
+			row.Counts[r.Outcome]++
+			if r.Fallback {
 				row.Fallbacks++
 			}
 		}
@@ -476,22 +476,21 @@ func (cs *composition) put() {
 		t := &compose.Table{GlobalDigest: cs.globalDig, Plans: make([]compose.CachedPlan, sec.n)}
 		for j := 0; j < sec.n; j++ {
 			idx := sec.base + j
-			pm := cs.metas[idx]
+			pm, r := cs.metas[idx], po.recs[idx]
 			cp := compose.CachedPlan{
 				Site:      plans[idx].site,
 				Bit:       uint16(plans[idx].bit),
-				Outcome:   uint8(po.outcomes[idx]),
-				Fallback:  po.fbs[idx],
+				Outcome:   uint8(r.Outcome),
+				Fallback:  r.Fallback,
 				Class:     pm.class,
 				Boundary:  pm.boundary,
 				OutDigest: pm.outDig,
+				HasLat:    r.HasLat,
 			}
-			if po.hasLat[idx] {
-				cp.HasLat = true
+			if r.HasLat {
+				cp.Lat = r.Lat
 				if pm.boundary {
 					cp.Lat = pm.localLat
-				} else {
-					cp.Lat = po.lats[idx]
 				}
 			}
 			t.Plans[j] = cp

@@ -1,6 +1,7 @@
 package fi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -194,6 +195,122 @@ func TestKillResumeIR(t *testing.T) {
 			return RunIRCampaign(tgt, c)
 		})
 	}
+}
+
+// TestKillResumeTruncationSweep kills a journaled 80-plan campaign at every
+// record boundary of its journal, in the middle of every record and just
+// before every record's newline, for a plain asm campaign and a composed
+// one (whose plan records carry "fb"). Every resume must return the
+// uninterrupted Result — counts, samples, latency and the compose ledger;
+// only the checkpoint activity of the process that did the work may
+// differ — and leave a journal whose canonical form equals the
+// uninterrupted run's. A cut inside the meta record leaves nothing to
+// check the invocation against, so it is refused.
+func TestKillResumeTruncationSweep(t *testing.T) {
+	tgt := asmTarget(t, false)
+	for _, mode := range []ComposeMode{ComposeOff, ComposeOn} {
+		t.Run("compose="+mode.String(), func(t *testing.T) {
+			t.Parallel()
+			sweepTruncations(t, tgt, Campaign{Samples: 80, Seed: 12345, MaxSteps: equivSteps,
+				Workers: 1, Compose: mode})
+		})
+	}
+}
+
+// sweepTruncations is one campaign's sweep for TestKillResumeTruncationSweep.
+func sweepTruncations(t *testing.T, tgt AsmTarget, c Campaign) {
+	run := func(c Campaign) Result {
+		t.Helper()
+		res, err := RunAsmCampaign(tgt, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Checkpoint = CheckpointSummary{}
+		return res
+	}
+	want := run(c)
+	meta := c.Meta()
+	meta.Tool = "test"
+	path := journalPath(t)
+	j, err := CreateJournal(path, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jc := c
+	jc.Journal, jc.Key = j, "cell"
+	run(jc)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCanon := canonical(t, data)
+	if c.Compose != ComposeOff && !bytes.Contains(data, []byte(`"fb":true`)) {
+		t.Fatal("composed journal holds no fallback plan; the sweep would not cover fb")
+	}
+
+	// Cut points: the middle of every record, every record whose newline
+	// is all that is missing, and every record boundary after the meta
+	// record.
+	var cuts []int
+	metaEnd := bytes.IndexByte(data, '\n') + 1
+	for start := 0; start < len(data); {
+		end := start + bytes.IndexByte(data[start:], '\n') + 1
+		cuts = append(cuts, (start+end)/2, end-1)
+		if end >= metaEnd {
+			cuts = append(cuts, end)
+		}
+		start = end
+	}
+	for _, cut := range cuts {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, j2, err := ResumeJournal(path)
+		if cut < metaEnd-1 {
+			if err == nil {
+				j2.Close()
+				t.Errorf("journal cut at %d, inside its meta record, resumed", cut)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		rc := c
+		rc.Journal, rc.Key, rc.Prior = j2, "cell", st.Cell("cell")
+		got := run(rc)
+		if err := j2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cut %d/%d: resumed result differs\ngot  %+v\nwant %+v", cut, len(data), got, want)
+		}
+		resumed, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := canonical(t, resumed); got != wantCanon {
+			t.Errorf("cut %d/%d: resumed journal's canonical form differs\ngot\n%s\nwant\n%s",
+				cut, len(data), got, wantCanon)
+		}
+	}
+}
+
+// canonical is a journal's canonical form.
+func canonical(t *testing.T, data []byte) string {
+	t.Helper()
+	st, err := LoadJournalData(data, "journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := st.WriteCanonical(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // TestCampaignCancelMidRun interrupts a live journaled campaign through the

@@ -38,7 +38,7 @@ type engine interface {
 type worker interface {
 	// run executes p resumed from snapshot i of the recorded schedule, or
 	// from program start when i < 0.
-	run(p plannedFault, i int) planResult
+	run(p plannedFault, i int) PlanRecord
 }
 
 // goldenRun is what the flow reads of a golden run.
@@ -212,13 +212,13 @@ func (e *asmEngine) siteLoc(site uint64) machine.SiteLoc {
 	return machine.SiteLoc{Fn: st.Fn, Idx: st.Idx}
 }
 
-// planResult classifies an injected run against the golden output.
-func (e *asmEngine) planResult(r machine.Result) planResult {
-	pr := planResult{o: classify(asmClass[r.Outcome], r.Output, e.res.Output)}
+// record classifies an injected run against the golden output.
+func (e *asmEngine) record(r machine.Result) PlanRecord {
+	rec := PlanRecord{Outcome: classify(asmClass[r.Outcome], r.Output, e.res.Output)}
 	if r.Injected {
-		pr.lat, pr.hasLat = r.Cycles-r.FaultCycles, true
+		rec.Lat, rec.HasLat = r.Cycles-r.FaultCycles, true
 	}
-	return pr
+	return rec
 }
 
 type asmWorker struct {
@@ -239,10 +239,10 @@ func (w *asmWorker) opts(p plannedFault, i int) machine.RunOpts {
 	return opts
 }
 
-func (w *asmWorker) run(p plannedFault, i int) planResult {
+func (w *asmWorker) run(p plannedFault, i int) PlanRecord {
 	opts := w.opts(p, i)
 	opts.Golden = w.e.sched
-	return w.e.planResult(w.m.Run(opts))
+	return w.e.record(w.m.Run(opts))
 }
 
 // irEngine injects into the IR interpreter.
@@ -317,7 +317,7 @@ type irWorker struct {
 	ip *ir.Interp
 }
 
-func (w *irWorker) run(p plannedFault, i int) planResult {
+func (w *irWorker) run(p plannedFault, i int) PlanRecord {
 	opts := ir.RunOpts{
 		Args:     w.e.tgt.Args,
 		MaxSteps: w.e.maxSteps,
@@ -327,9 +327,9 @@ func (w *irWorker) run(p plannedFault, i int) planResult {
 		opts.Resume = w.e.snaps[i]
 	}
 	r := w.ip.Run(opts)
-	pr := planResult{o: classify(irClass[r.Outcome], r.Output, w.e.output)}
+	rec := PlanRecord{Outcome: classify(irClass[r.Outcome], r.Output, w.e.output)}
 	if r.Injected {
-		pr.lat, pr.hasLat = float64(r.Steps-r.FaultStep), true
+		rec.Lat, rec.HasLat = float64(r.Steps-r.FaultStep), true
 	}
-	return pr
+	return rec
 }

@@ -28,10 +28,11 @@ import (
 //	{"t":"meta","v":3,"meta":{...}}           — first line; config fingerprint
 //	{"t":"plan","c":"<key>","i":17,"o":1,
 //	 "s":204,"l":96}                          — plan i of campaign <key> had outcome o;
-//	                                            it hit dynamic site s and its fault ran
-//	                                            l engine units (cycles / retired insts)
-//	                                            before the terminal event. l is absent
-//	                                            when the fault was never injected.
+//	                                            it hit dynamic site s (required) and its
+//	                                            fault ran l engine units (cycles / retired
+//	                                            insts) before the terminal event. l is
+//	                                            absent when the fault was never injected;
+//	                                            "fb":true marks a composed fallback plan.
 //	{"t":"cell","c":"<key>","res":{...}}      — campaign <key> completed with Result res
 //
 // A torn trailing record (the process died mid-write) is detected on load,
@@ -133,7 +134,7 @@ type journalRecord struct {
 	C    string          `json:"c,omitempty"`
 	I    int             `json:"i,omitempty"`
 	O    Outcome         `json:"o,omitempty"`
-	S    *uint64         `json:"s,omitempty"`  // dynamic fault site (plan records, v2+)
+	S    *uint64         `json:"s,omitempty"`  // dynamic fault site; required in plan records
 	L    *float64        `json:"l,omitempty"`  // detection latency in engine units; nil = not injected
 	FB   *bool           `json:"fb,omitempty"` // composed-campaign fallback plan (absent = false)
 	Res  json.RawMessage `json:"res,omitempty"`
@@ -252,21 +253,34 @@ func (j *Journal) syncLocked() {
 	j.ob.Counter(obs.MJournalSyncs).Add(1)
 }
 
-// Plan records one completed fault plan: plan index i of campaign key had
-// outcome o, hitting dynamic site site. lat is the fault's detection
-// latency in engine units; hasLat false (the fault was never injected)
-// omits the latency field rather than journaling a spurious zero. fb marks
-// a composed-campaign fallback plan (omitted when false), so a resumed
-// composed campaign rebuilds the identical Sections/Fallbacks ledger.
-func (j *Journal) Plan(key string, i int, o Outcome, site uint64, lat float64, hasLat, fb bool) {
-	r := journalRecord{T: "plan", C: key, I: i, O: o, S: &site}
-	if hasLat {
-		r.L = &lat
+// Plan records one completed fault plan: plan index i of campaign key
+// ended as rec says.
+func (j *Journal) Plan(key string, i int, rec PlanRecord) {
+	j.append(planJournalRecord(key, i, rec))
+}
+
+// planJournalRecord is rec's plan record. A latency is written only when
+// the fault was injected, never as a spurious zero; the fallback flag only
+// when set, so a resumed composed campaign rebuilds the identical
+// Sections/Fallbacks ledger.
+func planJournalRecord(key string, i int, rec PlanRecord) journalRecord {
+	r := journalRecord{T: "plan", C: key, I: i, O: rec.Outcome, S: &rec.Site}
+	if rec.HasLat {
+		r.L = &rec.Lat
 	}
-	if fb {
-		r.FB = &fb
+	if rec.Fallback {
+		r.FB = &rec.Fallback
 	}
-	j.append(r)
+	return r
+}
+
+// planRecord is the PlanRecord a validated plan record holds.
+func (r journalRecord) planRecord() PlanRecord {
+	rec := PlanRecord{Outcome: r.O, Site: *r.S, Fallback: r.FB != nil && *r.FB}
+	if r.L != nil {
+		rec.Lat, rec.HasLat = *r.L, true
+	}
+	return rec
 }
 
 // Cell records a completed campaign's full Result and syncs immediately —
@@ -333,21 +347,12 @@ type CellState struct {
 	// Result is the completed campaign's journaled result; non-nil means the
 	// whole campaign can be answered without running anything.
 	Result *Result
-	// Plans maps plan index → journaled outcome for the plans that completed
-	// before the process died.
-	Plans map[int]Outcome
-	// PlanLats maps plan index → journaled detection latency (engine units)
-	// for the subset of journaled plans whose fault was injected. Replayed
-	// alongside Plans so a resumed campaign's latency histograms match an
-	// uninterrupted run's exactly.
-	PlanLats map[int]float64
-	// PlanSites maps plan index → the dynamic fault site the plan hit, when
-	// the journal recorded it (schema v2+). Post-hoc analytics (fistat's
-	// per-site heatmap) key on it; resume does not need it.
-	PlanSites map[int]uint64
-	// PlanFB holds the plan indices journaled as composed-campaign fallback
-	// plans (membership = true), so resume replays the fallback ledger.
-	PlanFB map[int]bool
+	// Plans maps plan index → journaled record for the plans that completed
+	// before the process died. Resume replays them whole, so a resumed
+	// campaign's latency histograms and fallback ledger match an
+	// uninterrupted run's exactly; post-hoc analytics (fistat's per-site
+	// heatmap) key on their sites.
+	Plans map[int]PlanRecord
 }
 
 // JournalState is a loaded journal: everything a resumed run can skip.
@@ -359,6 +364,9 @@ type JournalState struct {
 	// truncated back to the last complete record.
 	TornDropped bool
 	validLen    int64 // byte length of the parseable prefix
+	// unterminated reports that the parseable prefix ends in a record
+	// whose newline never reached the disk.
+	unterminated bool
 }
 
 // Cell returns the journaled state for a campaign key, or nil. Nil states
@@ -388,8 +396,8 @@ func (s *JournalState) Cells() (complete, partial int) {
 // LoadJournal parses a journal file. A torn trailing record — truncated
 // JSON, or a final line without its newline — is dropped and reported via
 // TornDropped; corruption anywhere else is an error, because records after
-// it cannot be trusted. Duplicate plan records keep the last occurrence;
-// outcomes are deterministic, so duplicates agree anyway.
+// it cannot be trusted. A duplicate plan record replaces the earlier one
+// whole; outcomes are deterministic, so duplicates agree anyway.
 func LoadJournal(path string) (*JournalState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -439,7 +447,7 @@ func LoadJournalData(data []byte, name string) (*JournalState, error) {
 		if !complete {
 			// Parsed, but the newline never made it to disk — treat the
 			// record as committed; the content is intact.
-			st.TornDropped = true
+			st.TornDropped, st.unterminated = true, true
 		}
 		switch r.T {
 		case "meta":
@@ -451,21 +459,7 @@ func LoadJournalData(data []byte, name string) (*JournalState, error) {
 			st.Meta = *r.Meta
 			sawMeta = true
 		case "plan":
-			c := st.cell(r.C)
-			c.Plans[r.I] = r.O
-			if r.L != nil {
-				c.PlanLats[r.I] = *r.L
-			} else {
-				delete(c.PlanLats, r.I) // duplicate record without latency wins whole
-			}
-			if r.S != nil {
-				c.PlanSites[r.I] = *r.S
-			}
-			if r.FB != nil && *r.FB {
-				c.PlanFB[r.I] = true
-			} else {
-				delete(c.PlanFB, r.I) // duplicate record without the flag wins whole
-			}
+			st.cell(r.C).Plans[r.I] = r.planRecord()
 		case "cell":
 			st.cell(r.C).Result = res
 		}
@@ -488,12 +482,7 @@ func (s *JournalState) ValidLen() int64 { return s.validLen }
 func (s *JournalState) cell(key string) *CellState {
 	c := s.cells[key]
 	if c == nil {
-		c = &CellState{
-			Plans:     map[int]Outcome{},
-			PlanLats:  map[int]float64{},
-			PlanSites: map[int]uint64{},
-			PlanFB:    map[int]bool{},
-		}
+		c = &CellState{Plans: map[int]PlanRecord{}}
 		s.cells[key] = c
 	}
 	return c
@@ -548,7 +537,7 @@ func validRecord(r journalRecord) bool {
 	case "meta":
 		return r.Meta != nil
 	case "plan":
-		return r.C != "" && r.I >= 0 && r.O < numOutcomes
+		return r.C != "" && r.I >= 0 && r.O < numOutcomes && r.S != nil
 	case "cell":
 		return r.C != "" && len(r.Res) > 0 && string(r.Res) != "null"
 	}
@@ -604,8 +593,9 @@ func ValidateRecords(data []byte) (*JournalMeta, error) {
 }
 
 // ResumeJournal loads a journal and reopens it for appending. If the file
-// ended in a torn record, the tail is truncated away first so the appended
-// stream stays line-aligned.
+// ended in a torn record, the tail is truncated away first, and a final
+// record that lost only its newline gets it back, so the appended stream
+// stays line-aligned.
 func ResumeJournal(path string) (*JournalState, *Journal, error) {
 	st, err := LoadJournal(path)
 	if err != nil {
@@ -623,5 +613,10 @@ func ResumeJournal(path string) (*JournalState, *Journal, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("fi: resume journal: %w", err)
 	}
-	return st, &Journal{f: f, w: bufio.NewWriter(f), batch: defaultSyncBatch}, nil
+	j := &Journal{f: f, w: bufio.NewWriter(f), batch: defaultSyncBatch}
+	if st.unterminated {
+		// Goes out with the first flush, ahead of every appended record.
+		j.w.WriteByte('\n')
+	}
+	return st, j, nil
 }

@@ -2,10 +2,12 @@ package fi
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -25,9 +27,14 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Plan("a", 0, Benign, 10, 128, true, false)
-	j.Plan("a", 3, SDC, 11, 0, false, false)
-	j.Plan("b", 1, Crash, 12, 7, true, false)
+	plans := map[int]PlanRecord{
+		0: {Outcome: Benign, Site: 10, Lat: 128, HasLat: true},
+		3: {Outcome: SDC, Site: 11},
+	}
+	for i, rec := range plans {
+		j.Plan("a", i, rec)
+	}
+	j.Plan("b", 1, PlanRecord{Outcome: Crash, Site: 12, Lat: 7, HasLat: true, Fallback: true})
 	res := Result{Samples: 2, Counts: [numOutcomes]int{Benign: 1, SDC: 1}, DynSites: 9}
 	j.Cell("a", res)
 	if err := j.Close(); err != nil {
@@ -51,11 +58,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if a.Result.Samples != 2 || a.Result.Counts != res.Counts || a.Result.DynSites != 9 {
 		t.Errorf("cell a result = %+v, want %+v", *a.Result, res)
 	}
-	if a.Plans[0] != Benign || a.Plans[3] != SDC {
-		t.Errorf("cell a plans = %v", a.Plans)
+	if !reflect.DeepEqual(a.Plans, plans) {
+		t.Errorf("cell a plans = %v, want %v", a.Plans, plans)
 	}
 	b := st.Cell("b")
-	if b == nil || b.Result != nil || b.Plans[1] != Crash {
+	if b == nil || b.Result != nil || b.Plans[1] != (PlanRecord{Outcome: Crash, Site: 12, Lat: 7, HasLat: true, Fallback: true}) {
 		t.Errorf("cell b = %+v, want partial with plan 1 = crash", b)
 	}
 	if complete, partial := st.Cells(); complete != 1 || partial != 1 {
@@ -72,7 +79,8 @@ func TestJournalRoundTrip(t *testing.T) {
 
 // FuzzJournalLoad: LoadJournalData never panics, and any journal it
 // accepts re-serialises byte-stably: WriteCanonical → LoadJournalData →
-// WriteCanonical writes the same bytes twice.
+// WriteCanonical writes the same bytes twice, and the state loaded from
+// the canonical form equals the first load record for record.
 func FuzzJournalLoad(f *testing.F) {
 	data := sampleJournal(f)
 	f.Add(data)
@@ -96,7 +104,37 @@ func FuzzJournalLoad(f *testing.F) {
 		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
 			t.Fatalf("canonical form is not stable:\n%s\n---\n%s", w1.Bytes(), w2.Bytes())
 		}
+		if err := st2.Meta.Check(st.Meta); err != nil {
+			t.Fatalf("canonical form changed the meta: %v", err)
+		}
+		if !slices.Equal(st.Keys(), st2.Keys()) {
+			t.Fatalf("canonical form changed the campaign keys: %v != %v", st2.Keys(), st.Keys())
+		}
+		for _, key := range st.Keys() {
+			a, b := st.Cell(key), st2.Cell(key)
+			if !reflect.DeepEqual(a.Plans, b.Plans) {
+				t.Fatalf("campaign %q: canonical form changed the plan records:\n%v\n---\n%v", key, b.Plans, a.Plans)
+			}
+			if x, y := canonicalResult(t, a.Result), canonicalResult(t, b.Result); x != y {
+				t.Fatalf("campaign %q: canonical form changed the cell result:\n%s\n---\n%s", key, y, x)
+			}
+		}
 	})
+}
+
+// canonicalResult is the JSON a canonical cell record holds for res: the
+// result without its checkpoint activity. Empty when res is nil.
+func canonicalResult(t *testing.T, res *Result) string {
+	if res == nil {
+		return ""
+	}
+	r := *res
+	r.Checkpoint = CheckpointSummary{}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // sampleJournal returns a small complete journal: a meta record, plan
@@ -108,9 +146,9 @@ func sampleJournal(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	j.Plan("a", 0, Benign, 10, 128, true, false)
-	j.Plan("a", 3, SDC, 11, 0, false, false)
-	j.Plan("b", 1, Crash, 12, 7, true, true)
+	j.Plan("a", 0, PlanRecord{Outcome: Benign, Site: 10, Lat: 128, HasLat: true})
+	j.Plan("a", 3, PlanRecord{Outcome: SDC, Site: 11})
+	j.Plan("b", 1, PlanRecord{Outcome: Crash, Site: 12, Lat: 7, HasLat: true, Fallback: true})
 	j.Cell("a", Result{Samples: 2, Counts: [numOutcomes]int{Benign: 1, SDC: 1}, DynSites: 9})
 	if err := j.Close(); err != nil {
 		tb.Fatal(err)
@@ -173,7 +211,7 @@ func TestJournalMetaOnlyFirst(t *testing.T) {
 	for name, journal := range map[string]string{
 		"appended":     string(data) + otherMeta,
 		"mid-stream":   string(meta) + otherMeta + string(records),
-		"after a plan": `{"t":"plan","c":"a","i":0,"o":0}` + "\n" + string(data),
+		"after a plan": `{"t":"plan","c":"a","i":0,"o":0,"s":0}` + "\n" + string(data),
 	} {
 		if st, err := LoadJournalData([]byte(journal), name); err == nil {
 			t.Errorf("%s: journal with a second meta loaded, meta %+v", name, st.Meta)
@@ -245,8 +283,8 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Plan("a", 0, Benign, 0, 1, true, false)
-	j.Plan("a", 1, SDC, 1, 2, true, false)
+	j.Plan("a", 0, PlanRecord{Outcome: Benign, Lat: 1, HasLat: true})
+	j.Plan("a", 1, PlanRecord{Outcome: SDC, Site: 1, Lat: 2, HasLat: true})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +313,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Error("torn record survived the load")
 	}
 	// Appending after resume lands on a clean line boundary.
-	j2.Plan("a", 2, Hang, 2, 3, true, false)
+	j2.Plan("a", 2, PlanRecord{Outcome: Hang, Site: 2, Lat: 3, HasLat: true})
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +325,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Error("resumed journal still reports a torn record")
 	}
 	a2 := st2.Cell("a")
-	if len(a2.Plans) != 3 || a2.Plans[2] != Hang {
+	if len(a2.Plans) != 3 || a2.Plans[2].Outcome != Hang {
 		t.Errorf("plans after resume append = %v, want 3 with plan 2 = hang", a2.Plans)
 	}
 }
@@ -301,7 +339,7 @@ func TestJournalMissingFinalNewline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Plan("a", 0, Detected, 5, 42, true, false)
+	j.Plan("a", 0, PlanRecord{Outcome: Detected, Site: 5, Lat: 42, HasLat: true})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +358,24 @@ func TestJournalMissingFinalNewline(t *testing.T) {
 	if !st.TornDropped {
 		t.Error("missing final newline not flagged (resume must re-align the tail)")
 	}
-	if a := st.Cell("a"); a == nil || a.Plans[0] != Detected {
+	if a := st.Cell("a"); a == nil || a.Plans[0].Outcome != Detected {
 		t.Errorf("intact newline-less record dropped: %+v", a)
+	}
+	// A resumed run appends on a line of its own.
+	_, j2, err := ResumeJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2.Plan("a", 1, PlanRecord{Outcome: Benign, Site: 6})
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := LoadJournal(path)
+	if err != nil {
+		t.Fatalf("journal unreadable after resuming a newline-less tail: %v", err)
+	}
+	if a := st2.Cell("a"); len(a.Plans) != 2 || st2.TornDropped {
+		t.Errorf("after resume: plans %v, torn %v; want 2 plans, no torn record", a.Plans, st2.TornDropped)
 	}
 }
 
@@ -333,8 +387,8 @@ func TestJournalMidFileCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Plan("a", 0, Benign, 0, 1, true, false)
-	j.Plan("a", 1, Benign, 1, 1, true, false)
+	j.Plan("a", 0, PlanRecord{Outcome: Benign, Lat: 1, HasLat: true})
+	j.Plan("a", 1, PlanRecord{Outcome: Benign, Site: 1, Lat: 1, HasLat: true})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +410,7 @@ func TestJournalMidFileCorruption(t *testing.T) {
 // against the invocation, so it cannot be resumed.
 func TestJournalNoMeta(t *testing.T) {
 	path := journalPath(t)
-	if err := os.WriteFile(path, []byte(`{"t":"plan","c":"a","i":0,"o":0}`+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"t":"plan","c":"a","i":0,"o":0,"s":0}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadJournal(path); err == nil {
@@ -373,9 +427,9 @@ func TestJournalDuplicatePlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Plan("a", 0, Benign, 0, 4, true, false)
-	j.Plan("a", 0, Benign, 0, 4, true, false)
-	j.Plan("a", 1, SDC, 1, 2, true, false)
+	j.Plan("a", 0, PlanRecord{Outcome: Benign, Lat: 4, HasLat: true})
+	j.Plan("a", 0, PlanRecord{Outcome: Benign, Lat: 4, HasLat: true})
+	j.Plan("a", 1, PlanRecord{Outcome: SDC, Site: 1, Lat: 2, HasLat: true})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +454,7 @@ func TestJournalVersionRefused(t *testing.T) {
 		2: `{"t":"meta","v":2,"meta":{"tool":"test","seed":42,"samples":80,"compose":"on"}}`,
 	} {
 		path := journalPath(t)
-		old := meta + "\n" + `{"t":"plan","c":"a","i":0,"o":0}` + "\n"
+		old := meta + "\n" + `{"t":"plan","c":"a","i":0,"o":0,"s":0}` + "\n"
 		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -429,8 +483,8 @@ func TestJournalV2ResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Plan("a", 0, Detected, 10, 128.5, true, false)
-	j.Plan("a", 1, Benign, 11, 0, false, false)
+	j.Plan("a", 0, PlanRecord{Outcome: Detected, Site: 10, Lat: 128.5, HasLat: true})
+	j.Plan("a", 1, PlanRecord{Outcome: Benign, Site: 11})
 	var res Result
 	res.Samples = 2
 	res.Counts[Detected] = 1
@@ -461,10 +515,10 @@ func TestJournalV2ResumeByteIdentical(t *testing.T) {
 	}
 	// The replayed state carries the v2 fields intact.
 	a := st.Cell("a")
-	if a.PlanLats[0] != 128.5 || a.PlanSites[0] != 10 {
-		t.Errorf("v2 fields lost on resume: lats=%v sites=%v", a.PlanLats, a.PlanSites)
+	if want := (PlanRecord{Outcome: Detected, Site: 10, Lat: 128.5, HasLat: true}); a.Plans[0] != want {
+		t.Errorf("v2 fields lost on resume: plan 0 = %+v, want %+v", a.Plans[0], want)
 	}
-	if _, ok := a.PlanLats[1]; ok {
+	if a.Plans[1].HasLat {
 		t.Error("uninjected plan gained a latency on replay")
 	}
 	if a.Result == nil || a.Result.Latency.Unit != "cycles" || a.Result.Latency.N() != 1 {
@@ -476,7 +530,7 @@ func TestJournalV2ResumeByteIdentical(t *testing.T) {
 // every one of them must be a no-op on a nil receiver.
 func TestJournalNilSafety(t *testing.T) {
 	var j *Journal
-	j.Plan("a", 0, Benign, 0, 0, false, false)
+	j.Plan("a", 0, PlanRecord{Outcome: Benign})
 	j.Cell("a", Result{})
 	j.Observe(nil)
 	if err := j.Sync(); err != nil {

@@ -156,14 +156,13 @@ func (s LatencySummary) N() int64 {
 func (s LatencySummary) Hist(o Outcome) LatencyHist { return s.ByOutcome[o] }
 
 // aggregateLatency builds the per-outcome latency summary from executed
-// plan outcomes. n bounds the aggregation to the effective sample prefix
-// (CI-width early stopping truncates there); pruned campaigns pass the
-// dense executed plan set, whose indices lats/has are already keyed by.
-func aggregateLatency(unit string, n int, outcomes []Outcome, lats []float64, has []bool) LatencySummary {
+// plan records: the effective sample prefix (CI-width early stopping
+// truncates there), or under pruning the dense executed plan set.
+func aggregateLatency(unit string, recs []PlanRecord) LatencySummary {
 	s := LatencySummary{Unit: unit}
-	for i := 0; i < n && i < len(lats); i++ {
-		if has[i] {
-			s.ByOutcome[outcomes[i]].Observe(lats[i])
+	for _, r := range recs {
+		if r.HasLat {
+			s.ByOutcome[r.Outcome].Observe(r.Lat)
 		}
 	}
 	return s

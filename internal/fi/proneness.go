@@ -67,7 +67,7 @@ func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
 	// would lose data; journaled per-plan outcomes replay fine through
 	// runPlans, and the profile writes no cell record of its own.
 	if c.Prior != nil && c.Prior.Result != nil {
-		c.Prior = &CellState{Plans: c.Prior.Plans, PlanLats: c.Prior.PlanLats, PlanSites: c.Prior.PlanSites}
+		c.Prior = &CellState{Plans: c.Prior.Plans}
 	}
 	var e *asmEngine
 	f := &campaign{c: c, profile: true, build: func() (engine, error) {
@@ -86,8 +86,7 @@ func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
 	// (pruned plans Benign, deduped plans their representative's outcome);
 	// every member of a class shares a static instruction, so per-site
 	// attribution composes exactly.
-	po := f.po
-	samples, outcomes := f.expandedOutcomes()
+	outcomes := f.expandedOutcomes()
 	agg := map[machine.SiteLoc]*SiteStats{}
 	at := func(site uint64) *SiteStats {
 		loc := e.siteLoc(site)
@@ -96,10 +95,10 @@ func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
 		}
 		return agg[loc]
 	}
-	for i := 0; i < samples; i++ {
+	for i, o := range outcomes {
 		st := at(f.orig[i].site)
 		st.Faults++
-		switch outcomes[i] {
+		switch o {
 		case Benign:
 			st.Benigns++
 		case SDC:
@@ -112,19 +111,15 @@ func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
 			st.Hangs++
 		}
 	}
-	// Latency attributes by the executed plan set po actually indexes (the
-	// dense representatives under pruning), not the expanded space: only
-	// executed faults measured anything.
-	execPlans := f.orig
-	if f.part != nil {
-		execPlans = f.part.exec
-	}
-	for i := 0; i < po.samples && i < len(execPlans); i++ {
-		if !po.hasLat[i] {
+	// Latency attributes by the executed plan records (the dense
+	// representatives under pruning), not the expanded space: only executed
+	// faults measured anything.
+	for _, r := range f.po.recs[:f.po.samples] {
+		if !r.HasLat {
 			continue
 		}
-		st := at(execPlans[i].site)
-		st.LatencySum += po.lats[i]
+		st := at(r.Site)
+		st.LatencySum += r.Lat
 		st.LatencyN++
 	}
 	out := make([]SiteStats, 0, len(agg))

@@ -18,8 +18,6 @@ type PruneMode uint8
 const (
 	// PruneOff executes every sampled plan (the default).
 	PruneOff PruneMode = iota
-	// PruneDead skips only dead-class plans (liveness-proven Benign). Exact.
-	PruneDead
 	// PruneExact skips dead and masked classes. Exact.
 	PruneExact
 	// PruneFull additionally executes one representative per
@@ -33,8 +31,6 @@ func (m PruneMode) String() string {
 	switch m {
 	case PruneOff:
 		return "off"
-	case PruneDead:
-		return "dead"
 	case PruneExact:
 		return "exact"
 	case PruneFull:
@@ -48,14 +44,12 @@ func ParsePruneMode(s string) (PruneMode, error) {
 	switch s {
 	case "", "off":
 		return PruneOff, nil
-	case "dead":
-		return PruneDead, nil
 	case "exact":
 		return PruneExact, nil
 	case "full":
 		return PruneFull, nil
 	}
-	return PruneOff, fmt.Errorf("fi: unknown prune mode %q (off|dead|exact|full)", s)
+	return PruneOff, fmt.Errorf("fi: unknown prune mode %q (off|exact|full)", s)
 }
 
 // Set parses a -prune flag value into m, making *PruneMode a flag.Value.
@@ -119,7 +113,7 @@ func partitionPlans(mode PruneMode, plans []plannedFault, siteStatics []int32,
 			return nil, fmt.Errorf("fi: prune: static id %d out of range", static)
 		}
 		si := an.At(statics[static].Fn, statics[static].Idx)
-		kind := planKind(mode, si, p)
+		kind := planKind(si, p)
 		switch kind {
 		case prune.Dead:
 			part.assign[i] = assignDead
@@ -160,8 +154,7 @@ func partitionPlans(mode PruneMode, plans []plannedFault, siteStatics []int32,
 // any live bit makes the plan live; an all-dead plan is dead; a mix of
 // dead and masked bits is masked (still exactly Benign — every flipped bit
 // is individually proven inert, and bit flips are independent XORs).
-// PruneDead demotes masked classifications to live, executing them.
-func planKind(mode PruneMode, si prune.SiteInfo, p plannedFault) prune.Kind {
+func planKind(si prune.SiteInfo, p plannedFault) prune.Kind {
 	kind := si.Classify(p.bit)
 	for _, b := range p.extra {
 		switch si.Classify(b) {
@@ -173,29 +166,30 @@ func planKind(mode PruneMode, si prune.SiteInfo, p plannedFault) prune.Kind {
 			}
 		}
 	}
-	if kind == prune.Masked && mode == PruneDead {
-		return prune.Live
-	}
 	return kind
 }
 
 // expandedOutcomes maps dense executed outcomes back onto the full
 // generation-ordered plan space: pruned plans are Benign by construction,
 // deduplicated plans take their representative's outcome. Without a
-// partition it returns the plan outcomes as-is (including early-stop
-// truncation).
-func (f *campaign) expandedOutcomes() (int, []Outcome) {
+// partition it returns the outcomes of the effective sample prefix (early
+// stop truncates it).
+func (f *campaign) expandedOutcomes() []Outcome {
 	po := f.po
 	if f.part == nil {
-		return po.samples, po.outcomes
+		out := make([]Outcome, po.samples)
+		for i, r := range po.recs[:po.samples] {
+			out[i] = r.Outcome
+		}
+		return out
 	}
 	out := make([]Outcome, len(f.orig))
 	for i := range f.orig {
 		if oi := f.part.assign[i]; oi >= 0 {
-			out[i] = po.outcomes[oi]
+			out[i] = po.recs[oi].Outcome
 		} else {
 			out[i] = Benign
 		}
 	}
-	return len(out), out
+	return out
 }

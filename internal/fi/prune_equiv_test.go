@@ -55,7 +55,7 @@ func TestSiteWidthFallbackCounted(t *testing.T) {
 }
 
 func TestParsePruneMode(t *testing.T) {
-	for _, m := range []PruneMode{PruneOff, PruneDead, PruneExact, PruneFull} {
+	for _, m := range []PruneMode{PruneOff, PruneExact, PruneFull} {
 		got, err := ParsePruneMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("round trip %v: got %v, %v", m, got, err)
@@ -111,7 +111,7 @@ func TestPrunedPlansAreBenign(t *testing.T) {
 			pruned++
 			fault := machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra}
 			r := m.Run(machine.RunOpts{Args: tgt.Args, MaxSteps: c.MaxSteps, Fault: &fault})
-			if o := e.planResult(r).o; o != Benign {
+			if o := e.record(r).Outcome; o != Benign {
 				t.Errorf("protect=%v plan %d (site %d bit %d) pruned but executes to %v",
 					protect, i, p.site, p.bit, o)
 			}
@@ -124,8 +124,8 @@ func TestPrunedPlansAreBenign(t *testing.T) {
 }
 
 // TestPruneEquivalence: pruned-vs-full across {bfs, lud} × {raw, ferrum} ×
-// {1, 8} workers. Exact modes (dead, exact) must be bit-identical to the
-// unpruned campaign; full mode must agree within overlapping Wilson
+// {1, 8} workers. Exact mode must be bit-identical to the unpruned
+// campaign; full mode must agree within overlapping Wilson
 // intervals and be deterministic across worker counts.
 func TestPruneEquivalence(t *testing.T) {
 	for _, bench := range []string{"bfs", "lud"} {
@@ -146,7 +146,7 @@ func TestPruneEquivalence(t *testing.T) {
 			}
 
 			var fullCounts *[numOutcomes]int
-			for _, mode := range []PruneMode{PruneDead, PruneExact, PruneFull} {
+			for _, mode := range []PruneMode{PruneExact, PruneFull} {
 				for _, workers := range []int{1, 8} {
 					c := base
 					c.Prune = mode
@@ -164,7 +164,7 @@ func TestPruneEquivalence(t *testing.T) {
 						t.Errorf("%s: golden-run fields differ", ctx)
 					}
 					switch mode {
-					case PruneDead, PruneExact:
+					case PruneExact:
 						if got.Counts != want.Counts {
 							t.Errorf("%s w=%d: counts %v != full %v", ctx, workers, got.Counts, want.Counts)
 						}
@@ -186,9 +186,6 @@ func TestPruneEquivalence(t *testing.T) {
 							t.Errorf("%s: SDC CI [%.3f,%.3f] disjoint from full [%.3f,%.3f]",
 								ctx, plo, phi, lo, hi)
 						}
-					}
-					if mode == PruneDead && got.Pruned.Masked != 0 {
-						t.Errorf("%s: dead-only mode pruned %d masked plans", ctx, got.Pruned.Masked)
 					}
 				}
 			}
@@ -261,7 +258,7 @@ func TestPruneRejectsCIWidth(t *testing.T) {
 
 func TestPruneRejectsIR(t *testing.T) {
 	tgt := equivIRTarget(t, equivBench(t, "bfs"), false)
-	c := Campaign{Samples: 50, Seed: 1, Prune: PruneDead}
+	c := Campaign{Samples: 50, Seed: 1, Prune: PruneExact}
 	if _, err := RunIRCampaign(tgt, c); err == nil ||
 		!strings.Contains(err.Error(), "not supported for IR") {
 		t.Fatalf("IR campaign accepted prune mode: %v", err)

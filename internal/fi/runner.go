@@ -24,7 +24,7 @@ var ErrCampaignCanceled = errors.New("fi: campaign canceled")
 const earlyStopStride = 64
 
 // planRun tracks one campaign's plan execution: which plans are done, their
-// outcomes by original plan index, the longest contiguous completed prefix,
+// records by original plan index, the longest contiguous completed prefix,
 // and the early-stop decision derived from it.
 //
 // Early stopping works on the completed prefix only. Outcomes are recorded
@@ -43,10 +43,7 @@ type planRun struct {
 	cancel       <-chan struct{}
 	canceled     bool
 	done         []bool
-	outcomes     []Outcome
-	lats         []float64
-	hasLat       []bool
-	fbs          []bool
+	recs         []PlanRecord
 	prefixLen    int
 	prefixCounts [numOutcomes]int
 	stopped      bool
@@ -54,37 +51,34 @@ type planRun struct {
 	stopCounts   [numOutcomes]int
 }
 
-// planResult is what a campaign worker returns for one executed plan: the
-// classified outcome plus the fault's detection latency — the distance from
-// injection to the terminal event, in engine units (machine cycles for asm,
-// retired instructions for IR). hasLat is false when the fault was never
-// applied (the run should always reach its sampled site, but a missing
-// injection must not masquerade as a zero-latency detection).
-type planResult struct {
-	o      Outcome
-	lat    float64
-	hasLat bool
-	// fb marks a composed-campaign plan that could not be answered at its
-	// section boundary and ran end-to-end instead (the soundness fallback).
-	// Always false outside compose mode.
-	fb bool
+// PlanRecord is one executed fault plan's result, the unit a campaign
+// worker returns, the journal stores and resume replays: the classified
+// outcome, the dynamic site the fault hit, and the fault's detection
+// latency — the distance from injection to the terminal event, in engine
+// units (machine cycles for asm, retired instructions for IR). HasLat is
+// false when the fault was never applied (the run should always reach its
+// sampled site, but a missing injection must not masquerade as a
+// zero-latency detection).
+type PlanRecord struct {
+	Site    uint64
+	Lat     float64
+	Outcome Outcome
+	HasLat  bool
+	// Fallback marks a composed-campaign plan that could not be answered
+	// at its section boundary and ran end-to-end instead (the soundness
+	// fallback). Always false outside compose mode.
+	Fallback bool
 }
 
 // planOutcomes is what runPlans hands back: the effective sample count
-// (truncated on early stop), its outcome counts, and the raw per-index
-// outcome slice for callers that attribute outcomes to plans (profiling).
-// Only outcomes[:samples] is guaranteed fully populated.
+// (truncated on early stop), its outcome counts, and the per-index plan
+// records for callers that attribute results to plans (latency, compose
+// ledgers, profiling). Only recs[:samples] is guaranteed fully populated.
 type planOutcomes struct {
-	samples  int
-	counts   [numOutcomes]int
-	early    bool
-	outcomes []Outcome
-	// lats/hasLat carry per-index detection latencies for the plans that
-	// executed (fresh or journal-replayed); indexed like outcomes.
-	lats   []float64
-	hasLat []bool
-	// fbs marks composed-campaign fallback plans, indexed like outcomes.
-	fbs []bool
+	samples int
+	counts  [numOutcomes]int
+	early   bool
+	recs    []PlanRecord
 }
 
 // grab hands out the next batch of pending plans, or nil when the run is
@@ -120,7 +114,7 @@ func (pr *planRun) grab(nb int) []plannedFault {
 // in-hand batch after a stop/cancel get false and must not journal the
 // plan: finish() discards it, so journaling it would leave the journal with
 // more plan records than the result (and the fi.* counters) account for.
-func (pr *planRun) record(idx int, r planResult) bool {
+func (pr *planRun) record(idx int, r PlanRecord) bool {
 	if pr.cancel != nil {
 		// Re-check cancellation here, not only in grab(): a batch in hand
 		// when Cancel fires still runs to the batch boundary, and its
@@ -147,14 +141,9 @@ func (pr *planRun) record(idx int, r planResult) bool {
 }
 
 // setLocked stores plan idx's result.
-func (pr *planRun) setLocked(idx int, r planResult) {
+func (pr *planRun) setLocked(idx int, r PlanRecord) {
 	pr.done[idx] = true
-	pr.outcomes[idx] = r.o
-	if r.hasLat {
-		pr.lats[idx] = r.lat
-		pr.hasLat[idx] = true
-	}
-	pr.fbs[idx] = r.fb
+	pr.recs[idx] = r
 }
 
 // advanceLocked extends the completed prefix one plan at a time, testing
@@ -166,7 +155,7 @@ func (pr *planRun) advanceLocked() {
 		return
 	}
 	for pr.prefixLen < pr.n && pr.done[pr.prefixLen] {
-		pr.prefixCounts[pr.outcomes[pr.prefixLen]]++
+		pr.prefixCounts[pr.recs[pr.prefixLen].Outcome]++
 		pr.prefixLen++
 		if pr.ciWidth > 0 && pr.prefixLen < pr.n && pr.prefixLen%earlyStopStride == 0 {
 			lo, hi := wilson(float64(pr.prefixCounts[SDC]), float64(pr.prefixLen))
@@ -183,7 +172,7 @@ func (pr *planRun) advanceLocked() {
 func (pr *planRun) finish() (planOutcomes, error) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	po := planOutcomes{outcomes: pr.outcomes, lats: pr.lats, hasLat: pr.hasLat, fbs: pr.fbs}
+	po := planOutcomes{recs: pr.recs}
 	switch {
 	case pr.stopped:
 		po.samples, po.counts, po.early = pr.stopAt, pr.stopCounts, true
@@ -195,12 +184,11 @@ func (pr *planRun) finish() (planOutcomes, error) {
 	return po, nil
 }
 
-// journalPlan appends one completed plan to the campaign's journal, if any:
-// its outcome, the dynamic fault site it hit, and the measured detection
-// latency (when the fault was injected).
-func (c Campaign) journalPlan(p plannedFault, r planResult) {
+// journalPlan appends one completed plan's record to the campaign's
+// journal, if any.
+func (c Campaign) journalPlan(p plannedFault, r PlanRecord) {
 	if c.Journal != nil && c.Key != "" {
-		c.Journal.Plan(c.Key, p.idx, r.o, p.site, r.lat, r.hasLat, r.fb)
+		c.Journal.Plan(c.Key, p.idx, r)
 	}
 }
 
@@ -234,31 +222,25 @@ func (c Campaign) journalErr() error {
 // and the CI-width early-stop rule is applied to the completed prefix.
 // plans may be in any order (the checkpointing path sorts them by site);
 // outcome bookkeeping is always by the plan's generation index, so results
-// are independent of both ordering and worker count.
+// are independent of both ordering and worker count. Worker and cache
+// records get their Site stamped from the plan here.
 func runPlans(c Campaign, plans []plannedFault,
-	newWorker func() func(plannedFault) planResult,
-	cached map[int]planResult) (planOutcomes, error) {
+	newWorker func() func(plannedFault) PlanRecord,
+	cached map[int]PlanRecord) (planOutcomes, error) {
 	n := len(plans)
 	pr := &planRun{
-		n:        n,
-		ciWidth:  c.CIWidth,
-		cancel:   c.Cancel,
-		done:     make([]bool, n),
-		outcomes: make([]Outcome, n),
-		lats:     make([]float64, n),
-		hasLat:   make([]bool, n),
-		fbs:      make([]bool, n),
+		n:       n,
+		ciWidth: c.CIWidth,
+		cancel:  c.Cancel,
+		done:    make([]bool, n),
+		recs:    make([]PlanRecord, n),
 	}
 	prior := c.Prior
 	prefilled, replayed := 0, 0
 	if (prior != nil && len(prior.Plans) > 0) || len(cached) > 0 {
 		for _, p := range plans {
 			if prior != nil && p.idx < n {
-				if o, ok := prior.Plans[p.idx]; ok {
-					r := planResult{o: o, fb: prior.PlanFB[p.idx]}
-					if l, ok := prior.PlanLats[p.idx]; ok {
-						r.lat, r.hasLat = l, true
-					}
+				if r, ok := prior.Plans[p.idx]; ok {
 					pr.setLocked(p.idx, r)
 					prefilled++
 					replayed++
@@ -266,6 +248,7 @@ func runPlans(c Campaign, plans []plannedFault,
 				}
 			}
 			if r, ok := cached[p.idx]; ok && p.idx < n {
+				r.Site = p.site
 				pr.setLocked(p.idx, r)
 				c.journalPlan(p, r)
 				prefilled++
@@ -288,9 +271,10 @@ func runPlans(c Campaign, plans []plannedFault,
 	}
 	report(prefilled)
 
-	runBatch := func(w func(plannedFault) planResult, batch []plannedFault) {
+	runBatch := func(w func(plannedFault) PlanRecord, batch []plannedFault) {
 		for _, p := range batch {
 			r := w(p)
+			r.Site = p.site
 			if pr.record(p.idx, r) {
 				c.journalPlan(p, r)
 			}

@@ -171,18 +171,8 @@ func MergeShardStates(states []*JournalState) (*JournalState, error) {
 				complete = false
 				continue
 			}
-			for local, o := range sc.Plans {
-				g := spec.global(local)
-				mc.Plans[g] = o
-				if l, ok := sc.PlanLats[local]; ok {
-					mc.PlanLats[g] = l
-				}
-				if site, ok := sc.PlanSites[local]; ok {
-					mc.PlanSites[g] = site
-				}
-				if sc.PlanFB[local] {
-					mc.PlanFB[g] = true
-				}
+			for local, rec := range sc.Plans {
+				mc.Plans[spec.global(local)] = rec
 			}
 			if sc.Result == nil {
 				complete = false
@@ -232,19 +222,7 @@ func (s *JournalState) WriteCanonical(w io.Writer) error {
 		}
 		sort.Ints(idxs)
 		for _, i := range idxs {
-			r := journalRecord{T: "plan", C: key, I: i, O: c.Plans[i]}
-			if site, ok := c.PlanSites[i]; ok {
-				r.S = &site
-			}
-			if l, ok := c.PlanLats[i]; ok {
-				lat := l
-				r.L = &lat
-			}
-			if c.PlanFB[i] {
-				fb := true
-				r.FB = &fb
-			}
-			if err := enc(r); err != nil {
+			if err := enc(planJournalRecord(key, i, c.Plans[i])); err != nil {
 				return err
 			}
 		}

@@ -143,8 +143,8 @@ func TestNoJournalPastEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Campaign{Samples: len(plans), CIWidth: 0.25, Workers: 1, Journal: j, Key: "cell"}
-	po, err := runPlans(c, plans, func() func(plannedFault) planResult {
-		return func(plannedFault) planResult { return planResult{o: Benign} }
+	po, err := runPlans(c, plans, func() func(plannedFault) PlanRecord {
+		return func(plannedFault) PlanRecord { return PlanRecord{Outcome: Benign} }
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -189,12 +189,12 @@ func TestNoJournalPastCancel(t *testing.T) {
 	}
 	cancel := make(chan struct{})
 	c := Campaign{Samples: len(plans), Workers: 1, Cancel: cancel, Journal: j, Key: "cell"}
-	_, err = runPlans(c, plans, func() func(plannedFault) planResult {
-		return func(p plannedFault) planResult {
+	_, err = runPlans(c, plans, func() func(plannedFault) PlanRecord {
+		return func(p plannedFault) PlanRecord {
 			if p.idx == 20 { // mid-batch: positions 21..31 are still in hand
 				close(cancel)
 			}
-			return planResult{o: Benign}
+			return PlanRecord{Outcome: Benign}
 		}
 	}, nil)
 	if !errors.Is(err, ErrCampaignCanceled) {

@@ -24,8 +24,8 @@ func TestCampaignCheck(t *testing.T) {
 		{Campaign{Compose: ComposeOn, CheckpointEvery: 7}, false, ""},
 		{Campaign{CIWidth: 0.1, NoCheckpoint: true}, true, ""},
 		{Campaign{Shard: shard, NoCheckpoint: true}, true, ""},
-		{Campaign{Prune: PruneDead, CIWidth: 0.1}, false, "no uniform plan prefix"},
-		{Campaign{Compose: ComposeOn, Prune: PruneDead}, false, "no per-section plan strata"},
+		{Campaign{Prune: PruneExact, CIWidth: 0.1}, false, "no uniform plan prefix"},
+		{Campaign{Compose: ComposeOn, Prune: PruneExact}, false, "no per-section plan strata"},
 		{Campaign{Compose: ComposeValidate, CIWidth: 0.1}, false, "per-section budgets are fixed up front"},
 		{Campaign{Compose: ComposeOn, NoCheckpoint: true}, false, "sections are cut at checkpoint boundaries"},
 		{Campaign{Compose: ComposeOn, Shard: shard}, false, "incompatible with compose mode on"},
@@ -33,7 +33,7 @@ func TestCampaignCheck(t *testing.T) {
 		{Campaign{CIWidth: 0.1, Shard: shard}, false, "incompatible with CI-width"},
 		{Campaign{Shard: ShardSpec{Index: 2, Count: 2}}, false, "out of range"},
 		{Campaign{Shard: ShardSpec{Index: -1}}, false, "negative shard spec"},
-		{Campaign{Prune: PruneDead}, true, "the analysis is assembly-level"},
+		{Campaign{Prune: PruneExact}, true, "the analysis is assembly-level"},
 		{Campaign{Compose: ComposeOn}, true, "sections are cut at assembly checkpoint boundaries"},
 		{Campaign{BitsPerFault: 1}, true, ""},
 		{Campaign{BitsPerFault: 3}, false, ""},
@@ -63,7 +63,7 @@ func TestCampaignMetaFields(t *testing.T) {
 		"Seed":         func(c *Campaign) { c.Seed++ },
 		"MaxSteps":     func(c *Campaign) { c.MaxSteps = 99 },
 		"BitsPerFault": func(c *Campaign) { c.BitsPerFault = 2 },
-		"Prune":        func(c *Campaign) { c.Prune = PruneDead },
+		"Prune":        func(c *Campaign) { c.Prune = PruneExact },
 		"Compose":      func(c *Campaign) { c.Compose = ComposeOn },
 		"Shard":        func(c *Campaign) { c.Shard = ShardSpec{Index: 1, Count: 2} },
 		"CIWidth":      func(c *Campaign) { c.CIWidth = 0.1 },

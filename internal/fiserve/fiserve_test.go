@@ -417,7 +417,7 @@ func TestRecordsMetaOnlyFirst(t *testing.T) {
 	}
 	other := l.Meta
 	other.Seed++
-	plan := []byte(fmt.Sprintf(`{"t":"plan","c":%q,"i":0,"o":0}`+"\n", l.Key))
+	plan := []byte(fmt.Sprintf(`{"t":"plan","c":%q,"i":0,"o":0,"s":0}`+"\n", l.Key))
 	upload := func(chunk []byte) error { return co.appendRecords(id, l.Shard, l.Epoch, chunk) }
 
 	if err := upload(plan); err == nil {

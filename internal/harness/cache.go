@@ -231,8 +231,8 @@ func (c *BuildCache) decoded(inst *rodinia.Instance, tech Technique, bo BuildOpt
 	return e.dec, e.decErr
 }
 
-// golden returns the memoised golden run (cycles, dynamic instructions,
-// output) of the instance's build under the given technique and options,
+// golden returns the memoised golden run (cycles and dynamic
+// instructions) of the instance's build under the given technique and options,
 // on the input (scale, seed) and a machine of memSize bytes.
 func (c *BuildCache) golden(inst *rodinia.Instance, scale int, seed int64, tech Technique, bo BuildOptions, memSize int) (golden, error) {
 	name := inst.Bench.Name
@@ -256,7 +256,7 @@ func (c *BuildCache) golden(inst *rodinia.Instance, scale int, seed int64, tech 
 		}
 		var res machine.Result
 		if res, e.err = runGolden(nil, inst, dec, memSize, false); e.err == nil {
-			e.g = golden{cycles: res.Cycles, dyn: res.DynInsts, output: res.Output}
+			e.g = golden{cycles: res.Cycles, dyn: res.DynInsts}
 		}
 	})
 	return e.g, e.err

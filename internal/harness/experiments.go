@@ -157,7 +157,6 @@ func Fig11(opts Options) ([]Fig11Row, error) {
 type golden struct {
 	cycles float64
 	dyn    uint64
-	output []uint64
 }
 
 // ExecTimeRow is one benchmark's FERRUM transform-time measurement

@@ -178,28 +178,6 @@ main:
 	}
 }
 
-func TestSetCostModel(t *testing.T) {
-	src := `
-	.globl	main
-main:
-	movq	$1, %rax
-	addq	$1, %rax
-	hlt
-`
-	m, err := New(mustParse(t, src), memSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := m.Run(RunOpts{}).Cycles
-	cm := DefaultCostModel()
-	cm.ALU *= 10
-	m.SetCostModel(cm)
-	scaled := m.Run(RunOpts{}).Cycles
-	if scaled <= base {
-		t.Errorf("cost model change had no effect: %v vs %v", scaled, base)
-	}
-}
-
 func TestReadWordAndMemSize(t *testing.T) {
 	m, err := New(mustParse(t, faultTestSrc), memSize)
 	if err != nil {

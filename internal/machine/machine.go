@@ -351,9 +351,9 @@ func (d *Decoded) Instantiate(memSize int) (*Machine, error) {
 // instruction, uop and block tables and the pristine memory image — but
 // owns its architectural state, memory and counters. Clones are how
 // campaigns pool the load-time decode across workers: clone once per
-// worker after SetMemImage/SetCostModel, then Run concurrently. Mutating
-// the program (SetCostModel, SetMemImage) on any machine after cloning is
-// not safe while its clones run. A clone keeps the shared image alive: it
+// worker after SetMemImage, then Run concurrently. Mutating the program
+// (SetMemImage) on any machine after cloning is not safe while its clones
+// run. A clone keeps the shared image alive: it
 // still runs after its template's Release.
 func (m *Machine) Clone() *Machine {
 	m.live("Clone")
@@ -374,17 +374,6 @@ func (m *Machine) Release() { m.mem.Release() }
 func (m *Machine) live(op string) {
 	if m.mem.Released() {
 		panic("machine: " + op + " on a released Machine")
-	}
-}
-
-// SetCostModel replaces the cycle cost model (before Run). It rewrites the
-// decoded tables in place, so it changes the cost model of the Decoded the
-// machine came from, of every machine instantiated from that Decoded and of
-// every Clone: call it only while none of them runs.
-func (m *Machine) SetCostModel(c *CostModel) {
-	for i := range m.insts {
-		m.insts[i].cost = c.staticCost(m.insts[i].in)
-		m.uops[i].cost = m.insts[i].cost
 	}
 }
 
