@@ -508,6 +508,41 @@ func BenchmarkCompose(b *testing.B) {
 	})
 }
 
+// BenchmarkComposeRerun times the warm composed re-run that e2ebench's
+// compose-rerun workload measures, on two benchmarks: harness.Fig10 with
+// compose on over bfs and particlefilter × the four techniques at 300
+// samples, on the build and section caches a cold pass filled outside the
+// timer. Every plan is served from the section cache, so what it times is
+// each cell's build lookup, golden run, section keying and cache lookups —
+// the fixed cost the build entry's key memo and site-count hint cut.
+func BenchmarkComposeRerun(b *testing.B) {
+	const samples = 300
+	opts := harness.Options{Samples: samples, Seed: harness.DefaultSeed, Compose: fi.ComposeOn,
+		Benchmarks: []string{"bfs", "particlefilter"}, Cache: harness.NewBuildCache(), SectionCache: compose.NewCache()}
+	if _, err := harness.Fig10(opts); err != nil {
+		b.Fatal(err) // the cold pass fills both caches outside the timer
+	}
+	b.ResetTimer()
+	var rows []harness.Fig10Row
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = harness.Fig10(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	cells := 0
+	for _, row := range rows {
+		for tech, res := range row.Counts {
+			if cp := res.Checkpoint; cp.Restores != 0 || cp.ColdStarts != 0 {
+				b.Fatalf("%s/%s: warm run executed plans: %+v", row.Benchmark, tech, cp)
+			}
+			cells++
+		}
+	}
+	b.ReportMetric(float64(cells*samples)*float64(b.N)/b.Elapsed().Seconds(), "plans/s")
+}
+
 // BenchmarkObsOverhead proves the observability layer is off-path: the same
 // checkpointed FERRUM campaign with instrumentation disabled (nil Obs — the
 // default), and with a live observer collecting spans and counters. The two

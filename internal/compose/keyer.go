@@ -3,29 +3,46 @@ package compose
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"sync"
 
 	"ferrum/internal/asm"
 	"ferrum/internal/liveness"
 )
 
+// Memo holds the key parts of one program that outlive a campaign: the
+// code digest of each function list and the dead sets at each boundary
+// location. It holds only those digests and sets, never the rendered text
+// or the liveness they were derived from, so it stays small however many
+// campaigns key sections of the program. A Memo is safe for concurrent
+// use. It answers for the program it first keyed: a program edited in
+// place needs a new one.
+type Memo struct {
+	mu      sync.Mutex
+	digests map[string]uint64 // encoded function-index list -> code digest
+	dead    map[loc]deadSets
+}
+
+// NewMemo returns an empty Memo.
+func NewMemo() *Memo {
+	return &Memo{digests: map[string]uint64{}, dead: map[loc]deadSets{}}
+}
+
 // Keyer derives the program-dependent parts of section keys — code digests
-// of function lists and the dead state at boundary locations — memoising
-// every piece, so a composed campaign renders each function and runs each
-// liveness analysis at most once however many sections it keys. A Keyer
-// reads the program as it is when first asked and must live no longer than
-// one campaign: a program edited in place would be served stale parts.
+// of function lists and the dead state at boundary locations. It renders
+// each function and runs each liveness analysis at most once, and records
+// every part it derives in its Memo, where a later Keyer over the same
+// Memo finds it without rendering or analysing anything. A Keyer lives for
+// one campaign; its rendered text and liveness go with it.
 type Keyer struct {
 	prog  *asm.Program
+	memo  *Memo
 	index map[string]int // name -> first function of that name, as Program.Func resolves it
 	fns   []fnParts
 	used  []liveness.RegSet // UsedGPRs per function; nil until a DeadSets needs it
-
-	digests map[string]uint64 // encoded function-index list -> code digest
-	dead    map[loc]deadSets
-	list    []byte // CodeDigest's key scratch
+	list  []byte            // CodeDigest's key scratch
 }
 
-// fnParts is one function's memoised key parts, filled on first use.
+// fnParts is one function's key parts, filled on first use.
 type fnParts struct {
 	text   []byte // name, NUL, then each instruction's labels and text
 	flags  *liveness.FlagLiveness
@@ -40,14 +57,17 @@ type deadSets struct {
 	flags liveness.FlagSet
 }
 
-// NewKeyer returns a Keyer over prog.
-func NewKeyer(prog *asm.Program) *Keyer {
+// NewKeyer returns a Keyer over prog that records into memo, or into a
+// Memo of its own when memo is nil.
+func NewKeyer(prog *asm.Program, memo *Memo) *Keyer {
+	if memo == nil {
+		memo = NewMemo()
+	}
 	k := &Keyer{
-		prog:    prog,
-		index:   make(map[string]int, len(prog.Funcs)),
-		fns:     make([]fnParts, len(prog.Funcs)),
-		digests: map[string]uint64{},
-		dead:    map[loc]deadSets{},
+		prog:  prog,
+		memo:  memo,
+		index: make(map[string]int, len(prog.Funcs)),
+		fns:   make([]fnParts, len(prog.Funcs)),
 	}
 	for i, f := range prog.Funcs {
 		if _, dup := k.index[f.Name]; !dup {
@@ -71,7 +91,11 @@ func (k *Keyer) CodeDigest(fns []string) uint64 {
 			k.list = binary.AppendUvarint(k.list, uint64(i))
 		}
 	}
-	if d, ok := k.digests[string(k.list)]; ok {
+	m := k.memo
+	m.mu.Lock()
+	d, ok := m.digests[string(k.list)]
+	m.mu.Unlock()
+	if ok {
 		return d
 	}
 	h := fnv.New64a()
@@ -80,8 +104,10 @@ func (k *Keyer) CodeDigest(fns []string) uint64 {
 			h.Write(k.text(i))
 		}
 	}
-	d := h.Sum64()
-	k.digests[string(k.list)] = d
+	d = h.Sum64()
+	m.mu.Lock()
+	m.digests[string(k.list)] = d
+	m.mu.Unlock()
 	return d
 }
 
@@ -118,11 +144,14 @@ func (k *Keyer) DeadSets(fn string, idx int) (liveness.RegSet, liveness.FlagSet)
 	if !ok {
 		return 0, 0
 	}
-	if d, ok := k.dead[loc{i, idx}]; ok {
+	m := k.memo
+	m.mu.Lock()
+	d, ok := m.dead[loc{i, idx}]
+	m.mu.Unlock()
+	if ok {
 		return d.regs, d.flags
 	}
 	p := k.analyse(i)
-	var d deadSets
 	if p.regs != nil {
 		if live, ok := p.regs.LiveAt(idx); ok {
 			for r := asm.RNone + 1; r < asm.NumReg; r++ {
@@ -139,7 +168,9 @@ func (k *Keyer) DeadSets(fn string, idx int) (liveness.RegSet, liveness.FlagSet)
 			}
 		}
 	}
-	k.dead[loc{i, idx}] = d
+	m.mu.Lock()
+	m.dead[loc{i, idx}] = d
+	m.mu.Unlock()
 	return d.regs, d.flags
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ferrum/internal/asm"
@@ -122,11 +123,20 @@ func keyerPrograms(t *testing.T) map[string]*asm.Program {
 // oracles for random function lists (repeats, unknown names and the empty
 // list included, each asked twice so memo hits are checked too) and at
 // every static location of every function, out-of-range indices and an
-// unknown function included.
+// unknown function included. A third pass asks a fresh Keyer over the
+// first one's Memo, as the next campaign on a cached build does: it must
+// answer everything from the Memo, rendering and analysing nothing.
 func TestKeyerMatchesOracle(t *testing.T) {
 	for name, prog := range keyerPrograms(t) {
 		rng := rand.New(rand.NewSource(int64(len(name))))
-		k := NewKeyer(prog)
+		memo := NewMemo()
+		first, second := NewKeyer(prog, memo), NewKeyer(prog, memo)
+		keyer := func(pass int) *Keyer {
+			if pass < 2 {
+				return first
+			}
+			return second
+		}
 		pool := []string{"", "nosuch"}
 		all := make([]string, len(prog.Funcs))
 		for i, f := range prog.Funcs {
@@ -141,7 +151,8 @@ func TestKeyerMatchesOracle(t *testing.T) {
 			}
 			lists = append(lists, l)
 		}
-		for pass := range 2 {
+		for pass := range 3 {
+			k := keyer(pass)
 			for _, l := range lists {
 				if got, want := k.CodeDigest(l), codeDigestOracle(prog, l); got != want {
 					t.Fatalf("%s pass %d: CodeDigest(%q) = %016x, oracle %016x", name, pass, l, got, want)
@@ -168,7 +179,8 @@ func TestKeyerMatchesOracle(t *testing.T) {
 		for i, l := range locs {
 			want[i].regs, want[i].flags = deadSetsOracle(prog, l.fn, l.idx)
 		}
-		for pass := range 2 {
+		for pass := range 3 {
+			k := keyer(pass)
 			for i, l := range locs {
 				gr, gf := k.DeadSets(l.fn, l.idx)
 				wr, wf := want[i].regs, want[i].flags
@@ -178,5 +190,42 @@ func TestKeyerMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+		for i, p := range second.fns {
+			if p.text != nil || p.flags != nil {
+				t.Errorf("%s: a Keyer over a filled Memo rendered or analysed function %d", name, i)
+			}
+		}
 	}
+}
+
+// TestMemoConcurrentKeyers: Keyers on several goroutines share one Memo,
+// as concurrent campaigns on one cached build do, and each still answers
+// every key part as the oracles do (run it under -race).
+func TestMemoConcurrentKeyers(t *testing.T) {
+	progs := keyerPrograms(t)
+	prog := progs["bfs/ferrum"]
+	memo := NewMemo()
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k := NewKeyer(prog, memo)
+			for i := range prog.Funcs {
+				// Each goroutine walks the functions from its own offset, so
+				// first computations and memo hits interleave.
+				f := prog.Funcs[(i+g)%len(prog.Funcs)]
+				if got, want := k.CodeDigest([]string{f.Name}), codeDigestOracle(prog, []string{f.Name}); got != want {
+					t.Errorf("goroutine %d: CodeDigest(%s) = %016x, oracle %016x", g, f.Name, got, want)
+				}
+				for idx := range f.Insts {
+					gr, gf := k.DeadSets(f.Name, idx)
+					if wr, wf := deadSetsOracle(prog, f.Name, idx); gr != wr || gf != wf {
+						t.Errorf("goroutine %d: DeadSets(%s, %d) = (%v, %v), oracle (%v, %v)", g, f.Name, idx, gr, gf, wr, wf)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

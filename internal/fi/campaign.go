@@ -67,10 +67,15 @@ func (f *campaign) run() (Result, error) {
 	f.g, err = f.eng.golden(c)
 	gsp.SetAttr("dyn_insts", f.g.insts)
 	gsp.SetAttr("dyn_sites", f.g.sites)
+	gsp.SetAttr("hint_sites", f.g.hint)
+	gsp.SetAttr("start_k", f.g.startK)
 	if s := f.g.sched; s != nil {
 		s.setAttrs(gsp)
 	}
 	gsp.End()
+	if f.g.reran {
+		c.Obs.Counter(obs.MCkptHintReruns).Add(1)
+	}
 	if err != nil {
 		return Result{}, err
 	}

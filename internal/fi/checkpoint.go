@@ -25,8 +25,8 @@ const (
 // goldenCheckpoints is the one K rule of every mode: the schedule c's
 // golden run takes on the engine whose snapshots are T, nil without
 // checkpointing. An explicit K is taken as is. Otherwise the schedule
-// starts at K = 1 and thins at 2n snapshots, so it ends at a power-of-two
-// K with between n and 2n of them:
+// thins at 2n snapshots, so it ends at a power-of-two K with between n and
+// 2n of them:
 //
 //   - dense, for a converging asm campaign: n = ckptPerRootSample·√Samples,
 //     with at most ckptMaxBytes of snapshots. Any K yields the same table,
@@ -35,22 +35,67 @@ const (
 //     balances the snapshots taken against the replay to each plan's site.
 //     Compose's K cuts its sections, so it must not depend on snapshot
 //     sizes.
-func goldenCheckpoints[T any, S pagemem.Capture[T]](c Campaign, irLevel bool) *pagemem.Schedule[T, S] {
+//
+// An auto schedule starts at startK for a run of sites dynamic sites: K = 1
+// when sites is 0, the count is unknown.
+func goldenCheckpoints[T any, S pagemem.Capture[T]](c Campaign, irLevel bool, sites uint64) *pagemem.Schedule[T, S] {
 	switch {
 	case c.NoCheckpoint:
 		return nil
 	case c.CheckpointEvery > 0:
 		return &pagemem.Schedule[T, S]{Every: c.CheckpointEvery}
-	case irLevel || c.Compose != ComposeOff:
-		return &pagemem.Schedule[T, S]{Every: 1, Max: 2 * autoSnapshots(1, c.Samples)}
 	}
-	return &pagemem.Schedule[T, S]{Every: 1, Max: 2 * autoSnapshots(ckptPerRootSample, c.Samples), MaxBytes: ckptMaxBytes}
+	s := &pagemem.Schedule[T, S]{Max: 2 * autoSnapshots(ckptPerRootSample, c.Samples), MaxBytes: ckptMaxBytes}
+	if irLevel || c.Compose != ComposeOff {
+		s.Max, s.MaxBytes = 2*autoSnapshots(1, c.Samples), 0
+	}
+	s.Every = startK(sites, s.Max)
+	return s
 }
 
 // autoSnapshots is an auto schedule's target snapshot count n =
 // ⌈perRoot·√Samples⌉.
 func autoSnapshots(perRoot float64, samples int) int {
 	return int(math.Ceil(perRoot * math.Sqrt(float64(max(samples, 1)))))
+}
+
+// startK is the K an auto schedule holding at most max snapshots ends at
+// over a run of sites dynamic sites when only the count thins it: the
+// least power of two K with ⌊sites/K⌋ ≤ max. Thinning only doubles K, and
+// a byte bound only thins more, so no run of sites sites ends below it.
+// Started at or below its final K, a pagemem.Schedule keeps exactly the
+// snapshots it keeps when started at 1: until the one started at 1 reaches
+// the other's K, the other holds a subset of its snapshots and so thins no
+// earlier, and from there on the two are the same.
+func startK(sites uint64, max int) uint64 {
+	k := uint64(1)
+	for sites/k > uint64(max) {
+		k *= 2
+	}
+	return k
+}
+
+// hintedGolden takes a golden run's checkpoint schedule with a site-count
+// hint: run executes the golden run on the schedule it is given, with the
+// site count it may expect, and reports the sites the run retired and
+// whether it completed. With the hint, c's auto schedule starts at the K
+// the hint implies (startK). That is only exact when the start is no
+// higher than startK of the run's actual count: a run the hint started
+// above it runs again without the hint, and reran reports it. start is the
+// K the hinted run started at.
+func hintedGolden[T any, S pagemem.Capture[T]](c Campaign, irLevel bool, hint uint64,
+	run func(s *pagemem.Schedule[T, S], expect uint64) (sites uint64, ok bool)) (s *pagemem.Schedule[T, S], start uint64, reran bool) {
+	s = goldenCheckpoints[T, S](c, irLevel, hint)
+	if s != nil {
+		start = s.Every
+	}
+	sites, ok := run(s, hint)
+	if ok && s != nil && c.CheckpointEvery == 0 && start > startK(sites, s.Max) {
+		s = goldenCheckpoints[T, S](c, irLevel, 0)
+		run(s, 0)
+		return s, start, true
+	}
+	return s, start, false
 }
 
 // CheckpointSummary describes one campaign's checkpointing activity.

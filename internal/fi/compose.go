@@ -206,9 +206,10 @@ func newComposition(f *campaign) *composition {
 	prog, args := e.tgt.Prog, e.tgt.Args
 	imageDig := e.m0.ImageDigest()
 	argsDig := compose.Mix(append([]uint64{uint64(len(args))}, args...)...)
-	// The key parts that depend on the program alone are memoised for this
-	// campaign only: the program may be edited in place between campaigns.
-	keys := compose.NewKeyer(prog)
+	// The key parts that depend on the program alone are memoised in the
+	// target's Memo, or for this campaign only when it has none: a program
+	// without one may be edited in place between campaigns.
+	keys := compose.NewKeyer(prog, e.tgt.Keys)
 	allFns := make([]string, len(prog.Funcs))
 	for i, fn := range prog.Funcs {
 		allFns[i] = fn.Name

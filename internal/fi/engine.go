@@ -53,6 +53,11 @@ type goldenRun struct {
 	// sched is the checkpoint schedule the golden run took; nil when it
 	// took none.
 	sched *schedule
+	// hint is the site count the golden run was started with (0: none),
+	// startK the K its schedule started at, and reran whether the hint
+	// started it too high, so that it ran again (hintedGolden).
+	hint, startK uint64
+	reran        bool
 }
 
 // schedule is a golden run's checkpoint schedule as the flow sees it.
@@ -127,15 +132,19 @@ func newAsmEngine(tgt AsmTarget, maxSteps uint64) (*asmEngine, error) {
 
 // golden also records the run's per-site static ids, and under compose
 // its function spans: on the block loop they cost one compare per block
-// entry, and compose's section keys hash them.
+// entry, and compose's section keys hash them. The target's site count,
+// when it has one, sizes the site table and starts the schedule.
 func (e *asmEngine) golden(c Campaign) (goldenRun, error) {
-	ckpts := goldenCheckpoints[machine.Snapshot](c, false)
-	e.res = e.m0.Run(machine.RunOpts{
-		Args:              e.tgt.Args,
-		MaxSteps:          e.maxSteps,
-		RecordSiteStatics: true,
-		RecordFnSpans:     c.Compose != ComposeOff,
-		Checkpoints:       ckpts,
+	ckpts, start, reran := hintedGolden(c, false, e.tgt.Sites, func(s *machine.Checkpoints, expect uint64) (uint64, bool) {
+		e.res = e.m0.Run(machine.RunOpts{
+			Args:              e.tgt.Args,
+			MaxSteps:          e.maxSteps,
+			RecordSiteStatics: true,
+			RecordFnSpans:     c.Compose != ComposeOff,
+			Checkpoints:       s,
+			ExpectSites:       expect,
+		})
+		return e.res.DynSites, e.res.Outcome == machine.OutcomeOK
 	})
 	if e.res.Outcome != machine.OutcomeOK {
 		return goldenRun{}, fmt.Errorf("fi: golden run failed: %v (%s)", e.res.Outcome, e.res.CrashMsg)
@@ -149,6 +158,7 @@ func (e *asmEngine) golden(c Campaign) (goldenRun, error) {
 		width: func(fallbacks *int) func(uint64) uint {
 			return siteWidth(e.res.SiteStatics, e.instrs, fallbacks)
 		},
+		hint: e.tgt.Sites, startK: start, reran: reran,
 	}
 	if ckpts != nil {
 		end := e.res
@@ -274,13 +284,17 @@ func newIREngine(tgt IRTarget, maxSteps uint64) (*irEngine, error) {
 }
 
 func (e *irEngine) golden(c Campaign) (goldenRun, error) {
-	ckpts := goldenCheckpoints[ir.Snapshot](c, true)
+	ckpts := goldenCheckpoints[ir.Snapshot](c, true, 0)
+	g := goldenRun{}
+	if ckpts != nil {
+		g.startK = ckpts.Every
+	}
 	r := e.ip0.Run(ir.RunOpts{Args: e.tgt.Args, MaxSteps: e.maxSteps, Checkpoints: ckpts})
 	if r.Outcome != ir.OutcomeOK {
 		return goldenRun{}, fmt.Errorf("fi: golden IR run failed: %v (%s)", r.Outcome, r.CrashMsg)
 	}
 	e.output = r.Output
-	g := goldenRun{sites: r.Sites, insts: r.Steps, output: r.Output}
+	g.sites, g.insts, g.output = r.Sites, r.Steps, r.Output
 	if ckpts != nil {
 		e.snaps = ckpts.Snaps
 		g.sched = &schedule{k: ckpts.Every}

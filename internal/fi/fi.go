@@ -343,6 +343,17 @@ type AsmTarget struct {
 	// Setup installs the benchmark's memory image; it runs once per
 	// machine instance.
 	Setup func(mem MemWriter) error
+	// Keys, when set, keeps the program's compose key parts across
+	// campaigns (compose.Memo); it must belong to this program as it is
+	// now. Nil keys each composed campaign afresh.
+	Keys *compose.Memo
+	// Sites, when non-zero, is the golden run's expected dynamic site
+	// count, such as an earlier campaign's Result.DynSites on the same
+	// program, input and memory size. It sizes the golden run's site table
+	// and starts an auto checkpoint schedule at the K it implies
+	// (hintedGolden). A wrong count costs a second golden run, never a
+	// different Result.
+	Sites uint64
 }
 
 // MemWriter is the data-loading interface shared by the machine and the IR

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"reflect"
 	"testing"
 
+	"ferrum/internal/compose"
+	"ferrum/internal/machine"
 	"ferrum/internal/obs"
 )
 
@@ -143,5 +146,154 @@ func TestSnapshotScheduleComposeUnchanged(t *testing.T) {
 				t.Errorf("K=%d: section %d = [%d, %d), want [%d, %d)", every, i, sec.start, sec.end, start, end)
 			}
 		}
+	}
+}
+
+// hintSnap is what a kept snapshot must keep under a site-count hint.
+type hintSnap struct {
+	sites  uint64
+	size   int
+	digest uint64
+}
+
+func hintSnaps(snaps []*machine.Snapshot) []hintSnap {
+	out := make([]hintSnap, len(snaps))
+	for i, s := range snaps {
+		out[i] = hintSnap{s.Sites(), s.Size(), s.Digest()}
+	}
+	return out
+}
+
+// TestSnapshotScheduleHint: a golden run whose schedule starts at the K a
+// site-count hint implies keeps exactly the snapshots of one started at
+// K = 1. For bfs and particlefilter, raw and FERRUM, under the dense,
+// sparse and compose rules, a hint of none, the exact count, half of it
+// and four times it give the same snapshot sites, sizes and digests (and
+// under the dense and compose rules the same Result), and only the
+// four-fold hint, which starts the schedule above its K, runs the golden
+// run again and counts it. An explicit K ignores the hint. A program
+// edited in place and re-run with its old hint against a warm section
+// cache gives the table of a fresh cache.
+func TestSnapshotScheduleHint(t *testing.T) {
+	rules := []struct {
+		name    string
+		irLevel bool // the sparse rule, run on the machine directly
+		c       Campaign
+	}{
+		{"dense", false, Campaign{Samples: 60, Seed: 5, MaxSteps: equivSteps, Workers: 2}},
+		{"sparse", true, Campaign{Samples: 60, Seed: 5, MaxSteps: equivSteps}},
+		{"compose", false, Campaign{Samples: 60, Seed: 5, MaxSteps: equivSteps, Workers: 2, Compose: ComposeOn}},
+	}
+	for _, bench := range []string{"bfs", "particlefilter"} {
+		inst := equivBench(t, bench)
+		for _, tech := range []string{"raw", "ferrum"} {
+			tgt := equivTechTarget(t, inst, tech)
+			for _, rule := range rules {
+				// golden runs the rule's golden run with the hint and returns
+				// its kept snapshots, the K it started at, whether it ran
+				// again, and the campaign Result (only DynSites for the
+				// sparse rule).
+				golden := func(hint uint64) ([]hintSnap, uint64, bool, Result) {
+					ht := tgt
+					ht.Sites = hint
+					if !rule.irLevel {
+						ob := obs.New()
+						c := rule.c
+						c.Obs = ob.Cell("c", 0)
+						f, res := runFlow(t, ht, c)
+						if n := ob.Reg.Snapshot().Counters[obs.MCkptHintReruns]; n != map[bool]int64{true: 1}[f.g.reran] {
+							t.Errorf("%s/%s %s hint=%d: ckpt.hint_reruns = %d with reran %v", bench, tech, rule.name, hint, n, f.g.reran)
+						}
+						for _, s := range ob.Trace.Spans() {
+							if s.Name == "golden" && (s.Attrs["hint_sites"] != hint || s.Attrs["start_k"] != f.g.startK) {
+								t.Errorf("%s/%s %s hint=%d: golden span attrs %v, want hint_sites=%d start_k=%d",
+									bench, tech, rule.name, hint, s.Attrs, hint, f.g.startK)
+							}
+						}
+						return hintSnaps(f.eng.(*asmEngine).sched.Checkpoints), f.g.startK, f.g.reran, res
+					}
+					m, err := machineNew(ht)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer m.Release()
+					var res Result
+					s, start, reran := hintedGolden(rule.c, true, hint, func(s *machine.Checkpoints, expect uint64) (uint64, bool) {
+						r := m.Run(machine.RunOpts{Args: ht.Args, MaxSteps: equivSteps, RecordSiteStatics: true,
+							Checkpoints: s, ExpectSites: expect})
+						res.DynSites = r.DynSites
+						return r.DynSites, r.Outcome == machine.OutcomeOK
+					})
+					return hintSnaps(s.Snaps), start, reran, res
+				}
+				want, start, reran, wantRes := golden(0)
+				if start != 1 || reran || len(want) == 0 {
+					t.Fatalf("%s/%s %s: unhinted run started at K=%d, reran %v, kept %d snapshots", bench, tech, rule.name, start, reran, len(want))
+				}
+				d := wantRes.DynSites
+				for _, hint := range []uint64{d, d / 2, 4 * d} {
+					got, start, reran, res := golden(hint)
+					name := fmt.Sprintf("%s/%s %s hint=%d (DynSites %d)", bench, tech, rule.name, hint, d)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: kept snapshots differ from the unhinted run's:\ngot  %v\nwant %v", name, got, want)
+					}
+					if !rule.irLevel && !reflect.DeepEqual(res, wantRes) {
+						t.Errorf("%s: Result differs from the unhinted run's:\ngot  %+v\nwant %+v", name, res, wantRes)
+					}
+					if reran != (hint > d) {
+						t.Errorf("%s: reran %v, want %v", name, reran, hint > d)
+					}
+					if start <= 1 {
+						t.Errorf("%s: the hinted schedule started at K=%d", name, start)
+					}
+				}
+			}
+
+			// An explicit K takes no start from the hint and never re-runs,
+			// and an absurd hint allocates no more than the step budget.
+			ht := tgt
+			ht.Sites = 1 << 40
+			f, res := runFlow(t, ht, Campaign{Samples: 60, Seed: 5, MaxSteps: equivSteps, CheckpointEvery: 64})
+			if f.g.startK != 64 || f.g.reran || res.Checkpoint.Interval != 64 {
+				t.Errorf("%s/%s explicit K=64: started at %d, reran %v, interval %d", bench, tech, f.g.startK, f.g.reran, res.Checkpoint.Interval)
+			}
+		}
+	}
+
+	// The stale-table condition: edit a program in place so that it retires
+	// about half its sites, and re-run it with the old hint and the warm
+	// section cache. The hint starts the schedule too high and the golden
+	// run re-runs; the table must be the fresh cache's.
+	tgt := twoKernelTarget(t, twoKernelSrc)
+	c := Campaign{Samples: 200, Seed: 11, MaxSteps: equivSteps, Workers: 2, Compose: ComposeOn,
+		SectionCache: compose.NewCache()}
+	first, err := RunAsmCampaign(tgt, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := twoKernelTarget(t, replaceOnce(t, twoKernelSrc,
+		"%b = call @kernelB(%base, %n)\n  out %b\n  ret %b", "ret %a"))
+	*tgt.Prog = *edited.Prog
+	tgt.Sites = first.DynSites
+	ob := obs.New()
+	warm := c
+	warm.Obs = ob.Cell("c", 0)
+	got, err := RunAsmCampaign(tgt, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := c
+	fresh.SectionCache = compose.NewCache()
+	want, err := RunAsmCampaign(edited, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ob.Reg.Snapshot().Counters[obs.MCkptHintReruns]; n != 1 || got.DynSites > first.DynSites/2+first.DynSites/8 {
+		t.Errorf("edited program: %d hint reruns, DynSites %d -> %d; want one rerun after about halving the sites",
+			n, first.DynSites, got.DynSites)
+	}
+	if got.Counts != want.Counts || !reflect.DeepEqual(got.Composed, want.Composed) || got.Checkpoint.Interval != want.Checkpoint.Interval {
+		t.Errorf("edited program with its old hint on a warm cache differs from a fresh cache:\ngot  %v %+v\nwant %v %+v",
+			got.Counts, got.Composed, want.Counts, want.Composed)
 	}
 }

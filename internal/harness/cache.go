@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"ferrum/internal/compose"
+	"ferrum/internal/fi"
 	"ferrum/internal/machine"
 	"ferrum/internal/obs"
 	"ferrum/internal/rodinia"
@@ -80,7 +81,11 @@ type instEntry struct {
 	err  error
 }
 
-// buildEntry is one build and, decoded on first use, its program.
+// buildEntry is one build and, decoded on first use, its program. It also
+// keeps what asm campaigns on the build leave for the next one: the
+// program's compose key parts, and the golden site count per input and
+// memory size, the hint that starts a golden run's checkpoint schedule at
+// its K (fi.AsmTarget).
 type buildEntry struct {
 	once  sync.Once
 	build *Build
@@ -89,6 +94,36 @@ type buildEntry struct {
 	decOnce sync.Once
 	dec     *machine.Decoded
 	decErr  error
+
+	keys    *compose.Memo
+	sitesMu sync.Mutex
+	sites   map[siteKey]uint64
+}
+
+// siteKey identifies one golden run of a build: an input on a machine of
+// memSize bytes.
+type siteKey struct {
+	input   instKey
+	memSize int
+}
+
+// asmTarget returns the build's campaign target on inst, whose golden run
+// at identifies, with the build's key memo and the site count the last
+// campaign there reported.
+func (e *buildEntry) asmTarget(inst *rodinia.Instance, at siteKey) fi.AsmTarget {
+	tgt := asmTarget(inst, e.build, at.memSize)
+	e.sitesMu.Lock()
+	tgt.Keys, tgt.Sites = e.keys, e.sites[at]
+	e.sitesMu.Unlock()
+	return tgt
+}
+
+// setSites records a campaign's golden site count on the input at as the
+// next campaign's hint.
+func (e *buildEntry) setSites(at siteKey, sites uint64) {
+	e.sitesMu.Lock()
+	e.sites[at] = sites
+	e.sitesMu.Unlock()
 }
 
 type goldenEntry struct {
@@ -196,7 +231,7 @@ func (c *BuildCache) entry(inst *rodinia.Instance, tech Technique, bo BuildOptio
 	c.mu.Lock()
 	e, ok := c.builds[key]
 	if !ok {
-		e = &buildEntry{}
+		e = &buildEntry{keys: compose.NewMemo(), sites: map[siteKey]uint64{}}
 		c.builds[key] = e
 	}
 	if ok {

@@ -137,13 +137,19 @@ func (s *scheduler) attempt(cx *obs.Ctx, c cellSpec) error {
 }
 
 // asmCampaignCell runs one (benchmark × technique) assembly-level campaign
-// cell: memoised build, then RunAsmCampaign.
+// cell: memoised build, then RunAsmCampaign with the build's key memo and
+// site-count hint, whose golden site count it leaves as the next hint.
 func (s *scheduler) asmCampaignCell(cc *cellCtx, inst instanceAt, tech Technique) (fi.Result, error) {
-	build, err := s.build(cc.cx, inst, tech)
+	e, err := s.entry(cc.cx, inst, tech)
 	if err != nil {
 		return fi.Result{}, err
 	}
-	return fi.RunAsmCampaign(asmTarget(inst.inst, build, s.opts.MemSize), s.campaign(cc))
+	at := siteKey{instKey{inst.inst.Bench.Name, s.opts.Scale, inst.seed}, s.opts.MemSize}
+	res, err := fi.RunAsmCampaign(e.asmTarget(inst.inst, at), s.campaign(cc))
+	if err == nil {
+		e.setSites(at, res.DynSites)
+	}
+	return res, err
 }
 
 // irCampaignCell is asmCampaignCell's IR-level counterpart: raw injects the
@@ -163,15 +169,24 @@ func (s *scheduler) irCampaignCell(cc *cellCtx, inst instanceAt, tech Technique)
 	return fi.RunIRCampaign(irTarget(inst.inst, mod, s.opts.MemSize), c)
 }
 
-// build memoises the technique build of an instance's benchmark at the
+// entry memoises the technique build of an instance's benchmark at the
 // scheduler's optimize setting. The span shows what the cell actually paid:
 // cache hits collapse to microseconds on the timeline.
-func (s *scheduler) build(cx *obs.Ctx, inst instanceAt, tech Technique) (*Build, error) {
+func (s *scheduler) entry(cx *obs.Ctx, inst instanceAt, tech Technique) (*buildEntry, error) {
 	sp := cx.Span("build")
 	sp.SetAttr("tech", string(tech))
-	b, err := s.cache.build(inst.inst, tech, BuildOptions{Optimize: s.opts.Optimize})
+	e := s.cache.entry(inst.inst, tech, BuildOptions{Optimize: s.opts.Optimize})
 	sp.End()
-	return b, err
+	return e, e.err
+}
+
+// build is entry for a cell that needs only the build.
+func (s *scheduler) build(cx *obs.Ctx, inst instanceAt, tech Technique) (*Build, error) {
+	e, err := s.entry(cx, inst, tech)
+	if err != nil {
+		return nil, err
+	}
+	return e.build, nil
 }
 
 // decoded is build for a cell that runs the program itself: it returns the

@@ -1,9 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ferrum/internal/asm"
 )
@@ -28,18 +28,19 @@ import (
 
 // buildBlocks computes, for every instruction index, the exclusive end of
 // its enclosing basic block (blockEnd) and the number of fault-injection
-// sites from that index to the block end (siteSuffix). Leaders are the
-// program start, every function entry in fnEntries (so a block never spans
-// two functions, which the function-span observer relies on), every resolved
-// jump/call target, and the fall-through after any instruction that
-// transfers control. Decode resolves every transfer's target, so a label
-// that nothing jumps to does not start a block. siteSuffix is defined for
-// every index, not just leaders, so a run resumed mid-block (snapshot pcs
-// are per-instruction) still gets an exact fault-proximity bound.
+// sites before it (siteRank), and lists the site instructions in order
+// (siteInsts). Leaders are the program start, every function entry in
+// fnEntries (so a block never spans two functions, which the function-span
+// observer relies on), every resolved jump/call target, and the
+// fall-through after any instruction that transfers control. Decode
+// resolves every transfer's target, so a label that nothing jumps to does
+// not start a block. The tables are defined for every index, not just
+// leaders, so a run resumed mid-block (snapshot pcs are per-instruction)
+// still gets an exact fault-proximity bound.
 func (p *program) buildBlocks(fnEntries []int) {
 	n := len(p.uops)
 	p.blockEnd = make([]int32, n)
-	p.siteSuffix = make([]int32, n)
+	p.siteRank = make([]int32, n+1)
 	if n == 0 {
 		return
 	}
@@ -71,15 +72,17 @@ func (p *program) buildBlocks(fnEntries []int) {
 			next = int32(i)
 		}
 	}
-	for i := n - 1; i >= 0; i-- {
-		s := int32(0)
-		if int(p.blockEnd[i]) > i+1 {
-			s = p.siteSuffix[i+1]
-		}
+	for i := range p.uops {
+		p.siteRank[i+1] = p.siteRank[i]
 		if p.uops[i].destKind != asm.DestNone {
-			s++
+			p.siteRank[i+1]++
 		}
-		p.siteSuffix[i] = s
+	}
+	p.siteInsts = make([]int32, 0, p.siteRank[n])
+	for i := range p.uops {
+		if p.uops[i].destKind != asm.DestNone {
+			p.siteInsts = append(p.siteInsts, int32(i))
+		}
 	}
 }
 
@@ -98,7 +101,7 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 	// registers instead of reloading them through m on every instruction.
 	uops := m.uops
 	blockEnd := m.blockEnd
-	siteSuffix := m.siteSuffix
+	siteRank, siteInsts := m.siteRank, m.siteInsts
 	ev := m.nextEvent(opts)
 	for {
 		pc := m.pc
@@ -119,10 +122,14 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 			}
 			end = pc + int(maxSteps-m.dyn)
 		}
+		// The event site is the k-th site from pc on; the segment ends just
+		// after it when it lies before end.
 		event := false
-		if k := ev - m.sites; k < uint64(siteSuffix[pc]) {
-			if e := m.siteEnd(pc, k); e <= end {
-				end, event = e, true
+		if k := ev - m.sites; k < uint64(len(siteInsts)) {
+			if i := uint64(siteRank[pc]) + k; i < uint64(len(siteInsts)) {
+				if e := int(siteInsts[i]) + 1; e <= end {
+					end, event = e, true
+				}
 			}
 		}
 		i := pc
@@ -165,16 +172,6 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 	}
 }
 
-// siteEnd returns the end of the segment entered at pc that retires the
-// k-th site after pc (counting from 0, k < siteSuffix[pc]): one past that
-// site instruction, the first index after pc whose suffix count has
-// dropped to siteSuffix[pc]-k-1. The block end counts as 0.
-func (p *program) siteEnd(pc int, k uint64) int {
-	want := p.siteSuffix[pc] - int32(k) - 1
-	n := int(p.blockEnd[pc]) - pc - 1
-	return pc + 1 + sort.Search(n, func(j int) bool { return p.siteSuffix[pc+1+j] <= want })
-}
-
 // event is the event step, run after a segment retired the site
 // instruction i that nextEvent named. In this order it applies the
 // pending fault (with its Extra bits) to i's destination, captures the
@@ -211,9 +208,11 @@ func (m *Machine) event(opts *RunOpts, i int) (Outcome, bool) {
 // Execution inside a block is straight-line, so a segment entered at pc
 // that retired n dynamic instructions executed exactly [pc, pc+n): the
 // observers are charged from the static tables over that range, in
-// execution order, when the next segment is entered or the run ends. The
-// profile's float sums therefore accumulate in the same order as a
-// per-instruction recorder would.
+// execution order, when the next segment is entered or the run ends. Site
+// recording appends the range's site instructions as one slice copy; the
+// profile and the trace walk it instruction by instruction, so the
+// profile's float sums accumulate in the same order as a per-instruction
+// recorder would.
 type observers struct {
 	record    bool      // RecordSiteStatics
 	statics   []int32   // the site-static buffer being filled
@@ -230,14 +229,17 @@ type observers struct {
 	segDyn, segSites uint64
 }
 
-// newObservers returns the run's observers, or nil when it has none.
-func newObservers(m *Machine, opts *RunOpts) *observers {
+// newObservers returns the run's observers, or nil when it has none. The
+// site table starts at the expected site count, or else the previous
+// run's, so a run whose count is known allocates it once. No run retires
+// more sites than its step budget, so that bounds the expected count.
+func newObservers(m *Machine, opts *RunOpts, maxSteps uint64) *observers {
 	if !opts.RecordSiteStatics && !opts.RecordFnSpans && !opts.Profile && opts.Trace == 0 {
 		return nil
 	}
 	o := &observers{record: opts.RecordSiteStatics, spans: opts.RecordFnSpans, segDyn: m.dyn}
-	if o.record && m.lastSites > 0 {
-		o.statics = make([]int32, 0, m.lastSites)
+	if n := cmp.Or(min(opts.ExpectSites, maxSteps), m.lastSites); o.record && n > 0 {
+		o.statics = make([]int32, 0, n)
 	}
 	if opts.Profile {
 		o.prof = &profile{}
@@ -267,7 +269,14 @@ func (o *observers) charge(m *Machine, crashed bool) {
 	if fn := m.insts[o.segPC].fn; o.spans && fn != o.curFn {
 		o.span(fn, o.segSites)
 	}
-	if !o.record && o.prof == nil && o.trace == nil {
+	if o.record {
+		retired := end
+		if crashed {
+			retired--
+		}
+		o.recordSites(m.siteInsts[m.siteRank[o.segPC]:m.siteRank[retired]])
+	}
+	if o.prof == nil && o.trace == nil {
 		return
 	}
 	for i := o.segPC; i < end; i++ {
@@ -277,12 +286,6 @@ func (o *observers) charge(m *Machine, crashed bool) {
 		}
 		if o.trace != nil {
 			o.trace.record(fi)
-		}
-		if o.record && fi.dest.Kind != asm.DestNone && (!crashed || i < end-1) {
-			if len(o.statics) == cap(o.statics) {
-				o.spill()
-			}
-			o.statics = append(o.statics, int32(i))
 		}
 	}
 }
@@ -297,18 +300,27 @@ func (o *observers) span(fn string, at uint64) {
 }
 
 // siteChunk is the size of the site-static buffers a run fills once its
-// capacity hint is exhausted. Filled buffers are kept and joined once at
-// run end, so a long golden run allocates its site table about twice,
-// not through a chain of copying regrowths whose garbage would raise the
-// heap's high-water mark.
+// capacity is exhausted, which only a run whose site count is not known
+// in advance reaches. Filled buffers are kept and joined once at run end,
+// so such a run allocates its site table about twice, not through a chain
+// of copying regrowths whose garbage would raise the heap's high-water
+// mark.
 const siteChunk = 1 << 16
 
-// spill retires the full site-static buffer and starts a new one.
-func (o *observers) spill() {
-	if len(o.statics) > 0 {
-		o.full = append(o.full, o.statics)
+// recordSites appends a segment's site statics, as few slice copies as
+// the buffers they span.
+func (o *observers) recordSites(sites []int32) {
+	for {
+		n := copy(o.statics[len(o.statics):cap(o.statics)], sites)
+		o.statics, sites = o.statics[:len(o.statics)+n], sites[n:]
+		if len(sites) == 0 {
+			return
+		}
+		if len(o.statics) > 0 {
+			o.full = append(o.full, o.statics)
+		}
+		o.statics = make([]int32, 0, siteChunk)
 	}
-	o.statics = make([]int32, 0, siteChunk)
 }
 
 // end charges the final segment, closes the open function span and hands

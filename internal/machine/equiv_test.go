@@ -93,31 +93,37 @@ func TestEquivDecodeVsSlowAsm(t *testing.T) {
 			ref, _ := equivMachine(t, bench, prog)
 
 			base := RunOpts{Args: args, MaxSteps: equivMaxSteps}
-			// The traced variant is the debugging configuration; the
-			// untraced one is what campaign golden runs use.
+			// The traced variant is the debugging configuration, the
+			// profiled one the proneness profile's; campaign golden runs
+			// record site statics alone, and with function spans under
+			// compose.
 			traced, observed := base, base
 			traced.RecordSiteStatics, traced.Profile, traced.Trace = true, true, 16
 			observed.RecordSiteStatics, observed.Profile, observed.RecordFnSpans = true, true, true
+			statics, spans := base, base
+			statics.RecordSiteStatics = true
+			spans.RecordSiteStatics, spans.RecordFnSpans = true, true
 			want := ref.runReference(traced)
 			if want.Outcome != OutcomeOK {
 				t.Fatalf("%s/%s: golden outcome = %v (%s)", bench, tech, want.Outcome, want.CrashMsg)
 			}
-			wantObs := ref.runReference(observed)
-			k := want.DynSites/5 + 1
-			wantCk, wantCks, _ := runCkpts(ref.runReference, observed, k)
-
 			if got := fast.Run(traced); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s/%s: traced golden Result differs:\nfast: %+v\nref: %+v",
 					bench, tech, got, want)
 			}
-			if got := fast.Run(observed); !reflect.DeepEqual(got, wantObs) {
-				t.Fatalf("%s/%s: observed golden Result differs:\nfast: %+v\nref: %+v",
-					bench, tech, got, wantObs)
-			}
-			got, cks, _ := runCkpts(fast.Run, observed, k)
-			if !reflect.DeepEqual(got, wantCk) || !reflect.DeepEqual(cks, wantCks) {
-				t.Fatalf("%s/%s K=%d: checkpointed run differs:\nfast: %+v %v\nref: %+v %v",
-					bench, tech, k, got, cks, wantCk, wantCks)
+			k := want.DynSites/5 + 1
+			for name, opts := range map[string]RunOpts{"observed": observed, "statics": statics, "statics+spans": spans} {
+				wantObs := ref.runReference(opts)
+				if got := fast.Run(opts); !reflect.DeepEqual(got, wantObs) {
+					t.Fatalf("%s/%s: %s golden Result differs:\nfast: %+v\nref: %+v",
+						bench, tech, name, got, wantObs)
+				}
+				wantCk, wantCks, _ := runCkpts(ref.runReference, opts, k)
+				got, cks, _ := runCkpts(fast.Run, opts, k)
+				if !reflect.DeepEqual(got, wantCk) || !reflect.DeepEqual(cks, wantCks) {
+					t.Fatalf("%s/%s %s K=%d: checkpointed run differs:\nfast: %+v %v\nref: %+v %v",
+						bench, tech, name, k, got, cks, wantCk, wantCks)
+				}
 			}
 
 			sites := want.DynSites

@@ -35,15 +35,32 @@ func fingerprint(m *Machine) archState {
 	return archState{gpr: m.gpr, x: m.x, flags: m.flags, memHash: maphash.Bytes(memSeed, m.mem.B), pc: m.pc}
 }
 
+// blockSites counts the fault sites from index i to its block end.
+func (p *program) blockSites(i int) int32 { return p.siteRank[p.blockEnd[i]] - p.siteRank[i] }
+
+// recorders are the observer sets observed runs are compared under: every
+// recorder at once, and the campaign golden run's sets — site statics
+// alone and with function spans — which copy each segment's sites as one
+// slice with no per-instruction walk.
+var recorders = []struct {
+	name string
+	on   func(*RunOpts)
+}{
+	{"all", func(o *RunOpts) { o.RecordSiteStatics, o.RecordFnSpans, o.Profile, o.Trace = true, true, true, 8 }},
+	{"statics", func(o *RunOpts) { o.RecordSiteStatics = true }},
+	{"statics+spans", func(o *RunOpts) { o.RecordSiteStatics, o.RecordFnSpans = true, true }},
+}
+
 // TestEquivFuzzDispatchTiers is the property-based complement to the
 // Rodinia-cell equivalence suite: randomly generated branch-dense programs
 // (short basic blocks, nested diamonds and loops — the shapes that stress
 // block-formation boundaries) must produce a bit-identical Result AND
 // bit-identical terminal architectural state on the block-segment loop and
 // on the per-instruction reference engine, for the golden run and for
-// injected faults. The plain runs carry no observers; the observed runs
-// then pin the segment-granularity observers against the reference: site
-// statics, function spans, profile, trace and checkpoint schedules at K=1
+// injected faults. The plain runs carry no observers; the observed runs,
+// under each set of recorders, then pin the segment-granularity observers
+// against the reference: site statics, function spans, profile, trace and
+// checkpoint schedules at K=1
 // and coarser, runs resumed from mid-block snapshots, budgets and crashes
 // that end a run mid-block, StopAtSites on a checkpoint's own site count,
 // event coincidences (a fault completing a checkpoint multiple, on its
@@ -57,7 +74,7 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 		iters = 4
 	}
 	const maxSteps = 5_000_000
-	var midResumes, crashes, sameBlockEvents int
+	midResumes, crashes, sameBlockEvents := map[string]int{}, map[string]int{}, map[string]int{}
 	for i := 0; i < iters; i++ {
 		mod, err := progen.Generate(rng, progen.Options{
 			Stmts: 30, Calls: i%2 == 0, BranchDensity: 7,
@@ -128,130 +145,134 @@ func TestEquivFuzzDispatchTiers(t *testing.T) {
 			}
 
 			// Observed runs, on the first programs (with and without
-			// calls): every recorder on, checkpoints at K=1 (one snapshot
-			// per site, so on one program only) and coarser, compared with
-			// the reference run by run.
+			// calls): each set of recorders, checkpoints at K=1 (one
+			// snapshot per site, so on one program only) and coarser,
+			// compared with the reference run by run.
 			if i >= 4 {
 				continue
 			}
-			observed := RunOpts{Args: args, MaxSteps: maxSteps,
-				RecordSiteStatics: true, RecordFnSpans: true, Profile: true, Trace: 8}
-			ctx := fmt.Sprintf("iter %d/%s", i, tech)
-			check := func(what string, opts RunOpts, k uint64) Result {
-				want, wantCks, _ := runCkpts(ref.runReference, opts, k)
-				wantState := fingerprint(ref)
-				got, cks, _ := runCkpts(fast.Run, opts, k)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s %s: Result differs:\ngot: %+v\nref: %+v", ctx, what, got, want)
-				}
-				if !reflect.DeepEqual(cks, wantCks) {
-					t.Errorf("%s %s: checkpoints differ:\ngot: %v\nref: %v", ctx, what, cks, wantCks)
-				}
-				if fingerprint(fast) != wantState {
-					t.Errorf("%s %s: terminal machine state differs", ctx, what)
-				}
-				return want
-			}
-			ks := []uint64{13, want.DynSites/3 + 1}
-			if i == 0 {
-				ks = append(ks, 1)
-			}
-			for _, k := range ks {
-				check(fmt.Sprintf("K=%d", k), observed, k)
-				// StopAtSites on a checkpoint's own site count: the
-				// checkpoint is delivered first, then the boundary.
-				o := observed
-				o.StopAtSites = want.DynSites / 2 / k * k
-				if o.StopAtSites > 0 {
-					if r := check(fmt.Sprintf("K=%d stop=%d", k, o.StopAtSites), o, k); r.Outcome != OutcomeBoundary {
-						t.Fatalf("%s K=%d: reference did not stop on its checkpoint: %v", ctx, k, r.Outcome)
+			for _, rec := range recorders {
+				observed := RunOpts{Args: args, MaxSteps: maxSteps}
+				rec.on(&observed)
+				ctx := fmt.Sprintf("iter %d/%s %s", i, tech, rec.name)
+				check := func(what string, opts RunOpts, k uint64) Result {
+					want, wantCks, _ := runCkpts(ref.runReference, opts, k)
+					wantState := fingerprint(ref)
+					got, cks, _ := runCkpts(fast.Run, opts, k)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s: Result differs:\ngot: %+v\nref: %+v", ctx, what, got, want)
 					}
+					if !reflect.DeepEqual(cks, wantCks) {
+						t.Errorf("%s %s: checkpoints differ:\ngot: %v\nref: %v", ctx, what, cks, wantCks)
+					}
+					if fingerprint(fast) != wantState {
+						t.Errorf("%s %s: terminal machine state differs", ctx, what)
+					}
+					return want
 				}
-			}
-			// Resume from snapshots of a K=13 schedule, most of them taken
-			// mid-block, with the schedule still running.
-			_, _, snaps := runCkpts(ref.runReference, observed, 13)
-			for j := 0; j < len(snaps); j += len(snaps)/3 + 1 {
-				if pc := snaps[j].PC(); pc > 0 && fast.blockEnd[pc-1] == fast.blockEnd[pc] {
-					midResumes++
+				ks := []uint64{13, want.DynSites/3 + 1}
+				if i == 0 {
+					ks = append(ks, 1)
 				}
-				o := observed
-				o.Args, o.Resume = nil, snaps[j]
-				check(fmt.Sprintf("resume@%d", snaps[j].Sites()), o, 13)
-			}
-			// Budgets expiring mid-block and faults that crash mid-block.
-			for _, ms := range []uint64{1, want.DynInsts / 3, want.DynInsts/2 + 1, want.DynInsts - 1} {
-				o := observed
-				o.MaxSteps = ms
-				check(fmt.Sprintf("maxsteps=%d", ms), o, 13)
-			}
-			// Event coincidences the segment loop must order exactly, each
-			// run observed at K=13 and plain: a fault that completes a
-			// checkpoint multiple, a fault on its block's last site, a fault
-			// on the instruction where the budget runs out, StopAtSites just
-			// after the fault site, and resumes from mid-block snapshots
-			// whose next site, faulted, lies in the same block.
-			statics := ref.runReference(RunOpts{Args: args, MaxSteps: maxSteps, RecordSiteStatics: true}).SiteStatics
-			last := want.DynSites / 2
-			for last < want.DynSites-1 && fast.siteSuffix[statics[last]] != 1 {
-				last++
-			}
-			atLast := RunOpts{Args: args, MaxSteps: maxSteps, Fault: &Fault{Site: last, Bit: 3}}
-			budgetOut := atLast
-			budgetOut.MaxSteps = ref.runReference(atLast).FaultDyn
-			stopAfter := atLast
-			stopAfter.StopAtSites = last + 1
-			cases := map[string]RunOpts{"fault on a block's last site": atLast,
-				"budget out on the fault site": budgetOut, "stop just after the fault": stopAfter}
-			if c := want.DynSites / 2 / 13; c > 0 {
-				cases["fault on a checkpoint multiple"] = RunOpts{Args: args, MaxSteps: maxSteps,
-					Fault: &Fault{Site: 13*c - 1, Bit: 9, Extra: []uint{40}}}
-			}
-			for j := 0; j < len(snaps); j += len(snaps)/8 + 1 {
-				s := snaps[j]
-				if pc := s.PC(); pc > 0 && fast.blockEnd[pc-1] == fast.blockEnd[pc] && fast.siteSuffix[pc] > 0 {
-					cases[fmt.Sprintf("resume@%d with its next site faulted", s.Sites())] = RunOpts{
-						Resume: s, MaxSteps: maxSteps, Fault: &Fault{Site: s.Sites(), Bit: 1}}
-					sameBlockEvents++
-				}
-			}
-			for what, o := range cases {
-				plain := o
-				o.RecordSiteStatics, o.RecordFnSpans, o.Profile, o.Trace = true, true, true, 8
-				if r := check(what, o, 13); o.Fault.Site == last && !r.Injected {
-					t.Errorf("%s %s: reference did not inject: %+v", ctx, what, r)
-				}
-				w := ref.runReference(plain)
-				wState := fingerprint(ref)
-				if got := fast.Run(plain); !reflect.DeepEqual(got, w) || fingerprint(fast) != wState {
-					t.Errorf("%s %s, unobserved: Result or state differs:\ngot: %+v\nref: %+v", ctx, what, got, w)
-				}
-			}
-			g := recordGolden(fast, RunOpts{Args: args, MaxSteps: maxSteps}, 3)
-			for _, site := range []uint64{0, want.DynSites / 3, want.DynSites / 2} {
-				for _, bit := range []uint{5, 44} {
+				for _, k := range ks {
+					check(fmt.Sprintf("K=%d", k), observed, k)
+					// StopAtSites on a checkpoint's own site count: the
+					// checkpoint is delivered first, then the boundary.
 					o := observed
-					o.Fault = &Fault{Site: site, Bit: bit}
-					if check(fmt.Sprintf("fault=%d/%d", site, bit), o, 13).Outcome == OutcomeCrash {
-						crashes++
+					o.StopAtSites = want.DynSites / 2 / k * k
+					if o.StopAtSites > 0 {
+						if r := check(fmt.Sprintf("K=%d stop=%d", k, o.StopAtSites), o, k); r.Outcome != OutcomeBoundary {
+							t.Fatalf("%s K=%d: reference did not stop on its checkpoint: %v", ctx, k, r.Outcome)
+						}
 					}
-					// Observers make the run ignore a Golden schedule.
-					o.Golden = g
-					w := ref.runReference(o)
-					before := fast.Converged()
-					if got := fast.Run(o); !reflect.DeepEqual(got, w) || fast.Converged() != before {
-						t.Errorf("%s fault=%d/%d: observed run with Golden differs or converged:\n%+v\nref: %+v",
-							ctx, site, bit, got, w)
+				}
+				// Resume from snapshots of a K=13 schedule, most of them taken
+				// mid-block, with the schedule still running.
+				_, _, snaps := runCkpts(ref.runReference, observed, 13)
+				for j := 0; j < len(snaps); j += len(snaps)/3 + 1 {
+					if pc := snaps[j].PC(); pc > 0 && fast.blockEnd[pc-1] == fast.blockEnd[pc] {
+						midResumes[rec.name]++
+					}
+					o := observed
+					o.Args, o.Resume = nil, snaps[j]
+					check(fmt.Sprintf("resume@%d", snaps[j].Sites()), o, 13)
+				}
+				// Budgets expiring mid-block and faults that crash mid-block.
+				for _, ms := range []uint64{1, want.DynInsts / 3, want.DynInsts/2 + 1, want.DynInsts - 1} {
+					o := observed
+					o.MaxSteps = ms
+					check(fmt.Sprintf("maxsteps=%d", ms), o, 13)
+				}
+				// Event coincidences the segment loop must order exactly, each
+				// run observed at K=13 and plain: a fault that completes a
+				// checkpoint multiple, a fault on its block's last site, a fault
+				// on the instruction where the budget runs out, StopAtSites just
+				// after the fault site, and resumes from mid-block snapshots
+				// whose next site, faulted, lies in the same block.
+				statics := ref.runReference(RunOpts{Args: args, MaxSteps: maxSteps, RecordSiteStatics: true}).SiteStatics
+				last := want.DynSites / 2
+				for last < want.DynSites-1 && fast.blockSites(int(statics[last])) != 1 {
+					last++
+				}
+				atLast := RunOpts{Args: args, MaxSteps: maxSteps, Fault: &Fault{Site: last, Bit: 3}}
+				budgetOut := atLast
+				budgetOut.MaxSteps = ref.runReference(atLast).FaultDyn
+				stopAfter := atLast
+				stopAfter.StopAtSites = last + 1
+				cases := map[string]RunOpts{"fault on a block's last site": atLast,
+					"budget out on the fault site": budgetOut, "stop just after the fault": stopAfter}
+				if c := want.DynSites / 2 / 13; c > 0 {
+					cases["fault on a checkpoint multiple"] = RunOpts{Args: args, MaxSteps: maxSteps,
+						Fault: &Fault{Site: 13*c - 1, Bit: 9, Extra: []uint{40}}}
+				}
+				for j := 0; j < len(snaps); j += len(snaps)/8 + 1 {
+					s := snaps[j]
+					if pc := s.PC(); pc > 0 && fast.blockEnd[pc-1] == fast.blockEnd[pc] && fast.blockSites(pc) > 0 {
+						cases[fmt.Sprintf("resume@%d with its next site faulted", s.Sites())] = RunOpts{
+							Resume: s, MaxSteps: maxSteps, Fault: &Fault{Site: s.Sites(), Bit: 1}}
+						sameBlockEvents[rec.name]++
+					}
+				}
+				for what, o := range cases {
+					plain := o
+					rec.on(&o)
+					if r := check(what, o, 13); o.Fault.Site == last && !r.Injected {
+						t.Errorf("%s %s: reference did not inject: %+v", ctx, what, r)
+					}
+					w := ref.runReference(plain)
+					wState := fingerprint(ref)
+					if got := fast.Run(plain); !reflect.DeepEqual(got, w) || fingerprint(fast) != wState {
+						t.Errorf("%s %s, unobserved: Result or state differs:\ngot: %+v\nref: %+v", ctx, what, got, w)
+					}
+				}
+				g := recordGolden(fast, RunOpts{Args: args, MaxSteps: maxSteps}, 3)
+				for _, site := range []uint64{0, want.DynSites / 3, want.DynSites / 2} {
+					for _, bit := range []uint{5, 44} {
+						o := observed
+						o.Fault = &Fault{Site: site, Bit: bit}
+						if check(fmt.Sprintf("fault=%d/%d", site, bit), o, 13).Outcome == OutcomeCrash {
+							crashes[rec.name]++
+						}
+						// Observers make the run ignore a Golden schedule.
+						o.Golden = g
+						w := ref.runReference(o)
+						before := fast.Converged()
+						if got := fast.Run(o); !reflect.DeepEqual(got, w) || fast.Converged() != before {
+							t.Errorf("%s fault=%d/%d: observed run with Golden differs or converged:\n%+v\nref: %+v",
+								ctx, site, bit, got, w)
+						}
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d mid-block resumes, %d crashes with recorders on, %d same-block resume events",
-		midResumes, crashes, sameBlockEvents)
-	if midResumes == 0 || crashes == 0 || sameBlockEvents == 0 {
-		t.Errorf("observer cases went unexercised: %d mid-block resumes, %d crashes, %d same-block resume events",
-			midResumes, crashes, sameBlockEvents)
+	for _, rec := range recorders {
+		t.Logf("%s: %d mid-block resumes, %d crashes, %d same-block resume events",
+			rec.name, midResumes[rec.name], crashes[rec.name], sameBlockEvents[rec.name])
+		if midResumes[rec.name] == 0 || crashes[rec.name] == 0 || sameBlockEvents[rec.name] == 0 {
+			t.Errorf("%s: observer cases went unexercised: %d mid-block resumes, %d crashes, %d same-block resume events",
+				rec.name, midResumes[rec.name], crashes[rec.name], sameBlockEvents[rec.name])
+		}
 	}
 }
 

@@ -138,6 +138,11 @@ type RunOpts struct {
 	// the spans to fingerprint the code a section actually executes —
 	// including functions that retire no fault sites of their own.
 	RecordFnSpans bool
+	// ExpectSites, when non-zero, is the site count the run is expected to
+	// retire: RecordSiteStatics allocates its table at that capacity, up
+	// to the step budget, once. Zero falls back to the previous run's site
+	// count on this machine.
+	ExpectSites uint64
 	// Golden lets an injected run end early, exactly. Once the fault has
 	// been applied, the run stops at each later golden checkpoint site
 	// count and compares its live state with the golden snapshot there. If
@@ -212,8 +217,13 @@ type program struct {
 
 	// Block-dispatch tables (indexed by instruction position; see
 	// block.go).
-	blockEnd   []int32 // exclusive end of the enclosing basic block
-	siteSuffix []int32 // fault sites from this index to its block end
+	blockEnd []int32 // exclusive end of the enclosing basic block
+	// siteRank[i] counts the fault sites before index i (len(insts)+1
+	// entries), and siteInsts lists the indices of the site instructions in
+	// ascending order: siteInsts[siteRank[a]:siteRank[b]] are the sites of
+	// [a, b), and siteInsts[siteRank[pc]+k] is the k-th site from pc on.
+	siteRank  []int32
+	siteInsts []int32
 }
 
 // Decoded is a validated, decoded program that machines are instantiated
@@ -227,7 +237,7 @@ type Decoded struct{ program }
 type Machine struct {
 	program // shared read-only with the Decoded and every Clone
 
-	lastSites uint64 // previous run's site count (RecordSiteStatics capacity hint)
+	lastSites uint64 // previous run's site count (a RecordSiteStatics capacity hint)
 
 	nBlocks uint64 // block segments entered (lifetime)
 
@@ -422,7 +432,7 @@ func (m *Machine) Run(opts RunOpts) Result {
 	if err != nil {
 		return Result{Outcome: OutcomeCrash, CrashMsg: err.Error()}
 	}
-	ob := newObservers(m, &opts)
+	ob := newObservers(m, &opts, maxSteps)
 	m.conv = m.goldenAhead(&opts, maxSteps)
 	outcome, crashMsg := m.runBlocks(&opts, maxSteps, ob)
 	m.conv = nil

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 
@@ -23,8 +24,8 @@ func (m *Machine) runReference(opts RunOpts) Result {
 	outcome := OutcomeHang
 	var crashMsg string
 	var siteStatics []int32
-	if opts.RecordSiteStatics && m.lastSites > 0 {
-		siteStatics = make([]int32, 0, m.lastSites)
+	if n := cmp.Or(min(opts.ExpectSites, maxSteps), m.lastSites); opts.RecordSiteStatics && n > 0 {
+		siteStatics = make([]int32, 0, n)
 	}
 	var fnSpans []FnSpan
 	var curFn string

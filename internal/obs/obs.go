@@ -137,6 +137,7 @@ const (
 	MCkptColdStarts      = "ckpt.cold_starts"    // plans run from scratch
 	MCkptSkippedInsts    = "ckpt.skipped_insts"  // dynamic instructions fast-forwarded
 	MCkptConverged       = "ckpt.converged"      // plans ended at a golden checkpoint their state rejoined
+	MCkptHintReruns      = "ckpt.hint_reruns"    // golden runs re-run because a stale site-count hint started their schedule above its K
 	HCellWallMS          = "sched.cell_wall_ms"  // histogram of cell wall-clock, ms
 
 	// Static pruning (internal/prune driven by fi.Campaign.Prune).

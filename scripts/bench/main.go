@@ -64,6 +64,7 @@ var table = []struct {
 	{[]string{"AsmCampaign", "ObsOverhead"}, "20x", false},
 	{[]string{"IRCampaign"}, "20x", false},
 	{[]string{"Compose"}, "5x", false},
+	{[]string{"ComposeRerun"}, "10x", false},
 }
 
 // key names one measurement: a benchmark, without the Benchmark prefix and
