@@ -169,7 +169,8 @@ func run(argv []string, out io.Writer) error {
 		if err := s.Freeze(); err != nil {
 			return err
 		}
-		if err := report(out, *technique, *level, res, cx.Counter(obs.MCkptConverged).Load()); err != nil {
+		if err := report(out, *technique, *level, res,
+			cx.Counter(obs.MCkptForkResumes).Load(), cx.Counter(obs.MCkptConverged).Load()); err != nil {
 			return err
 		}
 		if *trace > 0 && tgt.Prog != nil {
@@ -203,10 +204,11 @@ func throttledProgress(samples int) func(int) {
 }
 
 // report renders the outcome table to out and the mode summaries
-// (early stop, checkpointing, pruning, compose) to stderr. converged is
-// the campaign's ckpt.converged count, which Result does not carry. A
-// composed validation outside tolerance is an error.
-func report(out io.Writer, technique, level string, res fi.Result, converged int64) error {
+// (early stop, checkpointing, pruning, compose) to stderr. forks and
+// converged are the campaign's ckpt.fork_resumes and ckpt.converged
+// counts, which Result does not carry. A composed validation outside
+// tolerance is an error.
+func report(out io.Writer, technique, level string, res fi.Result, forks, converged int64) error {
 	harness.RenderCampaign(out, technique, level, res)
 	lo, hi := res.CI95()
 	if res.EarlyStopped {
@@ -215,9 +217,9 @@ func report(out io.Writer, technique, level string, res fi.Result, converged int
 	}
 	if cp := res.Checkpoint; cp.Enabled {
 		fmt.Fprintf(errw,
-			"checkpointing: K=%d, %d snapshots (%d KiB), %d restores, %d cold starts, %d insts skipped, %d converged\n",
+			"checkpointing: K=%d, %d snapshots (%d KiB), %d restores (%d from forks), %d cold starts, %d insts skipped, %d converged\n",
 			cp.Interval, cp.Snapshots, cp.SnapshotBytes>>10,
-			cp.Restores, cp.ColdStarts, cp.SkippedInsts, converged)
+			cp.Restores, forks, cp.ColdStarts, cp.SkippedInsts, converged)
 	}
 	if pr := res.Pruned; pr.Enabled {
 		fmt.Fprintf(errw,

@@ -3,8 +3,6 @@ package fi
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"sync/atomic"
 
 	"ferrum/internal/obs"
 	"ferrum/internal/prune"
@@ -34,8 +32,6 @@ type campaign struct {
 	part        *planPartition
 	comp        *composition
 	po          planOutcomes
-
-	restores, coldStarts, skipped atomic.Int64
 }
 
 // plannedFault is one sampled fault. idx is its generation index in the
@@ -112,8 +108,7 @@ func (f *campaign) run() (Result, error) {
 		f.sched = f.g.sched
 	}
 	if f.sched != nil {
-		f.plans = slices.Clone(f.plans)
-		sortPlansBySite(f.plans)
+		f.plans = plansBySite(f.plans)
 	}
 
 	isp := c.Obs.Span("inject")
@@ -122,6 +117,11 @@ func (f *campaign) run() (Result, error) {
 	f.po, err = runPlans(f.c, f.plans, f.newWorker, cached)
 	isp.End()
 	f.eng.observe(c.Obs)
+	if f.sched != nil {
+		// A counter only, like ckpt.converged: Result.Checkpoint, which
+		// cell records journal, keeps its fields.
+		c.Obs.Counter(obs.MCkptForkResumes).Add(f.sched.forks.Load())
+	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -187,27 +187,19 @@ func (f *campaign) prune() error {
 	return nil
 }
 
-// newWorker is runPlans' worker factory: an engine clone behind the
-// resume lookup, which starts each plan from the latest snapshot at or
-// before its site and counts restores, cold starts and skipped
-// instructions. Under compose that snapshot is the plan's section entry.
-func (f *campaign) newWorker() func(plannedFault) PlanRecord {
-	w := f.eng.clone()
+// newWorker is runPlans' worker factory: an engine clone that resumes
+// each plan from the checkpoint schedule, and counts there where it
+// started. Under compose the plan then runs to its section's end.
+func (f *campaign) newWorker() batchRunner {
+	w := f.eng.clone(f.sched)
 	if f.comp != nil {
 		w = f.comp.worker(w)
 	}
-	s := f.sched
-	return func(p plannedFault) PlanRecord {
-		i := -1
-		if s != nil {
-			if i = nearestSnapshot(s.sites, p.site); i >= 0 {
-				f.restores.Add(1)
-				f.skipped.Add(s.skips[i])
-			} else {
-				f.coldStarts.Add(1)
-			}
+	return func(batch []plannedFault, done func(plannedFault, PlanRecord)) {
+		w.newBatch()
+		for _, p := range batch {
+			done(p, w.run(p))
 		}
-		return w.run(p, i)
 	}
 }
 
@@ -234,9 +226,9 @@ func (f *campaign) result() (Result, error) {
 			Interval:      s.k,
 			Snapshots:     len(s.sites),
 			SnapshotBytes: s.bytes,
-			Restores:      f.restores.Load(),
-			ColdStarts:    f.coldStarts.Load(),
-			SkippedInsts:  f.skipped.Load(),
+			Restores:      s.restores.Load(),
+			ColdStarts:    s.coldStarts.Load(),
+			SkippedInsts:  s.skipped.Load(),
 		}
 	}
 	if f.part != nil {

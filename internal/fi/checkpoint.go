@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"ferrum/internal/pagemem"
 )
@@ -12,11 +11,13 @@ import (
 // The dense auto schedule of a converging asm campaign targets
 // ckptPerRootSample·√Samples snapshots, and holds at most ckptMaxBytes of
 // them. A benign plan ends at the first checkpoint its state rejoins, so
-// denser checkpoints shorten both the replay to the fault site and the
-// suffix after it. Memory sets the limit: each doubling of the golden run's
-// schedule captures about n snapshots that the next one drops, and that
-// churn raises the peak heap more than the kept snapshots do. The constants
-// come from the sweep in EXPERIMENTS.md.
+// denser checkpoints shorten the suffix after the fault. The replay to the
+// fault site is paid about once per checkpoint interval and worker batch,
+// not per plan: the other plans of the interval resume from the fork the
+// plan before took at its site (asmWorker). Memory sets the limit: each
+// doubling of the golden run's schedule captures about n snapshots that
+// the next one drops, and that churn raises the peak heap more than the
+// kept snapshots do. The constants come from the sweep in EXPERIMENTS.md.
 const (
 	ckptPerRootSample = 4
 	ckptMaxBytes      = 1 << 20
@@ -99,30 +100,46 @@ func hintedGolden[T any, S pagemem.Capture[T]](c Campaign, irLevel bool, hint ui
 }
 
 // CheckpointSummary describes one campaign's checkpointing activity.
-// A disabled campaign (Campaign.NoCheckpoint) leaves it zero.
+// A disabled campaign (Campaign.NoCheckpoint) leaves it zero. A worker
+// resumes each plan from its nearest checkpoint or, when that lies later,
+// from the fork the batch's previous plan took at its own site; forks live
+// for one batch of plans, so the summary is the same at any worker count.
+// How many plans resumed from a fork is the ckpt.fork_resumes counter.
 type CheckpointSummary struct {
 	Enabled       bool
 	Interval      uint64 // effective K (dynamic sites between snapshots)
 	Snapshots     int
 	SnapshotBytes int   // total dirtied bytes captured across snapshots
-	Restores      int64 // plans resumed from a snapshot
+	Restores      int64 // plans resumed from a snapshot or a fork
 	ColdStarts    int64 // plans run from scratch
-	SkippedInsts  int64 // dynamic instructions fast-forwarded over
+	// SkippedInsts sums, over the resumed plans, the dynamic instructions
+	// before the state each resumed from: the golden prefix it did not
+	// replay.
+	SkippedInsts int64
 }
 
-// sortPlansBySite orders the fault plan by ascending site, and plans at the
-// same site by generation index. Outcome counts are order-independent, so
+// plansBySite returns the fault plan ordered by ascending site; plans at
+// the same site keep their order, which is generation order as every
+// stage hands the plan over. Outcome counts are order-independent, so
 // sorting cannot change Result.Counts; it gives each worker's batch good
-// snapshot locality.
-func sortPlansBySite(plans []plannedFault) {
-	slices.SortFunc(plans, func(a, b plannedFault) int {
-		return cmp.Or(cmp.Compare(a.site, b.site), cmp.Compare(a.idx, b.idx))
-	})
-}
-
-// nearestSnapshot returns the latest snapshot taken at or before site, or
-// -1 if the site precedes the first snapshot. sites must be ascending,
-// which a golden run's schedule guarantees.
-func nearestSnapshot(sites []uint64, site uint64) int {
-	return sort.Search(len(sites), func(i int) bool { return sites[i] > site }) - 1
+// snapshot locality, and lets each plan resume from the fork of the one
+// before. One 64-bit key per plan, its site above its position, sorts the
+// plan without comparing the plans themselves; only a run of more than
+// 2^32 sites needs the comparison sort.
+func plansBySite(plans []plannedFault) []plannedFault {
+	keys := make([]uint64, len(plans))
+	for i, p := range plans {
+		if p.site > math.MaxUint32 || i > math.MaxUint32 {
+			sorted := slices.Clone(plans)
+			slices.SortStableFunc(sorted, func(a, b plannedFault) int { return cmp.Compare(a.site, b.site) })
+			return sorted
+		}
+		keys[i] = p.site<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	sorted := make([]plannedFault, len(plans))
+	for j, k := range keys {
+		sorted[j] = plans[uint32(k)]
+	}
+	return sorted
 }

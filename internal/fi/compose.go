@@ -128,6 +128,9 @@ type section struct {
 	exitCycles  float64 // golden cycle clock at the exit boundary
 	deadR       liveness.RegSet
 	deadF       liveness.FlagSet
+	// current marks a section the cache served whole from a table stored
+	// under the current global digest: put would store that table again.
+	current bool
 }
 
 // planMeta is the per-plan descriptor metadata a fresh (or cache-served)
@@ -332,15 +335,17 @@ func (cs *composition) serve() map[int]PlanRecord {
 				localLat: cp.Lat, outDig: cp.OutDigest}
 			served++
 		}
+		sec.current = served == sec.n && t.GlobalDigest == cs.globalDig
 		cache.Served(served)
 	}
 	return cached
 }
 
 // worker wraps an engine worker with the section-local run: each plan
-// resumes from its section's entry snapshot (the flow's resume lookup
-// picks it) and stops at the section boundary, where its state is
-// classified against the golden exit or continued end-to-end.
+// resumes where the engine worker picks, its section's entry snapshot or
+// a later fork inside the section, and stops at the section boundary,
+// where its state is classified against the golden exit or continued
+// end-to-end.
 func (cs *composition) worker(w worker) worker {
 	return composeWorker{cs: cs, w: w.(*asmWorker)}
 }
@@ -350,15 +355,17 @@ type composeWorker struct {
 	w  *asmWorker
 }
 
-func (cw composeWorker) run(p plannedFault, i int) PlanRecord {
+func (cw composeWorker) newBatch() { cw.w.newBatch() }
+
+func (cw composeWorker) run(p plannedFault) PlanRecord {
 	cs, w := cw.cs, cw.w
 	si := sort.Search(len(cs.secs), func(i int) bool { return cs.secs[i].end > p.site })
 	sec := &cs.secs[si]
-	opts := w.opts(p, i)
+	opts := w.opts(p)
 	if sec.exit != nil {
 		opts.StopAtSites = sec.end
 	}
-	r := w.m.Run(opts)
+	r := w.exec(opts)
 	if r.Outcome != machine.OutcomeBoundary {
 		rec := w.e.record(r)
 		meta := planMeta{set: true, class: compose.ClassLocal}
@@ -451,9 +458,11 @@ func (cs *composition) finish(res *Result) error {
 
 // put rebuilds and stores each fully-measured section's propagation table.
 // Sections containing journal-replayed plans carry no descriptor metadata
-// and are skipped — resume correctness never depends on the cache. Tables
-// that served under a stale global digest were re-measured plan-by-plan,
-// so the Put refreshes their global entries.
+// and are skipped — resume correctness never depends on the cache. So is a
+// section served whole under the current global digest: its rebuilt table
+// would equal the one the cache holds. Tables that served under a stale
+// global digest were re-measured plan-by-plan, so the Put refreshes their
+// global entries.
 func (cs *composition) put() {
 	cache, po, plans := cs.f.c.SectionCache, cs.f.po, cs.f.orig
 	if cache == nil {
@@ -461,7 +470,7 @@ func (cs *composition) put() {
 	}
 	for i := range cs.secs {
 		sec := &cs.secs[i]
-		if sec.n == 0 {
+		if sec.n == 0 || sec.current {
 			continue
 		}
 		complete := true

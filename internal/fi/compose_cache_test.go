@@ -2,6 +2,7 @@ package fi
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
 
 	"ferrum/internal/backend"
@@ -179,6 +180,65 @@ func TestComposeCacheReuseOnEdit(t *testing.T) {
 	}
 	t.Logf("edit reuse: %d/%d sections unchanged, %d/%d plans served, %d re-executed",
 		sameSecs, len(rowsA), st.PlansServed, base.Samples, executed)
+}
+
+// TestComposeWarmPassKeepsTables: a warm pass served whole under the
+// current whole-program digest stores no section table again, so the cache
+// holds the very tables the cold pass stored. After an edit the untouched
+// sections are served under a stale digest, and their tables are stored
+// afresh under the new one.
+func TestComposeWarmPassKeepsTables(t *testing.T) {
+	tgtA := twoKernelTarget(t, twoKernelSrc)
+	tgtB := twoKernelTarget(t, replaceOnce(t, twoKernelSrc, "%v2 = xor %v, 5", "%v2 = xor %v, 13"))
+	cache := compose.NewCache()
+	c := Campaign{Samples: 200, Seed: 11, MaxSteps: equivSteps, Workers: 4,
+		Compose: ComposeOn, CheckpointEvery: 16, SectionCache: cache}
+	run := func(tgt AsmTarget) (Result, map[string]*compose.Table) {
+		res, err := RunAsmCampaign(tgt, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables := map[string]*compose.Table{}
+		for _, row := range res.Composed.Rows {
+			key, err := strconv.ParseUint(row.Fingerprint, 16, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tb := cache.Get(key); tb != nil {
+				tables[row.Fingerprint] = tb
+			}
+		}
+		return res, tables
+	}
+	cold, before := run(tgtA)
+	n := cache.Len()
+	warm, after := run(tgtA)
+	if warm.Counts != cold.Counts || !reflect.DeepEqual(warm.Composed, cold.Composed) {
+		t.Fatalf("warm result differs from the cold pass: %v %+v, cold %v %+v", warm.Counts, warm.Composed, cold.Counts, cold.Composed)
+	}
+	if cache.Len() != n || len(after) != len(before) || len(before) == 0 {
+		t.Fatalf("warm pass left %d tables (%d of its sections), cold %d (%d)", cache.Len(), len(after), n, len(before))
+	}
+	for fp, tb := range before {
+		if after[fp] != tb {
+			t.Errorf("section %s: warm pass stored its table again", fp)
+		}
+	}
+	_, edited := run(tgtB)
+	kept := 0
+	for fp, tb := range edited {
+		old := before[fp]
+		if old == nil {
+			continue
+		}
+		kept++
+		if tb == old || tb.GlobalDigest == old.GlobalDigest {
+			t.Errorf("section %s: served under a stale digest, but its table was not stored afresh", fp)
+		}
+	}
+	if kept == 0 {
+		t.Fatal("the edit left no section untouched")
+	}
 }
 
 func replaceOnce(t *testing.T, s, old, new string) string {

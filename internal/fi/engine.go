@@ -2,7 +2,9 @@ package fi
 
 import (
 	"fmt"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ferrum/internal/ir"
 	"ferrum/internal/machine"
@@ -23,8 +25,9 @@ type engine interface {
 	// draw and its stages read.
 	planned()
 	// clone returns a worker over its own copy of the template's mutable
-	// state. Safe for concurrent use.
-	clone() worker
+	// state that resumes its plans from s and counts there where each
+	// started; with s nil every plan cold-starts. Safe for concurrent use.
+	clone(s *schedule) worker
 	// observe publishes the engine's work counters once the plans ran.
 	observe(o *obs.Ctx)
 	// release returns the memory of every clone and then the template to
@@ -34,11 +37,16 @@ type engine interface {
 	unit() string
 }
 
-// worker runs plans on one engine clone.
+// worker runs plans on one engine clone, a batch at a time.
 type worker interface {
-	// run executes p resumed from snapshot i of the recorded schedule, or
-	// from program start when i < 0.
-	run(p plannedFault, i int) PlanRecord
+	// run executes p from the newest golden state at or before its site
+	// the worker can resume from, or from program start.
+	run(p plannedFault) PlanRecord
+	// newBatch starts the next batch. A worker carries no resume state
+	// from one batch into the next: which batches a worker runs depends on
+	// scheduling, and where each plan starts must not, so that a Result's
+	// checkpoint activity is the same at any worker count.
+	newBatch()
 }
 
 // goldenRun is what the flow reads of a golden run.
@@ -60,12 +68,35 @@ type goldenRun struct {
 	reran        bool
 }
 
-// schedule is a golden run's checkpoint schedule as the flow sees it.
+// schedule is a golden run's checkpoint schedule as the flow sees it,
+// and the tally of where the plans resumed from it started. Workers add to
+// the tally concurrently.
 type schedule struct {
 	k     uint64
 	sites []uint64 // snapshot site counts, ascending
-	skips []int64  // instructions resuming from each snapshot skips
 	bytes int      // dirtied bytes captured across all snapshots
+
+	// restores counts plans resumed from a golden state, forks the part of
+	// them resumed from a worker's fork, coldStarts the plans run from
+	// program start, and skipped the instructions the resumed plans did
+	// not execute.
+	restores, forks, coldStarts, skipped atomic.Int64
+}
+
+// nearest returns the index of the latest snapshot taken at or before
+// site, or -1 if the site precedes the first snapshot.
+func (s *schedule) nearest(site uint64) int {
+	return sort.Search(len(s.sites), func(i int) bool { return s.sites[i] > site }) - 1
+}
+
+// resumed counts a plan that started skipped instructions into the run,
+// from a worker's fork when fork is set.
+func (s *schedule) resumed(skipped uint64, fork bool) {
+	s.restores.Add(1)
+	s.skipped.Add(int64(skipped))
+	if fork {
+		s.forks.Add(1)
+	}
 }
 
 // setAttrs describes the schedule on the golden span that took it.
@@ -75,9 +106,8 @@ func (s *schedule) setAttrs(sp *obs.ActiveSpan) {
 	sp.SetAttr("bytes", s.bytes)
 }
 
-func (s *schedule) add(sites, skip uint64, bytes int) {
+func (s *schedule) add(sites uint64, bytes int) {
 	s.sites = append(s.sites, sites)
-	s.skips = append(s.skips, int64(skip))
 	s.bytes += bytes
 }
 
@@ -166,7 +196,7 @@ func (e *asmEngine) golden(c Campaign) (goldenRun, error) {
 		e.sched = &machine.Golden{Checkpoints: ckpts.Snaps, End: end}
 		g.sched = &schedule{k: ckpts.Every}
 		for _, sn := range ckpts.Snaps {
-			g.sched.add(sn.Sites(), sn.DynInsts(), sn.MemBytes())
+			g.sched.add(sn.Sites(), sn.MemBytes())
 		}
 	}
 	return g, nil
@@ -178,12 +208,16 @@ func (e *asmEngine) planned() {
 	}
 }
 
-func (e *asmEngine) clone() worker {
+func (e *asmEngine) clone(s *schedule) worker {
 	m := e.m0.Clone()
 	e.mu.Lock()
 	e.machines = append(e.machines, m)
 	e.mu.Unlock()
-	return &asmWorker{e: e, m: m}
+	w := &asmWorker{e: e, m: m, s: s}
+	if s != nil {
+		w.fork, w.spare = new(machine.Snapshot), new(machine.Snapshot)
+	}
+	return w
 }
 
 // observe publishes the lifetime counters of the template and every clone:
@@ -231,29 +265,68 @@ func (e *asmEngine) record(r machine.Result) PlanRecord {
 	return rec
 }
 
+// asmWorker runs plans on one machine clone. Each run forks the golden
+// state at its fault site (machine.RunOpts.Fork), and the worker keeps the
+// last fork of the batch: plans arrive sorted by site, so the next plan
+// usually resumes there, a few sites on, instead of replaying the span
+// from its checkpoint again.
 type asmWorker struct {
 	e *asmEngine
 	m *machine.Machine
+	s *schedule // nil: every plan cold-starts
+	// fork holds the batch's last fork when forked is set, and spare is
+	// the buffer the next fork is captured into. The worker forks into the
+	// two in turn, so after their first few plans forks allocate nothing.
+	fork, spare *machine.Snapshot
+	forked      bool
+	fault       machine.Fault // the fault of the plan in flight
 }
 
-// opts are the run options of plan p resumed from snapshot i.
-func (w *asmWorker) opts(p plannedFault, i int) machine.RunOpts {
-	opts := machine.RunOpts{
-		Args:     w.e.tgt.Args,
-		MaxSteps: w.e.maxSteps,
-		Fault:    &machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra},
+// opts are the run options of plan p. It resumes from the newest golden
+// state at or before its site: the worker's fork when that lies after the
+// nearest checkpoint, else the checkpoint, else program start. The run
+// forks at p's site into the spare buffer; exec keeps the fork.
+func (w *asmWorker) opts(p plannedFault) machine.RunOpts {
+	w.fault = machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra}
+	opts := machine.RunOpts{Args: w.e.tgt.Args, MaxSteps: w.e.maxSteps, Fault: &w.fault}
+	if w.s == nil {
+		return opts
 	}
-	if i >= 0 {
+	if i := w.s.nearest(p.site); i >= 0 {
 		opts.Resume = w.e.sched.Checkpoints[i]
 	}
+	fork := w.forked && w.fork.Sites() <= p.site &&
+		(opts.Resume == nil || w.fork.Sites() > opts.Resume.Sites())
+	if fork {
+		opts.Resume = w.fork
+	}
+	if opts.Resume != nil {
+		w.s.resumed(opts.Resume.DynInsts(), fork)
+	} else {
+		w.s.coldStarts.Add(1)
+	}
+	opts.Fork = w.spare
 	return opts
 }
 
-func (w *asmWorker) run(p plannedFault, i int) PlanRecord {
-	opts := w.opts(p, i)
-	opts.Golden = w.e.sched
-	return w.e.record(w.m.Run(opts))
+// exec runs opts and keeps the fork the run took; the buffer of the fork
+// it replaces becomes the spare.
+func (w *asmWorker) exec(opts machine.RunOpts) machine.Result {
+	r := w.m.Run(opts)
+	if opts.Fork != nil && r.Injected {
+		w.fork, w.spare, w.forked = w.spare, w.fork, true
+	}
+	return r
 }
+
+func (w *asmWorker) run(p plannedFault) PlanRecord {
+	opts := w.opts(p)
+	opts.Golden = w.e.sched
+	return w.e.record(w.exec(opts))
+}
+
+// newBatch drops the fork.
+func (w *asmWorker) newBatch() { w.forked = false }
 
 // irEngine injects into the IR interpreter.
 type irEngine struct {
@@ -299,18 +372,18 @@ func (e *irEngine) golden(c Campaign) (goldenRun, error) {
 		e.snaps = ckpts.Snaps
 		g.sched = &schedule{k: ckpts.Every}
 		for _, sn := range ckpts.Snaps {
-			g.sched.add(sn.Sites(), sn.Steps(), sn.MemBytes())
+			g.sched.add(sn.Sites(), sn.MemBytes())
 		}
 	}
 	return g, nil
 }
 
-func (e *irEngine) clone() worker {
+func (e *irEngine) clone(s *schedule) worker {
 	ip := e.ip0.Clone()
 	e.mu.Lock()
 	e.clones = append(e.clones, ip)
 	e.mu.Unlock()
-	return &irWorker{e: e, ip: ip}
+	return &irWorker{e: e, ip: ip, s: s}
 }
 
 func (e *irEngine) release() {
@@ -329,16 +402,23 @@ func (e *irEngine) unit() string     { return "insts" }
 type irWorker struct {
 	e  *irEngine
 	ip *ir.Interp
+	s  *schedule // nil: every plan cold-starts
 }
 
-func (w *irWorker) run(p plannedFault, i int) PlanRecord {
+// run resumes p from the latest snapshot at or before its site.
+func (w *irWorker) run(p plannedFault) PlanRecord {
 	opts := ir.RunOpts{
 		Args:     w.e.tgt.Args,
 		MaxSteps: w.e.maxSteps,
 		Fault:    &ir.Fault{Site: p.site, Bit: p.bit},
 	}
-	if i >= 0 {
-		opts.Resume = w.e.snaps[i]
+	if w.s != nil {
+		if i := w.s.nearest(p.site); i >= 0 {
+			opts.Resume = w.e.snaps[i]
+			w.s.resumed(opts.Resume.Steps(), false)
+		} else {
+			w.s.coldStarts.Add(1)
+		}
 	}
 	r := w.ip.Run(opts)
 	rec := PlanRecord{Outcome: classify(irClass[r.Outcome], r.Output, w.e.output)}
@@ -347,3 +427,5 @@ func (w *irWorker) run(p plannedFault, i int) PlanRecord {
 	}
 	return rec
 }
+
+func (w *irWorker) newBatch() {}

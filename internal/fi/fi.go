@@ -441,7 +441,7 @@ func FindExample(tgt AsmTarget, c Campaign, want Outcome) (machine.Fault, bool, 
 	}
 	w := &asmWorker{e: e, m: e.m0}
 	for _, p := range plans {
-		if w.run(p, -1).Outcome == want {
+		if w.run(p).Outcome == want {
 			return machine.Fault{Site: p.site, Bit: p.bit, Extra: p.extra}, true, nil
 		}
 	}

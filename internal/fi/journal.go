@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -163,6 +165,11 @@ type Journal struct {
 	closed  bool
 	err     error
 	ob      *obs.Observer
+	// quoted holds each campaign key JSON-quoted, and line the plan record
+	// being written, so that a plan record allocates nothing once its
+	// campaign's first one is written.
+	quoted map[string][]byte
+	line   []byte
 }
 
 // CreateJournal creates (or truncates) a journal at path and writes the meta
@@ -217,15 +224,21 @@ func (j *Journal) append(r journalRecord) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	b, err := json.Marshal(r)
+	j.writeLocked(append(b, '\n'), err)
+}
+
+// writeLocked writes one record line, or latches err, the error encoding
+// it failed with; callers hold j.mu.
+func (j *Journal) writeLocked(line []byte, err error) {
 	if j.err != nil || j.closed {
 		return
 	}
-	b, err := json.Marshal(r)
 	if err != nil {
 		j.err = err
 		return
 	}
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
+	if _, err := j.w.Write(line); err != nil {
 		j.err = err
 		return
 	}
@@ -256,22 +269,79 @@ func (j *Journal) syncLocked() {
 // Plan records one completed fault plan: plan index i of campaign key
 // ended as rec says.
 func (j *Journal) Plan(key string, i int, rec PlanRecord) {
-	j.append(planJournalRecord(key, i, rec))
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	q, ok := j.quoted[key]
+	if !ok {
+		if j.quoted == nil {
+			j.quoted = map[string][]byte{}
+		}
+		q = quoteKey(key)
+		j.quoted[key] = q
+	}
+	var err error
+	j.line, err = appendPlanRecord(j.line[:0], key, q, i, rec)
+	j.writeLocked(j.line, err)
 }
 
-// planJournalRecord is rec's plan record. A latency is written only when
-// the fault was injected, never as a spurious zero; the fallback flag only
+// quoteKey is key as a JSON string, escaped as encoding/json escapes it.
+func quoteKey(key string) []byte {
+	q, _ := json.Marshal(key) // a string always encodes
+	return q
+}
+
+// appendPlanRecord appends the plan record line of plan i of campaign key
+// to b, newline included; quoted is quoteKey(key). The line is byte for
+// byte what json.Marshal writes for the journalRecord with T "plan", C
+// key, I i, O rec.Outcome and S rec.Site: fields in declaration order,
+// zero I and O and an empty C omitted. A latency is written only when the
+// fault was injected, never as a spurious zero; the fallback flag only
 // when set, so a resumed composed campaign rebuilds the identical
-// Sections/Fallbacks ledger.
-func planJournalRecord(key string, i int, rec PlanRecord) journalRecord {
-	r := journalRecord{T: "plan", C: key, I: i, O: rec.Outcome, S: &rec.Site}
+// Sections/Fallbacks ledger. It fails where json.Marshal does, on a NaN or
+// infinite latency.
+func appendPlanRecord(b []byte, key string, quoted []byte, i int, rec PlanRecord) ([]byte, error) {
+	b = append(b, `{"t":"plan"`...)
+	if key != "" {
+		b = append(append(b, `,"c":`...), quoted...)
+	}
+	if i != 0 {
+		b = strconv.AppendInt(append(b, `,"i":`...), int64(i), 10)
+	}
+	if rec.Outcome != 0 {
+		b = strconv.AppendUint(append(b, `,"o":`...), uint64(rec.Outcome), 10)
+	}
+	b = strconv.AppendUint(append(b, `,"s":`...), rec.Site, 10)
 	if rec.HasLat {
-		r.L = &rec.Lat
+		f := rec.Lat
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return b, fmt.Errorf("fi: journal: unsupported latency %v", f)
+		}
+		b = appendJSONFloat(append(b, `,"l":`...), f)
 	}
 	if rec.Fallback {
-		r.FB = &rec.Fallback
+		b = append(b, `,"fb":true`...)
 	}
-	return r
+	return append(b, "}\n"...), nil
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// the shortest decimal that round-trips, in exponent form when |f| is
+// below 1e-6 or at least 1e21, with a one-digit negative exponent not
+// padded to two.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if a := math.Abs(f); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // planRecord is the PlanRecord a validated plan record holds.

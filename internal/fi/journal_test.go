@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -256,6 +257,70 @@ func FuzzValidateRecords(f *testing.F) {
 		if !reflect.DeepEqual(st.Meta, want) {
 			t.Fatalf("loaded meta %+v, want %+v\n%s", st.Meta, want, chunk)
 		}
+	})
+}
+
+// planJournalRecord is the journalRecord whose encoding/json encoding
+// appendPlanRecord must reproduce byte for byte.
+func planJournalRecord(key string, i int, rec PlanRecord) journalRecord {
+	r := journalRecord{T: "plan", C: key, I: i, O: rec.Outcome, S: &rec.Site}
+	if rec.HasLat {
+		r.L = &rec.Lat
+	}
+	if rec.Fallback {
+		r.FB = &rec.Fallback
+	}
+	return r
+}
+
+// checkPlanRecordAppend fails t unless appendPlanRecord writes exactly
+// json.Marshal's line for the record, and fails exactly where it fails.
+func checkPlanRecordAppend(t *testing.T, key string, i int, rec PlanRecord) {
+	t.Helper()
+	want, wantErr := json.Marshal(planJournalRecord(key, i, rec))
+	got, err := appendPlanRecord([]byte("prefix"), key, quoteKey(key), i, rec)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("key %q i %d %+v: error %v, encoding/json's %v", key, i, rec, err, wantErr)
+	}
+	if err == nil && string(got) != "prefix"+string(want)+"\n" {
+		t.Fatalf("key %q i %d %+v:\ngot  %s\nwant %s", key, i, rec, got[len("prefix"):], want)
+	}
+}
+
+// TestPlanRecordAppend pins the plan record appender against encoding/json
+// on the edges of its rules: omitted zero fields, HTML and control
+// characters and invalid UTF-8 in keys, and floats on both sides of the
+// exponent-form thresholds.
+func TestPlanRecordAppend(t *testing.T) {
+	keys := []string{"", "fig10/bfs/ferrum/asm", "<a&b>", "tab\tnl\n\"q\"\\", "\xff\xfe bad", "\u2028\u2029", "\x00\x1f\x7f", "é漢"}
+	lats := []float64{0, math.Copysign(0, -1), 1, -2.5, 96.25, 1e-6, 9.99e-7, -1e-7, 1e-300,
+		5e-324, math.SmallestNonzeroFloat64 * 3, 1e20, 1e21, -1e21, 123456789e15, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, key := range keys {
+		for _, i := range []int{0, 1, 17, -3, math.MaxInt64, math.MinInt64} {
+			for _, o := range []Outcome{Benign, SDC, Hang, numOutcomes, 255} {
+				for _, fb := range []bool{false, true} {
+					checkPlanRecordAppend(t, key, i, PlanRecord{Site: uint64(i) * 3, Outcome: o, Fallback: fb})
+					for _, l := range lats {
+						checkPlanRecordAppend(t, key, i, PlanRecord{Site: math.MaxUint64, Lat: l, HasLat: true, Outcome: o, Fallback: fb})
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzPlanRecordAppend: the plan record appender writes what encoding/json
+// writes for any key, index, outcome, site and latency.
+func FuzzPlanRecordAppend(f *testing.F) {
+	f.Add("fig10/bfs/ferrum/asm", 17, uint8(1), uint64(204), 96.0, true, false)
+	f.Add("", 0, uint8(0), uint64(0), 0.0, false, false)
+	f.Add("<script>&\xff", -1, uint8(255), uint64(math.MaxUint64), 1e21, true, true)
+	f.Add("k", 3, uint8(2), uint64(7), 4.9e-324, true, false)
+	f.Add("k", 3, uint8(2), uint64(7), math.Copysign(0, -1), true, false)
+	f.Add("k", 3, uint8(2), uint64(7), 1.5e-7, true, false)
+	f.Fuzz(func(t *testing.T, key string, i int, o uint8, site uint64, lat float64, hasLat, fb bool) {
+		checkPlanRecordAppend(t, key, i, PlanRecord{Site: site, Lat: lat, HasLat: hasLat, Outcome: Outcome(o), Fallback: fb})
 	})
 }
 

@@ -70,6 +70,10 @@ type PlanRecord struct {
 	Fallback bool
 }
 
+// batchRunner runs one batch of plans in order on a worker's engine clone,
+// handing each plan's record to done as it completes.
+type batchRunner func(batch []plannedFault, done func(plannedFault, PlanRecord))
+
 // planOutcomes is what runPlans hands back: the effective sample count
 // (truncated on early stop), its outcome counts, and the per-index plan
 // records for callers that attribute results to plans (latency, compose
@@ -223,9 +227,10 @@ func (c Campaign) journalErr() error {
 // plans may be in any order (the checkpointing path sorts them by site);
 // outcome bookkeeping is always by the plan's generation index, so results
 // are independent of both ordering and worker count. Worker and cache
-// records get their Site stamped from the plan here.
+// records get their Site stamped from the plan here. Workers take the
+// pending plans in fixed batches of 16, in order.
 func runPlans(c Campaign, plans []plannedFault,
-	newWorker func() func(plannedFault) PlanRecord,
+	newWorker func() batchRunner,
 	cached map[int]PlanRecord) (planOutcomes, error) {
 	n := len(plans)
 	pr := &planRun{
@@ -271,15 +276,11 @@ func runPlans(c Campaign, plans []plannedFault,
 	}
 	report(prefilled)
 
-	runBatch := func(w func(plannedFault) PlanRecord, batch []plannedFault) {
-		for _, p := range batch {
-			r := w(p)
-			r.Site = p.site
-			if pr.record(p.idx, r) {
-				c.journalPlan(p, r)
-			}
+	record := func(p plannedFault, r PlanRecord) {
+		r.Site = p.site
+		if pr.record(p.idx, r) {
+			c.journalPlan(p, r)
 		}
-		report(len(batch))
 	}
 
 	workers := c.Workers
@@ -292,7 +293,8 @@ func runPlans(c Campaign, plans []plannedFault,
 	work := func() {
 		w := newWorker()
 		for batch := pr.grab(16); batch != nil; batch = pr.grab(16) {
-			runBatch(w, batch)
+			w(batch, record)
+			report(len(batch))
 		}
 	}
 	if workers <= 1 {

@@ -214,6 +214,7 @@ func (s *JournalState) WriteCanonical(w io.Writer) error {
 	if err := enc(journalRecord{T: "meta", V: journalVersion, Meta: &meta}); err != nil {
 		return err
 	}
+	var line []byte
 	for _, key := range s.Keys() {
 		c := s.cells[key]
 		idxs := make([]int, 0, len(c.Plans))
@@ -221,8 +222,13 @@ func (s *JournalState) WriteCanonical(w io.Writer) error {
 			idxs = append(idxs, i)
 		}
 		sort.Ints(idxs)
+		q := quoteKey(key)
 		for _, i := range idxs {
-			if err := enc(planJournalRecord(key, i, c.Plans[i])); err != nil {
+			var err error
+			if line, err = appendPlanRecord(line[:0], key, q, i, c.Plans[i]); err != nil {
+				return err
+			}
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 		}

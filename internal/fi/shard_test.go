@@ -119,6 +119,18 @@ func TestJournalWriteErrorFailsCampaign(t *testing.T) {
 	}
 }
 
+// planByPlan is a runPlans worker factory whose workers run each plan
+// through run.
+func planByPlan(run func(plannedFault) PlanRecord) func() batchRunner {
+	return func() batchRunner {
+		return func(batch []plannedFault, done func(plannedFault, PlanRecord)) {
+			for _, p := range batch {
+				done(p, run(p))
+			}
+		}
+	}
+}
+
 // TestNoJournalPastEarlyStop pins the post-stop journaling fix. The plan
 // order is crafted so the early-stop decision fires on the first plan of a
 // batch: generation index 63 is deferred to position 64, so recording it
@@ -143,9 +155,9 @@ func TestNoJournalPastEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Campaign{Samples: len(plans), CIWidth: 0.25, Workers: 1, Journal: j, Key: "cell"}
-	po, err := runPlans(c, plans, func() func(plannedFault) PlanRecord {
-		return func(plannedFault) PlanRecord { return PlanRecord{Outcome: Benign} }
-	}, nil)
+	po, err := runPlans(c, plans, planByPlan(func(plannedFault) PlanRecord {
+		return PlanRecord{Outcome: Benign}
+	}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +201,12 @@ func TestNoJournalPastCancel(t *testing.T) {
 	}
 	cancel := make(chan struct{})
 	c := Campaign{Samples: len(plans), Workers: 1, Cancel: cancel, Journal: j, Key: "cell"}
-	_, err = runPlans(c, plans, func() func(plannedFault) PlanRecord {
-		return func(p plannedFault) PlanRecord {
-			if p.idx == 20 { // mid-batch: positions 21..31 are still in hand
-				close(cancel)
-			}
-			return PlanRecord{Outcome: Benign}
+	_, err = runPlans(c, plans, planByPlan(func(p plannedFault) PlanRecord {
+		if p.idx == 20 { // mid-batch: positions 21..31 are still in hand
+			close(cancel)
 		}
-	}, nil)
+		return PlanRecord{Outcome: Benign}
+	}), nil)
 	if !errors.Is(err, ErrCampaignCanceled) {
 		t.Fatalf("err = %v, want ErrCampaignCanceled", err)
 	}

@@ -173,12 +173,16 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 }
 
 // event is the event step, run after a segment retired the site
-// instruction i that nextEvent named. In this order it applies the
-// pending fault (with its Extra bits) to i's destination, captures the
-// checkpoint, stops at the StopAtSites boundary and runs the convergence
-// compare. It reports done with the outcome when the run ends there.
+// instruction i that nextEvent named. In this order it captures the fork
+// and applies the pending fault (with its Extra bits) to i's destination,
+// captures the checkpoint, stops at the StopAtSites boundary and runs the
+// convergence compare. It reports done with the outcome when the run ends
+// there.
 func (m *Machine) event(opts *RunOpts, i int) (Outcome, bool) {
 	if f := opts.Fault; f != nil && !m.injected && f.Site == m.sites-1 {
+		if opts.Fork != nil {
+			m.fork(opts.Fork)
+		}
 		dest := m.insts[i].dest
 		m.applyFault(dest, f.Bit)
 		for _, b := range f.Extra {

@@ -155,6 +155,18 @@ type RunOpts struct {
 	// Golden and executes to the end, with the same Result: converging
 	// would cut its recordings short.
 	Golden *Golden
+	// Fork, when non-nil, receives the run's unfaulted state at its fault
+	// site: the event step captures into it just before it applies the
+	// fault, at the point checkpoints are captured, so a fork of a run
+	// from program start or from a golden state is exactly the golden
+	// snapshot at the fault's site count, and can be resumed like one.
+	// Result.Injected reports whether it was written. The capture copies
+	// the memory delta into Fork's own page buffers and reuses its page
+	// list and output buffer, sharing no page with any other snapshot, so
+	// Fork must be new or a snapshot only ever used as a Fork. Campaign
+	// workers use it to resume their next plan from this one's site
+	// instead of from an earlier checkpoint.
+	Fork *Snapshot
 }
 
 // Golden is a fault-free reference run of the loaded program for

@@ -9,12 +9,13 @@ import (
 )
 
 // runReference is the per-instruction reference engine the block loop is
-// tested against: one loop that checks the pc, the step budget, the fault
-// site, the checkpoint schedule and StopAtSites before or after every
-// instruction, and charges every observer as the instruction executes. It
-// ignores the block tables and the decoded uops: each instruction is
-// charged its cost and executed by the generic interpreter (stepSlow), so
-// it is the pre-decode engine. It does not honour RunOpts.Golden.
+// tested against: one loop that checks the pc, the step budget, the fork
+// and fault site, the checkpoint schedule and StopAtSites before or after
+// every instruction, and charges every observer as the instruction
+// executes. It ignores the block tables and the decoded uops: each
+// instruction is charged its cost and executed by the generic interpreter
+// (stepSlow), so it is the pre-decode engine. It does not honour
+// RunOpts.Golden.
 func (m *Machine) runReference(opts RunOpts) Result {
 	maxSteps, err := m.begin(&opts)
 	if err != nil {
@@ -69,7 +70,14 @@ loop:
 			break
 		}
 		if fi.dest.Kind != asm.DestNone {
-			if opts.Fault != nil && m.sites == opts.Fault.Site {
+			if opts.RecordSiteStatics {
+				siteStatics = append(siteStatics, int32(pc))
+			}
+			m.sites++
+			if opts.Fault != nil && m.sites-1 == opts.Fault.Site {
+				if opts.Fork != nil {
+					m.fork(opts.Fork)
+				}
 				m.applyFault(fi.dest, opts.Fault.Bit)
 				for _, b := range opts.Fault.Extra {
 					m.applyFault(fi.dest, b)
@@ -78,10 +86,6 @@ loop:
 				m.injCycles = m.cyclesNow()
 				m.injDyn = m.dyn
 			}
-			if opts.RecordSiteStatics {
-				siteStatics = append(siteStatics, int32(pc))
-			}
-			m.sites++
 			if c := opts.Checkpoints; c != nil && m.sites%c.Every == 0 {
 				m.checkpoint(c)
 			}

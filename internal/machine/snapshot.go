@@ -67,6 +67,18 @@ func (m *Machine) captureSince(s, prev *Snapshot) {
 	if prev != nil {
 		prevPages = prev.pages
 	}
+	m.capture(s, m.mem.CaptureSince(prevPages, s.pages))
+}
+
+// fork captures the machine's state into s, a snapshot only ever captured
+// by fork, copying the memory delta into the page buffers s already owns
+// (pagemem.CaptureInto): a fork shares no page, so the next fork captured
+// into s allocates nothing once its buffers are grown.
+func (m *Machine) fork(s *Snapshot) { m.capture(s, m.mem.CaptureInto(s.pages)) }
+
+// capture fills s with the machine's state and pages, its memory delta,
+// reusing s's output buffer.
+func (m *Machine) capture(s *Snapshot, pages []pagemem.Page) {
 	var output []uint64
 	if len(m.output) > 0 {
 		output = append(s.output[:0], m.output...)
@@ -77,7 +89,7 @@ func (m *Machine) captureSince(s, prev *Snapshot) {
 		injCycles: m.injCycles, injDyn: m.injDyn,
 		output:     output,
 		scalarSpan: m.scalarSpan, vectorSpan: m.vectorSpan, cycles: m.cycles,
-		pages:   m.mem.CaptureSince(prevPages, s.pages),
+		pages:   pages,
 		memSize: len(m.mem.B),
 		nInsts:  len(m.insts),
 	}

@@ -133,7 +133,8 @@ const (
 	MCkptCampaigns       = "ckpt.campaigns"      // campaigns with checkpointing on
 	MCkptSnapshots       = "ckpt.snapshots"      // snapshots recorded
 	MCkptBytes           = "ckpt.snapshot_bytes" // dirtied bytes captured
-	MCkptRestores        = "ckpt.restores"       // plans resumed from a snapshot
+	MCkptRestores        = "ckpt.restores"       // plans resumed from a golden state: a snapshot or a worker's fork
+	MCkptForkResumes     = "ckpt.fork_resumes"   // of ckpt.restores, plans resumed from the fork the worker's previous plan took at its site
 	MCkptColdStarts      = "ckpt.cold_starts"    // plans run from scratch
 	MCkptSkippedInsts    = "ckpt.skipped_insts"  // dynamic instructions fast-forwarded
 	MCkptConverged       = "ckpt.converged"      // plans ended at a golden checkpoint their state rejoined

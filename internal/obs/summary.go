@@ -26,9 +26,9 @@ func RenderSummary(w io.Writer, s Snapshot, wall time.Duration, spans []Span) {
 	if n := c(MCkptCampaigns); n > 0 {
 		fmt.Fprintf(w,
 			"checkpointing: %d campaigns, %d snapshots (%d KiB), "+
-				"%d restores, %d cold starts, %d insts skipped, %d converged\n",
+				"%d restores (%d from forks), %d cold starts, %d insts skipped, %d converged\n",
 			n, c(MCkptSnapshots), c(MCkptBytes)>>10,
-			c(MCkptRestores), c(MCkptColdStarts), c(MCkptSkippedInsts), c(MCkptConverged))
+			c(MCkptRestores), c(MCkptForkResumes), c(MCkptColdStarts), c(MCkptSkippedInsts), c(MCkptConverged))
 	}
 
 	if n := c(MPrunedCampaigns); n > 0 {

@@ -250,6 +250,28 @@ func (m *Mem) CaptureSince(prev, buf []Page) []Page {
 	return pages
 }
 
+// CaptureInto copies the dirty pages into the page buffers of buf, an
+// earlier capture, and returns them, reusing buf's list and buffers
+// wherever their capacity suffices. It shares no buffer with any other
+// capture, so buf must own its buffers too: only a capture CaptureInto
+// made may be passed back to it.
+func (m *Mem) CaptureInto(buf []Page) []Page {
+	old := buf[:cap(buf)]
+	pages := buf[:0]
+	if cap(pages) < len(m.dirtyPages) {
+		pages = make([]Page, 0, len(m.dirtyPages))
+	}
+	for i, p := range m.dirtyPages {
+		lo, hi := pageRange(p, len(m.B))
+		var data []byte
+		if i < len(old) {
+			data = old[i].Data[:0]
+		}
+		pages = append(pages, Page{Idx: p, Data: append(data, m.B[lo:hi]...)})
+	}
+	return pages
+}
+
 // Restore resets the buffer to the image and overlays pages, leaving it
 // bit-identical to the memory the pages were captured from.
 func (m *Mem) Restore(pages []Page) {

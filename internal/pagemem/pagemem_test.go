@@ -22,6 +22,9 @@ type family struct {
 	mems   []*Mem
 	models [][]byte
 	snaps  []snap
+	// owned is the latest CaptureInto capture, whose buffers the next one
+	// reuses.
+	owned snap
 }
 
 // snap is a capture and a copy of the model it was taken from.
@@ -73,8 +76,8 @@ func (f *family) check(t *testing.T, step, i int) {
 }
 
 // FuzzPageMem drives random sequences of image writes, stores, resets,
-// captures, restores, compares, clones, releases and re-acquisitions
-// against a plain []byte model. Each operation reads its arguments from
+// captures (shared and owned), restores, compares, clones, releases and
+// re-acquisitions against a plain []byte model. Each operation reads its arguments from
 // the input; a released family is replaced by a new one on recycled
 // buffers, which must come back all zero.
 func FuzzPageMem(f *testing.F) {
@@ -104,7 +107,7 @@ func FuzzPageMem(f *testing.F) {
 		}
 		for step := 0; len(ops) > 0; step++ {
 			cur = 0
-			switch next() % 9 {
+			switch next() % 10 {
 			case 0: // image write through the first memory, when unshared
 				addr := uint64(next()<<8|next()) % fuzzSize
 				n, v := next()%300, byte(next())
@@ -118,7 +121,7 @@ func FuzzPageMem(f *testing.F) {
 				}
 				if err == nil {
 					copy(fam.image[addr:], data)
-					fam.snaps = nil // captures are deltas against the old image
+					fam.snaps, fam.owned = nil, snap{} // captures are deltas against the old image
 				}
 				checkImageDigest(t, fam.mems[0])
 			case 1: // store
@@ -146,12 +149,16 @@ func FuzzPageMem(f *testing.F) {
 					prev = fam.snaps[n-1].pages
 				}
 				fam.snaps = append(fam.snaps, snap{fam.mems[i].CaptureSince(prev, nil), append([]byte(nil), fam.models[i]...)})
-			case 4: // restore
+			case 4: // restore, from the owned capture too
 				i, k := pick(), next()
-				if len(fam.snaps) == 0 {
+				snaps := fam.snaps
+				if fam.owned.model != nil {
+					snaps = append(snaps[:len(snaps):len(snaps)], fam.owned)
+				}
+				if len(snaps) == 0 {
 					break
 				}
-				s := fam.snaps[k%len(fam.snaps)]
+				s := snaps[k%len(snaps)]
 				fam.mems[i].Restore(s.pages)
 				copy(fam.models[i], s.model)
 			case 5: // compare live memory and two captures
@@ -194,6 +201,12 @@ func FuzzPageMem(f *testing.F) {
 					m.Release()
 				}
 				fam = newFamily(t)
+			case 9: // capture into the owned capture's buffers
+				i := pick()
+				fam.owned = snap{fam.mems[i].CaptureInto(fam.owned.pages), append(fam.owned.model[:0], fam.models[i]...)}
+				if !fam.mems[i].Matches(fam.owned.pages) {
+					t.Fatalf("step %d: memory does not match its own capture", step)
+				}
 			}
 			fam.check(t, step, cur)
 		}
@@ -295,5 +308,32 @@ func TestImageDigestSkipsZeroPages(t *testing.T) {
 			checkImageDigest(t, &m)
 		}
 		m.Release()
+	}
+}
+
+// TestCaptureIntoReusesBuffers: a capture into an earlier CaptureInto
+// capture of as many pages allocates nothing, and restores exactly.
+func TestCaptureIntoReusesBuffers(t *testing.T) {
+	m := New(fuzzSize)
+	defer m.Release()
+	for _, ea := range []uint64{GuardSize, GuardSize + 3*PageSize, fuzzSize - 1} {
+		m.MarkDirty(ea, 1)
+		m.B[ea] = 1
+	}
+	pages := m.CaptureInto(nil)
+	v := byte(2)
+	if n := testing.AllocsPerRun(10, func() {
+		m.MarkDirty(GuardSize, 1)
+		m.B[GuardSize] = v
+		v++
+		pages = m.CaptureInto(pages)
+	}); n != 0 {
+		t.Errorf("CaptureInto allocated %v times per capture", n)
+	}
+	want := append([]byte(nil), m.B...)
+	m.Reset()
+	m.Restore(pages)
+	if !bytes.Equal(m.B, want) {
+		t.Error("restoring the reused capture does not give back the memory")
 	}
 }
