@@ -98,18 +98,15 @@ func TestRunEarlyStopFlag(t *testing.T) {
 	}
 }
 
-// TestRunComposedResumeAcrossK: under compose the checkpoint spacing K cuts
-// the sections the plans are drawn from, so a journal recorded at one K
-// must not resume at another — and resumes exactly at its own.
-func TestRunComposedResumeAcrossK(t *testing.T) {
+// TestRunComposedResume: a composed journal cut mid-campaign resumes at
+// the K the campaign derives again, and renders the uninterrupted table
+// byte for byte.
+func TestRunComposedResume(t *testing.T) {
 	swapStderr(t)
 	path := filepath.Join(t.TempDir(), "composed.ndjson")
-	args := []string{"-bench", "bfs", "-technique", "raw", "-samples", "200", "-compose", "on"}
-	at := func(k string, extra ...string) []string {
-		return append(append(append([]string(nil), args...), "-checkpoint-every", k, "-journal", path), extra...)
-	}
+	args := []string{"-bench", "bfs", "-technique", "raw", "-samples", "200", "-compose", "on", "-journal", path}
 	var want strings.Builder
-	if err := run(at("100"), &want); err != nil {
+	if err := run(args, &want); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -120,16 +117,42 @@ func TestRunComposedResumeAcrossK(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines[:101], "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	var out strings.Builder
-	if err := run(at("300", "-resume"), &out); err == nil || !strings.Contains(err.Error(), "checkpoint_every") {
-		t.Errorf("resume at K=300 of a K=100 journal: err = %v, want a checkpoint_every mismatch", err)
-	}
-	if err := run(at("100", "-resume"), &out); err != nil {
+	if err := run(append(args, "-resume"), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != want.String() {
 		t.Errorf("resumed composed table differs:\n%s\n---\n%s", out.String(), want.String())
+	}
+}
+
+// TestRunJournalRemovedMetaFieldsRefused: a journal whose meta carries a
+// field older builds wrote — a forced checkpoint spacing or a memory size
+// — is refused with an error naming the field, and keeps its bytes.
+func TestRunJournalRemovedMetaFieldsRefused(t *testing.T) {
+	swapStderr(t)
+	path := filepath.Join(t.TempDir(), "composed.ndjson")
+	args := []string{"-bench", "bfs", "-technique", "raw", "-samples", "60", "-compose", "on", "-journal", path}
+	var out strings.Builder
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"checkpoint_every":100`, `"mem_size":2097152`} {
+		old := strings.Replace(string(data), `"meta":{`, `"meta":{`+field+`,`, 1)
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		name, _, _ := strings.Cut(field, ":")
+		if err := run(append(args, "-resume"), &out); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("resume of a journal whose meta has %s: err = %v, want an error naming the field", field, err)
+		}
+		if after, _ := os.ReadFile(path); string(after) != old {
+			t.Errorf("refused resume (%s) changed the journal", field)
+		}
 	}
 }
 

@@ -148,7 +148,7 @@ func run(argv []string, out io.Writer) error {
 				}
 			}
 			res, err = fi.RunIRCampaign(fi.IRTarget{
-				Mod: target, MemSize: 1 << 20, Args: args, Setup: load,
+				Mod: target, MemSize: harness.MemSize, Args: args, Setup: load,
 			}, campaign)
 		} else {
 			bsp := cx.Span("build")
@@ -158,7 +158,7 @@ func run(argv []string, out io.Writer) error {
 			if berr != nil {
 				return berr
 			}
-			tgt = fi.AsmTarget{Prog: build.Prog, MemSize: 1 << 20, Args: args, Setup: load}
+			tgt = fi.AsmTarget{Prog: build.Prog, MemSize: harness.MemSize, Args: args, Setup: load}
 			res, err = fi.RunAsmCampaign(tgt, campaign)
 		}
 		if err != nil {

@@ -79,15 +79,15 @@ func TestJournalResumeGuards(t *testing.T) {
 	}
 }
 
-// TestJournalComposedResumeAcrossK: a composed journal recorded at one
-// checkpoint spacing is refused at another (K cuts the sections the plans
-// are drawn from) and resumes byte-identically at its own.
-func TestJournalComposedResumeAcrossK(t *testing.T) {
+// TestJournalComposedResume: a composed journal cut mid-suite resumes at
+// the K each campaign derives again, and renders the uninterrupted tables
+// byte for byte.
+func TestJournalComposedResume(t *testing.T) {
 	captureStderr(t)
 	path := filepath.Join(t.TempDir(), "composed.ndjson")
 	args := []string{"-exp", "fig10", "-bench", "bfs", "-samples", "60", "-compose", "on", "-journal", path}
 	var want strings.Builder
-	if err := run(append(args, "-checkpoint-every", "100"), &want); err != nil {
+	if err := run(args, &want); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -97,17 +97,42 @@ func TestJournalComposedResumeAcrossK(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	var out strings.Builder
-	if err := run(append(args, "-checkpoint-every", "300", "-resume"), &out); err == nil ||
-		!strings.Contains(err.Error(), "checkpoint_every") {
-		t.Errorf("resume at K=300 of a K=100 journal: err = %v, want a checkpoint_every mismatch", err)
-	}
-	if err := run(append(args, "-checkpoint-every", "100", "-resume"), &out); err != nil {
+	if err := run(append(args, "-resume"), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != want.String() {
 		t.Errorf("resumed composed tables differ:\n%s\n---\n%s", out.String(), want.String())
+	}
+}
+
+// TestJournalRemovedMetaFieldsRefused: a journal whose meta carries a
+// field older builds wrote — a forced checkpoint spacing or a memory size
+// — is refused with an error naming the field, and keeps its bytes.
+func TestJournalRemovedMetaFieldsRefused(t *testing.T) {
+	captureStderr(t)
+	path := filepath.Join(t.TempDir(), "composed.ndjson")
+	args := []string{"-exp", "fig10", "-bench", "bfs", "-samples", "40", "-compose", "on", "-journal", path}
+	var out strings.Builder
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"checkpoint_every":100`, `"mem_size":2097152`} {
+		old := strings.Replace(string(data), `"meta":{`, `"meta":{`+field+`,`, 1)
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		name, _, _ := strings.Cut(field, ":")
+		if err := run(append(args, "-resume"), &out); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("resume of a journal whose meta has %s: err = %v, want an error naming the field", field, err)
+		}
+		if after, _ := os.ReadFile(path); string(after) != old {
+			t.Errorf("refused resume (%s) changed the journal", field)
+		}
 	}
 }
 

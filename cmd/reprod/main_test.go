@@ -149,22 +149,6 @@ func TestNoCheckpointIdenticalOutput(t *testing.T) {
 	}
 }
 
-// TestCheckpointEveryOverride pins the -checkpoint-every flag: a forced
-// interval still yields identical tables.
-func TestCheckpointEveryOverride(t *testing.T) {
-	captureStderr(t)
-	var forced, auto strings.Builder
-	if err := run([]string{"-exp", "fig11", "-bench", "bfs", "-checkpoint-every", "17"}, &forced); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-exp", "fig11", "-bench", "bfs"}, &auto); err != nil {
-		t.Fatal(err)
-	}
-	if forced.String() != auto.String() {
-		t.Errorf("outputs differ:\n%s\n---\n%s", forced.String(), auto.String())
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-exp", "bogus"}, &out); err == nil {

@@ -8,8 +8,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ferrum/internal/fi"
+	"ferrum/internal/harness"
+	"ferrum/internal/obs"
 )
 
 // failSink is a journal sink whose syncs fail after the first (the meta
@@ -106,5 +109,34 @@ func TestRunJournalLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "journal: resuming") {
 		t.Errorf("stderr missing the resume notice: %q", stderr.String())
+	}
+}
+
+// TestRunJournalRecordsCounted: for a fresh journaled run, journal.records
+// equals the journal's records, 1 meta + 1 per plan + 1 per cell, as
+// fistat -reconcile checks it. The meta record is written before the
+// session binds its observer, and the experiment binds it again.
+func TestRunJournalRecordsCounted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.ndjson")
+	f := parse(t, "-journal", path, "-samples", "40")
+	f.Opts.Benchmarks = []string{"bfs"}
+	var snap obs.Snapshot
+	err := f.Run("test", nil, &bytes.Buffer{}, f.Opts.Meta("test", "fig10"), func(s *Session) error {
+		opts := f.Opts
+		opts.Obs, opts.Journal = s.Obs, s.Journal
+		_, err := harness.Fig10(opts)
+		return err
+	}, func(sn obs.Snapshot, _ time.Duration, _ []obs.Span) { snap = sn })
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, cells := snap.Counters[obs.MPlans], snap.Counters[obs.MCampaigns]
+	lines := int64(bytes.Count(data, []byte("\n")))
+	if got := snap.Counters[obs.MJournalRecords]; got != 1+plans+cells || got != lines || plans == 0 {
+		t.Errorf("journal.records = %d, want 1 + %d plans + %d cells = %d journal lines", got, plans, cells, lines)
 	}
 }

@@ -148,19 +148,11 @@ func (c *Cache) Observe(o *obs.Observer) {
 	if c == nil || o == nil || o.Reg == nil {
 		return
 	}
-	rebind := func(dst **obs.Counter, name string) {
-		reg := o.Reg.Counter(name)
-		if *dst == reg {
-			return
-		}
-		reg.Add((*dst).Load())
-		*dst = reg
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rebind(&c.sectionHits, obs.MComposeSectionHits)
-	rebind(&c.sectionMisses, obs.MComposeSectionMisses)
-	rebind(&c.plansServed, obs.MComposePlansServed)
+	o.Reg.Rebind(&c.sectionHits, obs.MComposeSectionHits)
+	o.Reg.Rebind(&c.sectionMisses, obs.MComposeSectionMisses)
+	o.Reg.Rebind(&c.plansServed, obs.MComposePlansServed)
 }
 
 // Stats is a snapshot of the cache's counters for tests and summaries.

@@ -25,7 +25,7 @@ const (
 
 // goldenCheckpoints is the one K rule of every mode: the schedule c's
 // golden run takes on the engine whose snapshots are T, nil without
-// checkpointing. An explicit K is taken as is. Otherwise the schedule
+// checkpointing. A test's forced K is taken as is. Otherwise the schedule
 // thins at 2n snapshots, so it ends at a power-of-two K with between n and
 // 2n of them:
 //
@@ -43,8 +43,8 @@ func goldenCheckpoints[T any, S pagemem.Capture[T]](c Campaign, irLevel bool, si
 	switch {
 	case c.NoCheckpoint:
 		return nil
-	case c.CheckpointEvery > 0:
-		return &pagemem.Schedule[T, S]{Every: c.CheckpointEvery}
+	case c.every > 0:
+		return &pagemem.Schedule[T, S]{Every: c.every}
 	}
 	s := &pagemem.Schedule[T, S]{Max: 2 * autoSnapshots(ckptPerRootSample, c.Samples), MaxBytes: ckptMaxBytes}
 	if irLevel || c.Compose != ComposeOff {
@@ -91,7 +91,7 @@ func hintedGolden[T any, S pagemem.Capture[T]](c Campaign, irLevel bool, hint ui
 		start = s.Every
 	}
 	sites, ok := run(s, hint)
-	if ok && s != nil && c.CheckpointEvery == 0 && start > startK(sites, s.Max) {
+	if ok && s != nil && c.every == 0 && start > startK(sites, s.Max) {
 		s = goldenCheckpoints[T, S](c, irLevel, 0)
 		run(s, 0)
 		return s, start, true

@@ -100,7 +100,7 @@ func TestComposeCacheReuseOnEdit(t *testing.T) {
 	tgtB := twoKernelTarget(t, replaceOnce(t, twoKernelSrc, "%v2 = xor %v, 5", edited))
 
 	base := Campaign{Samples: 200, Seed: 11, MaxSteps: equivSteps, Workers: 4,
-		Compose: ComposeOn, CheckpointEvery: 16}
+		Compose: ComposeOn, every: 16}
 
 	cache := compose.NewCache()
 	c := base
@@ -192,7 +192,7 @@ func TestComposeWarmPassKeepsTables(t *testing.T) {
 	tgtB := twoKernelTarget(t, replaceOnce(t, twoKernelSrc, "%v2 = xor %v, 5", "%v2 = xor %v, 13"))
 	cache := compose.NewCache()
 	c := Campaign{Samples: 200, Seed: 11, MaxSteps: equivSteps, Workers: 4,
-		Compose: ComposeOn, CheckpointEvery: 16, SectionCache: cache}
+		Compose: ComposeOn, every: 16, SectionCache: cache}
 	run := func(tgt AsmTarget) (Result, map[string]*compose.Table) {
 		res, err := RunAsmCampaign(tgt, c)
 		if err != nil {
@@ -280,7 +280,7 @@ var pinnedFingerprints = []string{
 func TestComposeFingerprintsPinned(t *testing.T) {
 	tgt := equivAsmTarget(t, equivBench(t, "bfs"), false)
 	res, err := RunAsmCampaign(tgt, Campaign{Samples: 120, Seed: 4242, MaxSteps: 1 << 20,
-		Workers: 2, Compose: ComposeOn, CheckpointEvery: 512})
+		Workers: 2, Compose: ComposeOn, every: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

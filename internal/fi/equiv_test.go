@@ -111,7 +111,7 @@ func checkEquiv(t *testing.T, name string, thins bool, run func(Campaign) (Resul
 	for _, k := range []uint64{1, 0 /* auto */, want.DynSites} {
 		for _, workers := range []int{1, 8} {
 			c := base
-			c.CheckpointEvery = k
+			c.every = k
 			c.Workers = workers
 			got, err := run(c)
 			if err != nil {
@@ -360,7 +360,7 @@ func TestEquivFaultAtSiteZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck := Campaign{Samples: 1, Seed: 3, CheckpointEvery: k}
+		ck := Campaign{Samples: 1, Seed: 3, every: k}
 		got, err := RunAsmCampaign(tgt, ck)
 		if err != nil {
 			t.Fatal(err)

@@ -109,11 +109,11 @@ type Campaign struct {
 	// paths produce byte-identical Result.Counts; this is the escape hatch
 	// for debugging and for the equivalence tests.
 	NoCheckpoint bool
-	// CheckpointEvery overrides the snapshot spacing K (dynamic sites
-	// between checkpoints). 0 auto-tunes: the golden run thins the
-	// schedule it takes, densely for a converging asm campaign and
-	// sparsely for compose and IR (goldenCheckpoints).
-	CheckpointEvery uint64
+	// every forces the snapshot spacing K (dynamic sites between
+	// checkpoints) for this package's tests. Every other campaign takes
+	// the schedule its golden run thins, densely for a converging asm
+	// campaign and sparsely for compose and IR (goldenCheckpoints).
+	every uint64
 	// CIWidth, if > 0, enables Wilson-interval early stopping: the campaign
 	// ends once the 95% confidence interval of the SDC rate over the
 	// completed plan prefix is no wider than CIWidth. The decision is

@@ -100,7 +100,7 @@ func TestForkResumeEquivEdges(t *testing.T) {
 			}
 			return e, g
 		}
-		e, g := newEngine(Campaign{CheckpointEvery: k})
+		e, g := newEngine(Campaign{every: k})
 		d, _ := newEngine(Campaign{NoCheckpoint: true})
 		var plans []plannedFault
 		add := func(site uint64, bits ...uint) {

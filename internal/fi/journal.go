@@ -63,7 +63,8 @@ const defaultSyncBatch = 64
 // cannot be left out. Fields that cannot change results (worker counts,
 // progress, sinks) are deliberately absent. Fields added after the first
 // journals were written are omitempty at their default, so those journals
-// still resume.
+// still resume. A meta naming a field this build does not read, such as
+// an older build's "checkpoint_every" or "mem_size", is refused.
 type JournalMeta struct {
 	Tool       string   `json:"tool"` // "reprod", "fidi", or a library caller's tag
 	Exp        string   `json:"exp,omitempty"`
@@ -92,15 +93,9 @@ type JournalMeta struct {
 	// journal carries no shard fields — it speaks for the whole campaign.
 	ShardIndex int `json:"shard,omitempty"`
 	ShardCount int `json:"shard_count,omitempty"`
-	// CheckpointEvery is the forced snapshot spacing K, recorded only under
-	// compose, where K cuts the sections the plan draw is stratified over
-	// (0: auto-tuned, itself a function of the recorded fields).
-	CheckpointEvery uint64 `json:"checkpoint_every,omitempty"`
 	// MaxSteps is the per-run step budget (0: the default budget): it
 	// decides where a run is classified as a hang.
 	MaxSteps uint64 `json:"max_steps,omitempty"`
-	// MemSize is the machine memory size, recorded when not the default.
-	MemSize int `json:"mem_size,omitempty"`
 }
 
 // Check reports an error naming the first field (in declaration order)
@@ -164,7 +159,11 @@ type Journal struct {
 	batch   int
 	closed  bool
 	err     error
-	ob      *obs.Observer
+	// records and syncs count journal.records and journal.syncs. They
+	// start standalone, so that a fresh journal's meta record and its
+	// sync, written before any observer can be bound, count too; Observe
+	// rebinds them into a registry.
+	records, syncs *obs.Counter
 	// quoted holds each campaign key JSON-quoted, and line the plan record
 	// being written, so that a plan record allocates nothing once its
 	// campaign's first one is written.
@@ -195,7 +194,7 @@ func CreateJournal(path string, meta JournalMeta) (*Journal, error) {
 // appends records. The sink is not closed on error; that stays with the
 // caller who opened it.
 func NewStreamJournal(sink JournalSink, meta JournalMeta) (*Journal, error) {
-	j := &Journal{f: sink, w: bufio.NewWriter(sink), batch: defaultSyncBatch}
+	j := newJournal(sink)
 	j.append(journalRecord{T: "meta", V: journalVersion, Meta: &meta})
 	j.mu.Lock()
 	j.syncLocked()
@@ -207,15 +206,23 @@ func NewStreamJournal(sink JournalSink, meta JournalMeta) (*Journal, error) {
 	return j, nil
 }
 
-// Observe binds the journal's counters (journal.records, journal.syncs) to
-// an observability registry. Nil observers are fine.
+// newJournal is a journal appending to sink, with standalone counters.
+func newJournal(sink JournalSink) *Journal {
+	return &Journal{f: sink, w: bufio.NewWriter(sink), batch: defaultSyncBatch,
+		records: &obs.Counter{}, syncs: &obs.Counter{}}
+}
+
+// Observe rebinds the journal's counters (journal.records, journal.syncs)
+// into an observability registry, carrying the counts so far across.
+// Idempotent for a given observer. Nil observers are fine.
 func (j *Journal) Observe(ob *obs.Observer) {
-	if j == nil {
+	if j == nil || ob == nil {
 		return
 	}
 	j.mu.Lock()
-	j.ob = ob
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	ob.Reg.Rebind(&j.records, obs.MJournalRecords)
+	ob.Reg.Rebind(&j.syncs, obs.MJournalSyncs)
 }
 
 func (j *Journal) append(r journalRecord) {
@@ -242,7 +249,7 @@ func (j *Journal) writeLocked(line []byte, err error) {
 		j.err = err
 		return
 	}
-	j.ob.Counter(obs.MJournalRecords).Add(1)
+	j.records.Add(1)
 	j.pending++
 	if j.pending >= j.batch {
 		j.syncLocked()
@@ -263,7 +270,7 @@ func (j *Journal) syncLocked() {
 		return
 	}
 	j.pending = 0
-	j.ob.Counter(obs.MJournalSyncs).Add(1)
+	j.syncs.Add(1)
 }
 
 // Plan records one completed fault plan: plan index i of campaign key
@@ -593,6 +600,11 @@ func parseRecord(line []byte) (r journalRecord, res *Result, err error) {
 				"finish it with the matching build, or re-run without -resume to record a fresh journal",
 				r.V, journalVersion)
 		}
+		if err := strictMeta(line); err != nil {
+			return r, nil, fmt.Errorf("meta record has %s, which this build does not read — "+
+				"finish it with the build that wrote it, or re-run without -resume to record a fresh journal",
+				strings.TrimPrefix(err.Error(), "json: "))
+		}
 	case "cell":
 		res = new(Result)
 		if err := json.Unmarshal(r.Res, res); err != nil {
@@ -600,6 +612,16 @@ func parseRecord(line []byte) (r journalRecord, res *Result, err error) {
 		}
 	}
 	return r, res, nil
+}
+
+// strictMeta decodes a meta record's meta object again, refusing a field
+// JournalMeta lacks; its error names the field.
+func strictMeta(line []byte) error {
+	var raw struct{ Meta json.RawMessage }
+	_ = json.Unmarshal(line, &raw) // parseRecord decoded line already
+	d := json.NewDecoder(bytes.NewReader(raw.Meta))
+	d.DisallowUnknownFields()
+	return d.Decode(new(JournalMeta))
 }
 
 func validRecord(r journalRecord) bool {
@@ -618,7 +640,7 @@ func validRecord(r journalRecord) bool {
 // record — a re-leased fiserve shard appending to the coordinator's durable
 // shard file — so, unlike NewStreamJournal, no fresh meta record is written.
 func ResumeStreamJournal(sink JournalSink) *Journal {
-	return &Journal{f: sink, w: bufio.NewWriter(sink), batch: defaultSyncBatch}
+	return newJournal(sink)
 }
 
 // ValidateRecords checks that data is a whole number of journal records the
@@ -683,7 +705,7 @@ func ResumeJournal(path string) (*JournalState, *Journal, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("fi: resume journal: %w", err)
 	}
-	j := &Journal{f: f, w: bufio.NewWriter(f), batch: defaultSyncBatch}
+	j := newJournal(f)
 	if st.unterminated {
 		// Goes out with the first flush, ahead of every appended record.
 		j.w.WriteByte('\n')

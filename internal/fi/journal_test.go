@@ -162,15 +162,53 @@ func sampleJournal(tb testing.TB) []byte {
 }
 
 // unloadableChunks are chunks of well-formed JSON lines the journal loader
-// refuses mid-stream: cell results that do not decode or are null, and
-// meta records of older schema versions — v2 among them, whose auto-K
-// composed sections the current build cuts elsewhere.
+// refuses mid-stream: cell results that do not decode or are null, meta
+// records of older schema versions — v2 among them, whose auto-K composed
+// sections the current build cuts elsewhere — and v3 meta records naming
+// a field this build does not read (removedMetaFields).
 var unloadableChunks = []string{
 	`{"t":"cell","c":"x","res":1}` + "\n",
 	`{"t":"cell","c":"x","res":"oops"}` + "\n",
 	`{"t":"cell","c":"x","res":null}` + "\n",
 	`{"t":"meta","v":1,"meta":{"tool":"test","seed":42,"samples":80}}` + "\n",
 	`{"t":"meta","v":2,"meta":{"tool":"test","seed":42,"samples":80,"compose":"on"}}` + "\n",
+	`{"t":"meta","v":3,"meta":{"tool":"test","seed":42,"samples":80,"compose":"on","checkpoint_every":100}}` + "\n",
+	`{"t":"meta","v":3,"meta":{"tool":"test","seed":42,"samples":80,"mem_size":2097152}}` + "\n",
+}
+
+// removedMetaFields are the meta fields older v3 builds wrote, with a
+// value each: the forced checkpoint spacing K and the machine memory size.
+var removedMetaFields = map[string]string{"checkpoint_every": "100", "mem_size": "2097152"}
+
+// TestJournalMetaRemovedFieldsRefused: a v3 journal whose meta carries a
+// field this build no longer reads is refused by the loader, by resume and
+// by ValidateRecords, with an error naming the field. Resumed silently, a
+// composed journal cut at a forced K would merge plans of other sections.
+// The same journal without the field loads.
+func TestJournalMetaRemovedFieldsRefused(t *testing.T) {
+	const plan = `{"t":"plan","c":"a","i":0,"o":0,"s":0}` + "\n"
+	for field, value := range removedMetaFields {
+		meta := `{"t":"meta","v":3,"meta":{"tool":"test","seed":42,"samples":80,"compose":"on","` +
+			field + `":` + value + `}}` + "\n"
+		path := journalPath(t)
+		if err := os.WriteFile(path, []byte(meta+plan), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := `unknown field "` + field + `"`
+		if _, err := LoadJournal(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: LoadJournal = %v, want an error naming the field", field, err)
+		}
+		if _, _, err := ResumeJournal(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ResumeJournal = %v, want an error naming the field", field, err)
+		}
+		if _, err := ValidateRecords([]byte(meta + plan)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ValidateRecords = %v, want an error naming the field", field, err)
+		}
+	}
+	ok := `{"t":"meta","v":3,"meta":{"tool":"test","seed":42,"samples":80,"compose":"on"}}` + "\n" + plan
+	if st, err := LoadJournalData([]byte(ok), "ok"); err != nil || st.Meta.Compose != "on" {
+		t.Errorf("meta without removed fields: %+v, %v", st, err)
+	}
 }
 
 // TestValidateRecordsMatchesLoader: ValidateRecords refuses every chunk

@@ -48,7 +48,7 @@ func TestSnapshotScheduleGoldenRun(t *testing.T) {
 	inst := equivBench(t, "bfs")
 	tgt := equivTechTarget(t, inst, "ferrum")
 	for _, k := range []uint64{1, 7, 64} {
-		f, res := runFlow(t, tgt, Campaign{Samples: 40, Seed: 3, MaxSteps: equivSteps, CheckpointEvery: k})
+		f, res := runFlow(t, tgt, Campaign{Samples: 40, Seed: 3, MaxSteps: equivSteps, every: k})
 		if f.g.sched == nil || f.sched != f.g.sched {
 			t.Fatalf("K=%d: the golden run did not take the schedule", k)
 		}
@@ -126,7 +126,7 @@ func TestSnapshotScheduleGoldenRun(t *testing.T) {
 func TestSnapshotScheduleComposeUnchanged(t *testing.T) {
 	tgt := equivTechTarget(t, equivBench(t, "bfs"), "ferrum")
 	for _, every := range []uint64{0, 64} {
-		c := Campaign{Samples: 100, Seed: 7, MaxSteps: equivSteps, Compose: ComposeOn, CheckpointEvery: every}
+		c := Campaign{Samples: 100, Seed: 7, MaxSteps: equivSteps, Compose: ComposeOn, every: every}
 		f, res := runFlow(t, tgt, c)
 		k, d := res.Checkpoint.Interval, res.DynSites
 		if f.sched == nil || f.sched != f.g.sched {
@@ -253,7 +253,7 @@ func TestSnapshotScheduleHint(t *testing.T) {
 			// and an absurd hint allocates no more than the step budget.
 			ht := tgt
 			ht.Sites = 1 << 40
-			f, res := runFlow(t, ht, Campaign{Samples: 60, Seed: 5, MaxSteps: equivSteps, CheckpointEvery: 64})
+			f, res := runFlow(t, ht, Campaign{Samples: 60, Seed: 5, MaxSteps: equivSteps, every: 64})
 			if f.g.startK != 64 || f.g.reran || res.Checkpoint.Interval != 64 {
 				t.Errorf("%s/%s explicit K=64: started at %d, reran %v, interval %d", bench, tech, f.g.startK, f.g.reran, res.Checkpoint.Interval)
 			}

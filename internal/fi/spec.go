@@ -64,7 +64,9 @@ func (c Campaign) check(irLevel bool) error {
 // that decides which plans run or how they are classified. Callers stamp
 // the target fields (tool, benchmarks, technique, level, ...) on top.
 // Workers, sinks, caches, cancellation and the journal itself are absent:
-// they cannot change a result.
+// they cannot change a result. So is the checkpoint spacing K: every
+// campaign outside this package's tests derives it from Samples, the mode
+// and the golden run (goldenCheckpoints).
 func (c Campaign) Meta() JournalMeta {
 	m := JournalMeta{
 		Seed: c.Seed, Samples: c.Samples, Bits: c.BitsPerFault, CIWidth: c.CIWidth,
@@ -75,9 +77,6 @@ func (c Campaign) Meta() JournalMeta {
 	}
 	if c.Compose != ComposeOff {
 		m.Compose = c.Compose.String()
-		// K cuts the sections, and the sections stratify the plan draw.
-		// Without compose K only decides where replays start.
-		m.CheckpointEvery = c.CheckpointEvery
 	}
 	return m
 }

@@ -21,7 +21,7 @@ func TestCampaignCheck(t *testing.T) {
 		{Campaign{}, false, ""},
 		{Campaign{}, true, ""},
 		{Campaign{Prune: PruneFull}, false, ""},
-		{Campaign{Compose: ComposeOn, CheckpointEvery: 7}, false, ""},
+		{Campaign{Compose: ComposeOn, every: 7}, false, ""},
 		{Campaign{CIWidth: 0.1, NoCheckpoint: true}, true, ""},
 		{Campaign{Shard: shard, NoCheckpoint: true}, true, ""},
 		{Campaign{Prune: PruneExact, CIWidth: 0.1}, false, "no uniform plan prefix"},
@@ -57,6 +57,9 @@ func TestCampaignCheck(t *testing.T) {
 // result-shaping one must change the derived meta, perturbing any other
 // must not. A field missing from the table fails the test, so a new field
 // has to be classified before it can drift out of the fingerprint.
+// Test-only fields are the third class: they may shape results (a forced K
+// cuts compose's sections), but no caller outside this package can set
+// them, so no journal ever records a campaign run with them.
 func TestCampaignMetaFields(t *testing.T) {
 	shaping := map[string]func(*Campaign){
 		"Samples":      func(c *Campaign) { c.Samples++ },
@@ -69,16 +72,18 @@ func TestCampaignMetaFields(t *testing.T) {
 		"CIWidth":      func(c *Campaign) { c.CIWidth = 0.1 },
 	}
 	inert := map[string]func(*Campaign){
-		"Workers":         func(c *Campaign) { c.Workers = 3 },
-		"SectionCache":    func(c *Campaign) { c.SectionCache = compose.NewCache() },
-		"Progress":        func(c *Campaign) { c.Progress = func(int) {} },
-		"NoCheckpoint":    func(c *Campaign) { c.NoCheckpoint = true },
-		"CheckpointEvery": func(c *Campaign) { c.CheckpointEvery = 100 },
-		"Cancel":          func(c *Campaign) { c.Cancel = make(chan struct{}) },
-		"Journal":         func(c *Campaign) { c.Journal = &Journal{} },
-		"Key":             func(c *Campaign) { c.Key = "k" },
-		"Prior":           func(c *Campaign) { c.Prior = &CellState{} },
-		"Obs":             func(c *Campaign) { c.Obs = obs.New().Cell("x", 0) },
+		"Workers":      func(c *Campaign) { c.Workers = 3 },
+		"SectionCache": func(c *Campaign) { c.SectionCache = compose.NewCache() },
+		"Progress":     func(c *Campaign) { c.Progress = func(int) {} },
+		"NoCheckpoint": func(c *Campaign) { c.NoCheckpoint = true },
+		"Cancel":       func(c *Campaign) { c.Cancel = make(chan struct{}) },
+		"Journal":      func(c *Campaign) { c.Journal = &Journal{} },
+		"Key":          func(c *Campaign) { c.Key = "k" },
+		"Prior":        func(c *Campaign) { c.Prior = &CellState{} },
+		"Obs":          func(c *Campaign) { c.Obs = obs.New().Cell("x", 0) },
+	}
+	testOnly := map[string]func(*Campaign){
+		"every": func(c *Campaign) { c.every = 100 },
 	}
 	base := Campaign{Samples: 10, Seed: 1}
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Campaign{})) {
@@ -93,17 +98,19 @@ func TestCampaignMetaFields(t *testing.T) {
 			if !reflect.DeepEqual(c.Meta(), base.Meta()) {
 				t.Errorf("field %s cannot change results but changes the meta", f.Name)
 			}
+		} else if perturb, ok := testOnly[f.Name]; ok {
+			if f.IsExported() {
+				t.Errorf("test-only field %s is exported", f.Name)
+			}
+			c.Compose = ComposeOn
+			composed := c
+			perturb(&c)
+			if !reflect.DeepEqual(c.Meta(), composed.Meta()) {
+				t.Errorf("test-only field %s reaches the meta", f.Name)
+			}
 		} else {
 			t.Errorf("fi.Campaign field %s is not classified as result-shaping or not", f.Name)
 		}
-	}
-	// Under compose the checkpoint spacing cuts the sections the plans are
-	// stratified over, so it joins the fingerprint.
-	on := Campaign{Samples: 10, Seed: 1, Compose: ComposeOn}
-	k := on
-	k.CheckpointEvery = 100
-	if k.Meta().CheckpointEvery != 100 || on.Meta().CheckpointEvery != 0 {
-		t.Errorf("composed meta does not record K: %+v vs %+v", k.Meta(), on.Meta())
 	}
 }
 

@@ -2,9 +2,9 @@ package harness
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"ferrum/internal/compose"
-	"ferrum/internal/fi"
 	"ferrum/internal/machine"
 	"ferrum/internal/obs"
 	"ferrum/internal/rodinia"
@@ -31,21 +31,12 @@ type instKey struct {
 	seed  int64
 }
 
-// goldenKey identifies one memoisable golden run: a build on one input, on a
-// machine of memSize bytes.
-type goldenKey struct {
-	build   buildKey
-	input   instKey
-	memSize int
-}
-
 // BuildCache memoises benchmark instantiation, per-technique builds, their
 // decoded programs and golden runs across experiment functions. Sharing one
 // cache across a whole `reprod -exp all` invocation (Options.Cache)
 // compiles and decodes each (benchmark, technique, optimize) program once,
 // whichever inputs and experiments use it, and runs each golden once per
-// (program, input, memory size); the hit/miss counters prove it in the
-// suite summary.
+// (program, input); the hit/miss counters prove it in the suite summary.
 //
 // A BuildCache is safe for concurrent use: concurrent cells asking for the
 // same key block on a single computation (sync.Once per entry) instead of
@@ -54,10 +45,9 @@ type goldenKey struct {
 // program holds no memory buffer (machines instantiated from it own and
 // release theirs), so dropping the cache pins nothing.
 type BuildCache struct {
-	mu      sync.Mutex
-	insts   map[instKey]*instEntry
-	builds  map[buildKey]*buildEntry
-	goldens map[goldenKey]*goldenEntry
+	mu     sync.Mutex
+	insts  map[instKey]*instEntry
+	builds map[buildKey]*buildEntry
 	// sections memoises compositional campaigns' per-section propagation
 	// tables (keyed by section content fingerprint inside the compose
 	// cache). It rides in the BuildCache so one suite-wide cache gives every
@@ -82,10 +72,8 @@ type instEntry struct {
 }
 
 // buildEntry is one build and, decoded on first use, its program. It also
-// keeps what asm campaigns on the build leave for the next one: the
-// program's compose key parts, and the golden site count per input and
-// memory size, the hint that starts a golden run's checkpoint schedule at
-// its K (fi.AsmTarget).
+// keeps the program's compose key parts, which asm campaigns on the build
+// leave for the next one, and one record per input it ran on.
 type buildEntry struct {
 	once  sync.Once
 	build *Build
@@ -95,41 +83,32 @@ type buildEntry struct {
 	dec     *machine.Decoded
 	decErr  error
 
-	keys    *compose.Memo
-	sitesMu sync.Mutex
-	sites   map[siteKey]uint64
+	keys     *compose.Memo
+	inputsMu sync.Mutex
+	inputs   map[instKey]*inputEntry
 }
 
-// siteKey identifies one golden run of a build: an input on a machine of
-// memSize bytes.
-type siteKey struct {
-	input   instKey
-	memSize int
+// inputEntry is what the cache keeps of one build on one input: its golden
+// run, run on first use, and the golden site count the last asm campaign
+// there reported, the hint that starts the next one's checkpoint schedule
+// at its K (fi.AsmTarget).
+type inputEntry struct {
+	once  sync.Once
+	g     golden
+	err   error
+	sites atomic.Uint64
 }
 
-// asmTarget returns the build's campaign target on inst, whose golden run
-// at identifies, with the build's key memo and the site count the last
-// campaign there reported.
-func (e *buildEntry) asmTarget(inst *rodinia.Instance, at siteKey) fi.AsmTarget {
-	tgt := asmTarget(inst, e.build, at.memSize)
-	e.sitesMu.Lock()
-	tgt.Keys, tgt.Sites = e.keys, e.sites[at]
-	e.sitesMu.Unlock()
-	return tgt
-}
-
-// setSites records a campaign's golden site count on the input at as the
-// next campaign's hint.
-func (e *buildEntry) setSites(at siteKey, sites uint64) {
-	e.sitesMu.Lock()
-	e.sites[at] = sites
-	e.sitesMu.Unlock()
-}
-
-type goldenEntry struct {
-	once sync.Once
-	g    golden
-	err  error
+// input returns the build's record of the input at, creating it empty.
+func (e *buildEntry) input(at instKey) *inputEntry {
+	e.inputsMu.Lock()
+	defer e.inputsMu.Unlock()
+	in := e.inputs[at]
+	if in == nil {
+		in = &inputEntry{}
+		e.inputs[at] = in
+	}
+	return in
 }
 
 // NewBuildCache returns an empty cache.
@@ -137,7 +116,6 @@ func NewBuildCache() *BuildCache {
 	return &BuildCache{
 		insts:        map[instKey]*instEntry{},
 		builds:       map[buildKey]*buildEntry{},
-		goldens:      map[goldenKey]*goldenEntry{},
 		sections:     compose.NewCache(),
 		instances:    &obs.Counter{},
 		buildHits:    &obs.Counter{},
@@ -156,21 +134,13 @@ func (c *BuildCache) Observe(o *obs.Observer) {
 	if o == nil || o.Reg == nil {
 		return
 	}
-	rebind := func(dst **obs.Counter, name string) {
-		reg := o.Reg.Counter(name)
-		if *dst == reg {
-			return
-		}
-		reg.Add((*dst).Load())
-		*dst = reg
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rebind(&c.instances, obs.MInstances)
-	rebind(&c.buildHits, obs.MBuildHits)
-	rebind(&c.buildMisses, obs.MBuildMisses)
-	rebind(&c.goldenHits, obs.MGoldenHits)
-	rebind(&c.goldenMisses, obs.MGoldenMisses)
+	o.Reg.Rebind(&c.instances, obs.MInstances)
+	o.Reg.Rebind(&c.buildHits, obs.MBuildHits)
+	o.Reg.Rebind(&c.buildMisses, obs.MBuildMisses)
+	o.Reg.Rebind(&c.goldenHits, obs.MGoldenHits)
+	o.Reg.Rebind(&c.goldenMisses, obs.MGoldenMisses)
 	c.sections.Observe(o)
 }
 
@@ -224,23 +194,40 @@ func (c *BuildCache) instance(bench *rodinia.Benchmark, scale int, seed int64) (
 	return e.inst, e.err
 }
 
+// lookup returns the build entry for the instance's benchmark under the
+// given technique and options, creating it unbuilt.
+func (c *BuildCache) lookup(inst *rodinia.Instance, tech Technique, bo BuildOptions) *buildEntry {
+	key := buildKey{inst.Bench.Name, tech, bo.Optimize}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.builds[key]
+	if !ok {
+		e = &buildEntry{keys: compose.NewMemo(), inputs: map[instKey]*inputEntry{}}
+		c.builds[key] = e
+	}
+	return e
+}
+
+// memo runs compute under once and counts the call: a miss when it ran
+// compute, a hit when another call had.
+func memo(once *sync.Once, hits, misses *obs.Counter, compute func()) {
+	ran := false
+	once.Do(func() {
+		ran = true
+		compute()
+	})
+	if ran {
+		misses.Add(1)
+	} else {
+		hits.Add(1)
+	}
+}
+
 // entry returns the memoised build entry for the instance's benchmark under
 // the given technique and options, building it on first use.
 func (c *BuildCache) entry(inst *rodinia.Instance, tech Technique, bo BuildOptions) *buildEntry {
-	key := buildKey{inst.Bench.Name, tech, bo.Optimize}
-	c.mu.Lock()
-	e, ok := c.builds[key]
-	if !ok {
-		e = &buildEntry{keys: compose.NewMemo(), sites: map[siteKey]uint64{}}
-		c.builds[key] = e
-	}
-	if ok {
-		c.buildHits.Add(1)
-	} else {
-		c.buildMisses.Add(1)
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
+	e := c.lookup(inst, tech, bo)
+	memo(&e.once, c.buildHits, c.buildMisses, func() {
 		e.build, e.err = BuildTechniqueOpts(inst.Mod, tech, bo)
 	})
 	return e
@@ -267,32 +254,19 @@ func (c *BuildCache) decoded(inst *rodinia.Instance, tech Technique, bo BuildOpt
 }
 
 // golden returns the memoised golden run (cycles and dynamic
-// instructions) of the instance's build under the given technique and options,
-// on the input (scale, seed) and a machine of memSize bytes.
-func (c *BuildCache) golden(inst *rodinia.Instance, scale int, seed int64, tech Technique, bo BuildOptions, memSize int) (golden, error) {
-	name := inst.Bench.Name
-	key := goldenKey{buildKey{name, tech, bo.Optimize}, instKey{name, scale, seed}, memSize}
-	c.mu.Lock()
-	e, ok := c.goldens[key]
-	if !ok {
-		e = &goldenEntry{}
-		c.goldens[key] = e
-	}
-	if ok {
-		c.goldenHits.Add(1)
-	} else {
-		c.goldenMisses.Add(1)
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
+// instructions) of the instance's build under the given technique and
+// options, on the input (scale, seed).
+func (c *BuildCache) golden(inst *rodinia.Instance, scale int, seed int64, tech Technique, bo BuildOptions) (golden, error) {
+	in := c.lookup(inst, tech, bo).input(instKey{inst.Bench.Name, scale, seed})
+	memo(&in.once, c.goldenHits, c.goldenMisses, func() {
 		var dec *machine.Decoded
-		if dec, e.err = c.decoded(inst, tech, bo); e.err != nil {
+		if dec, in.err = c.decoded(inst, tech, bo); in.err != nil {
 			return
 		}
 		var res machine.Result
-		if res, e.err = runGolden(nil, inst, dec, memSize, false); e.err == nil {
-			e.g = golden{cycles: res.Cycles, dyn: res.DynInsts}
+		if res, in.err = runGolden(nil, inst, dec, false); in.err == nil {
+			in.g = golden{cycles: res.Cycles, dyn: res.DynInsts}
 		}
 	})
-	return e.g, e.err
+	return in.g, in.err
 }

@@ -80,10 +80,10 @@ func Fig10(opts Options) ([]Fig10Row, error) {
 	return rows, nil
 }
 
-func asmTarget(inst *rodinia.Instance, build *Build, memSize int) fi.AsmTarget {
+func asmTarget(inst *rodinia.Instance, build *Build) fi.AsmTarget {
 	return fi.AsmTarget{
 		Prog:    build.Prog,
-		MemSize: memSize,
+		MemSize: MemSize,
 		Args:    inst.Args,
 		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
 	}
@@ -297,22 +297,22 @@ func Gap(opts Options) ([]GapRow, error) {
 	return rows, nil
 }
 
-func irTarget(inst *rodinia.Instance, mod *ir.Module, memSize int) fi.IRTarget {
+func irTarget(inst *rodinia.Instance, mod *ir.Module) fi.IRTarget {
 	return fi.IRTarget{
 		Mod:     mod,
-		MemSize: memSize,
+		MemSize: MemSize,
 		Args:    inst.Args,
 		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
 	}
 }
 
 // runGolden is the fault-free run of a decoded build on a machine of
-// memSize bytes instantiated from it, holding the instance's data: the
+// MemSize bytes instantiated from it, holding the instance's data: the
 // golden cache's run, or a profile cell's when profile asks for dynamic
 // attribution, timed by a profile.run span on cx. The machine is released
 // on every path; the decoded program is left as it was.
-func runGolden(cx *obs.Ctx, inst *rodinia.Instance, dec *machine.Decoded, memSize int, profile bool) (machine.Result, error) {
-	m, err := dec.Instantiate(memSize)
+func runGolden(cx *obs.Ctx, inst *rodinia.Instance, dec *machine.Decoded, profile bool) (machine.Result, error) {
+	m, err := dec.Instantiate(MemSize)
 	if err != nil {
 		return machine.Result{}, err
 	}

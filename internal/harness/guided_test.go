@@ -24,7 +24,7 @@ func TestGuidedBeatsRandomSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt := asmTarget(inst, rawBuild, defaultMemSize)
+	tgt := asmTarget(inst, rawBuild)
 
 	// Profile proneness on the raw binary.
 	profCampaign := fi.Campaign{Samples: 600, Seed: 77}
@@ -59,7 +59,7 @@ func TestGuidedBeatsRandomSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := fi.RunAsmCampaign(fi.AsmTarget{
-			Prog: prot, MemSize: 1 << 20, Args: inst.Args,
+			Prog: prot, MemSize: MemSize, Args: inst.Args,
 			Setup: func(w fi.MemWriter) error { return inst.Setup(w) },
 		}, evalCampaign)
 		if err != nil {

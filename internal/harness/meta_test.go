@@ -19,7 +19,6 @@ func TestOptionsMetaFields(t *testing.T) {
 		"Samples":    func(o *Options) { o.Samples++ },
 		"Seed":       func(o *Options) { o.Seed++ },
 		"Scale":      func(o *Options) { o.Scale = 2 },
-		"MemSize":    func(o *Options) { o.MemSize = 2 << 20 },
 		"Benchmarks": func(o *Options) { o.Benchmarks = []string{"bfs"} },
 		"Optimize":   func(o *Options) { o.Optimize = true },
 		"CIWidth":    func(o *Options) { o.CIWidth = 0.1 },
@@ -27,17 +26,16 @@ func TestOptionsMetaFields(t *testing.T) {
 		"Compose":    func(o *Options) { o.Compose = fi.ComposeOn },
 	}
 	inert := map[string]func(*Options){
-		"Workers":         func(o *Options) { o.Workers = 3 },
-		"CellWorkers":     func(o *Options) { o.CellWorkers = 3 },
-		"Cache":           func(o *Options) { o.Cache = NewBuildCache() },
-		"Progress":        func(o *Options) { o.Progress = func(CellEvent) {} },
-		"NoCheckpoint":    func(o *Options) { o.NoCheckpoint = true },
-		"CheckpointEvery": func(o *Options) { o.CheckpointEvery = 100 },
-		"CellTimeout":     func(o *Options) { o.CellTimeout = time.Second },
-		"SectionCache":    func(o *Options) { o.SectionCache = compose.NewCache() },
-		"Journal":         func(o *Options) { o.Journal = &fi.Journal{} },
-		"Resume":          func(o *Options) { o.Resume = &fi.JournalState{} },
-		"Obs":             func(o *Options) { o.Obs = obs.New() },
+		"Workers":      func(o *Options) { o.Workers = 3 },
+		"CellWorkers":  func(o *Options) { o.CellWorkers = 3 },
+		"Cache":        func(o *Options) { o.Cache = NewBuildCache() },
+		"Progress":     func(o *Options) { o.Progress = func(CellEvent) {} },
+		"NoCheckpoint": func(o *Options) { o.NoCheckpoint = true },
+		"CellTimeout":  func(o *Options) { o.CellTimeout = time.Second },
+		"SectionCache": func(o *Options) { o.SectionCache = compose.NewCache() },
+		"Journal":      func(o *Options) { o.Journal = &fi.Journal{} },
+		"Resume":       func(o *Options) { o.Resume = &fi.JournalState{} },
+		"Obs":          func(o *Options) { o.Obs = obs.New() },
 	}
 	base := Options{Samples: 10, Seed: 1, Scale: 1}
 	meta := func(o Options) fi.JournalMeta { return o.Meta("reprod", "fig10") }
@@ -57,17 +55,10 @@ func TestOptionsMetaFields(t *testing.T) {
 			t.Errorf("harness.Options field %s is not classified as result-shaping or not", f.Name)
 		}
 	}
-	// Under compose the checkpoint spacing cuts the sections, so it joins
-	// the fingerprint.
+	// The meta fingerprints exactly the template the scheduler's cells run.
 	on := base
 	on.Compose = fi.ComposeOn
-	k := on
-	k.CheckpointEvery = 100
-	if reflect.DeepEqual(meta(k), meta(on)) {
-		t.Error("composed options' meta ignores CheckpointEvery")
-	}
-	// The meta fingerprints exactly the template the scheduler's cells run.
-	opts := k.withDefaults()
+	opts := on.withDefaults()
 	cell := newScheduler("fig10", opts).campaign(&cellCtx{key: "fig10/bfs/raw"})
 	if got, want := cell.Meta(), opts.Campaign().Meta(); !reflect.DeepEqual(got, want) {
 		t.Errorf("cell campaign meta %+v, template meta %+v", got, want)

@@ -154,7 +154,6 @@ type Options struct {
 	// callers wanting the paper's seed pass DefaultSeed explicitly.
 	Seed       int64
 	Scale      int      // benchmark scale factor (1 = default)
-	MemSize    int      // campaign machine/interpreter memory (0 = 1 MiB)
 	Workers    int      // intra-campaign parallelism (0 = GOMAXPROCS/CellWorkers)
 	Benchmarks []string // nil = all eight
 	// Optimize runs every build through the -O1-style peephole optimizer
@@ -176,9 +175,6 @@ type Options struct {
 	// NoCheckpoint disables checkpointed fast-forwarding in every campaign
 	// (see fi.Campaign.NoCheckpoint); results are byte-identical either way.
 	NoCheckpoint bool
-	// CheckpointEvery overrides the per-campaign snapshot spacing K
-	// (0 = auto-tune per cell; see fi.Campaign.CheckpointEvery).
-	CheckpointEvery uint64
 	// CellTimeout, if > 0, arms a per-cell watchdog: a cell still running
 	// after this long is cooperatively canceled (its campaign stops at the
 	// next batch boundary), recorded as ErrCellTimeout and counted in
@@ -228,9 +224,10 @@ type Options struct {
 	Obs *obs.Observer
 }
 
-// defaultMemSize is the machine/interpreter memory every campaign gets
-// unless Options.MemSize overrides it.
-const defaultMemSize = 1 << 20
+// MemSize is the machine/interpreter memory of every harness campaign,
+// golden run and profile run, and of every RunSpec campaign, so fidi and
+// fiserve workers run on the same machine.
+const MemSize = 1 << 20
 
 // Campaign is the template every campaign cell of these options starts
 // from: the result-shaping fields plus the shared section cache and
@@ -240,28 +237,24 @@ const defaultMemSize = 1 << 20
 // journal meta.
 func (o Options) Campaign() fi.Campaign {
 	return fi.Campaign{
-		Samples:         o.Samples,
-		Seed:            o.Seed,
-		NoCheckpoint:    o.NoCheckpoint,
-		CheckpointEvery: o.CheckpointEvery,
-		CIWidth:         o.CIWidth,
-		Prune:           o.Prune,
-		Compose:         o.Compose,
-		SectionCache:    o.SectionCache,
-		Journal:         o.Journal,
+		Samples:      o.Samples,
+		Seed:         o.Seed,
+		NoCheckpoint: o.NoCheckpoint,
+		CIWidth:      o.CIWidth,
+		Prune:        o.Prune,
+		Compose:      o.Compose,
+		SectionCache: o.SectionCache,
+		Journal:      o.Journal,
 	}
 }
 
 // Meta derives the journal meta of a run of these options under the given
 // tool and experiment names: the template campaign's plan-space fields plus
-// the target fields (benchmarks, scale, optimize, a non-default MemSize).
+// the target fields (benchmarks, scale, optimize).
 func (o Options) Meta(tool, exp string) fi.JournalMeta {
 	m := o.Campaign().Meta()
 	m.Tool, m.Exp = tool, exp
 	m.Benchmarks, m.Scale, m.Optimize = o.Benchmarks, o.Scale, o.Optimize
-	if o.MemSize != defaultMemSize {
-		m.MemSize = o.MemSize
-	}
 	return m
 }
 
@@ -366,13 +359,13 @@ func RunSpec(spec CampaignSpec, c fi.Campaign) (fi.Result, error) {
 			}
 			mod = build.ProtectedIR
 		}
-		return fi.RunIRCampaign(irTarget(inst, mod, defaultMemSize), c)
+		return fi.RunIRCampaign(irTarget(inst, mod), c)
 	}
 	build, err := BuildTechniqueOpts(inst.Mod, spec.Technique, bo)
 	if err != nil {
 		return fi.Result{}, err
 	}
-	return fi.RunAsmCampaign(asmTarget(inst, build, defaultMemSize), c)
+	return fi.RunAsmCampaign(asmTarget(inst, build), c)
 }
 
 func (o Options) withDefaults() Options {
@@ -381,9 +374,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Scale == 0 {
 		o.Scale = 1
-	}
-	if o.MemSize == 0 {
-		o.MemSize = defaultMemSize
 	}
 	if o.Benchmarks == nil {
 		for _, b := range rodinia.All() {

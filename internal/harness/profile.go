@@ -44,7 +44,7 @@ func Profile(opts Options) ([]ProfileRow, error) {
 					if err != nil {
 						return fmt.Errorf("%s/%s: %w", inst.Bench.Name, tech, err)
 					}
-					res, err := runGolden(cc.cx, inst, dec, opts.MemSize, true)
+					res, err := runGolden(cc.cx, inst, dec, true)
 					if err != nil {
 						return fmt.Errorf("%s/%s: %w", inst.Bench.Name, tech, err)
 					}

@@ -144,10 +144,12 @@ func (s *scheduler) asmCampaignCell(cc *cellCtx, inst instanceAt, tech Technique
 	if err != nil {
 		return fi.Result{}, err
 	}
-	at := siteKey{instKey{inst.inst.Bench.Name, s.opts.Scale, inst.seed}, s.opts.MemSize}
-	res, err := fi.RunAsmCampaign(e.asmTarget(inst.inst, at), s.campaign(cc))
+	in := e.input(instKey{inst.inst.Bench.Name, s.opts.Scale, inst.seed})
+	tgt := asmTarget(inst.inst, e.build)
+	tgt.Keys, tgt.Sites = e.keys, in.sites.Load()
+	res, err := fi.RunAsmCampaign(tgt, s.campaign(cc))
 	if err == nil {
-		e.setSites(at, res.DynSites)
+		in.sites.Store(res.DynSites)
 	}
 	return res, err
 }
@@ -166,7 +168,7 @@ func (s *scheduler) irCampaignCell(cc *cellCtx, inst instanceAt, tech Technique)
 	}
 	c := s.campaign(cc)
 	c.Prune, c.Compose, c.SectionCache = fi.PruneOff, fi.ComposeOff, nil
-	return fi.RunIRCampaign(irTarget(inst.inst, mod, s.opts.MemSize), c)
+	return fi.RunIRCampaign(irTarget(inst.inst, mod), c)
 }
 
 // entry memoises the technique build of an instance's benchmark at the
@@ -204,7 +206,7 @@ func (s *scheduler) decoded(cx *obs.Ctx, inst instanceAt, tech Technique) (*mach
 func (s *scheduler) golden(cx *obs.Ctx, inst instanceAt, tech Technique) (golden, error) {
 	sp := cx.Span("golden.cached")
 	sp.SetAttr("tech", string(tech))
-	g, err := s.cache.golden(inst.inst, s.opts.Scale, inst.seed, tech, BuildOptions{Optimize: s.opts.Optimize}, s.opts.MemSize)
+	g, err := s.cache.golden(inst.inst, s.opts.Scale, inst.seed, tech, BuildOptions{Optimize: s.opts.Optimize})
 	sp.End()
 	return g, err
 }

@@ -185,6 +185,17 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// Rebind moves the counter *dst into the registry under name: *dst
+// becomes the registry's counter, carrying the count it held across. A
+// counter already bound there, or a nil registry, leaves *dst as it is.
+// Callers serialise it with every use of *dst.
+func (r *Registry) Rebind(dst **Counter, name string) {
+	if reg := r.Counter(name); reg != nil && *dst != reg {
+		reg.Add((*dst).Load())
+		*dst = reg
+	}
+}
+
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {

@@ -25,6 +25,17 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Load(); got != 9 {
 		t.Errorf("gauge = %d, want 9", got)
 	}
+	// Rebind carries a standalone counter's count into the registry once;
+	// a second Rebind, or one on a nil registry, changes nothing.
+	own := &Counter{}
+	own.Add(4)
+	(*Registry)(nil).Rebind(&own, "a")
+	r.Rebind(&own, "a")
+	r.Rebind(&own, "a")
+	own.Add(1)
+	if got := r.Counter("a").Load(); got != 10 || own != r.Counter("a") {
+		t.Errorf("rebound counter = %d, want 10 in the registry's counter", got)
+	}
 }
 
 func TestNilSafety(t *testing.T) {
