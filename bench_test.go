@@ -236,7 +236,7 @@ func BenchmarkMachineExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := machine.New(prog, 1<<20)
+	m, err := machine.New(prog, harness.MemSize)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func bfsAsmTarget(b *testing.B, tech harness.Technique) fi.AsmTarget {
 	inst, build := benchBuild(b, rodinia.BFS, tech)
 	return fi.AsmTarget{
 		Prog:    build.Prog,
-		MemSize: 1 << 20,
+		MemSize: harness.MemSize,
 		Args:    inst.Args,
 		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
 	}
@@ -299,7 +299,7 @@ func BenchmarkMachineRun(b *testing.B) {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
 			inst, build := benchBuild(b, v.bench, v.tech)
-			m, err := machine.New(build.Prog, 1<<20)
+			m, err := machine.New(build.Prog, harness.MemSize)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -329,7 +329,7 @@ func BenchmarkMachineLoad(b *testing.B) {
 	inst, build := benchBuild(b, rodinia.BFS, harness.Ferrum)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := machine.New(build.Prog, 1<<20)
+		m, err := machine.New(build.Prog, harness.MemSize)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func BenchmarkIRRun(b *testing.B) {
 			if build.ProtectedIR != nil {
 				mod = build.ProtectedIR
 			}
-			ip, err := ir.NewInterp(mod, 1<<20)
+			ip, err := ir.NewInterp(mod, harness.MemSize)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -397,7 +397,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	}
 	tgt := fi.AsmTarget{
 		Prog:    prog,
-		MemSize: 1 << 20,
+		MemSize: harness.MemSize,
 		Args:    inst.Args,
 		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
 	}
@@ -577,7 +577,7 @@ func BenchmarkIRCampaign(b *testing.B) {
 	inst, build := benchBuild(b, rodinia.BFS, harness.IREDDI)
 	tgt := fi.IRTarget{
 		Mod:     build.ProtectedIR,
-		MemSize: 1 << 20,
+		MemSize: harness.MemSize,
 		Args:    inst.Args,
 		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
 	}
@@ -609,7 +609,7 @@ func BenchmarkIRCampaign(b *testing.B) {
 
 func goldenCycles(b *testing.B, prog *ferrumProg, inst *rodinia.Instance) float64 {
 	b.Helper()
-	m, err := machine.New(prog, 1<<20)
+	m, err := machine.New(prog, harness.MemSize)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -677,7 +677,7 @@ func BenchmarkExtensionSelective(b *testing.B) {
 	tgt := func(p *Program) fi.AsmTarget {
 		return fi.AsmTarget{
 			Prog:    p,
-			MemSize: 1 << 20,
+			MemSize: harness.MemSize,
 			Args:    inst.Args,
 			Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
 		}
@@ -725,7 +725,7 @@ func BenchmarkExtensionMultiBit(b *testing.B) {
 	}
 	tgt := fi.AsmTarget{
 		Prog:    prot,
-		MemSize: 1 << 20,
+		MemSize: harness.MemSize,
 		Args:    inst.Args,
 		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
 	}
@@ -762,7 +762,7 @@ func BenchmarkExtensionGuidedSelective(b *testing.B) {
 	}
 	tgt := fi.AsmTarget{
 		Prog:    prog,
-		MemSize: 1 << 20,
+		MemSize: harness.MemSize,
 		Args:    inst.Args,
 		Setup:   func(w fi.MemWriter) error { return inst.Setup(w) },
 	}
@@ -791,7 +791,7 @@ func BenchmarkExtensionGuidedSelective(b *testing.B) {
 					b.Fatal(err)
 				}
 				res, err := fi.RunAsmCampaign(fi.AsmTarget{
-					Prog: prot, MemSize: 1 << 20, Args: inst.Args,
+					Prog: prot, MemSize: harness.MemSize, Args: inst.Args,
 					Setup: func(w fi.MemWriter) error { return inst.Setup(w) },
 				}, fi.Campaign{Samples: benchSamples, Seed: 9})
 				if err != nil {

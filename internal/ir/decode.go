@@ -46,16 +46,18 @@ type dblock struct {
 	name  string
 	insts []dinst
 	// siteSuffix[i] is the number of fault-injection sites from instruction
-	// i to the end of the block. The segment loop compares it against the
-	// next event site to end a segment just after that site (siteEnd), so
-	// the inner loop makes no per-instruction site comparison.
+	// i to the end of the block (len(insts)+1 entries; the block end counts
+	// 0). The segment loop compares it against the next event site to end
+	// a segment just after that site (siteEnd), and charges a segment
+	// [a, b) its siteSuffix[a]-siteSuffix[b] sites at entry, so the inner
+	// loop makes no per-instruction site comparison or count.
 	siteSuffix []int32
 }
 
 // siteEnd returns the end of the segment entered at idx that retires the
 // k-th site after idx (counting from 0, k < siteSuffix[idx]): one past
 // that site instruction, the first index after idx whose suffix count has
-// dropped to siteSuffix[idx]-k-1. The block end counts as 0.
+// dropped to siteSuffix[idx]-k-1.
 func (b *dblock) siteEnd(idx int32, k uint64) int32 {
 	want := b.siteSuffix[idx] - int32(k) - 1
 	n := len(b.siteSuffix) - int(idx) - 1
@@ -172,7 +174,7 @@ func decodeFunc(f *Func, idx int32, funcIdx map[string]int32) (*dfunc, error) {
 				di.callee = ci
 			}
 		}
-		dbl.siteSuffix = make([]int32, len(dbl.insts))
+		dbl.siteSuffix = make([]int32, len(dbl.insts)+1)
 		s := int32(0)
 		for i := len(dbl.insts) - 1; i >= 0; i-- {
 			if dbl.insts[i].site {

@@ -362,42 +362,50 @@ func (ip *Interp) controlFlow(in *dinst, fr *frame) (done bool, err error) {
 // instruction that retires the next event site (the pending fault or the
 // next checkpoint), so the hot loop runs with no per-instruction
 // watchdog, site comparison or checkpoint test. A segment that ends on its
-// event site is followed by one event step.
+// event site is followed by one event step. The steps and sites up to the
+// budget or event end are charged once at segment entry, from the block's
+// suffix site counts, and the instruction index lives in a local; a
+// segment cut short by a control transfer or a crash takes back what it
+// did not execute (uncharge) and stores the index in its frame then.
 func (ip *Interp) run() error {
 	ev := ip.nextEvent()
 outer:
 	for {
 		fr := &ip.frames[len(ip.frames)-1]
 		bl := &fr.df.blocks[fr.block]
+		idx := fr.idx
 		n := int32(len(bl.insts))
-		if fr.idx >= n {
+		if idx >= n {
 			return irCrash{fmt.Sprintf("@%s/%s: fell off block end", fr.df.fn.Name, bl.name)}
 		}
 		// The budget is counted before every instruction, so a hung run
 		// reports one step past it.
 		end := n
-		if ip.steps+uint64(n-fr.idx) > ip.maxSteps {
+		if ip.steps+uint64(n-idx) > ip.maxSteps {
 			if ip.steps >= ip.maxSteps {
 				ip.steps++
 				return errHang
 			}
-			end = fr.idx + int32(ip.maxSteps-ip.steps)
+			end = idx + int32(ip.maxSteps-ip.steps)
 		}
 		// A call ends the segment before any site after it, so the block's
 		// own suffix counts locate the event site exactly.
 		event := false
-		if k := ev - ip.sites; k < uint64(bl.siteSuffix[fr.idx]) {
-			if e := bl.siteEnd(fr.idx, k); e <= end {
+		if k := ev - ip.sites; k < uint64(bl.siteSuffix[idx]) {
+			if e := bl.siteEnd(idx, k); e <= end {
 				end, event = e, true
 			}
 		}
+		ip.steps += uint64(end - idx)
+		ip.sites += uint64(bl.siteSuffix[idx] - bl.siteSuffix[end])
 		insts := bl.insts
 		regs := fr.regs
-		for fr.idx < end {
-			in := &insts[fr.idx]
-			ip.steps++
+		for i := idx; i < end; i++ {
+			in := &insts[i]
 			switch in.op {
 			case OpBr, OpCondBr, OpRet, OpCall:
+				ip.uncharge(bl, i, end)
+				fr.idx = i
 				done, err := ip.controlFlow(in, fr)
 				if err != nil {
 					return err
@@ -408,15 +416,26 @@ outer:
 				continue outer
 			}
 			if err := ip.exec(in, regs); err != nil {
+				ip.uncharge(bl, i, end)
+				fr.idx = i
 				return err
 			}
-			fr.idx++
 		}
+		fr.idx = end
 		if event {
 			ip.event(&insts[end-1], regs)
 			ev = ip.nextEvent()
 		}
 	}
+}
+
+// uncharge takes back the part of a segment charged up to end that did not
+// run because instruction i ended it: the steps after i, and the sites from
+// i on. i itself counts as a step but retires no site — a control transfer
+// is never a site, and a crashed or detecting instruction writes no result.
+func (ip *Interp) uncharge(bl *dblock, i, end int32) {
+	ip.steps -= uint64(end - i - 1)
+	ip.sites -= uint64(bl.siteSuffix[i] - bl.siteSuffix[end])
 }
 
 // nextEvent returns the index (counting sites from 0) of the next site
@@ -498,9 +517,6 @@ func (ip *Interp) exec(in *dinst, regs []uint64) error {
 		return irCrash{fmt.Sprintf("unimplemented op %s", in.op)}
 	}
 
-	if in.site {
-		ip.sites++
-	}
 	if in.dst >= 0 {
 		regs[in.dst] = result
 	}

@@ -70,6 +70,9 @@ func (ip *Interp) runReference(onSite func(bl *dblock, idx int32)) error {
 		if err := ip.exec(in, fr.regs); err != nil {
 			return err
 		}
+		if in.site {
+			ip.sites++
+		}
 		if f := ip.fault; f != nil && in.site && sitesBefore == f.Site {
 			fr.regs[in.dst] ^= 1 << (f.Bit % 64)
 			ip.injected = true

@@ -19,16 +19,24 @@ import (
 // instruction that retires the next event site, and one event step does
 // that event's work — so Result (outcome, cycles, counters, crash
 // messages) is that of a run checked before and after every instruction.
-// Per-instruction observers (site recording, function spans, profiling,
-// tracing) are charged at segment granularity by the observers hook.
+//
+// Every segment ends at an index known at its entry, and only its last
+// instruction can transfer control, so its bookkeeping is charged once
+// there from per-index prefix totals: instructions, sites, and scalar and
+// vector cost. The pc is written once per segment, and then only by a
+// control transfer; a run that stops inside a segment (crash, halt,
+// detect) takes back the part it did not execute. Per-instruction
+// observers (site recording, function spans, profiling, tracing) are
+// charged at segment granularity by the observers hook.
 //
 // All tables are indexed by instruction position: block formation never
 // renumbers insts/uops, so fault-site indexing, DestBits, snapshots and
 // journal identity are untouched.
 
 // buildBlocks computes, for every instruction index, the exclusive end of
-// its enclosing basic block (blockEnd) and the number of fault-injection
-// sites before it (siteRank), and lists the site instructions in order
+// its enclosing basic block (blockEnd), the number of fault-injection
+// sites before it (siteRank) and the scalar and vector cost before it
+// (scalarSum, vectorSum), and lists the site instructions in order
 // (siteInsts). Leaders are the program start, every function entry in
 // fnEntries (so a block never spans two functions, which the function-span
 // observer relies on), every resolved jump/call target, and the
@@ -41,6 +49,8 @@ func (p *program) buildBlocks(fnEntries []int) {
 	n := len(p.uops)
 	p.blockEnd = make([]int32, n)
 	p.siteRank = make([]int32, n+1)
+	p.scalarSum = make([]float64, n+1)
+	p.vectorSum = make([]float64, n+1)
 	if n == 0 {
 		return
 	}
@@ -73,10 +83,13 @@ func (p *program) buildBlocks(fnEntries []int) {
 		}
 	}
 	for i := range p.uops {
+		u := &p.uops[i]
 		p.siteRank[i+1] = p.siteRank[i]
-		if p.uops[i].destKind != asm.DestNone {
+		if u.destKind != asm.DestNone {
 			p.siteRank[i+1]++
 		}
+		p.scalarSum[i+1] = p.scalarSum[i] + u.cost.scalar
+		p.vectorSum[i+1] = p.vectorSum[i] + u.cost.vector
 	}
 	p.siteInsts = make([]int32, 0, p.siteRank[n])
 	for i := range p.uops {
@@ -91,17 +104,27 @@ func (p *program) buildBlocks(fnEntries []int) {
 // block segment at a time. A segment entered at pc ends at the earliest of
 // three points: the block end, the instruction where the step budget runs
 // out, and just after the instruction that retires the next event site
-// (nextEvent). The inner loop therefore runs with no per-instruction
-// budget, fault or stop test; a segment that ends on its event site is
-// followed by one event step. ob, when non-nil, is charged with each
-// segment at the next segment entry; that one branch is all an
-// observer-free run pays for it.
+// (nextEvent). The segment [pc, end) is charged whole before it runs —
+// its instruction and site counts and both cost spans, as prefix
+// differences — and m.pc is set to end, which a control transfer (only
+// ever the segment's last instruction) overwrites. The inner loop
+// therefore runs with no per-instruction budget, fault, stop or
+// bookkeeping work; a segment that ends on its event site is followed by
+// one event step. ob, when non-nil, is charged with each segment at the
+// next segment entry; that one branch is all an observer-free run pays
+// for it.
+//
+// Charging a segment whole is exact: every cost is a multiple of a
+// quarter cycle and every prefix total stays far below 2^53 quarters, so
+// float sums and differences of costs round nowhere and add up to the
+// per-instruction sums bit for bit (TestCostsAreQuarterCycles).
 func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outcome, string) {
 	// The dispatch tables are loop-invariant; locals keep their headers in
-	// registers instead of reloading them through m on every instruction.
+	// registers instead of reloading them through m on every segment.
 	uops := m.uops
 	blockEnd := m.blockEnd
 	siteRank, siteInsts := m.siteRank, m.siteInsts
+	scalarSum, vectorSum := m.scalarSum, m.vectorSum
 	ev := m.nextEvent(opts)
 	for {
 		pc := m.pc
@@ -132,36 +155,15 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 				}
 			}
 		}
-		i := pc
-		for i < end {
-			u := &uops[i]
-			m.dyn++
-			next, err := m.step(u, i)
-			if err != nil {
-				// A crashed instruction does not retire its destination, so
-				// its site is not counted.
-				return OutcomeCrash, err.Error()
+		m.dyn += uint64(end - pc)
+		m.sites += uint64(siteRank[end] - siteRank[pc])
+		m.scalarSpan += scalarSum[end] - scalarSum[pc]
+		m.vectorSpan += vectorSum[end] - vectorSum[pc]
+		m.pc = end
+		for i := pc; i < end; i++ {
+			if err := m.step(&uops[i], i); err != nil {
+				return m.stop(i, end, err)
 			}
-			if u.destKind != asm.DestNone {
-				m.sites++
-			}
-			switch next {
-			case nextHalt:
-				return OutcomeOK, ""
-			case nextDetect:
-				return OutcomeDetected, ""
-			}
-			// A backward transfer can re-enter this same block (a
-			// one-block self loop): return to the outer loop so the
-			// budget and event checks run per segment entry. Forward
-			// targets are always leaders, so any in-range forward pc is
-			// the sequential successor. Only a block's last instruction
-			// transfers control, so leaving the loop here means
-			// instruction end-1 retired.
-			if m.pc <= i || m.pc >= end {
-				break
-			}
-			i = m.pc
 		}
 		if event {
 			if out, done := m.event(opts, end-1); done {
@@ -170,6 +172,26 @@ func (m *Machine) runBlocks(opts *RunOpts, maxSteps uint64, ob *observers) (Outc
 			ev = m.nextEvent(opts)
 		}
 	}
+}
+
+// stop ends a run at instruction i of the segment [.., end) that was
+// charged whole, leaving m.pc at i. A halt or detect is its block's last
+// instruction, so nothing was overcharged. A crashed instruction counts as
+// executed and is charged its cost, but it does not retire its
+// destination: the tail (i, end) and i's own site are taken back.
+func (m *Machine) stop(i, end int, err error) (Outcome, string) {
+	m.pc = i
+	switch err {
+	case errHalt:
+		return OutcomeOK, ""
+	case errDetect:
+		return OutcomeDetected, ""
+	}
+	m.dyn -= uint64(end - i - 1)
+	m.sites -= uint64(m.siteRank[end] - m.siteRank[i])
+	m.scalarSpan -= m.scalarSum[end] - m.scalarSum[i+1]
+	m.vectorSpan -= m.vectorSum[end] - m.vectorSum[i+1]
+	return OutcomeCrash, err.Error()
 }
 
 // event is the event step, run after a segment retired the site

@@ -10,9 +10,12 @@ type cost struct {
 
 // CostModel holds the per-operation cycle costs of the machine. The model
 // is a dual-issue approximation of an out-of-order x86 core: scalar and
-// vector operations accumulate on separate units, and within one basic
-// block the units overlap, so a block costs max(scalar, vector). Constants
-// are effective throughput costs calibrated against published Intel
+// vector operations accumulate on separate units, and within one span —
+// from one control transfer to the next, so a fall-through into a jump
+// target does not end it — the units overlap, so a span costs
+// max(scalar, vector). Every cost is a whole number of quarter cycles,
+// which keeps the block loop's per-segment float sums exact
+// (TestCostsAreQuarterCycles). Constants are effective throughput costs calibrated against published Intel
 // latency/throughput tables (Agner Fog's instruction tables for
 // Haswell-Skylake class Xeons); see DESIGN.md.
 //

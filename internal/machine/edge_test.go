@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -290,5 +291,165 @@ main:
 	// Disabled by default.
 	if res2 := m.Run(RunOpts{}); res2.Trace != nil {
 		t.Error("trace recorded without being requested")
+	}
+}
+
+// TestPartlyChargedSegments pins the runs that end inside a segment the
+// block loop charged whole at entry: a crash on a non-last instruction of
+// a block with sites after it, a step budget that runs out mid-block, a
+// ret to an invalid address and a detect reached by falling through from
+// a block whose span was never flushed. Each run must match the
+// per-instruction reference engine on the whole Result and the terminal
+// machine state, and both must read the hand-counted figures: a crashed
+// instruction counts as executed and is charged its cost, but retires no
+// site.
+func TestPartlyChargedSegments(t *testing.T) {
+	cases := []struct {
+		name, src   string
+		opts        RunOpts
+		outcome     Outcome
+		dyn, sites  uint64
+		cycles      float64
+		faultCycles float64
+		pc          int
+		crashMsg    string
+	}{
+		{
+			name: "guard-page load", src: `
+	.globl	main
+main:
+	movq	$5, %rbx
+	movq	%rbx, %xmm1
+	movq	$0, %rax
+	movq	(%rax), %rcx
+	addq	$1, %rbx
+	movq	%rbx, %xmm2
+	out	%rbx
+	hlt
+`,
+			opts:    RunOpts{Fault: &Fault{Site: 1, Bit: 0}},
+			outcome: OutcomeCrash, dyn: 4, sites: 3, cycles: 3, faultCycles: 0.5, pc: 3,
+			crashMsg: "load of 8 bytes at 0x0 out of range",
+		},
+		{
+			name: "idivq by zero", src: `
+	.globl	main
+main:
+	movq	$7, %rax
+	movq	%rax, %xmm0
+	movq	$0, %rcx
+	idivq	%rcx
+	addq	%rax, %rbx
+	movq	%rbx, %xmm1
+	out	%rax
+	hlt
+`,
+			opts:    RunOpts{Fault: &Fault{Site: 1, Bit: 3}},
+			outcome: OutcomeCrash, dyn: 4, sites: 3, cycles: 25, faultCycles: 0.5, pc: 3,
+			crashMsg: "divide error",
+		},
+		{
+			name: "budget mid-block", src: `
+	.globl	main
+main:
+	movq	$1, %rax
+	addq	$2, %rax
+	movq	%rax, %xmm0
+	addq	$3, %rax
+	addq	$4, %rax
+	out	%rax
+	hlt
+`,
+			opts:    RunOpts{MaxSteps: 4, Fault: &Fault{Site: 1, Bit: 0}},
+			outcome: OutcomeHang, dyn: 4, sites: 4, cycles: 1.5, faultCycles: 1, pc: 4,
+		},
+		{
+			name: "budget mid-loop-body", src: `
+	.globl	main
+main:
+	movq	$0, %rax
+loop:
+	addq	$1, %rax
+	movq	%rax, %xmm0
+	cmpq	$1000, %rax
+	jne	loop
+	hlt
+`,
+			// Two whole iterations and the first two instructions of the
+			// third; each taken jne carries its 2.5-cycle redirect into the
+			// next span.
+			opts:    RunOpts{MaxSteps: 11, Fault: &Fault{Site: 2, Bit: 5}},
+			outcome: OutcomeHang, dyn: 11, sites: 9, cycles: 9, faultCycles: 1, pc: 3,
+		},
+		{
+			name: "ret to invalid address", src: `
+	.globl	main
+main:
+	movq	$100000, %rax
+	movq	%rax, %xmm0
+	pushq	%rax
+	movq	$3, %rbx
+	retq
+`,
+			opts:    RunOpts{Fault: &Fault{Site: 1, Bit: 0}},
+			outcome: OutcomeCrash, dyn: 5, sites: 3, cycles: 7.5, faultCycles: 0.5, pc: 4,
+			crashMsg: "ret to invalid address 100000",
+		},
+		{
+			name: "detect by fall-through", src: `
+	.globl	main
+main:
+	movq	$1, %rax
+	cmpq	$1, %rax
+	jne	exit_function
+	movq	%rax, %xmm0
+	movq	%rax, %xmm1
+	addq	$1, %rax
+
+	.globl	__detect
+exit_function:
+	detect
+`,
+			// jne is not taken: its flush closes the first span at 1.5
+			// cycles, and detect closes the second, which the block break
+			// at exit_function left open, at max(0.5, 1.0).
+			opts:    RunOpts{Fault: &Fault{Site: 2, Bit: 0}},
+			outcome: OutcomeDetected, dyn: 7, sites: 5, cycles: 2.5, faultCycles: 2, pc: 6,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := Decode(mustParse(t, c.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, err := d.Instantiate(memSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := d.Instantiate(memSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []RunOpts{c.opts, {MaxSteps: c.opts.MaxSteps}} {
+				want := ref.runReference(opts)
+				if got := fast.Run(opts); !reflect.DeepEqual(got, want) {
+					t.Fatalf("fault %v: Result differs:\nfast: %+v\nref:  %+v", opts.Fault, got, want)
+				}
+				if fingerprint(fast) != fingerprint(ref) {
+					t.Fatalf("fault %v: terminal machine state differs:\nfast: %+v\nref:  %+v",
+						opts.Fault, fingerprint(fast), fingerprint(ref))
+				}
+			}
+			res := fast.Run(c.opts)
+			if res.Outcome != c.outcome || res.DynInsts != c.dyn || res.DynSites != c.sites ||
+				res.Cycles != c.cycles || res.FaultCycles != c.faultCycles || !res.Injected ||
+				fast.pc != c.pc || res.CrashMsg != c.crashMsg {
+				t.Errorf("got %v dyn=%d sites=%d cycles=%v faultCycles=%v injected=%v pc=%d crash=%q\n"+
+					"want %v dyn=%d sites=%d cycles=%v faultCycles=%v injected=true pc=%d crash=%q",
+					res.Outcome, res.DynInsts, res.DynSites, res.Cycles, res.FaultCycles, res.Injected, fast.pc, res.CrashMsg,
+					c.outcome, c.dyn, c.sites, c.cycles, c.faultCycles, c.pc, c.crashMsg)
+			}
+		})
 	}
 }

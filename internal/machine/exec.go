@@ -2,30 +2,28 @@ package machine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"ferrum/internal/asm"
 )
 
-type nextAction uint8
-
-const (
-	nextContinue nextAction = iota
-	nextHalt
-	nextDetect
+// errHalt and errDetect are step's sentinel results for the two terminal
+// instructions; any other error is a crash.
+var (
+	errHalt   = errors.New("machine: halt")
+	errDetect = errors.New("machine: detect")
 )
 
-// step executes one instruction, updates pc, charges cycles, and returns
-// the control action. Crash conditions come back as errors. It dispatches
-// once on the fused uop code decoded at load time (see decode.go); the
-// inner loop touches no maps, no strings and no per-operand kind switches.
-// The caller passes the instruction's own index so the sequential successor
-// is computed from a register instead of re-reading m.pc.
-func (m *Machine) step(u *uop, pc int) (nextAction, error) {
-	m.scalarSpan += u.cost.scalar
-	m.vectorSpan += u.cost.vector
-	pcNext := pc + 1
-
+// step executes one instruction of a segment that runBlocks has already
+// charged: the instruction counts, the cost spans and the sequential pc
+// are the caller's. Only a control transfer writes m.pc, and it flushes the
+// cycle spans there. Crash conditions come back as errors, and halt and
+// detect as errHalt and errDetect. It dispatches once on the fused uop
+// code decoded at load time (see decode.go); the inner loop touches no
+// maps, no strings and no per-operand kind switches. The caller passes the
+// instruction's own index, from which a call computes its return address.
+func (m *Machine) step(u *uop, pc int) error {
 	switch u.code {
 	case uNop:
 
@@ -45,44 +43,44 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uMovMR64:
 		v, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.gpr[u.r2] = v
 	case uMovMR32:
 		v, err := m.load32(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.gpr[u.r2] = v
 	case uMovMR8:
 		v, err := m.load8(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.gpr[u.r2] = m.gpr[u.r2]&^uint64(0xff) | v
 	case uMovRM64:
 		if err := m.store64(m.uea(&u.mem), m.gpr[u.r1]); err != nil {
-			return 0, err
+			return err
 		}
 	case uMovRM32:
 		if err := m.store32(m.uea(&u.mem), m.gpr[u.r1]); err != nil {
-			return 0, err
+			return err
 		}
 	case uMovRM8:
 		if err := m.store8(m.uea(&u.mem), m.gpr[u.r1]); err != nil {
-			return 0, err
+			return err
 		}
 	case uMovIM64:
 		if err := m.store64(m.uea(&u.mem), u.imm); err != nil {
-			return 0, err
+			return err
 		}
 	case uMovIM32:
 		if err := m.store32(m.uea(&u.mem), u.imm); err != nil {
-			return 0, err
+			return err
 		}
 	case uMovIM8:
 		if err := m.store8(m.uea(&u.mem), u.imm); err != nil {
-			return 0, err
+			return err
 		}
 
 	// movq GPR<->XMM transfers (lane 0; upper lane zeroed on xmm writes).
@@ -98,7 +96,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uMovMX:
 		v, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.x[u.x2][0] = v
 		m.x[u.x2][1] = 0
@@ -106,7 +104,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		m.gpr[u.r2] = m.x[u.x1][0]
 	case uMovXM:
 		if err := m.store64(m.uea(&u.mem), m.x[u.x1][0]); err != nil {
-			return 0, err
+			return err
 		}
 
 	// Widening moves.
@@ -115,7 +113,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uMovslqMR:
 		v, err := m.load32(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.gpr[u.r2] = uint64(int64(int32(uint32(v))))
 	case uMovzbqRR:
@@ -123,7 +121,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uMovzbqMR:
 		v, err := m.load8(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.gpr[u.r2] = v
 
@@ -144,7 +142,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uAddMR:
 		b, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		a := m.gpr[u.r2]
 		r := a + b
@@ -154,24 +152,24 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		b := m.gpr[u.r1]
 		r := a + b
 		m.setFlagsAdd(a, b, r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 	case uAddIM:
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a + u.imm
 		m.setFlagsAdd(a, u.imm, r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 
 	case uSubRR:
@@ -185,7 +183,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uSubMR:
 		b, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		a := m.gpr[u.r2]
 		m.setFlagsSub(a, b, asm.W64)
@@ -194,22 +192,22 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		b := m.gpr[u.r1]
 		m.setFlagsSub(a, b, asm.W64)
 		if err := m.store64(ea, a-b); err != nil {
-			return 0, err
+			return err
 		}
 	case uSubIM:
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(a, u.imm, asm.W64)
 		if err := m.store64(ea, a-u.imm); err != nil {
-			return 0, err
+			return err
 		}
 
 	case uImulRR:
@@ -223,7 +221,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uImulMR:
 		b, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := uint64(int64(m.gpr[u.r2]) * int64(b))
 		m.setFlagsLogic(r, asm.W64)
@@ -232,23 +230,23 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := uint64(int64(a) * int64(m.gpr[u.r1]))
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 	case uImulIM:
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := uint64(int64(a) * int64(u.imm))
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 
 	case uAndRR:
@@ -262,7 +260,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uAndMR:
 		b, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := m.gpr[u.r2] & b
 		m.setFlagsLogic(r, asm.W64)
@@ -271,23 +269,23 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a & m.gpr[u.r1]
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 	case uAndIM:
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a & u.imm
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 
 	case uOrRR:
@@ -301,7 +299,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uOrMR:
 		b, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := m.gpr[u.r2] | b
 		m.setFlagsLogic(r, asm.W64)
@@ -310,23 +308,23 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a | m.gpr[u.r1]
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 	case uOrIM:
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a | u.imm
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 
 	case uXorRR:
@@ -340,7 +338,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uXorMR:
 		b, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := m.gpr[u.r2] ^ b
 		m.setFlagsLogic(r, asm.W64)
@@ -349,23 +347,23 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a ^ m.gpr[u.r1]
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 	case uXorIM:
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a ^ u.imm
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 
 	case uShlRR:
@@ -379,7 +377,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uShlMR:
 		b, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := m.gpr[u.r2] << (b & 63)
 		m.setFlagsLogic(r, asm.W64)
@@ -388,23 +386,23 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a << (m.gpr[u.r1] & 63)
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 	case uShlIM:
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a << (u.imm & 63)
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 
 	case uShrRR:
@@ -418,7 +416,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uShrMR:
 		b, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := m.gpr[u.r2] >> (b & 63)
 		m.setFlagsLogic(r, asm.W64)
@@ -427,23 +425,23 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a >> (m.gpr[u.r1] & 63)
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 	case uShrIM:
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a >> (u.imm & 63)
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 
 	case uSarRR:
@@ -457,7 +455,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uSarMR:
 		b, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := uint64(int64(m.gpr[u.r2]) >> (b & 63))
 		m.setFlagsLogic(r, asm.W64)
@@ -466,23 +464,23 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := uint64(int64(a) >> (m.gpr[u.r1] & 63))
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 	case uSarIM:
 		ea := m.uea(&u.mem)
 		a, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := uint64(int64(a) >> (u.imm & 63))
 		m.setFlagsLogic(r, asm.W64)
 		if err := m.store64(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 
 	// 8-bit xor: partial register write, byte-masked flags.
@@ -497,7 +495,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uXorbMR:
 		b, err := m.load8(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := m.gpr[u.r2] ^ b
 		m.setFlagsLogic(r, asm.W8)
@@ -506,23 +504,23 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		a, err := m.load8(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a ^ m.gpr[u.r1]
 		m.setFlagsLogic(r, asm.W8)
 		if err := m.store8(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 	case uXorbIM:
 		ea := m.uea(&u.mem)
 		a, err := m.load8(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r := a ^ u.imm
 		m.setFlagsLogic(r, asm.W8)
 		if err := m.store8(ea, r); err != nil {
-			return 0, err
+			return err
 		}
 
 	case uNegR:
@@ -533,10 +531,10 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		ea := m.uea(&u.mem)
 		v, err := m.load64(ea)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := m.store64(ea, -v); err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(0, v, asm.W64)
 
@@ -548,15 +546,15 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 		}
 	case uIdivR:
 		if err := m.idiv(m.gpr[u.r1]); err != nil {
-			return 0, err
+			return err
 		}
 	case uIdivM:
 		div, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := m.idiv(div); err != nil {
-			return 0, err
+			return err
 		}
 
 	// Compares: flags only. setFlags* mask to the width internally.
@@ -567,19 +565,19 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uCmpMR64:
 		b, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(m.gpr[u.r2], b, asm.W64)
 	case uCmpRM64:
 		a, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(a, m.gpr[u.r1], asm.W64)
 	case uCmpIM64:
 		a, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(a, u.imm, asm.W64)
 	case uCmpRR32:
@@ -589,19 +587,19 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uCmpMR32:
 		b, err := m.load32(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(m.gpr[u.r2], b, asm.W32)
 	case uCmpRM32:
 		a, err := m.load32(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(a, m.gpr[u.r1], asm.W32)
 	case uCmpIM32:
 		a, err := m.load32(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(a, u.imm, asm.W32)
 	case uCmpRR8:
@@ -611,19 +609,19 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uCmpMR8:
 		b, err := m.load8(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(m.gpr[u.r2], b, asm.W8)
 	case uCmpRM8:
 		a, err := m.load8(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(a, m.gpr[u.r1], asm.W8)
 	case uCmpIM8:
 		a, err := m.load8(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.setFlagsSub(a, u.imm, asm.W8)
 	case uTestRR:
@@ -635,43 +633,37 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uJmp:
 		m.flushSpan()
 		m.pc = int(u.target)
-		return nextContinue, nil
 	case uJcc:
 		taken, err := m.cond(u.cc)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.flushSpan()
 		if taken {
 			m.scalarSpan += u.cost.takenExtra
 			m.pc = int(u.target)
-		} else {
-			m.pc = pcNext
 		}
-		return nextContinue, nil
 	case uCall:
-		if err := m.push(uint64(pcNext)); err != nil {
-			return 0, err
+		if err := m.push(uint64(pc + 1)); err != nil {
+			return err
 		}
 		m.flushSpan()
 		m.pc = int(u.target)
-		return nextContinue, nil
 	case uRet:
 		v, err := m.pop()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if v >= uint64(len(m.insts)) {
-			return 0, crashf("ret to invalid address %d", v)
+			return crashf("ret to invalid address %d", v)
 		}
 		m.flushSpan()
 		m.pc = int(v)
-		return nextContinue, nil
 
 	case uSetccR:
 		taken, err := m.cond(u.cc)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		var v uint64
 		if taken {
@@ -681,24 +673,24 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 
 	case uPushR:
 		if err := m.push(m.gpr[u.r1]); err != nil {
-			return 0, err
+			return err
 		}
 	case uPushI:
 		if err := m.push(u.imm); err != nil {
-			return 0, err
+			return err
 		}
 	case uPushM:
 		v, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := m.push(v); err != nil {
-			return 0, err
+			return err
 		}
 	case uPopR:
 		v, err := m.pop()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.gpr[u.r2] = v
 
@@ -708,7 +700,7 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 	case uPinsrqM:
 		v, err := m.load64(m.uea(&u.mem))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		m.x[u.x2][u.lane] = v
 	case uVinserti128:
@@ -753,13 +745,12 @@ func (m *Machine) step(u *uop, pc int) (nextAction, error) {
 
 	case uHalt:
 		m.flushSpan()
-		return nextHalt, nil
+		return errHalt
 	case uDetect:
 		m.flushSpan()
-		return nextDetect, nil
+		return errDetect
 	}
-	m.pc = pcNext
-	return nextContinue, nil
+	return nil
 }
 
 // uea computes the effective address of a decoded memory reference.
@@ -920,7 +911,7 @@ func (m *Machine) flushSpan() {
 }
 
 // cyclesNow reports the effective cycle clock mid-run: flushed cycles plus
-// the dual-issue span accumulated since the last block boundary. This is
+// the dual-issue span accumulated since the last control transfer. This is
 // exactly what m.cycles would read after the next flushSpan if no further
 // work issued.
 func (m *Machine) cyclesNow() float64 {

@@ -1,8 +1,8 @@
 // Package machine executes programs in the asm model. It is the
 // reproduction's stand-in for the paper's Intel Xeon testbed: it interprets
 // the x86-64 subset, accounts cycles with a calibrated dual-issue cost
-// model (scalar and vector units overlap within a basic block, which is
-// what makes FERRUM's SIMD checking cheap on real hardware), and exposes
+// model (scalar and vector units overlap between control transfers, which
+// is what makes FERRUM's SIMD checking cheap on real hardware), and exposes
 // the single-bit fault-injection hook that the fi package drives.
 package machine
 
@@ -236,6 +236,11 @@ type program struct {
 	// [a, b), and siteInsts[siteRank[pc]+k] is the k-th site from pc on.
 	siteRank  []int32
 	siteInsts []int32
+	// scalarSum[i] and vectorSum[i] total the scalar and vector costs of
+	// the instructions before index i (len(insts)+1 entries), so a segment
+	// [a, b) costs scalarSum[b]-scalarSum[a] on the scalar unit.
+	scalarSum []float64
+	vectorSum []float64
 }
 
 // Decoded is a validated, decoded program that machines are instantiated

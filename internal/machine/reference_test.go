@@ -8,6 +8,16 @@ import (
 	"ferrum/internal/asm"
 )
 
+// nextAction is the generic interpreter's control result: whether the
+// instruction it executed continues the run, halts it or detects.
+type nextAction uint8
+
+const (
+	nextContinue nextAction = iota
+	nextHalt
+	nextDetect
+)
+
 // runReference is the per-instruction reference engine the block loop is
 // tested against: one loop that checks the pc, the step budget, the fork
 // and fault site, the checkpoint schedule and StopAtSites before or after
