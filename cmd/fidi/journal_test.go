@@ -82,22 +82,6 @@ func TestRunJournalGuards(t *testing.T) {
 	}
 }
 
-// TestRunEarlyStopFlag: -ci-width truncates the campaign and reports the
-// effective sample count on stdout and the stop notice on stderr.
-func TestRunEarlyStopFlag(t *testing.T) {
-	stderr := swapStderr(t)
-	var out strings.Builder
-	if err := run([]string{"-bench", "bfs", "-technique", "raw", "-samples", "256", "-ci-width", "0.25"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "samples: 64") {
-		t.Errorf("stdout missing truncated sample count:\n%s", out.String())
-	}
-	if !strings.Contains(stderr.String(), "early stop") {
-		t.Errorf("stderr missing early-stop notice:\n%s", stderr.String())
-	}
-}
-
 // TestRunComposedResume: a composed journal cut mid-campaign resumes at
 // the K the campaign derives again, and renders the uninterrupted table
 // byte for byte.
@@ -127,8 +111,9 @@ func TestRunComposedResume(t *testing.T) {
 }
 
 // TestRunJournalRemovedMetaFieldsRefused: a journal whose meta carries a
-// field older builds wrote — a forced checkpoint spacing or a memory size
-// — is refused with an error naming the field, and keeps its bytes.
+// field older builds wrote — a forced checkpoint spacing, a memory size or
+// an early-stopping CI width — is refused with an error naming the field,
+// and keeps its bytes.
 func TestRunJournalRemovedMetaFieldsRefused(t *testing.T) {
 	swapStderr(t)
 	path := filepath.Join(t.TempDir(), "composed.ndjson")
@@ -141,7 +126,7 @@ func TestRunJournalRemovedMetaFieldsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"checkpoint_every":100`, `"mem_size":2097152`} {
+	for _, field := range []string{`"checkpoint_every":100`, `"mem_size":2097152`, `"ci_width":0.02`} {
 		old := strings.Replace(string(data), `"meta":{`, `"meta":{`+field+`,`, 1)
 		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 			t.Fatal(err)

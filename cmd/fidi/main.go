@@ -204,17 +204,11 @@ func throttledProgress(samples int) func(int) {
 }
 
 // report renders the outcome table to out and the mode summaries
-// (early stop, checkpointing, pruning, compose) to stderr. forks and
-// converged are the campaign's ckpt.fork_resumes and ckpt.converged
-// counts, which Result does not carry. A composed validation outside
-// tolerance is an error.
+// (checkpointing, pruning, compose) to stderr. forks and converged are the
+// campaign's ckpt.fork_resumes and ckpt.converged counts, which Result
+// does not carry. A composed validation outside tolerance is an error.
 func report(out io.Writer, technique, level string, res fi.Result, forks, converged int64) error {
 	harness.RenderCampaign(out, technique, level, res)
-	lo, hi := res.CI95()
-	if res.EarlyStopped {
-		fmt.Fprintf(errw, "early stop: SDC-rate CI width reached %.4f after %d samples\n",
-			hi-lo, res.Samples)
-	}
 	if cp := res.Checkpoint; cp.Enabled {
 		fmt.Fprintf(errw,
 			"checkpointing: K=%d, %d snapshots (%d KiB), %d restores (%d from forks), %d cold starts, %d insts skipped, %d converged\n",

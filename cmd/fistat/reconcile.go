@@ -68,14 +68,11 @@ func runReconcile(out io.Writer, st *fi.JournalState, metricsPath string) error 
 	// Journal record accounting must be exact for a fresh uninterrupted run:
 	// one meta record, one plan record per executed plan, one cell record per
 	// campaign. Anything above that means discarded work leaked into the
-	// journal (the post-stop journaling bug this check pins down). The
-	// identity only holds when nothing was replayed (resume journals no new
-	// records for skipped work), nothing early-stopped (plans beyond the
-	// truncation point may have been journaled before the stop decision).
+	// journal. The identity only holds when nothing was replayed: resume
+	// journals no new records for skipped work.
 	if recs, ok := scrape.Counters["journal_records"]; ok &&
 		scrape.Counters["journal_skipped_plans"] == 0 &&
-		scrape.Counters["journal_skipped_cells"] == 0 &&
-		scrape.Counters["fi_early_stops"] == 0 {
+		scrape.Counters["journal_skipped_cells"] == 0 {
 		check("journal_records", recs, 1+plans+int64(complete))
 	}
 

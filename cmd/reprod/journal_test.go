@@ -107,8 +107,9 @@ func TestJournalComposedResume(t *testing.T) {
 }
 
 // TestJournalRemovedMetaFieldsRefused: a journal whose meta carries a
-// field older builds wrote — a forced checkpoint spacing or a memory size
-// — is refused with an error naming the field, and keeps its bytes.
+// field older builds wrote — a forced checkpoint spacing, a memory size or
+// an early-stopping CI width — is refused with an error naming the field,
+// and keeps its bytes.
 func TestJournalRemovedMetaFieldsRefused(t *testing.T) {
 	captureStderr(t)
 	path := filepath.Join(t.TempDir(), "composed.ndjson")
@@ -121,7 +122,7 @@ func TestJournalRemovedMetaFieldsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{`"checkpoint_every":100`, `"mem_size":2097152`} {
+	for _, field := range []string{`"checkpoint_every":100`, `"mem_size":2097152`, `"ci_width":0.02`} {
 		old := strings.Replace(string(data), `"meta":{`, `"meta":{`+field+`,`, 1)
 		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 			t.Fatal(err)

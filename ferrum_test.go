@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"ferrum/internal/core"
-	"ferrum/internal/harness"
 	"ferrum/internal/ir"
 )
 
@@ -198,14 +196,5 @@ func TestPublicGuidedSelection(t *testing.T) {
 	}
 	if res.Output[0] != 820 {
 		t.Fatalf("output = %v", res.Output)
-	}
-}
-
-// TestOneMachineMemSize pins the two memory-size constants to each other:
-// a core.Pipeline campaign and a harness campaign (and the benchmarks,
-// which use harness.MemSize) must run on the same machine memory.
-func TestOneMachineMemSize(t *testing.T) {
-	if core.DefaultMemSize != harness.MemSize {
-		t.Fatalf("core.DefaultMemSize = %d, harness.MemSize = %d; they must match", core.DefaultMemSize, harness.MemSize)
 	}
 }

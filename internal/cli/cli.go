@@ -29,7 +29,7 @@ import (
 // Flags holds the flags both campaign tools register.
 type Flags struct {
 	// Opts receives the campaign-shape flags in place (-samples, -seed,
-	// -scale, -no-checkpoint, -ci-width, -prune, -compose). A tool binds
+	// -scale, -no-checkpoint, -prune, -compose). A tool binds
 	// its own option flags into it too.
 	Opts harness.Options
 	// Progress is -progress; each tool renders its own progress lines.
@@ -53,7 +53,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.Int64Var(&o.Seed, "seed", harness.DefaultSeed, "RNG seed (any value, including 0, is honoured)")
 	fs.IntVar(&o.Scale, "scale", 1, "benchmark scale factor")
 	fs.BoolVar(&o.NoCheckpoint, "no-checkpoint", false, "disable checkpointed fast-forwarding (identical results, slower campaigns)")
-	fs.Float64Var(&o.CIWidth, "ci-width", 0, "stop each campaign early once the 95% CI of its SDC rate is no wider than this (0 = off)")
 	fs.Var(&o.Prune, "prune", "static fault-site pruning for asm campaigns: off, exact (answers dead and masked plans, bit-identical), full (adds class dedup, statistical)")
 	fs.Var(&o.Compose, "compose", "compositional asm campaigns: off, on (sectioned at checkpoint boundaries), validate (also run the monolithic campaign and gate the composed rates against it)")
 	fs.BoolVar(&f.Progress, "progress", false, "stream live progress to stderr")

@@ -18,29 +18,19 @@ import (
 	"ferrum/internal/opt"
 )
 
-// DefaultMemSize is the machine/interpreter memory used when a Pipeline
-// does not override it.
-const DefaultMemSize = 1 << 20
+// MemSize is the memory of every machine and interpreter a Pipeline
+// creates, and of its campaigns.
+const MemSize = 1 << 20
 
-// Pipeline is a configured FERRUM toolchain. The zero value is usable; New
-// applies the defaults explicitly.
+// Pipeline is a configured FERRUM toolchain. The zero value is usable.
 type Pipeline struct {
-	// MemSize is the memory given to machines and interpreters.
-	MemSize int
 	// Ferrum configures the FERRUM pass (batch size, SIMD, spares).
 	Ferrum ferrumpass.Config
 }
 
 // New returns a pipeline with default settings.
 func New() *Pipeline {
-	return &Pipeline{MemSize: DefaultMemSize}
-}
-
-func (p *Pipeline) memSize() int {
-	if p.MemSize > 0 {
-		return p.MemSize
-	}
-	return DefaultMemSize
+	return &Pipeline{}
 }
 
 // ParseIR parses and verifies IR source text.
@@ -122,13 +112,13 @@ func (p *Pipeline) ProtectModuleFerrum(mod *ir.Module) (*asm.Program, *ferrumpas
 
 // NewMachine loads a program into a fresh machine.
 func (p *Pipeline) NewMachine(prog *asm.Program) (*machine.Machine, error) {
-	return machine.New(prog, p.memSize())
+	return machine.New(prog, MemSize)
 }
 
 // Run executes a program with the given arguments after installing data
 // words into memory (address -> value).
 func (p *Pipeline) Run(prog *asm.Program, args []uint64, data map[uint64]uint64) (machine.Result, error) {
-	m, err := machine.New(prog, p.memSize())
+	m, err := machine.New(prog, MemSize)
 	if err != nil {
 		return machine.Result{}, err
 	}
@@ -146,7 +136,7 @@ func (p *Pipeline) Run(prog *asm.Program, args []uint64, data map[uint64]uint64)
 func (p *Pipeline) Campaign(prog *asm.Program, args []uint64, data map[uint64]uint64, c fi.Campaign) (fi.Result, error) {
 	tgt := fi.AsmTarget{
 		Prog:    prog,
-		MemSize: p.memSize(),
+		MemSize: MemSize,
 		Args:    args,
 		Setup: func(w fi.MemWriter) error {
 			for addr, v := range data {
@@ -164,7 +154,7 @@ func (p *Pipeline) Campaign(prog *asm.Program, args []uint64, data map[uint64]ui
 // given inputs, returning an error if outputs or outcomes diverge. It is
 // the differential-testing primitive used throughout this repository.
 func (p *Pipeline) Verify(mod *ir.Module, prog *asm.Program, args []uint64, data map[uint64]uint64) error {
-	ip, err := ir.NewInterp(mod, p.memSize())
+	ip, err := ir.NewInterp(mod, MemSize)
 	if err != nil {
 		return err
 	}

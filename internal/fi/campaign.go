@@ -31,13 +31,15 @@ type campaign struct {
 	orig, plans []plannedFault
 	part        *planPartition
 	comp        *composition
-	po          planOutcomes
+	// recs holds every executed plan's record by plan index: the
+	// generation order, or the dense representative index under pruning.
+	recs []PlanRecord
 }
 
 // plannedFault is one sampled fault. idx is its generation index in the
-// deterministic plan sequence: the identity used for journal records,
-// outcome bookkeeping and early-stop prefixes, stable under the site sort
-// the checkpointing path applies.
+// deterministic plan sequence: the identity used for journal records and
+// outcome bookkeeping, stable under the site sort the checkpointing path
+// applies.
 type plannedFault struct {
 	idx   int
 	site  uint64
@@ -114,7 +116,7 @@ func (f *campaign) run() (Result, error) {
 	isp := c.Obs.Span("inject")
 	isp.SetAttr("plans", len(f.plans))
 	// f.c, not c: the prune stage shifts Progress past its answered plans.
-	f.po, err = runPlans(f.c, f.plans, f.newWorker, cached)
+	f.recs, err = runPlans(f.c, f.plans, f.newWorker, cached)
 	isp.End()
 	f.eng.observe(c.Obs)
 	if f.sched != nil {
@@ -206,19 +208,18 @@ func (f *campaign) newWorker() batchRunner {
 // result assembles the campaign Result from the plan outcomes; pruning and
 // compose then add their own summaries.
 func (f *campaign) result() (Result, error) {
-	po := f.po
 	res := Result{
-		Samples:      po.samples,
-		Counts:       po.counts,
-		DynSites:     f.g.sites,
-		Golden:       f.g.output,
-		Cycles:       f.g.cycles,
-		EarlyStopped: po.early,
-		// Latency aggregates over the executed prefix po indexes: the
-		// generation order for plain campaigns (truncated on early stop),
-		// the dense representative set under pruning — expanded outcomes
-		// never executed, so they carry no latency.
-		Latency: aggregateLatency(f.eng.unit(), po.recs[:po.samples]),
+		Samples:  len(f.recs),
+		DynSites: f.g.sites,
+		Golden:   f.g.output,
+		Cycles:   f.g.cycles,
+		// Latency aggregates over the executed plans: the generation order
+		// for plain campaigns, the dense representative set under pruning —
+		// expanded outcomes never executed, so they carry no latency.
+		Latency: aggregateLatency(f.eng.unit(), f.recs),
+	}
+	for _, r := range f.recs {
+		res.Counts[r.Outcome]++
 	}
 	if s := f.sched; s != nil {
 		res.Checkpoint = CheckpointSummary{
@@ -236,7 +237,7 @@ func (f *campaign) result() (Result, error) {
 		// so Samples and Counts aggregate every planned fault exactly as an
 		// unpruned campaign's would.
 		outcomes := f.expandedOutcomes()
-		res.Samples, res.EarlyStopped, res.Counts = len(outcomes), false, [numOutcomes]int{}
+		res.Samples, res.Counts = len(outcomes), [numOutcomes]int{}
 		for _, o := range outcomes {
 			res.Counts[o]++
 		}

@@ -408,8 +408,8 @@ func (cw composeWorker) run(p plannedFault) PlanRecord {
 // fully-measured section's propagation table, and under ComposeValidate
 // runs the monolithic campaign to compare against.
 func (cs *composition) finish(res *Result) error {
-	po, c := cs.f.po, cs.f.c
-	sum := ComposeSummary{Enabled: true, Mode: c.Compose.String(), Interval: cs.f.sched.k, Composed: po.samples}
+	recs, c := cs.f.recs, cs.f.c
+	sum := ComposeSummary{Enabled: true, Mode: c.Compose.String(), Interval: cs.f.sched.k, Composed: len(recs)}
 	for i := range cs.secs {
 		sec := &cs.secs[i]
 		row := SectionRow{
@@ -418,7 +418,7 @@ func (cs *composition) finish(res *Result) error {
 			Fingerprint: fmt.Sprintf("%016x", sec.key),
 			Plans:       sec.n,
 		}
-		for _, r := range po.recs[sec.base : sec.base+sec.n] {
+		for _, r := range recs[sec.base : sec.base+sec.n] {
 			row.Counts[r.Outcome]++
 			if r.Fallback {
 				row.Fallbacks++
@@ -464,7 +464,7 @@ func (cs *composition) finish(res *Result) error {
 // global digest were re-measured plan-by-plan, so the Put refreshes their
 // global entries.
 func (cs *composition) put() {
-	cache, po, plans := cs.f.c.SectionCache, cs.f.po, cs.f.orig
+	cache, recs, plans := cs.f.c.SectionCache, cs.f.recs, cs.f.orig
 	if cache == nil {
 		return
 	}
@@ -486,7 +486,7 @@ func (cs *composition) put() {
 		t := &compose.Table{GlobalDigest: cs.globalDig, Plans: make([]compose.CachedPlan, sec.n)}
 		for j := 0; j < sec.n; j++ {
 			idx := sec.base + j
-			pm, r := cs.metas[idx], po.recs[idx]
+			pm, r := cs.metas[idx], recs[idx]
 			cp := compose.CachedPlan{
 				Site:      plans[idx].site,
 				Bit:       uint16(plans[idx].bit),

@@ -385,134 +385,6 @@ func TestCampaignCancelImmediate(t *testing.T) {
 	}
 }
 
-// TestEarlyStopDeterministic: the CI-width rule truncates to the same prefix
-// for every worker count and checkpointing mode. CIWidth 0.25 exceeds the
-// worst-case Wilson width at n=64 (~0.238 at p=0.5), so the rule fires at
-// the first stride boundary whatever the SDC rate.
-func TestEarlyStopDeterministic(t *testing.T) {
-	inst := equivBench(t, "bfs")
-	tgt := equivAsmTarget(t, inst, false)
-	var want Result
-	for i, cfg := range []struct {
-		workers int
-		noCkpt  bool
-	}{{1, true}, {8, true}, {1, false}, {8, false}} {
-		ob := obs.New()
-		c := Campaign{
-			Samples: 256, Seed: 12345, MaxSteps: equivSteps, CIWidth: 0.25,
-			Workers: cfg.workers, NoCheckpoint: cfg.noCkpt,
-			Obs: ob.Cell("cell", 0),
-		}
-		res, err := RunAsmCampaign(tgt, c)
-		if err != nil {
-			t.Fatalf("workers=%d noCkpt=%v: %v", cfg.workers, cfg.noCkpt, err)
-		}
-		if !res.EarlyStopped {
-			t.Fatalf("workers=%d noCkpt=%v: campaign ran to %d samples without stopping",
-				cfg.workers, cfg.noCkpt, res.Samples)
-		}
-		if res.Samples != earlyStopStride {
-			t.Errorf("workers=%d noCkpt=%v: stopped at %d samples, want %d",
-				cfg.workers, cfg.noCkpt, res.Samples, earlyStopStride)
-		}
-		if lo, hi := res.CI95(); hi-lo > c.CIWidth {
-			t.Errorf("stopped CI width %.4f exceeds requested %.2f", hi-lo, c.CIWidth)
-		}
-		snap := ob.Reg.Snapshot()
-		if n := snap.Counters[obs.MEarlyStops]; n != 1 {
-			t.Errorf("fi.early_stops = %d, want 1", n)
-		}
-		if n := snap.Counters[obs.MPlans]; n != int64(res.Samples) {
-			t.Errorf("fi.plans = %d, want effective sample count %d", n, res.Samples)
-		}
-		if i == 0 {
-			want = res
-		} else if res.Counts != want.Counts || res.Samples != want.Samples {
-			t.Errorf("workers=%d noCkpt=%v: truncated result %v (n=%d) differs from first config %v (n=%d)",
-				cfg.workers, cfg.noCkpt, res.Counts, res.Samples, want.Counts, want.Samples)
-		}
-	}
-}
-
-// TestEarlyStopIR: the rule lives in the shared plan runner, so IR campaigns
-// stop identically.
-func TestEarlyStopIR(t *testing.T) {
-	inst := equivBench(t, "bfs")
-	tgt := equivIRTarget(t, inst, false)
-	c := Campaign{Samples: 256, Seed: 12345, MaxSteps: equivSteps, Workers: 4, CIWidth: 0.25}
-	res, err := RunIRCampaign(tgt, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.EarlyStopped || res.Samples != earlyStopStride {
-		t.Errorf("IR early stop: stopped=%v at %d samples, want %d", res.EarlyStopped, res.Samples, earlyStopStride)
-	}
-}
-
-// TestEarlyStopNotAtFullBudget: a campaign that reaches its configured
-// Samples exactly is complete, not early-stopped — the rule only fires on a
-// strict prefix.
-func TestEarlyStopNotAtFullBudget(t *testing.T) {
-	tgt := asmTarget(t, false)
-	c := Campaign{Samples: earlyStopStride, Seed: 3, CIWidth: 0.25}
-	res, err := RunAsmCampaign(tgt, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EarlyStopped {
-		t.Error("full-budget campaign marked EarlyStopped")
-	}
-	if res.Samples != earlyStopStride {
-		t.Errorf("samples = %d, want %d", res.Samples, earlyStopStride)
-	}
-}
-
-// TestEarlyStopJournalReplay: the journaled cell record of an early-stopped
-// campaign carries the truncated result, and replaying it preserves the
-// EarlyStopped marker and effective sample count.
-func TestEarlyStopJournalReplay(t *testing.T) {
-	inst := equivBench(t, "bfs")
-	tgt := equivAsmTarget(t, inst, false)
-	base := Campaign{Samples: 256, Seed: 12345, MaxSteps: equivSteps, Workers: 4, CIWidth: 0.25}
-
-	path := journalPath(t)
-	meta := JournalMeta{Tool: "test", Seed: base.Seed, Samples: base.Samples, CIWidth: base.CIWidth}
-	j, err := CreateJournal(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := base
-	c.Journal, c.Key = j, "cell"
-	want, err := RunAsmCampaign(tgt, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !want.EarlyStopped {
-		t.Fatal("campaign did not early-stop")
-	}
-
-	st, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := st.Cell("cell")
-	if cs == nil || cs.Result == nil {
-		t.Fatal("early-stopped campaign left no cell record")
-	}
-	c2 := base
-	c2.Prior = cs
-	got, err := RunAsmCampaign(tgt, c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EarlyStopped || got.Samples != want.Samples || got.Counts != want.Counts {
-		t.Errorf("replayed early-stopped result %+v != original %+v", got, want)
-	}
-}
-
 // TestMakePlansRespectsWidth: sampled bit numbers land inside each site's
 // destination width — narrow destinations (flags, byte moves) never draw an
 // out-of-range bit the injector would have to wrap, and SIMD destinations

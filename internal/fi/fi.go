@@ -72,9 +72,8 @@ type Campaign struct {
 	// plans are Benign by construction, and under PruneFull one
 	// representative stands in for every plan of the same
 	// (static instruction, bit) class. Result.Counts still aggregates all
-	// Samples plans. Assembly-level campaigns only; incompatible with
-	// CIWidth early stopping (the truncation prefix would no longer be a
-	// uniform sample).
+	// Samples plans. Assembly-level campaigns only; one of the three plan
+	// stages, with Compose and Shard (Check allows at most one).
 	Prune PruneMode
 	// Compose, if not ComposeOff, runs the campaign compositionally:
 	// the program is partitioned into sections at the golden checkpoint
@@ -83,8 +82,8 @@ type Campaign struct {
 	// propagation descriptor is classified against the downstream live-in
 	// state — with an end-to-end fallback whenever the descriptor is
 	// ambiguous. ComposeValidate additionally runs the monolithic campaign
-	// and reports the rate agreement. Assembly-level campaigns only;
-	// incompatible with Prune, CIWidth, sharding and NoCheckpoint.
+	// and reports the rate agreement. Assembly-level campaigns only; a plan
+	// stage, like Prune and Shard, and it needs checkpointing.
 	Compose ComposeMode
 	// SectionCache, if non-nil with Compose on, memoises per-section
 	// propagation tables across campaigns keyed by section content
@@ -96,7 +95,7 @@ type Campaign struct {
 	// modulo Shard.Count, re-indexed densely so journaling and resume work
 	// per shard (see shard.go). Samples still names the full campaign's
 	// sample budget — every shard derives the identical plan sequence from
-	// it. Incompatible with Prune and CIWidth.
+	// it. A plan stage, like Prune and Compose.
 	Shard ShardSpec
 	// Progress, if non-nil, receives the cumulative number of completed
 	// injections (out of Samples) as the campaign advances. It may be
@@ -114,14 +113,6 @@ type Campaign struct {
 	// the schedule its golden run thins, densely for a converging asm
 	// campaign and sparsely for compose and IR (goldenCheckpoints).
 	every uint64
-	// CIWidth, if > 0, enables Wilson-interval early stopping: the campaign
-	// ends once the 95% confidence interval of the SDC rate over the
-	// completed plan prefix is no wider than CIWidth. The decision is
-	// evaluated at fixed prefix lengths and the result truncated to the
-	// qualifying prefix, so stopped results are identical for any worker
-	// count. Result.Samples reports the effective (possibly truncated)
-	// sample count and Result.EarlyStopped is set.
-	CIWidth float64
 	// Cancel, if non-nil, cancels the campaign when closed: workers stop at
 	// the next batch boundary and the runner returns ErrCampaignCanceled.
 	// The harness per-cell watchdog drives this.
@@ -193,9 +184,6 @@ func (c Campaign) observeOutcomes(res Result) {
 			c.Obs.Counter(obs.MOutcomePrefix + o.String()).Add(int64(n))
 		}
 	}
-	if res.EarlyStopped {
-		c.Obs.Counter(obs.MEarlyStops).Add(1)
-	}
 	// Detection-latency histograms fold in pre-bucketed: LatencyBuckets and
 	// the registry histogram share one geometry, so the obs totals equal the
 	// per-campaign summaries exactly — including for journal-replayed
@@ -244,9 +232,8 @@ func (c Campaign) pendingPlans(plans []plannedFault) int {
 
 // Result aggregates campaign outcomes.
 type Result struct {
-	// Samples is the number of plans the result aggregates. It equals the
-	// configured Campaign.Samples unless CI-width early stopping truncated
-	// the campaign, in which case it is the qualifying prefix length.
+	// Samples is the number of plans the result aggregates: the configured
+	// Campaign.Samples, or one shard's share of it.
 	Samples  int
 	Counts   [numOutcomes]int
 	DynSites uint64 // dynamic fault-injection sites in the golden run
@@ -255,9 +242,6 @@ type Result struct {
 	// Only assembly-level campaigns set it; the IR interpreter has no
 	// cycle model, so IR campaigns leave it zero.
 	Cycles float64
-	// EarlyStopped reports that the CI-width rule ended the campaign before
-	// the full sample budget.
-	EarlyStopped bool `json:",omitempty"`
 	// Checkpoint reports the campaign's fast-forwarding activity; zero
 	// when checkpointing was disabled.
 	Checkpoint CheckpointSummary

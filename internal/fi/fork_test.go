@@ -24,10 +24,10 @@ func checkForkRecs(t *testing.T, ctx string, got, want *campaign, gotRes, wantRe
 		t.Errorf("%s: counts %v != direct %v", ctx, gotRes.Counts, wantRes.Counts)
 	}
 	checkLatencyEquiv(t, ctx, gotRes.Latency, wantRes.Latency)
-	if !slices.Equal(got.po.recs, want.po.recs) {
-		for i := range want.po.recs {
-			if got.po.recs[i] != want.po.recs[i] {
-				t.Fatalf("%s: plan %d record %+v != direct %+v", ctx, i, got.po.recs[i], want.po.recs[i])
+	if !slices.Equal(got.recs, want.recs) {
+		for i := range want.recs {
+			if got.recs[i] != want.recs[i] {
+				t.Fatalf("%s: plan %d record %+v != direct %+v", ctx, i, got.recs[i], want.recs[i])
 			}
 		}
 	}

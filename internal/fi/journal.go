@@ -64,7 +64,8 @@ const defaultSyncBatch = 64
 // progress, sinks) are deliberately absent. Fields added after the first
 // journals were written are omitempty at their default, so those journals
 // still resume. A meta naming a field this build does not read, such as
-// an older build's "checkpoint_every" or "mem_size", is refused.
+// an older build's forced checkpoint spacing, memory size or early-stopping
+// CI width, is refused.
 type JournalMeta struct {
 	Tool       string   `json:"tool"` // "reprod", "fidi", or a library caller's tag
 	Exp        string   `json:"exp,omitempty"`
@@ -76,7 +77,6 @@ type JournalMeta struct {
 	Technique  string   `json:"technique,omitempty"`
 	Level      string   `json:"level,omitempty"`
 	Bits       int      `json:"bits,omitempty"`
-	CIWidth    float64  `json:"ci_width,omitempty"`
 	// Prune is the PruneMode string ("" when off). It must guard resume:
 	// a pruned journal's plan indices are dense representative indices, a
 	// different partition of the same seed's plan space.

@@ -174,11 +174,13 @@ var unloadableChunks = []string{
 	`{"t":"meta","v":2,"meta":{"tool":"test","seed":42,"samples":80,"compose":"on"}}` + "\n",
 	`{"t":"meta","v":3,"meta":{"tool":"test","seed":42,"samples":80,"compose":"on","checkpoint_every":100}}` + "\n",
 	`{"t":"meta","v":3,"meta":{"tool":"test","seed":42,"samples":80,"mem_size":2097152}}` + "\n",
+	`{"t":"meta","v":3,"meta":{"tool":"test","seed":42,"samples":80,"ci_width":0.02}}` + "\n",
 }
 
 // removedMetaFields are the meta fields older v3 builds wrote, with a
-// value each: the forced checkpoint spacing K and the machine memory size.
-var removedMetaFields = map[string]string{"checkpoint_every": "100", "mem_size": "2097152"}
+// value each: the forced checkpoint spacing K, the machine memory size and
+// the CI width of early stopping.
+var removedMetaFields = map[string]string{"checkpoint_every": "100", "mem_size": "2097152", "ci_width": "0.02"}
 
 // TestJournalMetaRemovedFieldsRefused: a v3 journal whose meta carries a
 // field this build no longer reads is refused by the loader, by resume and

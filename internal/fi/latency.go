@@ -156,8 +156,8 @@ func (s LatencySummary) N() int64 {
 func (s LatencySummary) Hist(o Outcome) LatencyHist { return s.ByOutcome[o] }
 
 // aggregateLatency builds the per-outcome latency summary from executed
-// plan records: the effective sample prefix (CI-width early stopping
-// truncates there), or under pruning the dense executed plan set.
+// plan records: every plan in generation order, or under pruning the dense
+// executed plan set.
 func aggregateLatency(unit string, recs []PlanRecord) LatencySummary {
 	s := LatencySummary{Unit: unit}
 	for _, r := range recs {

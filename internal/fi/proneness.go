@@ -114,7 +114,7 @@ func ProfileProneness(tgt AsmTarget, c Campaign) ([]SiteStats, error) {
 	// Latency attributes by the executed plan records (the dense
 	// representatives under pruning), not the expanded space: only executed
 	// faults measured anything.
-	for _, r := range f.po.recs[:f.po.samples] {
+	for _, r := range f.recs {
 		if !r.HasLat {
 			continue
 		}

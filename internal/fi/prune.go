@@ -79,8 +79,8 @@ const (
 )
 
 // planPartition is a campaign's pruned plan space: the dense execution
-// list (representatives re-indexed 0..len(exec)-1 so the journal, prefix
-// and outcome machinery work unchanged), the per-generation-index
+// list (representatives re-indexed 0..len(exec)-1 so the journal and
+// outcome machinery work unchanged), the per-generation-index
 // assignment back onto it, and the live equivalence classes in
 // scheduler-consumable form.
 type planPartition struct {
@@ -172,13 +172,11 @@ func planKind(si prune.SiteInfo, p plannedFault) prune.Kind {
 // expandedOutcomes maps dense executed outcomes back onto the full
 // generation-ordered plan space: pruned plans are Benign by construction,
 // deduplicated plans take their representative's outcome. Without a
-// partition it returns the outcomes of the effective sample prefix (early
-// stop truncates it).
+// partition it returns the executed outcomes as they are.
 func (f *campaign) expandedOutcomes() []Outcome {
-	po := f.po
 	if f.part == nil {
-		out := make([]Outcome, po.samples)
-		for i, r := range po.recs[:po.samples] {
+		out := make([]Outcome, len(f.recs))
+		for i, r := range f.recs {
 			out[i] = r.Outcome
 		}
 		return out
@@ -186,7 +184,7 @@ func (f *campaign) expandedOutcomes() []Outcome {
 	out := make([]Outcome, len(f.orig))
 	for i := range f.orig {
 		if oi := f.part.assign[i]; oi >= 0 {
-			out[i] = po.recs[oi].Outcome
+			out[i] = f.recs[oi].Outcome
 		} else {
 			out[i] = Benign
 		}

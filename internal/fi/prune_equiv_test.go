@@ -247,15 +247,6 @@ func TestPruneObsCounters(t *testing.T) {
 	}
 }
 
-func TestPruneRejectsCIWidth(t *testing.T) {
-	tgt := asmTarget(t, false)
-	c := Campaign{Samples: 50, Seed: 1, Prune: PruneFull, CIWidth: 0.1}
-	if _, err := RunAsmCampaign(tgt, c); err == nil ||
-		!strings.Contains(err.Error(), "early stopping") {
-		t.Fatalf("CIWidth+Prune accepted: %v", err)
-	}
-}
-
 func TestPruneRejectsIR(t *testing.T) {
 	tgt := equivIRTarget(t, equivBench(t, "bfs"), false)
 	c := Campaign{Samples: 50, Seed: 1, Prune: PruneExact}

@@ -16,39 +16,16 @@ import (
 // a canceled campaign returns promptly but never mid-plan.
 var ErrCampaignCanceled = errors.New("fi: campaign canceled")
 
-// earlyStopStride is how often (in completed-plan-prefix length) the
-// CI-width early-stopping rule is evaluated. Evaluating at fixed prefix
-// lengths — rather than "whenever a worker finishes" — is what makes early
-// stopping deterministic: the completed prefix passes through the same
-// lengths in the same order no matter how many workers raced to fill it.
-const earlyStopStride = 64
-
-// planRun tracks one campaign's plan execution: which plans are done, their
-// records by original plan index, the longest contiguous completed prefix,
-// and the early-stop decision derived from it.
-//
-// Early stopping works on the completed prefix only. Outcomes are recorded
-// by generation index; each time the prefix extends across a multiple of
-// earlyStopStride, the Wilson interval of the prefix SDC rate is tested
-// against the requested width. The first qualifying length wins and the
-// result is truncated there — later-finishing plans beyond it are discarded
-// — so the stopped Result is a pure function of the plan sequence, not of
-// worker scheduling.
+// planRun tracks one campaign's plan execution: the pending plans, which
+// plans are done and their records by original plan index.
 type planRun struct {
-	mu           sync.Mutex
-	todo         []plannedFault
-	next         int
-	n            int
-	ciWidth      float64
-	cancel       <-chan struct{}
-	canceled     bool
-	done         []bool
-	recs         []PlanRecord
-	prefixLen    int
-	prefixCounts [numOutcomes]int
-	stopped      bool
-	stopAt       int
-	stopCounts   [numOutcomes]int
+	mu       sync.Mutex
+	todo     []plannedFault
+	next     int
+	cancel   <-chan struct{}
+	canceled bool
+	done     []bool
+	recs     []PlanRecord
 }
 
 // PlanRecord is one executed fault plan's result, the unit a campaign
@@ -74,19 +51,8 @@ type PlanRecord struct {
 // handing each plan's record to done as it completes.
 type batchRunner func(batch []plannedFault, done func(plannedFault, PlanRecord))
 
-// planOutcomes is what runPlans hands back: the effective sample count
-// (truncated on early stop), its outcome counts, and the per-index plan
-// records for callers that attribute results to plans (latency, compose
-// ledgers, profiling). Only recs[:samples] is guaranteed fully populated.
-type planOutcomes struct {
-	samples int
-	counts  [numOutcomes]int
-	early   bool
-	recs    []PlanRecord
-}
-
 // grab hands out the next batch of pending plans, or nil when the run is
-// exhausted, early-stopped, or canceled.
+// exhausted or canceled.
 func (pr *planRun) grab(nb int) []plannedFault {
 	if pr.cancel != nil {
 		select {
@@ -100,7 +66,7 @@ func (pr *planRun) grab(nb int) []plannedFault {
 	}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	if pr.stopped || pr.canceled || pr.next >= len(pr.todo) {
+	if pr.canceled || pr.next >= len(pr.todo) {
 		return nil
 	}
 	end := pr.next + nb
@@ -113,11 +79,11 @@ func (pr *planRun) grab(nb int) []plannedFault {
 }
 
 // record stores one executed plan's result and reports whether the plan
-// still counts toward the campaign — false once the run is canceled or the
-// plan falls beyond an early-stop truncation point. Workers finishing their
-// in-hand batch after a stop/cancel get false and must not journal the
-// plan: finish() discards it, so journaling it would leave the journal with
-// more plan records than the result (and the fi.* counters) account for.
+// still counts toward the campaign — false once the run is canceled.
+// Workers finishing their in-hand batch after a cancel get false and must
+// not journal the plan: the canceled campaign returns no result, so
+// journaling it would leave the journal with plan records that no result
+// (and no fi.* counter) accounts for.
 func (pr *planRun) record(idx int, r PlanRecord) bool {
 	if pr.cancel != nil {
 		// Re-check cancellation here, not only in grab(): a batch in hand
@@ -137,11 +103,7 @@ func (pr *planRun) record(idx int, r PlanRecord) bool {
 		return false
 	}
 	pr.setLocked(idx, r)
-	pr.advanceLocked()
-	// A plan that itself completed the qualifying prefix (idx < stopAt)
-	// counts; anything at or past the truncation point is discarded by
-	// finish() and must stay out of the journal.
-	return !pr.stopped || idx < pr.stopAt
+	return true
 }
 
 // setLocked stores plan idx's result.
@@ -150,42 +112,17 @@ func (pr *planRun) setLocked(idx int, r PlanRecord) {
 	pr.recs[idx] = r
 }
 
-// advanceLocked extends the completed prefix one plan at a time, testing
-// the early-stop rule at every stride boundary the prefix crosses so the
-// smallest qualifying length is found regardless of how far one record()
-// call advanced it.
-func (pr *planRun) advanceLocked() {
-	if pr.stopped {
-		return
-	}
-	for pr.prefixLen < pr.n && pr.done[pr.prefixLen] {
-		pr.prefixCounts[pr.recs[pr.prefixLen].Outcome]++
-		pr.prefixLen++
-		if pr.ciWidth > 0 && pr.prefixLen < pr.n && pr.prefixLen%earlyStopStride == 0 {
-			lo, hi := wilson(float64(pr.prefixCounts[SDC]), float64(pr.prefixLen))
-			if hi-lo <= pr.ciWidth {
-				pr.stopped = true
-				pr.stopAt = pr.prefixLen
-				pr.stopCounts = pr.prefixCounts
-				return
-			}
-		}
-	}
-}
-
-func (pr *planRun) finish() (planOutcomes, error) {
+// finish returns every plan's record once all are done, and otherwise
+// reports the cancellation that left plans pending.
+func (pr *planRun) finish() ([]PlanRecord, error) {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	po := planOutcomes{recs: pr.recs}
-	switch {
-	case pr.stopped:
-		po.samples, po.counts, po.early = pr.stopAt, pr.stopCounts, true
-	case pr.prefixLen == pr.n:
-		po.samples, po.counts = pr.n, pr.prefixCounts
-	default:
-		return po, ErrCampaignCanceled
+	for _, done := range pr.done {
+		if !done {
+			return nil, ErrCampaignCanceled
+		}
 	}
-	return po, nil
+	return pr.recs, nil
 }
 
 // journalPlan appends one completed plan's record to the campaign's
@@ -222,23 +159,20 @@ func (c Campaign) journalErr() error {
 // (journal-replayed) outcomes are prefilled without running anything, plans
 // answered by the compose section cache are prefilled AND journaled (the
 // journal must stay complete even when nothing executed), each freshly
-// executed plan is journaled, cancellation is honoured at batch boundaries,
-// and the CI-width early-stop rule is applied to the completed prefix.
-// plans may be in any order (the checkpointing path sorts them by site);
-// outcome bookkeeping is always by the plan's generation index, so results
-// are independent of both ordering and worker count. Worker and cache
-// records get their Site stamped from the plan here. Workers take the
-// pending plans in fixed batches of 16, in order.
+// executed plan is journaled, and cancellation is honoured at batch
+// boundaries. plans may be in any order (the checkpointing path sorts them
+// by site); outcome bookkeeping is always by the plan's generation index,
+// so results are independent of both ordering and worker count. Worker and
+// cache records get their Site stamped from the plan here. Workers take
+// the pending plans in fixed batches of 16, in order.
 func runPlans(c Campaign, plans []plannedFault,
 	newWorker func() batchRunner,
-	cached map[int]PlanRecord) (planOutcomes, error) {
+	cached map[int]PlanRecord) ([]PlanRecord, error) {
 	n := len(plans)
 	pr := &planRun{
-		n:       n,
-		ciWidth: c.CIWidth,
-		cancel:  c.Cancel,
-		done:    make([]bool, n),
-		recs:    make([]PlanRecord, n),
+		cancel: c.Cancel,
+		done:   make([]bool, n),
+		recs:   make([]PlanRecord, n),
 	}
 	prior := c.Prior
 	prefilled, replayed := 0, 0
@@ -261,7 +195,6 @@ func runPlans(c Campaign, plans []plannedFault,
 			}
 			pr.todo = append(pr.todo, p)
 		}
-		pr.advanceLocked()
 	} else {
 		pr.todo = plans
 	}

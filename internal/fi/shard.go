@@ -17,8 +17,8 @@ import (
 // index modulo the shard count — a round-robin partition, so each shard is
 // itself a uniform sample of the plan space. Kept plans are re-indexed
 // densely (rank order), exactly like the pruning partition's dense
-// representative list, so the journal, prior-replay and prefix machinery
-// work unchanged per shard; the merge inverts the re-indexing in closed
+// representative list, so the journal and prior-replay machinery work
+// unchanged per shard; the merge inverts the re-indexing in closed
 // form (global = shard + local*count) with no mapping tables.
 
 // ShardSpec selects one shard of a campaign's plan space. The zero value
@@ -94,9 +94,6 @@ func MergeShardResults(shards []Result) (Result, error) {
 		}
 		if s.Cycles != m.Cycles {
 			return Result{}, fmt.Errorf("fi: merge shards: shard %d's golden run took %.0f cycles, shard 0's %.0f", i+1, s.Cycles, m.Cycles)
-		}
-		if s.EarlyStopped || m.EarlyStopped {
-			return Result{}, fmt.Errorf("fi: merge shards: shard results must not be early-stopped")
 		}
 		if s.Pruned.Enabled || m.Pruned.Enabled {
 			return Result{}, fmt.Errorf("fi: merge shards: shard results must not be pruned")

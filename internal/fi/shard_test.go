@@ -131,64 +131,10 @@ func planByPlan(run func(plannedFault) PlanRecord) func() batchRunner {
 	}
 }
 
-// TestNoJournalPastEarlyStop pins the post-stop journaling fix. The plan
-// order is crafted so the early-stop decision fires on the first plan of a
-// batch: generation index 63 is deferred to position 64, so recording it
-// completes the 64-plan prefix (CIWidth 0.25 exceeds the worst-case Wilson
-// width there) while the worker still holds 15 in-hand plans. Those plans
-// execute — cancellation and stopping are batch-granular — but must not be
-// journaled: finish() discards them, and journaling them would leave more
-// plan records than the fi.* totals account for.
-func TestNoJournalPastEarlyStop(t *testing.T) {
-	var plans []plannedFault
-	for i := 0; i < 63; i++ {
-		plans = append(plans, plannedFault{idx: i, site: uint64(i)})
-	}
-	plans = append(plans, plannedFault{idx: 64, site: 64})
-	plans = append(plans, plannedFault{idx: 63, site: 63})
-	for i := 65; i < 128; i++ {
-		plans = append(plans, plannedFault{idx: i, site: uint64(i)})
-	}
-	path := journalPath(t)
-	j, err := CreateJournal(path, testMeta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := Campaign{Samples: len(plans), CIWidth: 0.25, Workers: 1, Journal: j, Key: "cell"}
-	po, err := runPlans(c, plans, planByPlan(func(plannedFault) PlanRecord {
-		return PlanRecord{Outcome: Benign}
-	}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !po.early || po.samples != earlyStopStride {
-		t.Fatalf("stopped=%v at %d samples, want early stop at %d", po.early, po.samples, earlyStopStride)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := st.Cell("cell")
-	// 65 records: the 64 counted prefix plans, plus index 64 — executed and
-	// journaled before the stop decision existed, which resume replays
-	// harmlessly. The 15 in-hand plans finished after the stop (indices
-	// 65..79) are the bug: pre-fix they were journaled too (80 records).
-	if want := earlyStopStride + 1; len(cs.Plans) != want {
-		t.Errorf("early-stopped campaign journaled %d plans, want exactly %d", len(cs.Plans), want)
-	}
-	for i := range cs.Plans {
-		if i > earlyStopStride {
-			t.Errorf("journal holds plan %d, past the truncation point", i)
-		}
-	}
-}
-
-// TestNoJournalPastCancel: the same batch-in-hand rule for cancellation —
-// plans finishing after Cancel fired are discarded by finish() and must not
-// reach the journal.
+// TestNoJournalPastCancel: a worker still runs the plans in hand when
+// Cancel fires (cancellation is batch-granular), but those plans count
+// toward no result, so they must not reach the journal: journaling them
+// would leave more plan records than the fi.* totals account for.
 func TestNoJournalPastCancel(t *testing.T) {
 	var plans []plannedFault
 	for i := 0; i < 32; i++ {
@@ -267,8 +213,8 @@ func TestShardSpecCheck(t *testing.T) {
 	}{
 		{Campaign{Samples: 10, Shard: ShardSpec{Index: 3, Count: 2}}, "out of range"},
 		{Campaign{Samples: 10, Shard: ShardSpec{Index: 1}}, "index without a shard count"},
-		{Campaign{Samples: 10, Shard: ShardSpec{Count: 2}, Prune: PruneFull}, "incompatible with prune"},
-		{Campaign{Samples: 10, Shard: ShardSpec{Count: 2}, CIWidth: 0.1}, "incompatible with CI-width"},
+		{Campaign{Samples: 10, Shard: ShardSpec{Count: 2}, Prune: PruneFull}, "prune mode full is incompatible with shard 0/2"},
+		{Campaign{Samples: 10, Shard: ShardSpec{Count: 2}, Compose: ComposeOn}, "compose mode on is incompatible with shard 0/2"},
 	} {
 		_, err := RunAsmCampaign(tgt, tc.c)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

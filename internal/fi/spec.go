@@ -3,9 +3,9 @@ package fi
 import "fmt"
 
 // Check validates the campaign's combination of run modes before any work
-// happens. It is the one place the mode matrix lives: the runners call it
-// first, and the command-line tools call it before they open a journal, so
-// an impossible combination never truncates one.
+// happens. It is the one place run-mode combinations are checked: the
+// runners call it first, and the command-line tools call it before they
+// open a journal, so an impossible combination never truncates one.
 func (c Campaign) Check() error { return c.check(false) }
 
 // CheckIR is Check for an IR-level campaign, which additionally supports
@@ -30,32 +30,25 @@ func (c Campaign) check(irLevel bool) error {
 		// snapshots; the IR interpreter has neither.
 		return fmt.Errorf("fi: compose mode %v is not supported for IR campaigns (sections are cut at assembly checkpoint boundaries)", c.Compose)
 	}
-	if c.Prune != PruneOff && c.CIWidth > 0 {
-		return fmt.Errorf("fi: prune mode %v is incompatible with CI-width early stopping (pruned campaigns have no uniform plan prefix)", c.Prune)
+	if c.Compose != ComposeOff && c.NoCheckpoint {
+		return fmt.Errorf("fi: compose mode %v requires checkpointing (sections are cut at checkpoint boundaries)", c.Compose)
+	}
+	// A plan stage reshapes the campaign's plan sequence: pruning re-indexes
+	// it densely, compose stratifies it per section, and a shard takes a
+	// round-robin residue of it. Each is defined over the uniform draw, not
+	// over another stage's output, so a campaign has at most one.
+	var stages []string
+	if c.Prune != PruneOff {
+		stages = append(stages, fmt.Sprintf("prune mode %v", c.Prune))
 	}
 	if c.Compose != ComposeOff {
-		switch {
-		case c.Prune != PruneOff:
-			return fmt.Errorf("fi: compose mode %v is incompatible with prune mode %v (pruned campaigns have no per-section plan strata)", c.Compose, c.Prune)
-		case c.CIWidth > 0:
-			return fmt.Errorf("fi: compose mode %v is incompatible with CI-width early stopping (per-section budgets are fixed up front)", c.Compose)
-		case c.NoCheckpoint:
-			return fmt.Errorf("fi: compose mode %v requires checkpointing (sections are cut at checkpoint boundaries)", c.Compose)
-		}
+		stages = append(stages, fmt.Sprintf("compose mode %v", c.Compose))
 	}
 	if c.Shard.enabled() {
-		// A round-robin residue is uniform over the plan sequence, which
-		// none of these modes keeps: pruning re-indexes it densely, the
-		// early-stop prefix spans every shard, and compose stratifies it
-		// per section (and would split the section cache across workers).
-		switch {
-		case c.Prune != PruneOff:
-			return fmt.Errorf("fi: shard %d/%d: sharding is incompatible with prune mode %v (plan indices would be re-indexed twice)", c.Shard.Index, c.Shard.Count, c.Prune)
-		case c.CIWidth > 0:
-			return fmt.Errorf("fi: shard %d/%d: sharding is incompatible with CI-width early stopping (no shard observes the global plan prefix)", c.Shard.Index, c.Shard.Count)
-		case c.Compose != ComposeOff:
-			return fmt.Errorf("fi: shard %d/%d: sharding is incompatible with compose mode %v (a residue of per-section strata is no per-section budget)", c.Shard.Index, c.Shard.Count, c.Compose)
-		}
+		stages = append(stages, fmt.Sprintf("shard %d/%d", c.Shard.Index, c.Shard.Count))
+	}
+	if len(stages) > 1 {
+		return fmt.Errorf("fi: %s is incompatible with %s (a campaign takes at most one plan stage: prune, compose or shard)", stages[0], stages[1])
 	}
 	return nil
 }
@@ -69,7 +62,7 @@ func (c Campaign) check(irLevel bool) error {
 // and the golden run (goldenCheckpoints).
 func (c Campaign) Meta() JournalMeta {
 	m := JournalMeta{
-		Seed: c.Seed, Samples: c.Samples, Bits: c.BitsPerFault, CIWidth: c.CIWidth,
+		Seed: c.Seed, Samples: c.Samples, Bits: c.BitsPerFault,
 		MaxSteps: c.MaxSteps, ShardIndex: c.Shard.Index, ShardCount: c.Shard.Count,
 	}
 	if c.Prune != PruneOff {

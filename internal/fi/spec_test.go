@@ -9,8 +9,9 @@ import (
 	"ferrum/internal/obs"
 )
 
-// TestCampaignCheck walks the run-mode matrix: every incompatible pair is
-// refused with its reason, every supported combination passes.
+// TestCampaignCheck walks the run-mode rules: a campaign takes at most one
+// plan stage (prune, compose or shard), and a refused pair names both;
+// compose needs checkpoints; IR campaigns refuse the assembly-only modes.
 func TestCampaignCheck(t *testing.T) {
 	shard := ShardSpec{Index: 1, Count: 2}
 	for _, tc := range []struct {
@@ -21,16 +22,18 @@ func TestCampaignCheck(t *testing.T) {
 		{Campaign{}, false, ""},
 		{Campaign{}, true, ""},
 		{Campaign{Prune: PruneFull}, false, ""},
+		{Campaign{Prune: PruneExact, NoCheckpoint: true}, false, ""},
 		{Campaign{Compose: ComposeOn, every: 7}, false, ""},
-		{Campaign{CIWidth: 0.1, NoCheckpoint: true}, true, ""},
+		{Campaign{Compose: ComposeValidate}, false, ""},
+		{Campaign{Shard: shard}, false, ""},
 		{Campaign{Shard: shard, NoCheckpoint: true}, true, ""},
-		{Campaign{Prune: PruneExact, CIWidth: 0.1}, false, "no uniform plan prefix"},
-		{Campaign{Compose: ComposeOn, Prune: PruneExact}, false, "no per-section plan strata"},
-		{Campaign{Compose: ComposeValidate, CIWidth: 0.1}, false, "per-section budgets are fixed up front"},
+		{Campaign{NoCheckpoint: true}, true, ""},
+		{Campaign{Prune: PruneExact, Compose: ComposeOn}, false, "prune mode exact is incompatible with compose mode on"},
+		{Campaign{Prune: PruneFull, Compose: ComposeValidate}, false, "prune mode full is incompatible with compose mode validate"},
+		{Campaign{Prune: PruneExact, Shard: shard}, false, "prune mode exact is incompatible with shard 1/2"},
+		{Campaign{Compose: ComposeOn, Shard: shard}, false, "compose mode on is incompatible with shard 1/2"},
+		{Campaign{Prune: PruneFull, Compose: ComposeOn, Shard: shard}, false, "prune mode full is incompatible with compose mode on"},
 		{Campaign{Compose: ComposeOn, NoCheckpoint: true}, false, "sections are cut at checkpoint boundaries"},
-		{Campaign{Compose: ComposeOn, Shard: shard}, false, "incompatible with compose mode on"},
-		{Campaign{Prune: PruneExact, Shard: shard}, false, "incompatible with prune mode exact"},
-		{Campaign{CIWidth: 0.1, Shard: shard}, false, "incompatible with CI-width"},
 		{Campaign{Shard: ShardSpec{Index: 2, Count: 2}}, false, "out of range"},
 		{Campaign{Shard: ShardSpec{Index: -1}}, false, "negative shard spec"},
 		{Campaign{Prune: PruneExact}, true, "the analysis is assembly-level"},
@@ -69,7 +72,6 @@ func TestCampaignMetaFields(t *testing.T) {
 		"Prune":        func(c *Campaign) { c.Prune = PruneExact },
 		"Compose":      func(c *Campaign) { c.Compose = ComposeOn },
 		"Shard":        func(c *Campaign) { c.Shard = ShardSpec{Index: 1, Count: 2} },
-		"CIWidth":      func(c *Campaign) { c.CIWidth = 0.1 },
 	}
 	inert := map[string]func(*Campaign){
 		"Workers":      func(c *Campaign) { c.Workers = 3 },

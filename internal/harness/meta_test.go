@@ -21,7 +21,6 @@ func TestOptionsMetaFields(t *testing.T) {
 		"Scale":      func(o *Options) { o.Scale = 2 },
 		"Benchmarks": func(o *Options) { o.Benchmarks = []string{"bfs"} },
 		"Optimize":   func(o *Options) { o.Optimize = true },
-		"CIWidth":    func(o *Options) { o.CIWidth = 0.1 },
 		"Prune":      func(o *Options) { o.Prune = fi.PruneExact },
 		"Compose":    func(o *Options) { o.Compose = fi.ComposeOn },
 	}

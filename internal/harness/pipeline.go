@@ -14,6 +14,7 @@ import (
 	"ferrum/internal/asm"
 	"ferrum/internal/backend"
 	"ferrum/internal/compose"
+	"ferrum/internal/core"
 	"ferrum/internal/eddi"
 	"ferrum/internal/ferrumpass"
 	"ferrum/internal/fi"
@@ -181,18 +182,13 @@ type Options struct {
 	// sched.timeouts, while sibling cells keep running. Journaled plans the
 	// cell completed before the deadline remain resumable.
 	CellTimeout time.Duration
-	// CIWidth, if > 0, enables Wilson-interval early stopping in every
-	// campaign cell (see fi.Campaign.CIWidth): a campaign ends once the 95%
-	// CI of its SDC rate over the completed plan prefix is no wider than
-	// this, deterministically for any worker count.
-	CIWidth float64
 	// Prune selects static bit-level fault-site pruning for every
 	// assembly-level campaign cell (see fi.Campaign.Prune): plans the
 	// liveness/masking analysis proves Benign are answered without
 	// executing, and under fi.PruneFull one representative per
 	// (static instruction, bit) class stands in for its whole class.
 	// IR-level cells ignore it (the analysis is assembly-only).
-	// Incompatible with CIWidth.
+	// Incompatible with Compose.
 	Prune fi.PruneMode
 	// Compose selects compositional sectioned campaigns for every
 	// assembly-level campaign cell (see fi.Campaign.Compose): plans run only
@@ -200,7 +196,7 @@ type Options struct {
 	// whole-program outcomes, and per-section propagation tables are cached
 	// by content fingerprint so re-runs re-inject only changed sections.
 	// IR-level cells ignore it (sections are machine snapshots).
-	// Incompatible with Prune, CIWidth and NoCheckpoint.
+	// Incompatible with Prune and NoCheckpoint.
 	Compose fi.ComposeMode
 	// SectionCache supplies the section-table cache compose mode serves
 	// from. Nil with Compose on uses the BuildCache's shared section cache,
@@ -226,8 +222,8 @@ type Options struct {
 
 // MemSize is the machine/interpreter memory of every harness campaign,
 // golden run and profile run, and of every RunSpec campaign, so fidi and
-// fiserve workers run on the same machine.
-const MemSize = 1 << 20
+// fiserve workers run on the same machine as a core.Pipeline.
+const MemSize = core.MemSize
 
 // Campaign is the template every campaign cell of these options starts
 // from: the result-shaping fields plus the shared section cache and
@@ -240,7 +236,6 @@ func (o Options) Campaign() fi.Campaign {
 		Samples:      o.Samples,
 		Seed:         o.Seed,
 		NoCheckpoint: o.NoCheckpoint,
-		CIWidth:      o.CIWidth,
 		Prune:        o.Prune,
 		Compose:      o.Compose,
 		SectionCache: o.SectionCache,

@@ -121,10 +121,9 @@ const (
 	MGoldenHits   = "cache.golden_hits"   // golden runs answered from cache
 
 	// Campaign-level, reported by internal/fi.
-	MCampaigns     = "fi.campaigns"   // campaigns executed
-	MPlans         = "fi.plans"       // fault plans executed
-	MOutcomePrefix = "fi.outcome."    // + benign|sdc|detected|crash|hang
-	MEarlyStops    = "fi.early_stops" // campaigns ended early by the CI-width rule
+	MCampaigns     = "fi.campaigns" // campaigns executed
+	MPlans         = "fi.plans"     // fault plans executed
+	MOutcomePrefix = "fi.outcome."  // + benign|sdc|detected|crash|hang
 	// MDetectLatencyPrefix + "<unit>.<outcome>" (unit "cycles" for asm
 	// campaigns, "insts" for IR) is the detection-latency histogram for
 	// that outcome class: injection → terminal event, bucketed on
